@@ -9,10 +9,11 @@ from .engine import (
     fourier_forward,
     fourier_inverse,
     mixed_predict,
+    mixed_predict_ladder,
     spectral_predict,
 )
 from .errors import BandcastError
-from .grids import GridSpec, default_grid
+from .grids import GridSpec
 from .kernels import (
     RationalAnticausalKernel,
     ResidueExpansion,

@@ -244,66 +244,89 @@ def spectral_predict(
     )
 
 
-def mixed_predict(
+def mixed_predict_ladder(
     ms: MixedSpectrum,
     kernel: RationalAnticausalKernel,
-    gamma: float,
+    gammas,
     t_grid,
-) -> PredictionResult:
-    """Pipeline for atomic-plus-density spectra.
+) -> list[PredictionResult]:
+    """Pipeline for atomic-plus-density spectra over a gamma ladder.
 
     Atom responses are exact (K and K_hat evaluated at the atom frequency);
-    density terms go through oscillatory quadrature.  The declared class must
-    match the sign of gamma.
+    density terms go through oscillatory quadrature.  y does not depend on
+    gamma, so it is computed once; each density is integrated once against
+    the columns [K, K_hat_gamma for each gamma] on one shared node set.  The
+    declared class must match the sign of every gamma.  One result per gamma,
+    in ladder order, all sharing one y.
     """
-    predictor = PredictorTransfer(kernel, gamma)
-    if predictor.target_class != ms.class_tag:
-        raise ClassMismatch(
-            f"signal class {ms.class_tag} inconsistent with gamma = {gamma:g} "
-            f"(targets {predictor.target_class})"
-        )
+    predictors = [PredictorTransfer(kernel, gamma) for gamma in gammas]
+    for predictor in predictors:
+        if predictor.target_class != ms.class_tag:
+            raise ClassMismatch(
+                f"signal class {ms.class_tag} inconsistent with gamma = {predictor.gamma:g} "
+                f"(targets {predictor.target_class})"
+            )
     t = np.asarray(t_grid, dtype=float)
     steps = np.diff(t)
     if len(t) < 2 or np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
         raise GridMismatch("t_grid must be uniform with >= 2 points")
 
     y_vals = np.zeros(len(t), dtype=complex)
-    yhat_vals = np.zeros(len(t), dtype=complex)
+    yhat_vals = [np.zeros(len(t), dtype=complex) for _ in predictors]
     for wk, ck in ms.atoms:
         tone = ck * np.exp(1j * wk * t)
         kw = complex(transfer_on_grid(kernel, np.array([wk]))[0])
-        khat_w, sat = predictor_transfer_on_grid(predictor, np.array([wk]))
-        if bool(sat[0]):
-            raise ClassMismatch(f"atom at omega = {wk:g} saturates the predictor")
         y_vals += kw * tone
-        yhat_vals += complex(khat_w[0]) * tone
+        for predictor, acc in zip(predictors, yhat_vals):
+            khat_w, sat = predictor_transfer_on_grid(predictor, np.array([wk]))
+            if bool(sat[0]):
+                raise ClassMismatch(f"atom at omega = {wk:g} saturates the predictor")
+            acc += complex(khat_w[0]) * tone
 
-    def weight_k(wv):
-        return transfer_on_grid(kernel, wv)
-
-    def weight_khat(wv):
-        vals, sat = predictor_transfer_on_grid(predictor, wv)
-        if bool(np.any(sat)):
-            raise ClassMismatch("density support saturates the predictor")
-        return vals
+    def weights(wv):
+        columns = [transfer_on_grid(kernel, wv)]
+        for predictor in predictors:
+            vals, sat = predictor_transfer_on_grid(predictor, wv)
+            if bool(np.any(sat)):
+                raise ClassMismatch("density support saturates the predictor")
+            columns.append(vals)
+        return np.stack(columns, axis=1)
 
     for comp in ms.density:
-        y_vals += comp.integrate_against(weight_k, t)
-        yhat_vals += comp.integrate_against(weight_khat, t)
+        integrals = comp.integrate_against(weights, t)
+        y_vals += integrals[:, 0]
+        for c, acc in enumerate(yhat_vals, start=1):
+            acc += integrals[:, c]
 
     y = SampledSignal(float(t[0]), float(steps[0]), y_vals / (2 * np.pi))
-    yhat = SampledSignal(float(t[0]), float(steps[0]), yhat_vals / (2 * np.pi))
-    err_l2, err_linf = error_norms(y, yhat)
-    return PredictionResult(
-        y=y,
-        yhat=yhat,
-        err_l2=err_l2,
-        err_linf=err_linf,
-        gamma=gamma,
-        metadata={
-            "class": ms.class_tag,
-            "epsilon": ms.epsilon,
-            "atoms": len(ms.atoms),
-            "kernel": kernel_to_json(kernel),
-        },
-    )
+    metadata = {
+        "class": ms.class_tag,
+        "epsilon": ms.epsilon,
+        "atoms": len(ms.atoms),
+        "kernel": kernel_to_json(kernel),
+    }
+    results = []
+    for predictor, acc in zip(predictors, yhat_vals):
+        yhat = SampledSignal(float(t[0]), float(steps[0]), acc / (2 * np.pi))
+        err_l2, err_linf = error_norms(y, yhat)
+        results.append(
+            PredictionResult(
+                y=y,
+                yhat=yhat,
+                err_l2=err_l2,
+                err_linf=err_linf,
+                gamma=predictor.gamma,
+                metadata=dict(metadata),
+            )
+        )
+    return results
+
+
+def mixed_predict(
+    ms: MixedSpectrum,
+    kernel: RationalAnticausalKernel,
+    gamma: float,
+    t_grid,
+) -> PredictionResult:
+    """One-rung :func:`mixed_predict_ladder`."""
+    return mixed_predict_ladder(ms, kernel, [gamma], t_grid)[0]

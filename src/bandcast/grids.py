@@ -54,13 +54,3 @@ class GridSpec:
 
     def omegas(self) -> np.ndarray:
         return self.omega0 + self.domega * np.arange(self.n)
-
-
-def default_grid(min_pole_rate: float, omega_interest: float) -> GridSpec:
-    """Default pipeline grid: 8x oversampling of the highest retained
-    frequency, span long enough that exp(-min_pole_rate * span) is negligible.
-    """
-    span = 400.0 / min_pole_rate
-    dt_target = np.pi / (8.0 * omega_interest)
-    n = 1 << int(np.ceil(np.log2(span / dt_target)))
-    return GridSpec(n=max(n, 2), span=span)

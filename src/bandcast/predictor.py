@@ -111,10 +111,6 @@ class FrequencyDomain:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
-def matching_domain(predictor: PredictorTransfer, epsilon: float = 0.0) -> FrequencyDomain:
-    return FrequencyDomain(kind=predictor.target_class, epsilon=epsilon)
-
-
 def _factor_exponents(predictor: PredictorTransfer, p) -> list[tuple[np.ndarray, int]]:
     """gamma * Mobius exponent z_m(p) per pole group, with multiplicities."""
     p = np.asarray(p, dtype=complex)

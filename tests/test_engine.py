@@ -19,13 +19,19 @@ from bandcast import (
     make_bandlimited_signal,
     make_mixed_signal,
     mixed_predict,
+    mixed_predict_ladder,
     spectral_predict,
     synthesize_time_predictor,
 )
-from bandcast.errors import ClassMismatch, GridMismatch, InsufficientHistory
+from bandcast.errors import (
+    ClassMismatch,
+    GridMismatch,
+    InsufficientHistory,
+    QuadratureNotConverged,
+)
 from bandcast.grids import GridSpec
 from bandcast.kernels import transfer_on_grid
-from helpers import hermitian_random_band_spectrum
+from helpers import hermitian_random_band_spectrum, random_mixed_signal
 
 
 def test_gaussian_transform_pair():
@@ -215,6 +221,68 @@ def test_mixed_predict_density_against_dense_trapezoid(single_pole):
     for ti, yi in zip(t, r.y.values):
         ref = np.trapezoid(integrand * np.exp(1j * w * ti), w) / (2 * math.pi)
         assert yi == pytest.approx(ref, abs=1e-8)
+
+
+LADDERS = {"LOW": [2, 5, 10, 20, 50], "HIGH": [-2, -5, -10, -20, -50]}
+
+
+@pytest.mark.parametrize("class_tag", ["LOW", "HIGH"])
+def test_mixed_predict_ladder_bit_identical_to_single_rungs(conjugate_pair, class_tag):
+    # Sharing one quadrature across the ladder must not move a single bit.
+    rng = np.random.default_rng(0xC6)
+    ms = random_mixed_signal(rng, class_tag, omega=1.0, epsilon=0.25)
+    assert ms.atoms and ms.density
+    t = GridSpec(2048, 400.0).times()
+    ladder = mixed_predict_ladder(ms, conjugate_pair, LADDERS[class_tag], t)
+    assert [r.gamma for r in ladder] == LADDERS[class_tag]
+    for rung in ladder:
+        single = mixed_predict(ms, conjugate_pair, rung.gamma, t)
+        assert np.array_equal(rung.y.values, single.y.values)
+        assert np.array_equal(rung.yhat.values, single.yhat.values)
+        assert rung.err_l2 == single.err_l2
+        assert rung.err_linf == single.err_linf
+
+
+def test_mixed_predict_ladder_one_node_set_pair_per_density(conjugate_pair, monkeypatch):
+    # Each density builds a coarse and a fine node set and calls its weight
+    # once per set, however many rungs the ladder has.
+    from bandcast import signals
+
+    node_sets, weight_calls = [], []
+    panels = signals._gauss_legendre_panels
+    integrate = signals.RaisedCosineBump.integrate_against
+
+    def counted_panels(lo, hi, npanels, *args):
+        node_sets.append((lo, hi))
+        return panels(lo, hi, npanels, *args)
+
+    def counted_integrate(self, weight, t_values):
+        def counted_weight(wv):
+            weight_calls.append(self)
+            return weight(wv)
+
+        return integrate(self, counted_weight, t_values)
+
+    monkeypatch.setattr(signals, "_gauss_legendre_panels", counted_panels)
+    monkeypatch.setattr(signals.RaisedCosineBump, "integrate_against", counted_integrate)
+    bumps = [signals.RaisedCosineBump(-0.6, -0.3, 1.5), signals.RaisedCosineBump(0.1, 0.5, 0.7)]
+    ms = make_mixed_signal([(0.3, 3 + 1j)], bumps, "LOW", 0.25, 1.0)
+    mixed_predict_ladder(ms, conjugate_pair, LADDERS["LOW"], GridSpec(2048, 400.0).times())
+    for bump in bumps:
+        assert node_sets.count(bump.support()) == 2
+        assert weight_calls.count(bump) == 2
+    assert len(node_sets) == len(weight_calls) == 2 * len(bumps)
+
+
+def test_mixed_predict_unconverged_density_raises(conjugate_pair):
+    from bandcast.signals import SampledDensity
+
+    # Piecewise-linear kinks inside Gauss panels: on a 400 s grid the coarse
+    # and fine passes disagree far beyond the 1e-9 certificate.
+    kinked = SampledDensity([-0.6, -0.35, -0.1, 0.15, 0.4], [0.0, 1.3, 0.4, 1.1, 0.0])
+    ms = make_mixed_signal([(0.3, 1.0)], [kinked], "LOW", 0.25, 1.0)
+    with pytest.raises(QuadratureNotConverged, match="not converged on"):
+        mixed_predict(ms, conjugate_pair, 5.0, GridSpec(2048, 400.0).times())
 
 
 def test_error_norms_identity_and_offset():

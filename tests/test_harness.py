@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bandcast.errors import ClassMismatch, ConfigError
+from bandcast.errors import ClassMismatch, ConfigError, QuadratureNotConverged
 from bandcast.harness import (
     cli_main,
     config_from_dict,
@@ -18,6 +21,7 @@ from bandcast.harness import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def base_config(**overrides):
@@ -163,6 +167,33 @@ def test_bound_check_shared_deviation_value():
     for gamma in (2, 5, 10, 20, 50):
         devs = {r.deviation_sup for r in report.rows if r.gamma == gamma}
         assert len(devs) == 1  # one uniform deviation factor per gamma
+
+
+def test_bound_check_unconverged_density_raises(tmp_path, capsys):
+    # Piecewise-linear kinks inside Gauss panels fail the quadrature
+    # certificate on the 400 s grid (the L1 mass, on a grid through the
+    # samples, converges): the run raises and the CLI exits 1 with a record.
+    kinked = {
+        "kind": "sampled",
+        "omegas": [-0.6, -0.35, -0.1, 0.15, 0.4],
+        "re": [0.0, 1.3, 0.4, 1.1, 0.0],
+        "im": [0.0] * 5,
+    }
+    doc = base_config(
+        kernel={"omega": 1.0, "poles": [{"a": 0.5, "b": 0.8, "mult": 1, "paired": True}],
+                "numerator": [0.0, 1.0]},
+        epsilon=0.25,
+        signals=[{"id": "kinked", "kind": "mixed", "atoms": [[0.3, 1.0, 0.0]],
+                  "density": [kinked], "class": "LOW", "epsilon": 0.25}],
+    )
+    with pytest.raises(QuadratureNotConverged, match=r"not converged on \[-0.6, 0.4\]"):
+        run_uniform_bound_check(config_from_dict(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli_main(["bound-check", "--config", str(cfg)]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "QuadratureNotConverged"
+    assert "not converged on [-0.6, 0.4]" in record["message"]
 
 
 def test_robustness_zero_eta_degenerates_to_sweep():
@@ -339,6 +370,50 @@ def test_cli_golden_sweep_and_determinism(tmp_path, monkeypatch):
     (tmp_path / "sweep.csv").unlink()
     assert cli_main(["sweep", "--config", str(config_path)]) == 0
     assert (tmp_path / "sweep.csv").read_bytes() == first.encode()
+
+
+def test_cli_golden_bound_check_and_determinism(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config_path = ROOT / "configs" / "bound_check.json"
+    assert cli_main(["bound-check", "--config", str(config_path)]) == 0
+    produced = (tmp_path / "bound_check.csv").read_text()
+    golden = (GOLDEN / "bound_check_golden.csv").read_text()
+
+    plines, glines = produced.splitlines(), golden.splitlines()
+    assert plines[0] == glines[0]
+    assert len(plines) == len(glines)
+    for p, g in zip(plines[1:], glines[1:]):
+        pc, gc = p.split(","), g.split(",")
+        assert pc[0] == gc[0] and pc[6:] == gc[6:]
+        for a, b in zip(pc[1:6], gc[1:6]):
+            fa, fb = float(a), float(b)
+            assert abs(fa - fb) <= 1e-9 * max(abs(fb), 1.0)
+
+    # Bit-identical reproduction with the same config.
+    (tmp_path / "bound_check.csv").unlink()
+    assert cli_main(["bound-check", "--config", str(config_path)]) == 0
+    assert (tmp_path / "bound_check.csv").read_bytes() == produced.encode()
+
+
+def _run_module(module, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", module, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["bandcast", "bandcast.harness"])
+def test_module_entry_points_run_the_cli(tmp_path, module):
+    config_path = GOLDEN / "sweep_config.json"
+    proc = _run_module(module, "sweep", "--config", str(config_path), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[0] == (
+        (GOLDEN / "sweep_golden.csv").read_text().splitlines()[0]
+    )
+
+
+def test_module_entry_point_without_subcommand_exits_2(tmp_path):
+    assert _run_module("bandcast", cwd=tmp_path).returncode == 2
 
 
 def test_cli_seed_override_changes_noise_output(tmp_path, monkeypatch):
