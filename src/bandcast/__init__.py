@@ -11,6 +11,7 @@ from .engine import (
     mixed_predict,
     mixed_predict_ladder,
     spectral_predict,
+    spectral_predict_ladder,
 )
 from .errors import BandcastError
 from .grids import GridSpec

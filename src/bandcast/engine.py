@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 from scipy.integrate import quad
@@ -24,6 +25,7 @@ from .errors import (
     ClassMismatch,
     GridMismatch,
     InsufficientHistory,
+    NonFiniteResult,
     QuadratureNotConverged,
 )
 from .grids import is_power_of_two
@@ -34,11 +36,10 @@ from .kernels import (
     transfer_on_grid,
 )
 from .predictor import (
-    SATURATION_EXPONENT,
     PredictorTransfer,
-    _factor_exponents,
     compensator_minus_one_on_points,
     predictor_transfer_on_grid,
+    saturation_mask,
 )
 from .signals import MixedSpectrum, SampledSignal, SampledSpectrum, same_time_grid
 from .transforms import signal_from_spectrum, spectrum_from_signal
@@ -143,7 +144,11 @@ def causal_convolve(
 
 @dataclass(frozen=True, eq=False)
 class PredictionResult:
-    """Target y, prediction y_hat, and their error norms on a shared grid."""
+    """Target y, prediction y_hat, and their error norms on a shared grid.
+
+    ``yhat_spectrum`` is the guarded Y_hat the FFT route inverted (None on the
+    atomic-plus-density route).  Non-finite norms raise NonFiniteResult.
+    """
 
     y: SampledSignal
     yhat: SampledSignal
@@ -151,8 +156,14 @@ class PredictionResult:
     err_linf: float
     gamma: float
     metadata: dict = field(default_factory=dict)
+    yhat_spectrum: SampledSpectrum | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.err_l2) and math.isfinite(self.err_linf)):
+            raise NonFiniteResult(
+                f"error norms are not finite at gamma = {self.gamma:g}: "
+                f"err_l2 = {self.err_l2!r}, err_linf = {self.err_linf!r}"
+            )
         if not same_time_grid(self.y, self.yhat):
             raise GridMismatch("y and yhat must share one grid")
         l2, linf = error_norms(self.y, self.yhat)
@@ -198,50 +209,64 @@ def error_norms(y: SampledSignal, yhat: SampledSignal) -> tuple[float, float]:
     return err_l2, err_linf
 
 
+def spectral_predict_ladder(
+    X: SampledSpectrum, kernel: RationalAnticausalKernel, gammas
+) -> Iterator[PredictionResult]:
+    """Frequency-domain pipeline over a gamma ladder: Y = K X, Y_hat = V K X.
+
+    y does not depend on gamma, so K is evaluated and Y inverted once, here;
+    the returned iterator computes each rung when it is reached and inverts
+    only its Y_hat.  Wherever X = 0 exactly, Y_hat is forced to 0 without
+    evaluating the compensator, so off-band blow-up cannot poison in-class
+    runs; if X has energy where the compensator saturates, ClassMismatch is
+    raised when that rung is reached.  One result per gamma, in ladder order,
+    all sharing one y; each carries its guarded Y_hat as ``yhat_spectrum``.
+    Between rungs only y, the mask and the active points are kept.
+    """
+    predictors = [PredictorTransfer(kernel, gamma) for gamma in gammas]
+    metadata = {
+        "n": len(X.values),
+        "domega": X.domega,
+        "omega0": X.omega0,
+        "kernel": kernel_to_json(kernel),
+    }
+    active = X.values != 0.0
+    w = X.omegas()
+    Y = transfer_on_grid(kernel, w) * X.values
+    y = fourier_inverse(SampledSpectrum(X.omega0, X.domega, Y))
+    p_active, Y_active = 1j * w[active], Y[active]
+
+    def rung(predictor: PredictorTransfer) -> PredictionResult:
+        sat = saturation_mask(predictor, p_active)
+        if np.any(sat):
+            bad = p_active[np.argmax(sat)].imag
+            raise ClassMismatch(
+                f"X has energy at omega = {bad:.6g} where the predictor "
+                f"saturates (gamma = {predictor.gamma:g})"
+            )
+        Yhat = np.zeros(len(active), dtype=complex)
+        Yhat[active] = (1.0 + compensator_minus_one_on_points(predictor, p_active)) * Y_active
+        yhat_spectrum = SampledSpectrum(X.omega0, X.domega, Yhat)
+        yhat = fourier_inverse(yhat_spectrum)
+        err_l2, err_linf = error_norms(y, yhat)
+        return PredictionResult(
+            y=y,
+            yhat=yhat,
+            err_l2=err_l2,
+            err_linf=err_linf,
+            gamma=predictor.gamma,
+            metadata=dict(metadata),
+            yhat_spectrum=yhat_spectrum,
+        )
+
+    return map(rung, predictors)
+
+
 def spectral_predict(
     X: SampledSpectrum, kernel: RationalAnticausalKernel, gamma: float
 ) -> PredictionResult:
-    """Frequency-domain pipeline: Y = K X, Y_hat = V K Y-wise, both inverted.
-
-    Wherever X = 0 exactly, Y_hat is forced to 0 without evaluating the
-    compensator, so off-band blow-up cannot poison in-class runs; if X has
-    energy where the compensator saturates, ClassMismatch is raised.
-    """
-    predictor = PredictorTransfer(kernel, gamma)
-    w = X.omegas()
-    active = X.values != 0.0
-
-    K = transfer_on_grid(kernel, w)
-    Y = K * X.values
-    Yhat = np.zeros_like(Y)
-    if np.any(active):
-        wa = w[active]
-        for z, _mult in _factor_exponents(predictor, 1j * wa):
-            if np.any(z.real > SATURATION_EXPONENT):
-                bad = wa[np.argmax(z.real > SATURATION_EXPONENT)]
-                raise ClassMismatch(
-                    f"X has energy at omega = {bad:.6g} where the predictor "
-                    f"saturates (gamma = {gamma:g})"
-                )
-        vm1 = compensator_minus_one_on_points(predictor, 1j * wa)
-        Yhat[active] = (1.0 + vm1) * Y[active]
-
-    y = fourier_inverse(SampledSpectrum(X.omega0, X.domega, Y))
-    yhat = fourier_inverse(SampledSpectrum(X.omega0, X.domega, Yhat))
-    err_l2, err_linf = error_norms(y, yhat)
-    return PredictionResult(
-        y=y,
-        yhat=yhat,
-        err_l2=err_l2,
-        err_linf=err_linf,
-        gamma=gamma,
-        metadata={
-            "n": len(X.values),
-            "domega": X.domega,
-            "omega0": X.omega0,
-            "kernel": kernel_to_json(kernel),
-        },
-    )
+    """One-rung :func:`spectral_predict_ladder`."""
+    return next(spectral_predict_ladder(X, kernel, [gamma]))
 
 
 def mixed_predict_ladder(

@@ -29,6 +29,10 @@ class NumericalDegeneracy(BandcastError):
     """Distinct pole entries (nearly) coincide, or residues are unreliable."""
 
 
+class NonFiniteResult(BandcastError):
+    """A computed error norm is NaN or infinite."""
+
+
 class QuadratureNotConverged(BandcastError):
     """An adaptive quadrature failed to reach the requested tolerance."""
 

@@ -28,7 +28,7 @@ from .engine import (
     error_norms,
     fourier_inverse,
     mixed_predict_ladder,
-    spectral_predict,
+    spectral_predict_ladder,
 )
 from .errors import (
     BandcastError,
@@ -275,10 +275,10 @@ def run_convergence_sweep(cfg: ExperimentConfig) -> ErrorReport:
             raise ClassMismatch(
                 f"signal {spec['id']!r} is band-limited but the ladder targets HIGH"
             )
-        _sig, spectrum = build_grid_signal(spec, cfg.grid, kernel.omega)
+        spectrum = build_grid_signal(spec, cfg.grid, kernel.omega)[1]
         errs = []
-        for gamma in cfg.gamma_ladder:
-            result = spectral_predict(spectrum, kernel, gamma)
+        ladder = spectral_predict_ladder(spectrum, kernel, cfg.gamma_ladder)
+        for gamma, result in zip(cfg.gamma_ladder, ladder):
             errs.append(result.err_l2)
             rows.append(
                 ReportRow(
@@ -377,13 +377,12 @@ def run_robustness_probe(cfg: ExperimentConfig) -> ErrorReport:
     rows: list[ReportRow] = []
     summary: dict = {"op": "robustness", "eta": eta}
     for spec in cfg.signals:
-        sig, spectrum = build_grid_signal(spec, cfg.grid, kernel.omega)
-        _psig, pspec = add_outofband_noise(
-            sig, spectrum, eta, support, cfg.seed, kernel.omega
-        )
+        pspec = add_outofband_noise(
+            *build_grid_signal(spec, cfg.grid, kernel.omega), eta, support, cfg.seed, kernel.omega
+        )[1]
         errs = []
-        for gamma in cfg.gamma_ladder:
-            result = spectral_predict(pspec, kernel, gamma)
+        ladder = spectral_predict_ladder(pspec, kernel, cfg.gamma_ladder)
+        for gamma, result in zip(cfg.gamma_ladder, ladder):
             errs.append(result.err_l2)
             rows.append(
                 ReportRow(
@@ -424,35 +423,17 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
     rows: list[ReportRow] = []
     summary: dict = {"op": "decompose"}
     for spec in cfg.signals:
-        _sig, spectrum = build_grid_signal(spec, cfg.grid, kernel.omega)
-        low, high = ideal_lowpass_split(spectrum, kernel.omega)
+        low, high = ideal_lowpass_split(
+            build_grid_signal(spec, cfg.grid, kernel.omega)[1], kernel.omega
+        )
         errs_l, errs_h, errs_total = [], [], []
-        for gamma in gammas:
-            r_low = spectral_predict(low, kernel, +gamma)
-            r_high = spectral_predict(high, kernel, -gamma)
-            yhat_sum = r_low.yhat.values + r_high.yhat.values
-
-            # Combined single pass: one inverse transform of Yhat_L + Yhat_H.
-            ylow_spec = fourier_inverse(
-                SampledSpectrum(
-                    spectrum.omega0,
-                    spectrum.domega,
-                    _yhat_spectrum(low, kernel, +gamma) + _yhat_spectrum(high, kernel, -gamma),
-                )
-            )
-            scale = max(float(np.max(np.abs(yhat_sum))), 1.0)
-            split_gap = float(np.max(np.abs(yhat_sum - ylow_spec.values)))
-            if split_gap > 1e-12 * scale:
-                raise BoundViolation(gamma, spec["id"], split_gap, 1e-12 * scale)
-
-            y = r_low.y.values + r_high.y.values
-            yfull = SampledSignal(r_low.y.t0, r_low.y.dt, y)
-            yhat_full = SampledSignal(r_low.y.t0, r_low.y.dt, yhat_sum)
-            err_l2, err_linf = error_norms(yfull, yhat_full)
-            if err_l2 > r_low.err_l2 + r_high.err_l2 + 1e-9:
-                raise BoundViolation(
-                    gamma, spec["id"], err_l2, r_low.err_l2 + r_high.err_l2 + 1e-9
-                )
+        ladders = zip(
+            gammas,
+            spectral_predict_ladder(low, kernel, gammas),
+            spectral_predict_ladder(high, kernel, [-g for g in gammas]),
+        )
+        for gamma, r_low, r_high in ladders:
+            err_l2, err_linf = _recombined_errors(spec["id"], r_low, r_high)
             errs_l.append(r_low.err_l2)
             errs_h.append(r_high.err_l2)
             errs_total.append(err_l2)
@@ -482,19 +463,27 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
     return ErrorReport(tuple(rows), summary=summary)
 
 
-def _yhat_spectrum(X: SampledSpectrum, kernel, gamma: float) -> np.ndarray:
-    """Y_hat grid values with the pipeline's zero guard, no inversion."""
-    from .predictor import compensator_minus_one_on_points
+def _recombined_errors(signal_id: str, r_low, r_high) -> tuple[float, float]:
+    """Error norms of one rung's summed LOW + HIGH prediction, after checks
+    (a) and (b) of :func:`run_decomposition_demo`."""
+    gamma = r_low.gamma
+    yhat_sum = r_low.yhat.values + r_high.yhat.values
+    spec = r_low.yhat_spectrum
+    combined = fourier_inverse(
+        SampledSpectrum(spec.omega0, spec.domega, spec.values + r_high.yhat_spectrum.values)
+    )
+    scale = max(float(np.max(np.abs(yhat_sum))), 1.0)
+    split_gap = float(np.max(np.abs(yhat_sum - combined.values)))
+    if split_gap > 1e-12 * scale:
+        raise BoundViolation(gamma, signal_id, split_gap, 1e-12 * scale)
 
-    w = X.omegas()
-    active = X.values != 0.0
-    out = np.zeros_like(X.values)
-    if np.any(active):
-        predictor = PredictorTransfer(kernel, gamma)
-        vm1 = compensator_minus_one_on_points(predictor, 1j * w[active])
-        K = transfer_on_grid(kernel, w[active])
-        out[active] = (1.0 + vm1) * K * X.values[active]
-    return out
+    y = r_low.y.values + r_high.y.values
+    yfull = SampledSignal(r_low.y.t0, r_low.y.dt, y)
+    yhat_full = SampledSignal(r_low.y.t0, r_low.y.dt, yhat_sum)
+    err_l2, err_linf = error_norms(yfull, yhat_full)
+    if err_l2 > r_low.err_l2 + r_high.err_l2 + 1e-9:
+        raise BoundViolation(gamma, signal_id, err_l2, r_low.err_l2 + r_high.err_l2 + 1e-9)
+    return err_l2, err_linf
 
 
 # ---------------------------------------------------------------------------

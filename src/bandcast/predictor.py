@@ -133,6 +133,24 @@ def compensator_minus_one_on_points(predictor: PredictorTransfer, p) -> np.ndarr
     return acc
 
 
+def _saturated(exps, shape) -> np.ndarray:
+    """The saturation rule: sum_m mult_m * max(Re z_m, 0) > SATURATION_EXPONENT.
+
+    The product can overflow where no single factor does; a saturating factor
+    always saturates the sum.
+    """
+    growth = np.zeros(shape)
+    for z, mult in exps:
+        growth += mult * np.maximum(z.real, 0.0)
+    return growth > SATURATION_EXPONENT
+
+
+def saturation_mask(predictor: PredictorTransfer, p) -> np.ndarray:
+    """Points where V(p) saturates, by the rule of :func:`compensator_on_points`."""
+    p = np.asarray(p, dtype=complex)
+    return _saturated(_factor_exponents(predictor, p), p.shape)
+
+
 def compensator_on_points(predictor: PredictorTransfer, p) -> tuple[np.ndarray, np.ndarray]:
     """(V values, saturation mask) on arbitrary complex points.
 
@@ -142,12 +160,7 @@ def compensator_on_points(predictor: PredictorTransfer, p) -> tuple[np.ndarray, 
     """
     p = np.asarray(p, dtype=complex)
     exps = _factor_exponents(predictor, p)
-    sat = np.zeros(p.shape, dtype=bool)
-    growth = np.zeros(p.shape)
-    for z, mult in exps:
-        sat |= z.real > SATURATION_EXPONENT
-        growth += mult * np.maximum(z.real, 0.0)
-    sat |= growth > SATURATION_EXPONENT  # the product overflows even if no factor does
+    sat = _saturated(exps, p.shape)
     vals = np.ones_like(p)
     for z, mult in exps:
         zsafe = np.where(sat, 0.0, z)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bandcast import (
+    PredictionResult,
     PredictorTransfer,
     SampledSignal,
     SampledSpectrum,
@@ -17,21 +18,27 @@ from bandcast import (
     fourier_forward,
     fourier_inverse,
     make_bandlimited_signal,
+    make_highfreq_signal,
     make_mixed_signal,
     mixed_predict,
     mixed_predict_ladder,
     spectral_predict,
+    spectral_predict_ladder,
     synthesize_time_predictor,
 )
+from bandcast import engine, transforms
 from bandcast.errors import (
     ClassMismatch,
     GridMismatch,
     InsufficientHistory,
+    NonFiniteResult,
     QuadratureNotConverged,
 )
 from bandcast.grids import GridSpec
 from bandcast.kernels import transfer_on_grid
 from helpers import hermitian_random_band_spectrum, random_mixed_signal
+
+LADDERS = {"LOW": [2, 5, 10, 20, 50], "HIGH": [-2, -5, -10, -20, -50]}
 
 
 def test_gaussian_transform_pair():
@@ -49,6 +56,63 @@ def test_round_trip_identity():
     back = fourier_inverse(fourier_forward(sig))
     assert back.t0 == pytest.approx(sig.t0)
     assert np.max(np.abs(back.values - sig.values)) <= 1e-10 * np.max(np.abs(sig.values))
+
+
+def test_round_trip_no_worse_than_phase_path():
+    # The general phase path is the transform pair every grid used before
+    # centered grids got exact signs; its rounding grows with n.
+    for g in (GridSpec(2048, 400.0), GridSpec(2**16, 12800.0)):
+        sig, _ = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0, hermitian=True)
+        back = fourier_inverse(fourier_forward(sig))
+        spec = np.fft.fftshift(transforms._phased_spectrum(sig.values, sig.dt, sig.t0))
+        phased = transforms._phased_signal(spec, g.omega0, g.domega, sig.t0)
+        assert back.t0 == sig.t0
+        err = np.max(np.abs(back.values - sig.values))
+        assert err <= np.max(np.abs(phased - sig.values))
+        assert err <= 1e-14 * np.max(np.abs(sig.values))
+
+
+@pytest.mark.parametrize("n", [2, 2**11, 2**16])
+def test_sign_path_matches_phase_path(n):
+    # n = 2 is the only power of two with (-1)^(n/2) = -1.
+    g = GridSpec(n, 400.0 * n / 2048)
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    sig, t0, dt = transforms.signal_from_spectrum(v, g.omega0, g.domega)
+    ref = transforms._phased_signal(v, g.omega0, g.domega, t0)
+    assert np.max(np.abs(sig - ref)) <= 1e-9 * np.max(np.abs(ref))
+    spec, omega0, domega = transforms.spectrum_from_signal(v, g.dt, g.t0)
+    ref = np.fft.fftshift(transforms._phased_spectrum(v, g.dt, g.t0))
+    assert (omega0, domega) == (g.omega0, g.domega)
+    assert np.max(np.abs(spec - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_off_center_grids_take_phase_path(monkeypatch):
+    calls = []
+    for name in ("_phased_signal", "_phased_spectrum"):
+        original = getattr(transforms, name)
+
+        def spy(*args, original=original, name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(transforms, name, spy)
+    g = GridSpec(2048, 400.0)
+    sig, _ = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0, hermitian=True)
+    calls.clear()
+    shifted = SampledSignal(g.t0 + 37.5, g.dt, sig.values)
+    back = fourier_inverse(fourier_forward(shifted), t0=shifted.t0)
+    assert calls == ["_phased_spectrum", "_phased_signal"]
+    assert back.t0 == shifted.t0
+    assert np.max(np.abs(back.values - sig.values)) <= 1e-10 * np.max(np.abs(sig.values))
+    # An omega0 off -(n//2)*domega is a frequency shift: x(t) e^{i*shift*t}.
+    calls.clear()
+    X = fourier_forward(sig)
+    shift = 5 * g.domega
+    moved = fourier_inverse(SampledSpectrum(X.omega0 + shift, X.domega, X.values))
+    assert calls == ["_phased_signal"]
+    expected = sig.values * np.exp(1j * shift * sig.times())
+    assert np.max(np.abs(moved.values - expected)) <= 1e-10 * np.max(np.abs(sig.values))
 
 
 def test_transform_requires_power_of_two():
@@ -186,6 +250,72 @@ def test_spectral_predict_class_mismatch(single_pole, pipeline_grid):
         spectral_predict(X, single_pole, 800.0)
 
 
+def test_spectral_predict_summed_growth_saturation(pair_flat, pipeline_grid):
+    # Each factor's exponent stays under 700 (619 and 91) but their product
+    # overflows; the run must raise instead of returning err_l2 = nan.
+    vals = np.zeros(pipeline_grid.n, dtype=complex)
+    vals[np.argmin(np.abs(pipeline_grid.omegas() - 1.1))] = 1.0
+    X = SampledSpectrum(pipeline_grid.omega0, pipeline_grid.domega, vals)
+    with pytest.raises(ClassMismatch, match="saturates"):
+        spectral_predict(X, pair_flat, 1800.0)
+
+
+def test_prediction_result_rejects_nonfinite_norms(pipeline_grid):
+    y = SampledSignal(pipeline_grid.t0, pipeline_grid.dt, np.zeros(4, dtype=complex))
+    yhat = SampledSignal(y.t0, y.dt, np.array([0, np.nan, 0, 0], dtype=complex))
+    l2, linf = error_norms(y, yhat)
+    with pytest.raises(NonFiniteResult):
+        PredictionResult(y, yhat, l2, linf, 5.0)
+    with pytest.raises(NonFiniteResult):
+        PredictionResult(y, y, math.inf, 0.0, 5.0)
+
+
+def _class_signal(class_tag, grid):
+    if class_tag == "LOW":
+        return make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)[1]
+    return make_highfreq_signal("raised_cosine", (1.2, 1.5), grid, 1.0, hermitian=True)[1]
+
+
+@pytest.mark.parametrize("class_tag", ["LOW", "HIGH"])
+def test_spectral_predict_ladder_equals_single_rungs(single_pole, pipeline_grid, class_tag):
+    X = _class_signal(class_tag, pipeline_grid)
+    ladder = list(spectral_predict_ladder(X, single_pole, LADDERS[class_tag]))
+    assert [r.gamma for r in ladder] == LADDERS[class_tag]
+    for rung in ladder:
+        single = spectral_predict(X, single_pole, rung.gamma)
+        assert np.array_equal(rung.y.values, single.y.values)
+        assert np.array_equal(rung.yhat.values, single.yhat.values)
+        assert np.array_equal(rung.yhat_spectrum.values, single.yhat_spectrum.values)
+        assert rung.err_l2 == single.err_l2
+        assert rung.err_linf == single.err_linf
+    assert ladder[-1].err_l2 < ladder[0].err_l2
+
+
+def test_spectral_predict_ladder_inverts_y_once(single_pole, pipeline_grid, monkeypatch):
+    # L rungs: one inverse transform for y plus one per y_hat, and K on the
+    # full grid once.
+    inverses, full_grid_k = [], []
+    inverse, transfer = engine.fourier_inverse, engine.transfer_on_grid
+
+    def counted_inverse(spectrum, *args):
+        inverses.append(spectrum)
+        return inverse(spectrum, *args)
+
+    def counted_transfer(kernel, w):
+        if np.size(w) == pipeline_grid.n:
+            full_grid_k.append(w)
+        return transfer(kernel, w)
+
+    monkeypatch.setattr(engine, "fourier_inverse", counted_inverse)
+    monkeypatch.setattr(engine, "transfer_on_grid", counted_transfer)
+    X = _class_signal("LOW", pipeline_grid)
+    results = list(spectral_predict_ladder(X, single_pole, LADDERS["LOW"]))
+    assert len(results) == len(LADDERS["LOW"])
+    assert len(inverses) == len(LADDERS["LOW"]) + 1
+    assert len(full_grid_k) == 1
+    assert all(r.y is results[0].y for r in results)
+
+
 def test_mixed_predict_single_atom_exact(single_pole):
     ms = make_mixed_signal([(0.5, 2 * math.pi)], [], "LOW", 0.4, 1.0)
     t = np.linspace(-20, 20, 401)
@@ -221,9 +351,6 @@ def test_mixed_predict_density_against_dense_trapezoid(single_pole):
     for ti, yi in zip(t, r.y.values):
         ref = np.trapezoid(integrand * np.exp(1j * w * ti), w) / (2 * math.pi)
         assert yi == pytest.approx(ref, abs=1e-8)
-
-
-LADDERS = {"LOW": [2, 5, 10, 20, 50], "HIGH": [-2, -5, -10, -20, -50]}
 
 
 @pytest.mark.parametrize("class_tag", ["LOW", "HIGH"])
@@ -342,8 +469,6 @@ def test_pure_tone_chain_oracle_vs_atoms(single_pole):
 
 
 def test_prediction_result_validates_norms(single_pole, pipeline_grid):
-    from bandcast.engine import PredictionResult
-
     _sig, X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
     r = spectral_predict(X, single_pole, 5.0)
     with pytest.raises(GridMismatch):
