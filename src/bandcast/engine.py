@@ -23,6 +23,7 @@ from scipy.signal import fftconvolve
 
 from .errors import (
     ClassMismatch,
+    DomainError,
     GridMismatch,
     InsufficientHistory,
     NonFiniteResult,
@@ -31,8 +32,8 @@ from .errors import (
 from .grids import is_power_of_two
 from .kernels import (
     RationalAnticausalKernel,
-    eval_time_kernel,
     kernel_to_json,
+    scalar_time_kernel,
     transfer_on_grid,
 )
 from .predictor import (
@@ -75,10 +76,15 @@ def anticausal_convolve_oracle(
 ) -> SampledSignal:
     """y(t) = integral_t^inf k(t-s) x(s) ds by adaptive quadrature.
 
-    x must be evaluable at arbitrary floats (may return complex).  The
-    substitution u = s - t turns the integral into
+    x must be evaluable at arbitrary floats (may return complex); 0 < tol < 1.
+    The substitution u = s - t turns the integral into
     integral_0^U k(-u) x(t+u) du with U chosen so exp(-min_rate*U) < tol.
+    That cut assumes |k(-u)| <= exp(-min_rate*u), which is not checked:
+    repeated poles and large residues break it (see "Known defects" in
+    perfbench/README.md).
     """
+    if not (math.isfinite(tol) and 0.0 < tol < 1.0):
+        raise DomainError(f"oracle tol must be finite with 0 < tol < 1, got {tol}")
     t = np.asarray(t_grid, dtype=float)
     if len(t) < 2:
         raise GridMismatch("t_grid needs at least 2 points")
@@ -87,24 +93,26 @@ def anticausal_convolve_oracle(
         raise GridMismatch("t_grid must be uniform")
     # One extra decay constant puts exp(-min_rate * upper) strictly below tol.
     upper = (-math.log(tol) + 1.0) / kernel.min_pole_rate
+    k = scalar_time_kernel(kernel)
 
     out = np.empty(len(t), dtype=complex)
-    for i, ti in enumerate(t):
-        def re_part(u, ti=ti):
-            return eval_time_kernel(kernel, -u) * complex(x(ti + u)).real
+    for i, ti in enumerate(t.tolist()):
+        # complex_func runs a real and an imaginary pass over shared nodes.
+        memo: dict[float, complex] = {}
 
-        def im_part(u, ti=ti):
-            return eval_time_kernel(kernel, -u) * complex(x(ti + u)).imag
+        def integrand(u, ti=ti, memo=memo):
+            if u not in memo:
+                memo[u] = k(-u) * complex(x(ti + u))
+            return memo[u]
 
-        acc = 0j
-        for part, j in ((re_part, 1.0), (im_part, 1j)):
-            val, err = quad(part, 0.0, upper, limit=400, epsabs=1e-12, epsrel=tol)
-            if err > tol * max(abs(val), 1.0):
+        val, err = quad(integrand, 0.0, upper, limit=400, epsabs=1e-12, epsrel=tol,
+                        complex_func=True)
+        for part_val, part_err in ((val.real, err.real), (val.imag, err.imag)):
+            if part_err > tol * max(abs(part_val), 1.0):
                 raise QuadratureNotConverged(
-                    f"oracle quadrature error {err:.3e} at t = {ti:g}"
+                    f"oracle quadrature error {part_err:.3e} at t = {ti:g}"
                 )
-            acc += j * val
-        out[i] = acc
+        out[i] = val
     return SampledSignal(float(t[0]), float(steps[0]), out)
 
 

@@ -21,11 +21,12 @@ what :func:`eval_time_kernel` evaluates.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -304,40 +305,48 @@ def partial_fraction_expand(kernel: RationalAnticausalKernel) -> ResidueExpansio
     return _cached_expansion(kernel)
 
 
-def time_kernel_on_grid(kernel: RationalAnticausalKernel, t_values) -> np.ndarray:
-    """k(t) on an array of times; exactly 0 for t > 0.
+def scalar_time_kernel(kernel: RationalAnticausalKernel) -> Callable[[float], float]:
+    """k as a function of one float, with `math`/`cmath` work and no arrays.
 
-    For t <= 0 sums -coeff * t**(order-1)/(order-1)! * e^{pole*t} over the
-    residue terms.  Conjugate pairs are folded into 2*Re(...), so the result
-    is real by construction.
+    For t <= 0, k(t) = -sum Re(c * t**power * e^{pole*t}) over the residue
+    terms, c = coeff/power!.  Each conjugate pair keeps its Im(pole) < 0 member
+    with c doubled, so k is real.  Exactly 0.0 for t > 0 (and for NaN).
     """
+    real, pairs = [], []
+    for pole, order, coeff in partial_fraction_expand(kernel).terms:
+        c = coeff / math.factorial(order - 1)
+        if pole.imag == 0.0:
+            real.append((pole.real, order - 1, c.real))
+        elif pole.imag < 0.0:
+            pairs.append((pole, order - 1, 2.0 * c))
+    exp, cexp = math.exp, cmath.exp
+
+    def k(t: float) -> float:
+        if not t <= 0.0:
+            return 0.0
+        acc = 0.0
+        for rate, power, c in real:
+            acc -= c * t**power * exp(rate * t)
+        for pole, power, c in pairs:
+            acc -= (c * t**power * cexp(pole * t)).real
+        return acc
+
+    return k
+
+
+def time_kernel_on_grid(kernel: RationalAnticausalKernel, t_values) -> np.ndarray:
+    """k(t) on an array of times by :func:`scalar_time_kernel`; exactly 0 for t > 0."""
     t = np.asarray(t_values, dtype=float)
-    out = np.zeros_like(t)
-    past = t <= 0.0
-    if not np.any(past):
-        return out
-    tp = t[past]
-    acc = np.zeros_like(tp)
-    expansion = partial_fraction_expand(kernel)
-    seen_conj = set()
-    for pole, order, coeff in expansion.terms:
-        if pole.imag != 0.0:
-            key = (pole.real, abs(pole.imag), order)
-            if key in seen_conj:
-                continue
-            seen_conj.add(key)
-            term = coeff * tp ** (order - 1) / math.factorial(order - 1) * np.exp(pole * tp)
-            acc -= 2.0 * term.real
-        else:
-            term = coeff.real * tp ** (order - 1) / math.factorial(order - 1)
-            acc -= term * np.exp(pole.real * tp)
-    out[past] = acc
-    return out
+    if not np.any(t <= 0.0):
+        return np.zeros_like(t)
+    k = scalar_time_kernel(kernel)
+    return np.array([k(v) for v in t.ravel().tolist()]).reshape(t.shape)
 
 
 def eval_time_kernel(kernel: RationalAnticausalKernel, t: float) -> float:
     """Time-domain kernel value at a single instant (0.0 for t > 0)."""
-    return float(time_kernel_on_grid(kernel, np.array([float(t)]))[0])
+    t = float(t)
+    return scalar_time_kernel(kernel)(t) if t <= 0.0 else 0.0
 
 
 def kernel_l2_norm(kernel: RationalAnticausalKernel) -> float:

@@ -1,9 +1,11 @@
 """Transforms, convolution routes, spectral pipeline, error norms."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from bandcast import (
     PredictionResult,
@@ -11,6 +13,7 @@ from bandcast import (
     SampledSignal,
     SampledSpectrum,
     anticausal_convolve_oracle,
+    build_kernel,
     causal_convolve,
     error_norms,
     eval_predictor_transfer,
@@ -29,6 +32,7 @@ from bandcast import (
 from bandcast import engine, transforms
 from bandcast.errors import (
     ClassMismatch,
+    DomainError,
     GridMismatch,
     InsufficientHistory,
     NonFiniteResult,
@@ -178,6 +182,105 @@ def test_oracle_against_fixed_order_gauss(single_pole):
 def test_oracle_rejects_nonuniform_grid(single_pole):
     with pytest.raises(GridMismatch):
         anticausal_convolve_oracle(single_pole, lambda s: 1.0, np.array([0.0, 1.0, 3.0]))
+
+
+# Oracle outputs at t = -2, -1, 0, 1, 2 and tol 1e-9, recorded before the
+# oracle moved to one complex QUADPACK pass over the scalar kernel.
+_ORACLE_PINS = {
+    ("single_pole", "tone"): [
+        (-0.5770348684672449, 0.5815253224093132), (-0.8159695092105852, 0.07303903113338271),
+        (-0.6711409398969038, -0.4697986577509206), (-0.2106642996832457, -0.7916826970884445),
+        (0.34889105239192664, -0.7412259936018978),
+    ],
+    ("single_pole", "sinc"): [
+        (-0.71957261746968, 0.0), (-0.8784114386137802, 0.0), (-0.7853981634030178, 0.0),
+        (-0.48745462500552567, 0.0), (-0.1374321147139782, 0.0),
+    ],
+    ("triple_pole", "tone"): [
+        (-0.4992672794711218, -0.23029176262578335), (-0.23350265136159548, -0.49777366753464447),
+        (0.142081922262862, -0.531144838673855), (0.45084314775581946, -0.3147102928177118),
+        (0.5475657962407076, 0.04973742123457419),
+    ],
+    ("triple_pole", "sinc"): [
+        (-0.6723863909835763, 0.0), (-0.4989891246951222, 0.0), (-0.25000000148649676, 0.0),
+        (-0.033359569060739336, 0.0), (0.07574777336383748, 0.0),
+    ],
+    ("double_pair", "tone"): [
+        (0.5451756835176866, 0.3031398374301604), (0.22168531725711593, 0.5830659542871397),
+        (-0.20606711763811006, 0.5887670421860265), (-0.5369029672206003, 0.31756179040601873),
+        (-0.6152249619789615, -0.10299773344179128),
+    ],
+    ("double_pair", "sinc"): [
+        (0.7120624644287681, 0.0), (0.5145481922533615, 0.0), (0.24788785111950784, 0.0),
+        (0.026838894586846317, 0.0), (-0.07662668914057444, 0.0),
+    ],
+}
+
+
+def _tone(s):
+    return cmath.exp(0.7j * s)
+
+
+def _sinc(s):
+    return math.sin(s) / s if s != 0.0 else 1.0
+
+
+@pytest.mark.parametrize("kernel_name, x_name", sorted(_ORACLE_PINS))
+def test_oracle_pinned_outputs(kernel_name, x_name, single_pole, triple_pole):
+    kernel = {
+        "single_pole": single_pole,
+        "triple_pole": triple_pole,
+        "double_pair": build_kernel([(0.8, 0.6, 2), (0.8, -0.6, 2)], [1.0, -0.5, 0.25], 1.0),
+    }[kernel_name]
+    x = {"tone": _tone, "sinc": _sinc}[x_name]
+    y = anticausal_convolve_oracle(kernel, x, np.linspace(-2.0, 2.0, 5), tol=1e-9)
+    want = np.array([complex(re, im) for re, im in _ORACLE_PINS[kernel_name, x_name]])
+    assert np.max(np.abs(y.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_oracle_evaluates_each_node_once(conjugate_pair):
+    # t-points 100 apart: each one's nodes s = t + u, u in [0, upper], stay
+    # inside its own window, so the recorded s tell the t-points apart.
+    t = np.array([0.0, 100.0, 200.0])
+    upper = (-math.log(1e-9) + 1.0) / conjugate_pair.min_pole_rate
+    calls = []
+
+    def x(s):
+        calls.append(s)
+        return _tone(s)
+
+    anticausal_convolve_oracle(conjugate_pair, x, t, tol=1e-9)
+    for ti in t:
+        window = [s for s in calls if ti <= s <= ti + upper]
+        assert len(window) > 21
+        assert len(set(window)) == len(window)
+    assert sum(ti <= s <= ti + upper for ti in t for s in calls) == len(calls)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, 2.0, math.nan])
+def test_oracle_rejects_tol_outside_unit_interval(single_pole, tol):
+    # tol = 2 would cut the integral at (1 - ln 2)/rate and return -0.2642
+    # for a constant input where K(0) = -1; nan would return zeros.
+    with pytest.raises(DomainError):
+        anticausal_convolve_oracle(single_pole, lambda s: 1.0, np.linspace(-1, 1, 3), tol=tol)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        lambda s: complex(math.cos(40.0 * s * s), 1e9),  # chirp in the real part only
+        lambda s: complex(1e9, math.cos(40.0 * s * s)),  # chirp in the imaginary part only
+    ],
+    ids=["real-chirp", "imag-chirp"],
+)
+def test_oracle_convergence_checked_per_part(single_pole, x):
+    # The smooth part is 1e9, so an error check on |value| would let the
+    # chirp's ~1e-5 error through; each part is held to its own scale.
+    t = np.array([0.0, 1.0])
+    calm = anticausal_convolve_oracle(single_pole, lambda s: complex(1e9, 1e9), t, tol=1e-12)
+    assert np.max(np.abs(calm.values + complex(1e9, 1e9))) < 1e-3
+    with pytest.warns(IntegrationWarning), pytest.raises(QuadratureNotConverged, match="t = 0$"):
+        anticausal_convolve_oracle(single_pole, x, t, tol=1e-12)
 
 
 def test_causal_identity_kernel():

@@ -21,7 +21,11 @@ from bandcast.errors import (
     NumericalDegeneracy,
     PoleOutOfRegion,
 )
-from bandcast.kernels import time_kernel_on_grid, transfer_on_grid
+from bandcast.kernels import (
+    scalar_time_kernel,
+    time_kernel_on_grid,
+    transfer_on_grid,
+)
 from helpers import random_kernel
 
 
@@ -132,6 +136,60 @@ def test_time_kernel_anticausal_exactly_zero():
         k = random_kernel(rng)
         vals = time_kernel_on_grid(k, np.linspace(1e-9, 10, 50))
         assert np.all(vals == 0.0)
+    # t > 0 needs no expansion, so a kernel whose expansion fails still gives 0.
+    degenerate = build_kernel([(2.0, 0.0, 3), (2.01, 0.0, 3)], [1.0], 1.0)
+    with pytest.raises(NumericalDegeneracy):
+        eval_time_kernel(degenerate, -1.0)
+    assert eval_time_kernel(degenerate, 0.5) == 0.0
+    assert np.all(time_kernel_on_grid(degenerate, np.linspace(1e-9, 10, 50)) == 0.0)
+
+
+def _random_repeated_pole_kernel(rng):
+    """Admissible kernel with real poles and conjugate pairs, multiplicity 1-3."""
+    omega = float(rng.uniform(0.5, 2.0))
+    poles = []
+    for _ in range(int(rng.integers(1, 3))):
+        a, mult = float(rng.uniform(0.3, 2.5)), int(rng.integers(1, 4))
+        if rng.random() < 0.5:
+            poles.append((a, 0.0, mult))
+        else:
+            b = float(rng.uniform(0.1, 0.85) * omega)
+            poles += [(a, b, mult), (a, -b, mult)]
+    degree = sum(m for (_a, _b, m) in poles)
+    coeffs = [float(rng.uniform(-2, 2)) for _ in range(int(rng.integers(0, degree)) + 1)]
+    return build_kernel(poles, coeffs, omega)
+
+
+def test_scalar_time_kernel_matches_unfolded_expansion():
+    # Reference: the unfolded sum -Re sum coeff t**(order-1)/(order-1)! e^{pole t}
+    # over every residue term, conjugate mates included.  Both sides sum the
+    # same terms, so they agree to roundoff of the terms' magnitude sum:
+    # max|k| unless the residues cancel (up to 8e4 x max|k| over these draws).
+    rng = np.random.default_rng(0x5CA1)
+    t = np.concatenate((np.linspace(-60.0, 0.0, 121), rng.uniform(-60.0, 0.0, 40)))
+    checked = multiple = 0
+    while checked < 100:
+        k = _random_repeated_pole_kernel(rng)
+        try:
+            terms = partial_fraction_expand(k).terms
+        except NumericalDegeneracy:
+            continue
+        checked += 1
+        multiple += any(order > 1 for _p, order, _c in terms)
+        parts = [
+            coeff / math.factorial(order - 1) * t ** (order - 1) * np.exp(pole * t)
+            for pole, order, coeff in terms
+        ]
+        reference = -np.sum(parts, axis=0).real
+        scale = np.max(np.sum(np.abs(parts), axis=0))
+        k_scalar = scalar_time_kernel(k)
+        scalar = np.array([k_scalar(v) for v in t.tolist()])
+        assert np.max(np.abs(scalar - reference)) <= 1e-13 * scale
+        assert np.array_equal(time_kernel_on_grid(k, t), scalar)
+        assert np.array_equal([eval_time_kernel(k, v) for v in t], scalar)
+        for v in (5e-324, 1e-9, 0.5, 60.0):
+            assert k_scalar(v) == 0.0 and eval_time_kernel(k, v) == 0.0
+    assert multiple > 0
 
 
 def test_time_kernel_matches_transform_oracle(conjugate_pair):
