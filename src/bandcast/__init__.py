@@ -1,6 +1,8 @@
 """bandcast: a numerical laboratory for causal prediction of anticausal
 convolutions of band-limited and high-frequency signals."""
 
+import types
+
 from .engine import (
     PredictionResult,
     anticausal_convolve_oracle,
@@ -53,5 +55,8 @@ from .signals import (
     make_mixed_signal,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)
 __version__ = "0.1.0"

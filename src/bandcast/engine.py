@@ -38,9 +38,8 @@ from .kernels import (
 )
 from .predictor import (
     PredictorTransfer,
-    compensator_minus_one_on_points,
+    compensator_on_points,
     predictor_transfer_on_grid,
-    saturation_mask,
 )
 from .signals import MixedSpectrum, SampledSignal, SampledSpectrum, same_time_grid
 from .transforms import signal_from_spectrum, spectrum_from_signal
@@ -154,57 +153,30 @@ def causal_convolve(
 class PredictionResult:
     """Target y, prediction y_hat, and their error norms on a shared grid.
 
-    ``yhat_spectrum`` is the guarded Y_hat the FFT route inverted (None on the
-    atomic-plus-density route).  Non-finite norms raise NonFiniteResult.
+    ``err_l2`` and ``err_linf`` are derived from y and y_hat by
+    :func:`error_norms` when the result is built, so they always describe the
+    samples.  ``yhat_spectrum`` is the guarded Y_hat the FFT route inverted
+    (None on the atomic-plus-density route).  Non-finite norms raise
+    NonFiniteResult; y and y_hat on different grids raise GridMismatch.
     """
 
     y: SampledSignal
     yhat: SampledSignal
-    err_l2: float
-    err_linf: float
+    err_l2: float = field(init=False)
+    err_linf: float = field(init=False)
     gamma: float
     metadata: dict = field(default_factory=dict)
     yhat_spectrum: SampledSpectrum | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.err_l2) and math.isfinite(self.err_linf)):
+        err_l2, err_linf = error_norms(self.y, self.yhat)
+        if not (math.isfinite(err_l2) and math.isfinite(err_linf)):
             raise NonFiniteResult(
                 f"error norms are not finite at gamma = {self.gamma:g}: "
-                f"err_l2 = {self.err_l2!r}, err_linf = {self.err_linf!r}"
+                f"err_l2 = {err_l2!r}, err_linf = {err_linf!r}"
             )
-        if not same_time_grid(self.y, self.yhat):
-            raise GridMismatch("y and yhat must share one grid")
-        l2, linf = error_norms(self.y, self.yhat)
-        scale = max(self.err_l2, self.err_linf, 1e-300)
-        if abs(l2 - self.err_l2) > 1e-12 * scale or abs(linf - self.err_linf) > 1e-12 * scale:
-            raise GridMismatch("stored error norms do not match the stored samples")
-
-
-def prediction_to_csv(result: PredictionResult) -> str:
-    """Row-per-sample CSV of the target and prediction on their shared grid."""
-    lines = ["t,y_re,y_im,yhat_re,yhat_im"]
-    t = result.y.times()
-    for ti, yv, hv in zip(t, result.y.values, result.yhat.values):
-        lines.append(
-            f"{float(ti)!r},{float(yv.real)!r},{float(yv.imag)!r},"
-            f"{float(hv.real)!r},{float(hv.imag)!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def prediction_sidecar(result: PredictionResult, bounds: dict | None = None) -> str:
-    """JSON sidecar: gamma, error norms, bound values, grid metadata."""
-    import json
-
-    doc = {
-        "gamma": result.gamma,
-        "err_l2": result.err_l2,
-        "err_linf": result.err_linf,
-        "bounds": bounds or {},
-        "grid": {"t0": result.y.t0, "dt": result.y.dt, "n": len(result.y.values)},
-        "metadata": result.metadata,
-    }
-    return json.dumps(doc, sort_keys=True, default=float) + "\n"
+        object.__setattr__(self, "err_l2", err_l2)
+        object.__setattr__(self, "err_linf", err_linf)
 
 
 def error_norms(y: SampledSignal, yhat: SampledSignal) -> tuple[float, float]:
@@ -245,7 +217,7 @@ def spectral_predict_ladder(
     p_active, Y_active = 1j * w[active], Y[active]
 
     def rung(predictor: PredictorTransfer) -> PredictionResult:
-        sat = saturation_mask(predictor, p_active)
+        v, sat = compensator_on_points(predictor, p_active)
         if np.any(sat):
             bad = p_active[np.argmax(sat)].imag
             raise ClassMismatch(
@@ -253,15 +225,11 @@ def spectral_predict_ladder(
                 f"saturates (gamma = {predictor.gamma:g})"
             )
         Yhat = np.zeros(len(active), dtype=complex)
-        Yhat[active] = (1.0 + compensator_minus_one_on_points(predictor, p_active)) * Y_active
+        Yhat[active] = v * Y_active
         yhat_spectrum = SampledSpectrum(X.omega0, X.domega, Yhat)
-        yhat = fourier_inverse(yhat_spectrum)
-        err_l2, err_linf = error_norms(y, yhat)
         return PredictionResult(
             y=y,
-            yhat=yhat,
-            err_l2=err_l2,
-            err_linf=err_linf,
+            yhat=fourier_inverse(yhat_spectrum),
             gamma=predictor.gamma,
             metadata=dict(metadata),
             yhat_spectrum=yhat_spectrum,
@@ -340,14 +308,10 @@ def mixed_predict_ladder(
     }
     results = []
     for predictor, acc in zip(predictors, yhat_vals):
-        yhat = SampledSignal(float(t[0]), float(steps[0]), acc / (2 * np.pi))
-        err_l2, err_linf = error_norms(y, yhat)
         results.append(
             PredictionResult(
                 y=y,
-                yhat=yhat,
-                err_l2=err_l2,
-                err_linf=err_linf,
+                yhat=SampledSignal(float(t[0]), float(steps[0]), acc / (2 * np.pi)),
                 gamma=predictor.gamma,
                 metadata=dict(metadata),
             )

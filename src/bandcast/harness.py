@@ -243,17 +243,34 @@ def _ladder_monotone_flags(errs: list[float]) -> list[bool]:
     return flags
 
 
-def _check_monotone(signal_id: str, gammas, errs) -> None:
-    flags = _ladder_monotone_flags(list(errs))
+def _check_monotone(gammas, errs) -> list[bool]:
+    """The flags of :func:`_ladder_monotone_flags`; raises at the first failure."""
+    flags = _ladder_monotone_flags(errs)
     for i, ok in enumerate(flags):
         if not ok:
             raise MonotonicityViolation(gammas[i - 1], errs[i - 1], gammas[i], errs[i])
+    return flags
 
 
-def _sweep_deviation(kernel, gamma: float, epsilon: float) -> float:
-    predictor = PredictorTransfer(kernel, gamma)
-    domain = FrequencyDomain(predictor.target_class, epsilon)
-    return deviation_norm(predictor, domain, math.inf)
+def _ladder_deviations(cfg: ExperimentConfig) -> list[float]:
+    """sup |K_hat - K| on the matching eps-gapped domain, one per ladder rung."""
+    kernel = cfg.kernel
+    sups = []
+    for gamma in cfg.gamma_ladder:
+        predictor = PredictorTransfer(kernel, gamma)
+        domain = FrequencyDomain(predictor.target_class, cfg.epsilon)
+        sups.append(deviation_norm(predictor, domain, math.inf))
+    return sups
+
+
+def _ladder_rows(signal_id: str, gammas, norms, deviations, flags) -> list[ReportRow]:
+    """Report rows of one signal's ladder: norms holds (err_l2, err_linf) per
+    rung; the per-rung deviations and monotone flags may be None."""
+    none = [None] * len(norms)
+    return [
+        ReportRow(signal_id, gamma, l2, linf, math.nan if dev is None else dev, math.nan, None, ok)
+        for gamma, (l2, linf), dev, ok in zip(gammas, norms, deviations or none, flags or none)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +280,7 @@ def _sweep_deviation(kernel, gamma: float, epsilon: float) -> float:
 def run_convergence_sweep(cfg: ExperimentConfig) -> ErrorReport:
     """Predict each grid signal along the gamma ladder; errors must fall."""
     kernel = cfg.kernel
+    deviations = _ladder_deviations(cfg)
     rows: list[ReportRow] = []
     for spec in cfg.signals:
         if spec["kind"] == "mixed":
@@ -276,27 +294,10 @@ def run_convergence_sweep(cfg: ExperimentConfig) -> ErrorReport:
                 f"signal {spec['id']!r} is band-limited but the ladder targets HIGH"
             )
         spectrum = build_grid_signal(spec, cfg.grid, kernel.omega)[1]
-        errs = []
         ladder = spectral_predict_ladder(spectrum, kernel, cfg.gamma_ladder)
-        for gamma, result in zip(cfg.gamma_ladder, ladder):
-            errs.append(result.err_l2)
-            rows.append(
-                ReportRow(
-                    signal_id=spec["id"],
-                    gamma=gamma,
-                    err_l2=result.err_l2,
-                    err_linf=result.err_linf,
-                    deviation_sup=_sweep_deviation(kernel, gamma, cfg.epsilon),
-                    uniform_bound=float("nan"),
-                    bound_ok=None,
-                    monotone_ok=None,
-                )
-            )
-        _check_monotone(spec["id"], cfg.gamma_ladder, errs)
-        flags = _ladder_monotone_flags(errs)
-        start = len(rows) - len(errs)
-        for i, ok in enumerate(flags):
-            rows[start + i] = replace(rows[start + i], monotone_ok=ok)
+        norms = [(r.err_l2, r.err_linf) for r in ladder]
+        flags = _check_monotone(cfg.gamma_ladder, [l2 for l2, _linf in norms])
+        rows += _ladder_rows(spec["id"], cfg.gamma_ladder, norms, deviations, flags)
     return ErrorReport(tuple(rows), summary={"op": "sweep"})
 
 
@@ -374,28 +375,17 @@ def run_robustness_probe(cfg: ExperimentConfig) -> ErrorReport:
         raise ConfigError("robustness probe needs a noise entry in the config")
     eta = float(cfg.noise["eta"])
     support = tuple(float(v) for v in cfg.noise["support"])
+    deviations = _ladder_deviations(cfg)
     rows: list[ReportRow] = []
     summary: dict = {"op": "robustness", "eta": eta}
     for spec in cfg.signals:
         pspec = add_outofband_noise(
             *build_grid_signal(spec, cfg.grid, kernel.omega), eta, support, cfg.seed, kernel.omega
         )[1]
-        errs = []
         ladder = spectral_predict_ladder(pspec, kernel, cfg.gamma_ladder)
-        for gamma, result in zip(cfg.gamma_ladder, ladder):
-            errs.append(result.err_l2)
-            rows.append(
-                ReportRow(
-                    signal_id=spec["id"],
-                    gamma=gamma,
-                    err_l2=result.err_l2,
-                    err_linf=result.err_linf,
-                    deviation_sup=_sweep_deviation(kernel, gamma, cfg.epsilon),
-                    uniform_bound=float("nan"),
-                    bound_ok=None,
-                    monotone_ok=None,
-                )
-            )
+        norms = [(r.err_l2, r.err_linf) for r in ladder]
+        rows += _ladder_rows(spec["id"], cfg.gamma_ladder, norms, deviations, None)
+        errs = [l2 for l2, _linf in norms]
         imin = int(np.argmin(errs))
         growth = errs[-1] / max(errs[imin], _ZERO_FLOOR)
         summary[spec["id"]] = {
@@ -426,35 +416,20 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
         low, high = ideal_lowpass_split(
             build_grid_signal(spec, cfg.grid, kernel.omega)[1], kernel.omega
         )
-        errs_l, errs_h, errs_total = [], [], []
+        errs_l, errs_h, norms = [], [], []
         ladders = zip(
-            gammas,
             spectral_predict_ladder(low, kernel, gammas),
             spectral_predict_ladder(high, kernel, [-g for g in gammas]),
         )
-        for gamma, r_low, r_high in ladders:
-            err_l2, err_linf = _recombined_errors(spec["id"], r_low, r_high)
+        for r_low, r_high in ladders:
+            norms.append(_recombined_errors(spec["id"], r_low, r_high))
             errs_l.append(r_low.err_l2)
             errs_h.append(r_high.err_l2)
-            errs_total.append(err_l2)
-            rows.append(
-                ReportRow(
-                    signal_id=spec["id"],
-                    gamma=gamma,
-                    err_l2=err_l2,
-                    err_linf=err_linf,
-                    deviation_sup=float("nan"),
-                    uniform_bound=float("nan"),
-                    bound_ok=None,
-                    monotone_ok=None,
-                )
-            )
-        _check_monotone(spec["id"] + "[low]", gammas, errs_l)
-        _check_monotone(spec["id"] + "[high]", gammas, errs_h)
+        _check_monotone(gammas, errs_l)
+        _check_monotone(gammas, errs_h)
+        errs_total = [l2 for l2, _linf in norms]
         flags = _ladder_monotone_flags(errs_total)
-        start = len(rows) - len(errs_total)
-        for i, ok in enumerate(flags):
-            rows[start + i] = replace(rows[start + i], monotone_ok=ok)
+        rows += _ladder_rows(spec["id"], gammas, norms, None, flags)
         summary[spec["id"]] = {
             "err_low": errs_l,
             "err_high": errs_h,

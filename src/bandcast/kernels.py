@@ -16,7 +16,7 @@ rational function.  Conventions, fixed once for the whole package:
 
 Under these conventions K(p) = sum coeff/(p - pole)**order implies
 k(t) = -sum coeff * t**(order-1)/(order-1)! * e^{pole*t} for t <= 0, which is
-what :func:`eval_time_kernel` evaluates.
+what :func:`scalar_time_kernel` evaluates.
 """
 
 from __future__ import annotations
@@ -332,15 +332,6 @@ def scalar_time_kernel(kernel: RationalAnticausalKernel) -> Callable[[float], fl
         return acc
 
     return k
-
-
-def time_kernel_on_grid(kernel: RationalAnticausalKernel, t_values) -> np.ndarray:
-    """k(t) on an array of times by :func:`scalar_time_kernel`; exactly 0 for t > 0."""
-    t = np.asarray(t_values, dtype=float)
-    if not np.any(t <= 0.0):
-        return np.zeros_like(t)
-    k = scalar_time_kernel(kernel)
-    return np.array([k(v) for v in t.ravel().tolist()]).reshape(t.shape)
 
 
 def eval_time_kernel(kernel: RationalAnticausalKernel, t: float) -> float:

@@ -25,7 +25,6 @@ study, not an accident.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -40,12 +39,7 @@ from .errors import (
     TruncationNotJustified,
 )
 from .grids import GridSpec
-from .kernels import (
-    RationalAnticausalKernel,
-    kernel_from_dict,
-    kernel_to_json,
-    transfer_on_grid,
-)
+from .kernels import RationalAnticausalKernel, _numerator_at, eval_transfer, transfer_on_grid
 from .signals import SampledSignal
 from .transforms import signal_from_spectrum
 
@@ -111,44 +105,34 @@ class FrequencyDomain:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
-def _factor_exponents(predictor: PredictorTransfer, p) -> list[tuple[np.ndarray, int]]:
-    """gamma * Mobius exponent z_m(p) per pole group, with multiplicities."""
+def _exponents(predictor: PredictorTransfer, p) -> tuple[list[tuple[np.ndarray, int]], np.ndarray]:
+    """The one compensator pass: the exponents z_m(p) = gamma * Mobius(p) per
+    pole group with their multiplicities, and the saturation mask.
+
+    The saturation rule is sum_m mult_m * max(Re z_m, 0) > SATURATION_EXPONENT:
+    the product can overflow where no single factor does; a saturating factor
+    always saturates the sum.
+    """
     p = np.asarray(p, dtype=complex)
-    out = []
+    exps = []
+    growth = np.zeros(p.shape)
     for (a, b, mult), alpha in zip(predictor.kernel.poles, predictor.alphas):
         z = predictor.gamma * (p - a + 1j * b) / (p + alpha - 1j * b)
-        out.append((z, mult))
-    return out
+        exps.append((z, mult))
+        growth += mult * np.maximum(z.real, 0.0)
+    return exps, growth > SATURATION_EXPONENT
 
 
 def compensator_minus_one_on_points(predictor: PredictorTransfer, p) -> np.ndarray:
     """V(p) - 1 without cancellation: accumulate (1+acc)(1+u) - 1 = acc + u + acc*u
     over the factors u_m = -exp(z_m).  Inputs must not saturate."""
-    p = np.asarray(p, dtype=complex)
-    acc = np.zeros_like(p)
-    for z, mult in _factor_exponents(predictor, p):
+    exps, sat = _exponents(predictor, p)
+    acc = np.zeros(sat.shape, dtype=complex)
+    for z, mult in exps:
         u = -np.exp(z)
         for _ in range(mult):
             acc = acc + u + acc * u
     return acc
-
-
-def _saturated(exps, shape) -> np.ndarray:
-    """The saturation rule: sum_m mult_m * max(Re z_m, 0) > SATURATION_EXPONENT.
-
-    The product can overflow where no single factor does; a saturating factor
-    always saturates the sum.
-    """
-    growth = np.zeros(shape)
-    for z, mult in exps:
-        growth += mult * np.maximum(z.real, 0.0)
-    return growth > SATURATION_EXPONENT
-
-
-def saturation_mask(predictor: PredictorTransfer, p) -> np.ndarray:
-    """Points where V(p) saturates, by the rule of :func:`compensator_on_points`."""
-    p = np.asarray(p, dtype=complex)
-    return _saturated(_factor_exponents(predictor, p), p.shape)
 
 
 def compensator_on_points(predictor: PredictorTransfer, p) -> tuple[np.ndarray, np.ndarray]:
@@ -158,21 +142,24 @@ def compensator_on_points(predictor: PredictorTransfer, p) -> tuple[np.ndarray, 
     whether saturation is an error (scalar eval), a guard (pipelines) or a
     reported fact (boundary checks).
     """
-    p = np.asarray(p, dtype=complex)
-    exps = _factor_exponents(predictor, p)
-    sat = _saturated(exps, p.shape)
-    vals = np.ones_like(p)
+    exps, sat = _exponents(predictor, p)
+    vals = np.ones(sat.shape, dtype=complex)
     for z, mult in exps:
         zsafe = np.where(sat, 0.0, z)
         vals = vals * (1.0 - np.exp(zsafe)) ** mult
     return vals, sat
 
 
-def _saturated_log_form(predictor: PredictorTransfer, p: complex) -> tuple[float, float]:
-    """log|V| and arg V at a saturating point, factor by factor in log space."""
+def eval_compensator(predictor: PredictorTransfer, p: complex) -> complex:
+    """V(p) at one point, Re p >= 0.  Raises Saturated past exp(700), carrying
+    log|V| and arg V summed factor by factor in log space."""
+    pt = np.array([complex(p)])
+    vals, sat = compensator_on_points(predictor, pt)
+    if not sat[0]:
+        return complex(vals[0])
     log_mag = 0.0
     phase = 0.0
-    for z, mult in _factor_exponents(predictor, np.array([p])):
+    for z, mult in _exponents(predictor, pt)[0]:
         zc = complex(z[0])
         if zc.real > SATURATION_EXPONENT:
             # 1 - e^z = -e^z (1 - e^{-z}); the correction is O(e^{-Re z}).
@@ -182,16 +169,7 @@ def _saturated_log_form(predictor: PredictorTransfer, p: complex) -> tuple[float
             factor = 1.0 - np.exp(zc)
             log_mag += mult * math.log(max(abs(factor), 1e-300))
             phase += mult * np.angle(factor)
-    return log_mag, math.remainder(phase, 2.0 * math.pi)
-
-
-def eval_compensator(predictor: PredictorTransfer, p: complex) -> complex:
-    """V(p) at one point, Re p >= 0.  Raises Saturated past exp(700)."""
-    vals, sat = compensator_on_points(predictor, np.array([complex(p)]))
-    if bool(sat[0]):
-        log_mag, phase = _saturated_log_form(predictor, complex(p))
-        raise Saturated(log_mag, phase)
-    return complex(vals[0])
+    raise Saturated(log_mag, math.remainder(phase, 2.0 * math.pi))
 
 
 def predictor_transfer_on_grid(
@@ -206,8 +184,6 @@ def predictor_transfer_on_grid(
 
 def eval_predictor_transfer(predictor: PredictorTransfer, omega_val: float) -> complex:
     """K_hat(i w) = V(i w) K(i w) at one real frequency."""
-    from .kernels import eval_transfer
-
     return eval_compensator(predictor, 1j * float(omega_val)) * eval_transfer(
         predictor.kernel, float(omega_val)
     )
@@ -425,32 +401,21 @@ class HardyBoundaryReport:
 
 
 def _khat_on_points(predictor: PredictorTransfer, p: np.ndarray) -> np.ndarray:
-    """K_hat on arbitrary points; analytic limit at compensated poles.
+    """K_hat = d(p) * prod_m (-expm1(z_m) / (p - pole_m))**mult_m on arbitrary points.
 
-    At a pole of K the matching compensator factor vanishes to the same
-    order; the limit of V_m**r / delta_m**r is (-gamma/((a+alpha) - 2bi))**r.
+    Each compensator factor cancels its pole inside the quotient, so K_hat is
+    accurate near the poles without dividing V by delta.  At a pole the factor
+    takes its limit -gamma / ((a + alpha) - 2bi).
     """
     p = np.asarray(p, dtype=complex)
-    v, _sat = compensator_on_points(predictor, p)
-    from .kernels import _denominator_at, _numerator_at
-
-    den = _denominator_at(predictor.kernel, p)
-    out = np.empty_like(p)
-    tiny = np.abs(den) < 1e-250
-    ok = ~tiny
-    out[ok] = v[ok] * _numerator_at(predictor.kernel, p[ok]) / den[ok]
-    if np.any(tiny):
-        for idx in np.nonzero(tiny)[0]:
-            acc = complex(_numerator_at(predictor.kernel, p[idx]))
-            for (a, b, mult), alpha, pole in zip(
-                predictor.kernel.poles, predictor.alphas, predictor.kernel.pole_values
-            ):
-                if abs(p[idx] - pole) < 1e-9:
-                    acc *= (-predictor.gamma / complex(a + alpha, -2 * b)) ** mult
-                else:
-                    z = predictor.gamma * (p[idx] - a + 1j * b) / (p[idx] + alpha - 1j * b)
-                    acc *= ((1 - np.exp(z)) / (p[idx] - pole)) ** mult
-            out[idx] = acc
+    kernel = predictor.kernel
+    out = _numerator_at(kernel, p)
+    factors = zip(_exponents(predictor, p)[0], kernel.poles, predictor.alphas, kernel.pole_values)
+    for (z, mult), (a, b, _m), alpha, pole in factors:
+        at_pole = p == pole
+        gap = np.where(at_pole, 1.0, p - pole)
+        factor = np.where(at_pole, -predictor.gamma / complex(a + alpha, -2 * b), -np.expm1(z) / gap)
+        out = out * factor**mult
     return out
 
 
@@ -501,14 +466,3 @@ def hardy_boundary_check(
         b.sup_v <= a.sup_v * (1 + 1e-6) for a, b in zip(beyond, beyond[1:])
     )
     return HardyBoundaryReport(tuple(lines), finite, nonincreasing)
-
-
-def predictor_to_json(predictor: PredictorTransfer) -> str:
-    doc = json.loads(kernel_to_json(predictor.kernel))
-    doc["gamma"] = predictor.gamma
-    return json.dumps(doc)
-
-
-def predictor_from_json(text: str) -> PredictorTransfer:
-    doc = json.loads(text)
-    return PredictorTransfer(kernel=kernel_from_dict(doc), gamma=float(doc["gamma"]))

@@ -101,23 +101,14 @@ def _envelope_values(envelope_spec, omegas: np.ndarray, lo: float, hi: float) ->
     else:
         name, params = envelope_spec
     height = float(params.get("height", 1.0))
-    out = np.zeros(len(omegas))
     if name == "indicator":
-        inside = (omegas >= lo) & (omegas <= hi)
-        out[inside] = height
-    elif name == "raised_cosine":
-        center, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        inside = (omegas > lo) & (omegas < hi)
-        u = (omegas[inside] - center) / half
-        out[inside] = height * 0.5 * (1.0 + np.cos(np.pi * u))
-    elif name == "gaussian":
-        sigma = float(params.get("sigma", (hi - lo) / 4.0))
-        center = (lo + hi) / 2.0
-        inside = (omegas > lo) & (omegas < hi)
-        out[inside] = height * np.exp(-((omegas[inside] - center) ** 2) / (2 * sigma**2))
-    else:
-        raise SupportViolation(f"unknown envelope {name!r}")
-    return out
+        return np.where((omegas >= lo) & (omegas <= hi), height, 0.0).astype(complex)
+    if name == "raised_cosine":
+        return RaisedCosineBump(lo, hi, height)(omegas)
+    if name == "gaussian":
+        sigma = params.get("sigma")
+        return GaussianBump(lo, hi, height, None if sigma is None else float(sigma))(omegas)
+    raise SupportViolation(f"unknown envelope {name!r}")
 
 
 def _pair_from_spectrum(spec_values: np.ndarray, grid: GridSpec):
@@ -145,7 +136,7 @@ def make_bandlimited_signal(
         )
     if hermitian and lo != -hi:
         raise SupportViolation("hermitian option requires a symmetric support")
-    vals = _envelope_values(envelope_spec, grid_spec.omegas(), lo, hi).astype(complex)
+    vals = _envelope_values(envelope_spec, grid_spec.omegas(), lo, hi)
     return _pair_from_spectrum(vals, grid_spec)
 
 
@@ -169,7 +160,7 @@ def make_highfreq_signal(
     og = grid_spec.omegas()
     if hi > og[-1]:
         raise SupportViolation(f"support end {hi} beyond grid maximum {og[-1]:.6g}")
-    vals = _envelope_values(envelope_spec, og, lo, hi).astype(complex)
+    vals = _envelope_values(envelope_spec, og, lo, hi)
     if hermitian:
         vals = vals + np.conj(_envelope_values(envelope_spec, -og, lo, hi))
     return _pair_from_spectrum(vals, grid_spec)
@@ -490,14 +481,6 @@ def signal_to_csv(signal: SampledSignal) -> str:
     t = signal.times()
     for ti, v in zip(t, signal.values):
         lines.append(f"{float(ti)!r},{float(v.real)!r},{float(v.imag)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def spectrum_to_csv(spectrum: SampledSpectrum) -> str:
-    lines = ["omega,re,im"]
-    og = spectrum.omegas()
-    for wi, v in zip(og, spectrum.values):
-        lines.append(f"{float(wi)!r},{float(v.real)!r},{float(v.imag)!r}")
     return "\n".join(lines) + "\n"
 
 

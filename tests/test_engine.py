@@ -17,6 +17,7 @@ from bandcast import (
     causal_convolve,
     error_norms,
     eval_predictor_transfer,
+    eval_time_kernel,
     eval_transfer,
     fourier_forward,
     fourier_inverse,
@@ -159,8 +160,6 @@ def test_oracle_zero_input(single_pole):
 
 def test_oracle_against_fixed_order_gauss(single_pole):
     # Second, independent quadrature: composite fixed-order Gauss-Legendre.
-    from bandcast.kernels import time_kernel_on_grid
-
     def x(s):
         return np.sinc(np.asarray(s) / math.pi)  # sin(s)/s
 
@@ -173,7 +172,7 @@ def test_oracle_against_fixed_order_gauss(single_pole):
     mids, halfs = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2
     u = (mids[:, None] + halfs[:, None] * nodes[None, :]).ravel()
     wq = (halfs[:, None] * weights[None, :]).ravel()
-    ku = time_kernel_on_grid(single_pole, -u)
+    ku = np.array([eval_time_kernel(single_pole, -v) for v in u])
     for ti, yi in zip(t, y.values):
         ref = np.sum(wq * ku * x(ti + u))
         assert yi == pytest.approx(ref, abs=1e-6)
@@ -366,11 +365,10 @@ def test_spectral_predict_summed_growth_saturation(pair_flat, pipeline_grid):
 def test_prediction_result_rejects_nonfinite_norms(pipeline_grid):
     y = SampledSignal(pipeline_grid.t0, pipeline_grid.dt, np.zeros(4, dtype=complex))
     yhat = SampledSignal(y.t0, y.dt, np.array([0, np.nan, 0, 0], dtype=complex))
-    l2, linf = error_norms(y, yhat)
     with pytest.raises(NonFiniteResult):
-        PredictionResult(y, yhat, l2, linf, 5.0)
+        PredictionResult(y, yhat, 5.0)
     with pytest.raises(NonFiniteResult):
-        PredictionResult(y, y, math.inf, 0.0, 5.0)
+        PredictionResult(y, SampledSignal(y.t0, y.dt, np.array([0, math.inf, 0, 0])), 5.0)
 
 
 def _class_signal(class_tag, grid):
@@ -572,39 +570,15 @@ def test_pure_tone_chain_oracle_vs_atoms(single_pole):
 
 
 def test_prediction_result_validates_norms(single_pole, pipeline_grid):
+    # The norms are derived from the samples, so they cannot disagree with them.
     _sig, X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
     r = spectral_predict(X, single_pole, 5.0)
+    assert (r.err_l2, r.err_linf) == error_norms(r.y, r.yhat)
+    with pytest.raises(TypeError):
+        PredictionResult(r.y, r.yhat, r.gamma, err_l2=r.err_l2)
+    shifted = SampledSignal(r.y.t0 + r.y.dt, r.y.dt, r.yhat.values)
     with pytest.raises(GridMismatch):
-        PredictionResult(r.y, r.yhat, r.err_l2 * 2, r.err_linf, r.gamma)
-
-
-def test_prediction_serialization(single_pole, pipeline_grid):
-    import json
-
-    from bandcast.engine import prediction_sidecar, prediction_to_csv
-
-    _sig, X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
-    r = spectral_predict(X, single_pole, 5.0)
-    csv = prediction_to_csv(r)
-    lines = csv.splitlines()
-    assert lines[0] == "t,y_re,y_im,yhat_re,yhat_im"
-    assert len(lines) == pipeline_grid.n + 1
-    first = lines[1].split(",")
-    assert float(first[0]) == pytest.approx(r.y.t0)
-    doc = json.loads(prediction_sidecar(r, bounds={"uniform": 0.1}))
-    assert doc["gamma"] == 5.0
-    assert doc["err_l2"] == r.err_l2
-    assert doc["grid"]["n"] == pipeline_grid.n
-    assert doc["bounds"]["uniform"] == 0.1
-
-
-def test_spectrum_csv_serialization(pipeline_grid):
-    from bandcast.signals import spectrum_to_csv
-
-    _sig, X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
-    text = spectrum_to_csv(X)
-    assert text.startswith("omega,re,im\n")
-    assert len(text.splitlines()) == pipeline_grid.n + 1
+        PredictionResult(r.y, shifted, r.gamma)
 
 
 def test_holder_chain_single_signal(single_pole, pipeline_grid):

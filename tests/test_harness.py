@@ -1,5 +1,8 @@
 """Config validation, experiment operations, CLI behavior, golden output."""
 
+import importlib
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -432,3 +435,30 @@ def test_cli_seed_override_changes_noise_output(tmp_path, monkeypatch):
     assert first != second
     assert cli_main(["robustness", "--config", str(cfg), "--seed", "7"]) == 0
     assert (tmp_path / "rob.csv").read_text() == first
+
+
+def test_package_all_exports_only_classes_and_functions():
+    # Submodules stay out of __all__, so `from bandcast import *` cannot
+    # rebind names such as `signals` in the importing namespace.
+    import bandcast
+
+    assert "PredictionResult" in bandcast.__all__
+    for name in bandcast.__all__:
+        obj = getattr(bandcast, name)
+        assert inspect.isclass(obj) or inspect.isfunction(obj), name
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracer.py wraps these names in place, as Tracer.install does:
+    # a module attribute, or a method in its class's own __dict__.  A name
+    # that no longer resolves crashes the traced benchmark run.
+    spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _layer, module_name, attr in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in getattr(owner, cls_name).__dict__, f"{module_name}.{attr}"
+        else:
+            assert callable(getattr(owner, attr, None)), f"{module_name}.{attr}"

@@ -30,9 +30,8 @@ from bandcast.grids import GridSpec
 from bandcast.kernels import transfer_on_grid
 from bandcast.predictor import (
     compensator_minus_one_on_points,
+    _khat_on_points,
     compensator_on_points,
-    predictor_from_json,
-    predictor_to_json,
     predictor_transfer_on_grid,
 )
 from helpers import random_kernel
@@ -256,7 +255,7 @@ def test_pair_kernel_converges_without_monotonicity(conjugate_pair):
     assert last.max() < first.max()
 
 
-def test_saturation_carries_log_form(single_pole):
+def test_saturation_carries_log_form(single_pole, pair_flat):
     pred = PredictorTransfer(single_pole, 2000.0)
     with pytest.raises(Saturated) as info:
         eval_compensator(pred, 1j * 50.0)
@@ -264,6 +263,13 @@ def test_saturation_carries_log_form(single_pole):
     expected_log = 2000.0 * mobius_real_part(1.0, 0.0, 1.0, 50.0)
     assert exc.log_magnitude == pytest.approx(expected_log, rel=1e-9)
     assert -math.pi <= exc.phase <= math.pi
+    # Summed growth: the factor exponents are 621.3 and 91.6, so no single
+    # factor passes 700 but their sum does.
+    with pytest.raises(Saturated) as info:
+        eval_compensator(PredictorTransfer(pair_flat, 1800.0), 1.1j)
+    expected_log = 1800.0 * sum(mobius_real_part(a, b, 1.0, 1.1) for a, b, _m in pair_flat.poles)
+    assert expected_log > 700.0
+    assert info.value.log_magnitude == pytest.approx(expected_log, rel=1e-9)
 
 
 def test_synthesize_fast_decay_kernel(triple_pole):
@@ -315,8 +321,21 @@ def test_hardy_boundary_negative_gamma(single_pole):
     assert report.all_finite
 
 
-def test_predictor_json_roundtrip(conjugate_pair):
-    pred = PredictorTransfer(conjugate_pair, -7.5)
-    back = predictor_from_json(predictor_to_json(pred))
-    assert back.kernel == conjugate_pair
-    assert back.gamma == -7.5
+def test_hardy_khat_near_triple_pole_matches_mpmath(triple_pole):
+    # K_hat = (1 - e^z)^3 / (p - 1)^3 with z = gamma (p - 1)/(p + alpha), off the
+    # axis and close to the pole, where V and delta both vanish to third order.
+    mpmath = pytest.importorskip("mpmath")
+    for gamma in (5.0, 50.0):
+        pred = PredictorTransfer(triple_pole, gamma)
+        alpha = pred.alphas[0]
+        for r in (1e-2, 1e-3, 1e-4, 1e-5):
+            p = 1.0 + r * np.exp(1j * np.linspace(0.3, 6.0, 7))
+            khat = _khat_on_points(pred, p)
+            with mpmath.workdps(50):
+                for pk, kk in zip(p.tolist(), khat.tolist()):
+                    pm = mpmath.mpc(pk.real, pk.imag)
+                    ref = complex(((1 - mpmath.exp(gamma * (pm - 1) / (pm + alpha))) / (pm - 1)) ** 3)
+                    assert abs(kk - ref) <= 1e-13 * abs(ref)
+        # At the pole itself: the limit (-gamma / (1 + alpha))^3.
+        limit = (-gamma / (1.0 + alpha)) ** 3
+        assert abs(complex(_khat_on_points(pred, np.array([1.0 + 0j]))[0]) - limit) <= 1e-15 * abs(limit)
