@@ -32,7 +32,6 @@ from .errors import (
 from .grids import is_power_of_two
 from .kernels import (
     RationalAnticausalKernel,
-    kernel_to_json,
     scalar_time_kernel,
     transfer_on_grid,
 )
@@ -165,7 +164,6 @@ class PredictionResult:
     err_l2: float = field(init=False)
     err_linf: float = field(init=False)
     gamma: float
-    metadata: dict = field(default_factory=dict)
     yhat_spectrum: SampledSpectrum | None = None
 
     def __post_init__(self):
@@ -204,12 +202,6 @@ def spectral_predict_ladder(
     Between rungs only y, the mask and the active points are kept.
     """
     predictors = [PredictorTransfer(kernel, gamma) for gamma in gammas]
-    metadata = {
-        "n": len(X.values),
-        "domega": X.domega,
-        "omega0": X.omega0,
-        "kernel": kernel_to_json(kernel),
-    }
     active = X.values != 0.0
     w = X.omegas()
     Y = transfer_on_grid(kernel, w) * X.values
@@ -231,7 +223,6 @@ def spectral_predict_ladder(
             y=y,
             yhat=fourier_inverse(yhat_spectrum),
             gamma=predictor.gamma,
-            metadata=dict(metadata),
             yhat_spectrum=yhat_spectrum,
         )
 
@@ -300,23 +291,14 @@ def mixed_predict_ladder(
             acc += integrals[:, c]
 
     y = SampledSignal(float(t[0]), float(steps[0]), y_vals / (2 * np.pi))
-    metadata = {
-        "class": ms.class_tag,
-        "epsilon": ms.epsilon,
-        "atoms": len(ms.atoms),
-        "kernel": kernel_to_json(kernel),
-    }
-    results = []
-    for predictor, acc in zip(predictors, yhat_vals):
-        results.append(
-            PredictionResult(
-                y=y,
-                yhat=SampledSignal(float(t[0]), float(steps[0]), acc / (2 * np.pi)),
-                gamma=predictor.gamma,
-                metadata=dict(metadata),
-            )
+    return [
+        PredictionResult(
+            y=y,
+            yhat=SampledSignal(float(t[0]), float(steps[0]), acc / (2 * np.pi)),
+            gamma=predictor.gamma,
         )
-    return results
+        for predictor, acc in zip(predictors, yhat_vals)
+    ]
 
 
 def mixed_predict(

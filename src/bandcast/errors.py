@@ -96,17 +96,21 @@ class ClassConstraintViolation(BandcastError):
 class MonotonicityViolation(BandcastError):
     """An error ladder failed to decrease strictly.
 
-    Attributes carry the offending pair: (gamma_prev, err_prev, gamma, err).
+    Attributes carry the ladder's signal and the offending pair:
+    (signal_id, gamma_prev, err_prev, gamma, err).
     """
 
-    def __init__(self, gamma_prev: float, err_prev: float, gamma: float, err: float):
+    def __init__(
+        self, signal_id: str, gamma_prev: float, err_prev: float, gamma: float, err: float
+    ):
+        self.signal_id = signal_id
         self.gamma_prev = gamma_prev
         self.err_prev = err_prev
         self.gamma = gamma
         self.err = err
         super().__init__(
-            f"error did not decrease: err({gamma_prev:g}) = {err_prev:.6e} -> "
-            f"err({gamma:g}) = {err:.6e}"
+            f"error of signal {signal_id!r} did not decrease: err({gamma_prev:g}) = "
+            f"{err_prev:.6e} -> err({gamma:g}) = {err:.6e}"
         )
 
 

@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,7 +39,7 @@ from .errors import (
     MonotonicityViolation,
 )
 from .grids import GridSpec
-from .kernels import kernel_from_dict, transfer_on_grid
+from .kernels import RationalAnticausalKernel, kernel_from_dict, transfer_on_grid
 from .predictor import (
     DeviationGrid,
     FrequencyDomain,
@@ -68,7 +69,7 @@ _ZERO_FLOOR = 1e-300
 class ExperimentConfig:
     """Parsed and validated experiment description."""
 
-    kernel_doc: dict
+    kernel: RationalAnticausalKernel
     gamma_ladder: tuple[float, ...]
     epsilon: float
     domain: str
@@ -78,18 +79,22 @@ class ExperimentConfig:
     noise: dict | None = None
     outputs: dict = field(default_factory=dict)
 
-    @property
-    def kernel(self):
-        return kernel_from_dict(self.kernel_doc)
+
+@contextmanager
+def _malformed(what: str):
+    """Report the lookup and conversion errors of parsing `what` as ConfigError."""
+    try:
+        yield
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {what}: {exc}") from exc
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    try:
-        ladder = tuple(float(g) for g in doc["gamma_ladder"])
+    with _malformed("config"):
         grid_doc = doc.get("grid", {})
         cfg = ExperimentConfig(
-            kernel_doc=doc["kernel"],
-            gamma_ladder=ladder,
+            kernel=kernel_from_dict(doc["kernel"]),
+            gamma_ladder=tuple(float(g) for g in doc["gamma_ladder"]),
             epsilon=float(doc.get("epsilon", 0.0)),
             domain=doc.get("domain", "LOW"),
             grid=GridSpec(int(grid_doc.get("n", 2048)), float(grid_doc.get("span", 400.0))),
@@ -98,9 +103,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             noise=doc.get("noise"),
             outputs=dict(doc.get("outputs", {})),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
-    validate_config(cfg)
+        validate_config(cfg)
     return cfg
 
 
@@ -133,7 +136,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         )
     if cfg.epsilon < 0:
         raise ConfigError("epsilon must be >= 0")
-    kernel = cfg.kernel  # raises kernel validation errors
+    kernel = cfg.kernel
     if cfg.epsilon >= kernel.omega:
         raise ConfigError("epsilon must be < the kernel band constant")
     for spec in cfg.signals:
@@ -153,45 +156,33 @@ def validate_config(cfg: ExperimentConfig) -> None:
 # Signal construction from config entries
 
 
-def build_grid_signal(
-    spec: dict, grid: GridSpec, omega: float
-) -> tuple[SampledSignal, SampledSpectrum]:
-    kind = spec["kind"]
-    if kind == "composite":
-        total = np.zeros(grid.n, dtype=complex)
-        for part in spec["parts"]:
-            sub = dict(part)
-            sub.setdefault("id", spec["id"])
-            lo = float(sub["support"][0])
-            sub.setdefault("kind", "bandlimited" if abs(lo) < omega else "highfreq")
-            _sig, sp = build_grid_signal(sub, grid, omega)
-            total += sp.values
-        spectrum = SampledSpectrum(grid.omega0, grid.domega, total)
-        return fourier_inverse(spectrum), spectrum
-    envelope = spec.get("envelope", "raised_cosine")
-    if "height" in spec:
-        envelope = (envelope, {"height": float(spec["height"])})
-    support = tuple(float(v) for v in spec["support"])
-    hermitian = bool(spec.get("hermitian", True))
-    if kind == "bandlimited":
-        return make_bandlimited_signal(envelope, support, grid, omega, hermitian=hermitian)
-    if kind == "highfreq":
-        return make_highfreq_signal(envelope, support, grid, omega, hermitian=hermitian)
+def build_grid_spectrum(spec: dict, grid: GridSpec, omega: float) -> SampledSpectrum:
+    """The sampled spectrum of a grid signal entry.  A composite entry is the
+    sum of its parts' spectra; a part's kind defaults by its support."""
+    with _malformed(f"signal {spec.get('id')!r}"):
+        kind = spec["kind"]
+        if kind == "composite":
+            total = np.zeros(grid.n, dtype=complex)
+            for part in spec["parts"]:
+                default = "bandlimited" if abs(float(part["support"][0])) < omega else "highfreq"
+                sub = {"id": spec.get("id"), "kind": default, **part}
+                total += build_grid_spectrum(sub, grid, omega).values
+            return SampledSpectrum(grid.omega0, grid.domega, total)
+        envelope = spec.get("envelope", "raised_cosine")
+        if "height" in spec:
+            envelope = (envelope, {"height": float(spec["height"])})
+        support = tuple(float(v) for v in spec["support"])
+        hermitian = bool(spec.get("hermitian", True))
+        if kind == "bandlimited":
+            return make_bandlimited_signal(envelope, support, grid, omega, hermitian=hermitian)
+        if kind == "highfreq":
+            return make_highfreq_signal(envelope, support, grid, omega, hermitian=hermitian)
     raise ConfigError(f"signal kind {kind!r} is not grid-based")
 
 
 def build_mixed_signal(spec: dict, omega: float) -> MixedSpectrum:
-    doc = dict(spec)
-    doc.setdefault("omega", omega)
-    return mixed_from_json_dict(
-        {
-            "atoms": doc.get("atoms", []),
-            "density": doc.get("density", []),
-            "class": doc["class"],
-            "epsilon": doc["epsilon"],
-            "omega": doc["omega"],
-        }
-    )
+    with _malformed(f"signal {spec.get('id')!r}"):
+        return mixed_from_json_dict({"omega": omega, **spec})
 
 
 # ---------------------------------------------------------------------------
@@ -234,32 +225,31 @@ class ErrorReport:
 
 
 def _ladder_monotone_flags(errs: list[float]) -> list[bool]:
-    """Strict-decrease flags along a ladder; an all-zero ladder passes."""
-    if all(e <= _ZERO_FLOOR for e in errs):
-        return [True] * len(errs)
-    flags = [True]
-    for prev, cur in zip(errs, errs[1:]):
-        flags.append(cur < prev)
-    return flags
+    """Per-rung flags along a ladder: the error falls strictly, or it and its
+    predecessor both lie at the zero floor (V - 1 underflowed to 0)."""
+    return [True] + [
+        cur < prev or max(prev, cur) <= _ZERO_FLOOR for prev, cur in zip(errs, errs[1:])
+    ]
 
 
-def _check_monotone(gammas, errs) -> list[bool]:
+def _check_monotone(signal_id: str, gammas, errs) -> list[bool]:
     """The flags of :func:`_ladder_monotone_flags`; raises at the first failure."""
     flags = _ladder_monotone_flags(errs)
     for i, ok in enumerate(flags):
         if not ok:
-            raise MonotonicityViolation(gammas[i - 1], errs[i - 1], gammas[i], errs[i])
+            raise MonotonicityViolation(signal_id, gammas[i - 1], errs[i - 1], gammas[i], errs[i])
     return flags
 
 
-def _ladder_deviations(cfg: ExperimentConfig) -> list[float]:
-    """sup |K_hat - K| on the matching eps-gapped domain, one per ladder rung."""
-    kernel = cfg.kernel
+def _ladder_deviations(kernel, gammas, epsilon: float, extra_points=()) -> list[float]:
+    """sup |K_hat - K| on the matching eps-gapped domain, one per ladder rung,
+    over the domain grid plus `extra_points`."""
+    grid = DeviationGrid(extra_points=tuple(extra_points))
     sups = []
-    for gamma in cfg.gamma_ladder:
+    for gamma in gammas:
         predictor = PredictorTransfer(kernel, gamma)
-        domain = FrequencyDomain(predictor.target_class, cfg.epsilon)
-        sups.append(deviation_norm(predictor, domain, math.inf))
+        domain = FrequencyDomain(predictor.target_class, epsilon)
+        sups.append(deviation_norm(predictor, domain, math.inf, grid))
     return sups
 
 
@@ -280,7 +270,7 @@ def _ladder_rows(signal_id: str, gammas, norms, deviations, flags) -> list[Repor
 def run_convergence_sweep(cfg: ExperimentConfig) -> ErrorReport:
     """Predict each grid signal along the gamma ladder; errors must fall."""
     kernel = cfg.kernel
-    deviations = _ladder_deviations(cfg)
+    deviations = _ladder_deviations(kernel, cfg.gamma_ladder, cfg.epsilon)
     rows: list[ReportRow] = []
     for spec in cfg.signals:
         if spec["kind"] == "mixed":
@@ -293,10 +283,10 @@ def run_convergence_sweep(cfg: ExperimentConfig) -> ErrorReport:
             raise ClassMismatch(
                 f"signal {spec['id']!r} is band-limited but the ladder targets HIGH"
             )
-        spectrum = build_grid_signal(spec, cfg.grid, kernel.omega)[1]
+        spectrum = build_grid_spectrum(spec, cfg.grid, kernel.omega)
         ladder = spectral_predict_ladder(spectrum, kernel, cfg.gamma_ladder)
         norms = [(r.err_l2, r.err_linf) for r in ladder]
-        flags = _check_monotone(cfg.gamma_ladder, [l2 for l2, _linf in norms])
+        flags = _check_monotone(spec["id"], cfg.gamma_ladder, [l2 for l2, _linf in norms])
         rows += _ladder_rows(spec["id"], cfg.gamma_ladder, norms, deviations, flags)
     return ErrorReport(tuple(rows), summary={"op": "sweep"})
 
@@ -316,24 +306,17 @@ def run_uniform_bound_check(cfg: ExperimentConfig) -> ErrorReport:
     t_grid = cfg.grid.times()
     rows: list[ReportRow] = []
     signals = [(spec, build_mixed_signal(spec, kernel.omega)) for spec in cfg.signals]
-    # One deviation sup per (gamma, epsilon), over the domain grid plus every
+    # One deviation ladder per signal epsilon, over the domain grid plus every
     # atom frequency in the config: all signals of a class share one bound.
-    all_atoms = tuple(wk for _spec, ms in signals for wk, _c in ms.atoms)
-    dev_cache: dict[tuple[float, float], float] = {}
+    all_atoms = [wk for _spec, ms in signals for wk, _c in ms.atoms]
+    deviations = {
+        eps: _ladder_deviations(kernel, cfg.gamma_ladder, eps, all_atoms)
+        for eps in {ms.epsilon for _spec, ms in signals}
+    }
     for spec, ms in signals:
         norm = cstar_norm(ms)
         results = mixed_predict_ladder(ms, kernel, cfg.gamma_ladder, t_grid)
-        for gamma, result in zip(cfg.gamma_ladder, results):
-            key = (gamma, ms.epsilon)
-            predictor = PredictorTransfer(kernel, gamma)
-            if key not in dev_cache:
-                dev_cache[key] = deviation_norm(
-                    predictor,
-                    FrequencyDomain(predictor.target_class, ms.epsilon),
-                    math.inf,
-                    DeviationGrid(extra_points=all_atoms),
-                )
-            dev = dev_cache[key]
+        for gamma, result, dev in zip(cfg.gamma_ladder, results, deviations[ms.epsilon]):
             bound = dev * norm / (2.0 * math.pi)
             measured = result.err_linf
             ok = measured <= bound + _BOUND_SLACK
@@ -353,6 +336,7 @@ def run_uniform_bound_check(cfg: ExperimentConfig) -> ErrorReport:
                 raise BoundViolation(gamma, spec["id"], measured, bound)
             if len(ms.atoms) == 1 and not ms.density:
                 wk, ck = ms.atoms[0]
+                predictor = PredictorTransfer(kernel, gamma)
                 khat_w, _sat = predictor_transfer_on_grid(predictor, np.array([wk]))
                 atom_dev = abs(
                     complex(khat_w[0]) - complex(transfer_on_grid(kernel, np.array([wk]))[0])
@@ -375,13 +359,12 @@ def run_robustness_probe(cfg: ExperimentConfig) -> ErrorReport:
         raise ConfigError("robustness probe needs a noise entry in the config")
     eta = float(cfg.noise["eta"])
     support = tuple(float(v) for v in cfg.noise["support"])
-    deviations = _ladder_deviations(cfg)
+    deviations = _ladder_deviations(kernel, cfg.gamma_ladder, cfg.epsilon)
     rows: list[ReportRow] = []
     summary: dict = {"op": "robustness", "eta": eta}
     for spec in cfg.signals:
-        pspec = add_outofband_noise(
-            *build_grid_signal(spec, cfg.grid, kernel.omega), eta, support, cfg.seed, kernel.omega
-        )[1]
+        spectrum = build_grid_spectrum(spec, cfg.grid, kernel.omega)
+        pspec = add_outofband_noise(spectrum, eta, support, cfg.seed, kernel.omega)
         ladder = spectral_predict_ladder(pspec, kernel, cfg.gamma_ladder)
         norms = [(r.err_l2, r.err_linf) for r in ladder]
         rows += _ladder_rows(spec["id"], cfg.gamma_ladder, norms, deviations, None)
@@ -414,7 +397,7 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
     summary: dict = {"op": "decompose"}
     for spec in cfg.signals:
         low, high = ideal_lowpass_split(
-            build_grid_signal(spec, cfg.grid, kernel.omega)[1], kernel.omega
+            build_grid_spectrum(spec, cfg.grid, kernel.omega), kernel.omega
         )
         errs_l, errs_h, norms = [], [], []
         ladders = zip(
@@ -425,8 +408,8 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
             norms.append(_recombined_errors(spec["id"], r_low, r_high))
             errs_l.append(r_low.err_l2)
             errs_h.append(r_high.err_l2)
-        _check_monotone(gammas, errs_l)
-        _check_monotone(gammas, errs_h)
+        _check_monotone(spec["id"] + "[low]", gammas, errs_l)
+        _check_monotone(spec["id"] + "[high]", gammas, errs_h)
         errs_total = [l2 for l2, _linf in norms]
         flags = _ladder_monotone_flags(errs_total)
         rows += _ladder_rows(spec["id"], gammas, norms, None, flags)
@@ -538,7 +521,7 @@ def cli_main(argv) -> int:
                 if spec["kind"] == "mixed":
                     build_mixed_signal(spec, cfg.kernel.omega)
                 else:
-                    build_grid_signal(spec, cfg.grid, cfg.kernel.omega)
+                    build_grid_spectrum(spec, cfg.grid, cfg.kernel.omega)
             print("config ok")
             return 0
         if args.command == "synth":

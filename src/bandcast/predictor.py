@@ -195,15 +195,14 @@ def eval_predictor_transfer(predictor: PredictorTransfer, omega_val: float) -> c
 
 @dataclass(frozen=True)
 class DeviationGrid:
-    """Grid control for deviation_norm.
+    """Grid control for deviation_norm (spacing bound min(a_m)/50).
 
-    h: spacing bound (default min(a_m)/50); omega_max: truncation point for
-    HIGH domains (default: smallest decade point with |K| <= 1e-10);
-    extra_points: frequencies merged into the evaluation set (e.g. atom
-    locations); nodes: explicit full node set, overriding everything else.
+    omega_max: truncation point for HIGH domains (default: smallest decade
+    point with |K| <= 1e-10); extra_points: frequencies merged into the
+    evaluation set (e.g. atom locations); nodes: explicit full node set,
+    overriding everything else.
     """
 
-    h: float | None = None
     omega_max: float | None = None
     extra_points: tuple[float, ...] = ()
     nodes: tuple[float, ...] | None = None
@@ -301,7 +300,7 @@ def deviation_norm(
             return float(np.max(vals))
         return float(np.trapezoid(vals**mu, w)) ** (1.0 / mu)
 
-    h = grid_spec.h if grid_spec.h is not None else kernel.min_pole_rate / 50.0
+    h = kernel.min_pole_rate / 50.0
     extras = np.abs(np.asarray(grid_spec.extra_points, dtype=float))
 
     if domain.kind == "LOW":

@@ -2,9 +2,10 @@
 
 Two signal families are generated here:
 
-* square-integrable signals whose spectra vanish exactly outside a declared
-  support (either inside the band [-omega, omega] or outside it), built on
-  uniform grids and inverse-transformed;
+* square-integrable grid signals, given by their spectra: samples on a
+  uniform frequency grid that vanish exactly outside a declared support
+  (either inside the band [-omega, omega] or outside it); the time signal is
+  one ``engine.fourier_inverse`` away;
 * bounded "mixed" signals made of spectral atoms plus an integrable density,
   x(t) = (1/2pi) * (sum c_k e^{i w_k t} + integral e^{i w t} X_c(w) dw),
   measured in the total-variation norm sum|c_k| + ||X_c||_L1.
@@ -28,7 +29,6 @@ from .errors import (
     SupportViolation,
 )
 from .grids import GridSpec
-from .transforms import signal_from_spectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,20 +111,14 @@ def _envelope_values(envelope_spec, omegas: np.ndarray, lo: float, hi: float) ->
     raise SupportViolation(f"unknown envelope {name!r}")
 
 
-def _pair_from_spectrum(spec_values: np.ndarray, grid: GridSpec):
-    spectrum = SampledSpectrum(grid.omega0, grid.domega, spec_values)
-    sig, t0, dt = signal_from_spectrum(spec_values, grid.omega0, grid.domega)
-    return SampledSignal(t0, dt, sig), spectrum
-
-
 def make_bandlimited_signal(
     envelope_spec,
     support: tuple[float, float],
     grid_spec: GridSpec,
     omega: float,
     hermitian: bool = False,
-) -> tuple[SampledSignal, SampledSpectrum]:
-    """Signal whose spectrum is `envelope` on `support` inside [-omega, omega].
+) -> SampledSpectrum:
+    """Spectrum that is `envelope` on `support` inside [-omega, omega].
 
     With hermitian=True the support must be symmetric (lo == -hi) so the real
     envelope yields a Hermitian spectrum and a real-valued signal.
@@ -137,7 +131,7 @@ def make_bandlimited_signal(
     if hermitian and lo != -hi:
         raise SupportViolation("hermitian option requires a symmetric support")
     vals = _envelope_values(envelope_spec, grid_spec.omegas(), lo, hi)
-    return _pair_from_spectrum(vals, grid_spec)
+    return SampledSpectrum(grid_spec.omega0, grid_spec.domega, vals)
 
 
 def make_highfreq_signal(
@@ -146,8 +140,8 @@ def make_highfreq_signal(
     grid_spec: GridSpec,
     omega: float,
     hermitian: bool = True,
-) -> tuple[SampledSignal, SampledSpectrum]:
-    """Signal with spectrum on |w| in [lo, hi], lo >= omega.
+) -> SampledSpectrum:
+    """Spectrum on |w| in [lo, hi], lo >= omega.
 
     hermitian=True places the envelope on both +/-[lo, hi] (real signal);
     hermitian=False uses the positive side only (complex signal).
@@ -163,7 +157,7 @@ def make_highfreq_signal(
     vals = _envelope_values(envelope_spec, og, lo, hi)
     if hermitian:
         vals = vals + np.conj(_envelope_values(envelope_spec, -og, lo, hi))
-    return _pair_from_spectrum(vals, grid_spec)
+    return SampledSpectrum(grid_spec.omega0, grid_spec.domega, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +422,12 @@ def ideal_lowpass_split(
 
 
 def add_outofband_noise(
-    signal: SampledSignal,
     spectrum: SampledSpectrum,
     eta: float,
     noise_support: tuple[float, float],
     seed: int,
     omega: float,
-) -> tuple[SampledSignal, SampledSpectrum]:
+) -> SampledSpectrum:
     """Add a Hermitian pseudo-random spectrum component on |w| in noise_support.
 
     The perturbation carries exactly eta * (signal energy); the in-band part
@@ -448,7 +441,7 @@ def add_outofband_noise(
             f"noise support [{lo}, {hi}] must be disjoint from [-{omega}, {omega}]"
         )
     if eta == 0.0:
-        return signal, spectrum
+        return spectrum
 
     og = spectrum.omegas()
     n = len(og)
@@ -470,10 +463,7 @@ def add_outofband_noise(
     noise_energy = float(np.sum(np.abs(noise) ** 2) * spectrum.domega / (2 * np.pi))
     scale = math.sqrt(eta * sig_energy / noise_energy) if noise_energy > 0 else 0.0
     noise *= scale
-
-    pert = SampledSpectrum(spectrum.omega0, spectrum.domega, spectrum.values + noise)
-    nsig, t0, dt = signal_from_spectrum(noise, spectrum.omega0, spectrum.domega, t0=signal.t0)
-    return SampledSignal(signal.t0, signal.dt, signal.values + nsig), pert
+    return SampledSpectrum(spectrum.omega0, spectrum.domega, spectrum.values + noise)
 
 
 def signal_to_csv(signal: SampledSignal) -> str:

@@ -57,7 +57,7 @@ def test_gaussian_transform_pair():
 
 def test_round_trip_identity():
     g = GridSpec(2048, 400.0)
-    sig, _ = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0, hermitian=True)
+    sig = fourier_inverse(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0, hermitian=True))
     back = fourier_inverse(fourier_forward(sig))
     assert back.t0 == pytest.approx(sig.t0)
     assert np.max(np.abs(back.values - sig.values)) <= 1e-10 * np.max(np.abs(sig.values))
@@ -67,7 +67,7 @@ def test_round_trip_no_worse_than_phase_path():
     # The general phase path is the transform pair every grid used before
     # centered grids got exact signs; its rounding grows with n.
     for g in (GridSpec(2048, 400.0), GridSpec(2**16, 12800.0)):
-        sig, _ = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0, hermitian=True)
+        sig = fourier_inverse(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0, hermitian=True))
         back = fourier_inverse(fourier_forward(sig))
         spec = np.fft.fftshift(transforms._phased_spectrum(sig.values, sig.dt, sig.t0))
         phased = transforms._phased_signal(spec, g.omega0, g.domega, sig.t0)
@@ -103,7 +103,7 @@ def test_off_center_grids_take_phase_path(monkeypatch):
 
         monkeypatch.setattr(transforms, name, spy)
     g = GridSpec(2048, 400.0)
-    sig, _ = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0, hermitian=True)
+    sig = fourier_inverse(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0, hermitian=True))
     calls.clear()
     shifted = SampledSignal(g.t0 + 37.5, g.dt, sig.values)
     back = fourier_inverse(fourier_forward(shifted), t0=shifted.t0)
@@ -128,7 +128,8 @@ def test_transform_requires_power_of_two():
 
 def test_shift_theorem():
     g = GridSpec(2048, 400.0)
-    sig, spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0, hermitian=True)
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0, hermitian=True)
+    sig = fourier_inverse(spec)
     m = 64
     delayed = SampledSignal(g.t0, g.dt, np.roll(sig.values, m))
     spec_d = fourier_forward(delayed)
@@ -323,13 +324,13 @@ def test_spectral_predict_zero_signal(single_pole, pipeline_grid):
 
 
 def test_spectral_predict_monotone_sweep(single_pole, pipeline_grid):
-    _sig, X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
+    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
     errs = [spectral_predict(X, single_pole, g).err_l2 for g in (2, 5, 10, 20, 50)]
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
 def test_spectral_predict_scaling(single_pole, pipeline_grid):
-    _sig, X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
+    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
     r1 = spectral_predict(X, single_pole, 5.0)
     X3 = SampledSpectrum(X.omega0, X.domega, 3.0 * X.values)
     r3 = spectral_predict(X3, single_pole, 5.0)
@@ -340,14 +341,14 @@ def test_spectral_predict_scaling(single_pole, pipeline_grid):
 def test_spectral_predict_zero_guard_allows_large_gamma(single_pole, pipeline_grid):
     # gamma = 800 saturates off-band, but the signal is zero there; the
     # zero-times-anything guard must keep the run clean.
-    _sig, X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
+    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
     r = spectral_predict(X, single_pole, 800.0)
     assert np.isfinite(r.err_l2)
     assert r.err_l2 < 1e-10
 
 
 def test_spectral_predict_class_mismatch(single_pole, pipeline_grid):
-    _sig, X = make_bandlimited_signal("indicator", (5.0, 6.0), pipeline_grid, 8.0, hermitian=False)
+    X = make_bandlimited_signal("indicator", (5.0, 6.0), pipeline_grid, 8.0, hermitian=False)
     with pytest.raises(ClassMismatch):
         spectral_predict(X, single_pole, 800.0)
 
@@ -373,8 +374,8 @@ def test_prediction_result_rejects_nonfinite_norms(pipeline_grid):
 
 def _class_signal(class_tag, grid):
     if class_tag == "LOW":
-        return make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)[1]
-    return make_highfreq_signal("raised_cosine", (1.2, 1.5), grid, 1.0, hermitian=True)[1]
+        return make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+    return make_highfreq_signal("raised_cosine", (1.2, 1.5), grid, 1.0, hermitian=True)
 
 
 @pytest.mark.parametrize("class_tag", ["LOW", "HIGH"])
@@ -543,7 +544,7 @@ def test_error_norms_grid_mismatch():
 
 def test_parseval_bridging(single_pole, pipeline_grid):
     # Time-domain error norm equals the frequency-domain one up to 1/sqrt(2pi).
-    _sig, X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
+    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
     r = spectral_predict(X, single_pole, 5.0)
     w = X.omegas()
     K = transfer_on_grid(single_pole, w)
@@ -571,7 +572,7 @@ def test_pure_tone_chain_oracle_vs_atoms(single_pole):
 
 def test_prediction_result_validates_norms(single_pole, pipeline_grid):
     # The norms are derived from the samples, so they cannot disagree with them.
-    _sig, X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
+    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
     r = spectral_predict(X, single_pole, 5.0)
     assert (r.err_l2, r.err_linf) == error_norms(r.y, r.yhat)
     with pytest.raises(TypeError):

@@ -324,6 +324,79 @@ def test_cli_class_mismatch_exits_1(tmp_path, capsys):
     assert record["error"] == "ClassMismatch"
 
 
+@pytest.mark.parametrize(
+    "command, config, mutate",
+    [
+        ("sweep", "sweep", lambda doc: doc["kernel"].pop("poles")),
+        ("sweep", "sweep", lambda doc: doc["kernel"].update(poles=[[1.0]])),
+        ("sweep", "sweep", lambda doc: doc["signals"][0].pop("support")),
+        ("bound-check", "bound_check", lambda doc: doc["signals"][0].pop("class")),
+        ("robustness", "robustness", lambda doc: doc["noise"].update(eta="high")),
+        ("robustness", "robustness", lambda doc: doc["noise"].update(support=[1.05])),
+        ("sweep", "sweep", lambda doc: doc.update(grid=[2048, 400.0])),
+    ],
+    ids=["kernel-without-poles", "pole-entry-too-short", "grid-signal-without-support",
+         "mixed-signal-without-class", "noise-eta-not-a-number", "noise-support-too-short",
+         "grid-not-an-object"],
+)
+def test_cli_malformed_config_exits_2_with_record(tmp_path, monkeypatch, capsys, command, config,
+                                                  mutate):
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+    mutate(doc)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli_main([command, "--config", str(cfg)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+
+
+def test_sweep_ladder_converged_to_zero_passes():
+    # Past gamma = 200, V - 1 underflows on the support: y_hat equals y exactly.
+    doc = json.loads((ROOT / "configs" / "sweep.json").read_text())
+    doc["gamma_ladder"] = [20, 50, 100, 200, 400, 800]
+    report = run_convergence_sweep(config_from_dict(doc))
+    assert [r.err_l2 for r in report.rows][-2:] == [0.0, 0.0]
+    assert all(r.monotone_ok for r in report.rows)
+
+
+def test_cli_monotonicity_failure_names_its_signal(tmp_path, monkeypatch, capsys):
+    # A LOW ladder on the composite signal: its high part makes the error grow.
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads((ROOT / "configs" / "decompose.json").read_text())
+    doc["gamma_ladder"] = [2, 5, 10]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli_main(["sweep", "--config", str(cfg)]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "MonotonicityViolation"
+    assert (record["signal_id"], record["gamma_prev"], record["gamma"]) == ("mix", 2.0, 5.0)
+    assert record["err"] > record["err_prev"]
+
+
+@pytest.mark.parametrize(
+    "name, op, inverses",
+    [
+        ("sweep", run_convergence_sweep, 6),  # y, then one y_hat per rung
+        ("robustness", run_robustness_probe, 8),  # y, then 7 rungs
+        ("decompose", run_decomposition_demo, 17),  # 2 y, 2 per rung, 1 recombined
+    ],
+)
+def test_inverse_transform_budget(monkeypatch, name, op, inverses):
+    # Grid signals are spectra: no op inverts a signal it does not predict.
+    cfg = config_from_dict(json.loads((ROOT / "configs" / f"{name}.json").read_text()))
+    calls = []
+    ifft = np.fft.ifft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    op(cfg)
+    assert len(calls) == inverses
+
+
 def test_cli_validate_ok(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(base_config()))
@@ -396,6 +469,31 @@ def test_cli_golden_bound_check_and_determinism(tmp_path, monkeypatch):
     (tmp_path / "bound_check.csv").unlink()
     assert cli_main(["bound-check", "--config", str(config_path)]) == 0
     assert (tmp_path / "bound_check.csv").read_bytes() == produced.encode()
+
+
+def test_cli_golden_decompose_and_determinism(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config_path = ROOT / "configs" / "decompose.json"
+    assert cli_main(["decompose", "--config", str(config_path)]) == 0
+    produced = (tmp_path / "decompose.csv").read_text()
+    golden = (GOLDEN / "decompose_golden.csv").read_text()
+
+    plines, glines = produced.splitlines(), golden.splitlines()
+    assert plines[0] == glines[0]
+    assert len(plines) == len(glines)
+    for p, g in zip(plines[1:], glines[1:]):
+        pc, gc = p.split(","), g.split(",")
+        assert pc[0] == gc[0] and pc[6:] == gc[6:]
+        for a, b in zip(pc[1:6], gc[1:6]):
+            if a == "" and b == "":
+                continue
+            fa, fb = float(a), float(b)
+            assert abs(fa - fb) <= 1e-9 * max(abs(fb), 1.0)
+
+    # Bit-identical reproduction with the same config.
+    (tmp_path / "decompose.csv").unlink()
+    assert cli_main(["decompose", "--config", str(config_path)]) == 0
+    assert (tmp_path / "decompose.csv").read_bytes() == produced.encode()
 
 
 def _run_module(module, *args, cwd):

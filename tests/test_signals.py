@@ -11,6 +11,7 @@ from bandcast import (
     SampledSpectrum,
     add_outofband_noise,
     cstar_norm,
+    fourier_inverse,
     ideal_lowpass_split,
     make_bandlimited_signal,
     make_highfreq_signal,
@@ -27,7 +28,7 @@ def grid():
 
 
 def test_indicator_bandlimited_is_sinc(grid):
-    sig, spec = make_bandlimited_signal("indicator", (-1.0, 1.0), grid, 1.0, hermitian=True)
+    sig = fourier_inverse(make_bandlimited_signal("indicator", (-1.0, 1.0), grid, 1.0, hermitian=True))
     t = sig.times()
     i0 = int(np.argmin(np.abs(t)))
     assert t[i0] == 0.0
@@ -40,7 +41,7 @@ def test_indicator_bandlimited_is_sinc(grid):
 
 
 def test_raised_cosine_support_exact_zero(grid):
-    _sig, spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
     og = spec.omegas()
     assert np.all(spec.values[np.abs(og) >= 0.9] == 0.0)
     assert np.any(spec.values != 0.0)
@@ -58,14 +59,15 @@ def test_parseval_consistency(grid):
         (make_bandlimited_signal, (-0.9, 0.9)),
         (make_highfreq_signal, (1.1, 2.0)),
     ):
-        sig, spec = maker("raised_cosine", support, grid, 1.0, hermitian=True)
-        assert sig.energy() == pytest.approx(spec.energy(), rel=1e-12)
+        spec = maker("raised_cosine", support, grid, 1.0, hermitian=True)
+        assert fourier_inverse(spec).energy() == pytest.approx(spec.energy(), rel=1e-12)
 
 
 def test_highfreq_difference_of_indicators(grid):
-    sig, spec = make_highfreq_signal("indicator", (1.0, 2.0), grid, 1.0, hermitian=True)
+    spec = make_highfreq_signal("indicator", (1.0, 2.0), grid, 1.0, hermitian=True)
     og = spec.omegas()
     assert np.all(spec.values[np.abs(og) < 1.0] == 0.0)
+    sig = fourier_inverse(spec)
     t = sig.times()
     win = (np.abs(t) < 20) & (t != 0)
     tw = t[win]
@@ -74,10 +76,10 @@ def test_highfreq_difference_of_indicators(grid):
 
 
 def test_highfreq_one_sided_complex(grid):
-    sig, spec = make_highfreq_signal("indicator", (1.05, 1.1), grid, 1.0, hermitian=False)
+    spec = make_highfreq_signal("indicator", (1.05, 1.1), grid, 1.0, hermitian=False)
     og = spec.omegas()
     assert np.all(spec.values[og < 1.0] == 0.0)
-    assert np.max(np.abs(sig.values.imag)) > 1e-3  # genuinely complex
+    assert np.max(np.abs(fourier_inverse(spec).values.imag)) > 1e-3  # genuinely complex
 
 
 def test_mixed_single_tone():
@@ -156,12 +158,12 @@ def test_mixed_evaluation_bounded_by_cstar():
 
 
 def test_split_trivial_cases(grid):
-    _s, low_spec = make_bandlimited_signal("raised_cosine", (-0.5, 0.5), grid, 1.0, hermitian=True)
+    low_spec = make_bandlimited_signal("raised_cosine", (-0.5, 0.5), grid, 1.0, hermitian=True)
     low, high = ideal_lowpass_split(low_spec, 1.0)
     assert np.array_equal(low.values, low_spec.values)
     assert np.all(high.values == 0.0)
 
-    _s, hi_spec = make_highfreq_signal("raised_cosine", (2.0, 3.0), grid, 1.0, hermitian=True)
+    hi_spec = make_highfreq_signal("raised_cosine", (2.0, 3.0), grid, 1.0, hermitian=True)
     low2, high2 = ideal_lowpass_split(hi_spec, 1.0)
     assert np.all(low2.values == 0.0)
     assert np.array_equal(high2.values, hi_spec.values)
@@ -200,53 +202,51 @@ def test_split_band_edge_goes_low():
 
 
 def test_noise_zero_eta_is_identity(grid):
-    sig, spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
-    sig2, spec2 = add_outofband_noise(sig, spec, 0.0, (1.05, 1.1), 1, 1.0)
-    assert np.array_equal(sig2.values, sig.values)
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+    spec2 = add_outofband_noise(spec, 0.0, (1.05, 1.1), 1, 1.0)
     assert np.array_equal(spec2.values, spec.values)
 
 
 def test_noise_energy_ratio_exact(grid):
-    sig, spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
-    _sig2, spec2 = add_outofband_noise(sig, spec, 1e-3, (1.05, 1.1), 42, 1.0)
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+    spec2 = add_outofband_noise(spec, 1e-3, (1.05, 1.1), 42, 1.0)
     noise = SampledSpectrum(spec.omega0, spec.domega, spec2.values - spec.values)
     assert noise.energy() / spec.energy() == pytest.approx(1e-3, abs=1e-9)
 
 
 def test_noise_preserves_in_band_exactly(grid):
-    sig, spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
-    _sig2, spec2 = add_outofband_noise(sig, spec, 1e-3, (1.05, 1.1), 42, 1.0)
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+    spec2 = add_outofband_noise(spec, 1e-3, (1.05, 1.1), 42, 1.0)
     og = spec.omegas()
     inband = np.abs(og) <= 1.0
     assert np.array_equal(spec2.values[inband], spec.values[inband])
 
 
 def test_noise_keeps_signal_real(grid):
-    sig, spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
-    sig2, _spec2 = add_outofband_noise(sig, spec, 1e-2, (1.05, 1.2), 3, 1.0)
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+    sig2 = fourier_inverse(add_outofband_noise(spec, 1e-2, (1.05, 1.2), 3, 1.0))
     assert np.max(np.abs(sig2.values.imag)) < 1e-12 * np.max(np.abs(sig2.values.real))
 
 
 def test_noise_deterministic(grid):
-    sig, spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
-    a = add_outofband_noise(sig, spec, 1e-3, (1.05, 1.1), 42, 1.0)
-    b = add_outofband_noise(sig, spec, 1e-3, (1.05, 1.1), 42, 1.0)
-    assert np.array_equal(a[1].values, b[1].values)
-    assert np.array_equal(a[0].values, b[0].values)
-    c = add_outofband_noise(sig, spec, 1e-3, (1.05, 1.1), 43, 1.0)
-    assert not np.array_equal(a[1].values, c[1].values)
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+    a = add_outofband_noise(spec, 1e-3, (1.05, 1.1), 42, 1.0)
+    b = add_outofband_noise(spec, 1e-3, (1.05, 1.1), 42, 1.0)
+    assert np.array_equal(a.values, b.values)
+    c = add_outofband_noise(spec, 1e-3, (1.05, 1.1), 43, 1.0)
+    assert not np.array_equal(a.values, c.values)
 
 
 def test_noise_support_validation(grid):
-    sig, spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
     with pytest.raises(SupportViolation):
-        add_outofband_noise(sig, spec, 1e-3, (0.9, 1.1), 1, 1.0)
+        add_outofband_noise(spec, 1e-3, (0.9, 1.1), 1, 1.0)
     with pytest.raises(SupportViolation):
-        add_outofband_noise(sig, spec, -1.0, (1.05, 1.1), 1, 1.0)
+        add_outofband_noise(spec, -1.0, (1.05, 1.1), 1, 1.0)
 
 
 def test_csv_and_json_serialization(grid):
-    sig, _ = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+    sig = fourier_inverse(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True))
     text = signal_to_csv(sig)
     assert text.startswith("t,re,im\n")
     assert len(text.splitlines()) == grid.n + 1
