@@ -9,6 +9,14 @@ y(t) = integral_t^inf k(t-s) x(s) ds and its causal approximation:
   (fast), with trapezoid error norms on the shared time grid.
 
 Each route exists to validate the other; keep them independent.
+
+The pipeline has a real path.  The kernel's coefficients are real and its
+poles conjugate-closed, so K, V and K_hat are Hermitian, and an exactly
+Hermitian X on a centered grid (one check, :func:`transforms.hermitian_half`)
+has real y and y_hat.  That X is carried as its omega >= 0 half: K and V are
+evaluated on the n/2 + 1 points omega >= 0 and each inverse is an irfft to
+float samples.  Any other X (a one-sided or complex-tone spectrum, an
+off-center grid) takes the complex path on every grid point.
 """
 
 from __future__ import annotations
@@ -41,25 +49,24 @@ from .predictor import (
     predictor_transfer_on_grid,
 )
 from .signals import MixedSpectrum, SampledSignal, SampledSpectrum, same_time_grid
-from .transforms import signal_from_spectrum, spectrum_from_signal
+from .transforms import hermitian_half, mirror_half, signal_from_spectrum, spectrum_from_signal
+
+
+def _require_power_of_two(n: int) -> None:
+    if not is_power_of_two(n):
+        raise GridMismatch(f"transform length must be a power of two, got {n}")
 
 
 def fourier_forward(signal: SampledSignal) -> SampledSpectrum:
     """Grid approximation of X(i w) = integral e^{-i w t} x(t) dt."""
-    if not is_power_of_two(len(signal.values)):
-        raise GridMismatch(
-            f"transform length must be a power of two, got {len(signal.values)}; zero-pad first"
-        )
+    _require_power_of_two(len(signal.values))
     vals, omega0, domega = spectrum_from_signal(signal.values, signal.dt, signal.t0)
     return SampledSpectrum(omega0, domega, vals)
 
 
 def fourier_inverse(spectrum: SampledSpectrum, t0: float | None = None) -> SampledSignal:
     """Inverse transform onto the conjugate (centered by default) time grid."""
-    if not is_power_of_two(len(spectrum.values)):
-        raise GridMismatch(
-            f"transform length must be a power of two, got {len(spectrum.values)}"
-        )
+    _require_power_of_two(len(spectrum.values))
     vals, t0_out, dt = signal_from_spectrum(
         spectrum.values, spectrum.omega0, spectrum.domega, t0=t0
     )
@@ -136,6 +143,10 @@ def causal_convolve(
     if abs(offset_f - offset) > 1e-6:
         raise GridMismatch("khat grid has no sample at lag 0")
     lags = int(math.floor(horizon_m / dt + 1e-9))
+    if lags < 1:
+        raise InsufficientHistory(
+            f"horizon {horizon_m:g} is shorter than one step dt = {dt:g}"
+        )
     if offset < 0 or offset + lags >= len(khat.values):
         raise InsufficientHistory(
             f"khat grid does not cover lags [0, {horizon_m:g}]"
@@ -194,18 +205,32 @@ def spectral_predict_ladder(
 
     y does not depend on gamma, so K is evaluated and Y inverted once, here;
     the returned iterator computes each rung when it is reached and inverts
-    only its Y_hat.  Wherever X = 0 exactly, Y_hat is forced to 0 without
-    evaluating the compensator, so off-band blow-up cannot poison in-class
-    runs; if X has energy where the compensator saturates, ClassMismatch is
-    raised when that rung is reached.  One result per gamma, in ladder order,
-    all sharing one y; each carries its guarded Y_hat as ``yhat_spectrum``.
-    Between rungs only y, the mask and the active points are kept.
+    only its Y_hat.  An exactly Hermitian X on a centered grid is carried as
+    its omega >= 0 half (K and V on n/2 + 1 points, irfft, float y and
+    y_hat); any other X uses every grid point.  Wherever X = 0 exactly,
+    Y_hat is forced to 0 without evaluating the compensator, so off-band
+    blow-up cannot poison in-class runs; if X has energy where the
+    compensator saturates, ClassMismatch is raised when that rung is reached.
+    One result per gamma, in ladder order, all sharing one y; each carries
+    its guarded Y_hat on the full grid as ``yhat_spectrum``.  Between rungs
+    only y, the mask and the active points are kept.
     """
     predictors = [PredictorTransfer(kernel, gamma) for gamma in gammas]
-    active = X.values != 0.0
-    w = X.omegas()
-    Y = transfer_on_grid(kernel, w) * X.values
-    y = fourier_inverse(SampledSpectrum(X.omega0, X.domega, Y))
+    n = len(X.values)
+    _require_power_of_two(n)
+    half = hermitian_half(X.values, X.omega0, X.domega)
+    if half is None:
+        vals, w, n_half = X.values, X.omegas(), None
+    else:
+        vals, w, n_half = half, X.domega * np.arange(len(half)), n
+    active = vals != 0.0
+    Y = transfer_on_grid(kernel, w) * vals
+
+    def inverse(S: np.ndarray) -> SampledSignal:
+        sig, t0, dt = signal_from_spectrum(S, X.omega0, X.domega, n=n_half)
+        return SampledSignal(t0, dt, sig)
+
+    y = inverse(Y)
     p_active, Y_active = 1j * w[active], Y[active]
 
     def rung(predictor: PredictorTransfer) -> PredictionResult:
@@ -218,12 +243,12 @@ def spectral_predict_ladder(
             )
         Yhat = np.zeros(len(active), dtype=complex)
         Yhat[active] = v * Y_active
-        yhat_spectrum = SampledSpectrum(X.omega0, X.domega, Yhat)
+        full = Yhat if n_half is None else mirror_half(Yhat, n)
         return PredictionResult(
             y=y,
-            yhat=fourier_inverse(yhat_spectrum),
+            yhat=inverse(Yhat),
             gamma=predictor.gamma,
-            yhat_spectrum=yhat_spectrum,
+            yhat_spectrum=SampledSpectrum(X.omega0, X.domega, full),
         )
 
     return map(rung, predictors)

@@ -351,12 +351,14 @@ def synthesize_time_predictor(
 ) -> SynthesisResult:
     """Inverse-transform K_hat on the grid's conjugate frequency axis.
 
-    Raises SaturatedSpectrum if any grid frequency saturates the compensator
-    and SpectrumNotDecayed if |K_hat| at the grid ends exceeds decay_tol
-    (pass a larger decay_tol to accept grid-limited truncation; leakage is
-    reported either way).
+    K_hat is Hermitian (real kernel, conjugate-closed poles), so it is
+    evaluated on the n/2 + 1 frequencies omega >= 0 only and inverted with
+    irfft; the sampled kernel is real.  Raises SaturatedSpectrum if any of
+    them saturates the compensator and SpectrumNotDecayed if |K_hat| at the
+    two highest of them exceeds decay_tol (pass a larger decay_tol to accept
+    grid-limited truncation; leakage is reported either way).
     """
-    w = grid.omegas()
+    w = grid.domega * np.arange(grid.n // 2 + 1)
     khat_w, sat = predictor_transfer_on_grid(predictor, w)
     if bool(np.any(sat)):
         wbad = w[np.argmax(sat)]
@@ -364,15 +366,15 @@ def synthesize_time_predictor(
             f"compensator exponent exceeds {SATURATION_EXPONENT:g} at omega = {wbad:.6g}; "
             f"gamma = {predictor.gamma:g} is too large for this grid"
         )
-    end_mag = float(max(abs(khat_w[0]), abs(khat_w[-1])))
+    end_mag = float(max(abs(khat_w[-1]), abs(khat_w[-2])))
     if end_mag > decay_tol:
         raise SpectrumNotDecayed(
             f"|K_hat| = {end_mag:.3e} at the grid ends exceeds decay_tol = {decay_tol:g}"
         )
-    vals, t0, dt = signal_from_spectrum(khat_w, grid.omega0, grid.domega)
+    vals, t0, dt = signal_from_spectrum(khat_w, grid.omega0, grid.domega, n=grid.n)
     khat = SampledSignal(t0, dt, vals)
     t = khat.times()
-    power = np.abs(vals) ** 2
+    power = vals**2
     total = float(np.sum(power))
     leak = float(np.sum(power[t < 0])) / total if total > 0 else 0.0
     return SynthesisResult(khat=khat, leakage=leak, spectrum_end_magnitude=end_mag)

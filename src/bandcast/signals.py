@@ -29,18 +29,25 @@ from .errors import (
     SupportViolation,
 )
 from .grids import GridSpec
+from .transforms import mirror_half
 
 
 @dataclass(frozen=True, eq=False)
 class SampledSignal:
-    """Complex samples on the uniform grid t_j = t0 + j*dt."""
+    """Samples on the uniform grid t_j = t0 + j*dt.
+
+    Samples may be real or complex: real input is kept as float64 (the
+    inverse of a Hermitian spectrum is real), complex input as complex128.
+    """
 
     t0: float
     dt: float
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
+        values = np.asarray(self.values)
+        dtype = complex if np.iscomplexobj(values) else float
+        object.__setattr__(self, "values", values.astype(dtype, copy=False))
         if self.dt <= 0 or not np.isfinite(self.dt):
             raise GridMismatch(f"dt must be positive, got {self.dt}")
         if len(self.values) < 2:
@@ -111,6 +118,16 @@ def _envelope_values(envelope_spec, omegas: np.ndarray, lo: float, hi: float) ->
     raise SupportViolation(f"unknown envelope {name!r}")
 
 
+def _envelope_on_grid(envelope_spec, grid_spec: GridSpec, lo: float, hi: float, hermitian: bool):
+    """The envelope on the grid's frequencies.  With hermitian=True it is
+    evaluated on omega >= 0 only and mirrored, so the spectrum is exactly
+    Hermitian (X(-w) == conj X(w) bit for bit) and takes the real path."""
+    if not hermitian:
+        return _envelope_values(envelope_spec, grid_spec.omegas(), lo, hi)
+    w = grid_spec.domega * np.arange(grid_spec.n // 2 + 1)
+    return mirror_half(_envelope_values(envelope_spec, w, lo, hi), grid_spec.n)
+
+
 def make_bandlimited_signal(
     envelope_spec,
     support: tuple[float, float],
@@ -121,7 +138,7 @@ def make_bandlimited_signal(
     """Spectrum that is `envelope` on `support` inside [-omega, omega].
 
     With hermitian=True the support must be symmetric (lo == -hi) so the real
-    envelope yields a Hermitian spectrum and a real-valued signal.
+    envelope yields an exactly Hermitian spectrum and a real-valued signal.
     """
     lo, hi = float(support[0]), float(support[1])
     if not (-omega <= lo < hi <= omega):
@@ -130,7 +147,7 @@ def make_bandlimited_signal(
         )
     if hermitian and lo != -hi:
         raise SupportViolation("hermitian option requires a symmetric support")
-    vals = _envelope_values(envelope_spec, grid_spec.omegas(), lo, hi)
+    vals = _envelope_on_grid(envelope_spec, grid_spec, lo, hi, hermitian)
     return SampledSpectrum(grid_spec.omega0, grid_spec.domega, vals)
 
 
@@ -143,20 +160,19 @@ def make_highfreq_signal(
 ) -> SampledSpectrum:
     """Spectrum on |w| in [lo, hi], lo >= omega.
 
-    hermitian=True places the envelope on both +/-[lo, hi] (real signal);
-    hermitian=False uses the positive side only (complex signal).
+    hermitian=True places the envelope on both +/-[lo, hi] (exactly
+    Hermitian spectrum, real signal); hermitian=False uses the positive side
+    only (complex signal).
     """
     lo, hi = float(support[0]), float(support[1])
     if not (omega <= lo < hi):
         raise SupportViolation(
             f"high-frequency support [{lo}, {hi}] must satisfy omega <= lo < hi"
         )
-    og = grid_spec.omegas()
-    if hi > og[-1]:
-        raise SupportViolation(f"support end {hi} beyond grid maximum {og[-1]:.6g}")
-    vals = _envelope_values(envelope_spec, og, lo, hi)
-    if hermitian:
-        vals = vals + np.conj(_envelope_values(envelope_spec, -og, lo, hi))
+    top = grid_spec.omega0 + grid_spec.domega * (grid_spec.n - 1)
+    if hi > top:
+        raise SupportViolation(f"support end {hi} beyond grid maximum {top:.6g}")
+    vals = _envelope_on_grid(envelope_spec, grid_spec, lo, hi, hermitian)
     return SampledSpectrum(grid_spec.omega0, grid_spec.domega, vals)
 
 
@@ -409,10 +425,14 @@ def ideal_lowpass_split(
     """Split X into (low, high) by the closed indicator |w| <= omega.
 
     The parts carry the original grid and sum to X bit-exactly; |w| == omega
-    goes to the LOW part.
+    goes to the LOW part.  On a centered grid |w_j| is |j - n/2|*domega, even
+    in j, so the parts of a Hermitian X are exactly Hermitian.
     """
-    og = spectrum.omegas()
-    mask = np.abs(og) <= omega
+    n = len(spectrum.values)
+    if spectrum.omega0 == -(n // 2) * spectrum.domega:
+        mask = np.abs(np.arange(n) - n // 2) * spectrum.domega <= omega
+    else:
+        mask = np.abs(spectrum.omegas()) <= omega
     low = np.where(mask, spectrum.values, 0.0 + 0.0j)
     high = np.where(mask, 0.0 + 0.0j, spectrum.values)
     return (

@@ -394,28 +394,141 @@ def test_spectral_predict_ladder_equals_single_rungs(single_pole, pipeline_grid,
 
 
 def test_spectral_predict_ladder_inverts_y_once(single_pole, pipeline_grid, monkeypatch):
-    # L rungs: one inverse transform for y plus one per y_hat, and K on the
-    # full grid once.
-    inverses, full_grid_k = [], []
-    inverse, transfer = engine.fourier_inverse, engine.transfer_on_grid
+    # L rungs: one inverse transform for y plus one per y_hat, and K once on
+    # the half grid omega >= 0 of the Hermitian X.
+    inverses, half_grid_k = [], []
+    transfer = engine.transfer_on_grid
+    for fn_name in ("ifft", "irfft"):
+        fn = getattr(np.fft, fn_name)
 
-    def counted_inverse(spectrum, *args):
-        inverses.append(spectrum)
-        return inverse(spectrum, *args)
+        def counted(*args, fn=fn, fn_name=fn_name, **kwargs):
+            inverses.append(fn_name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, fn_name, counted)
 
     def counted_transfer(kernel, w):
-        if np.size(w) == pipeline_grid.n:
-            full_grid_k.append(w)
+        assert np.size(w) == pipeline_grid.n // 2 + 1
+        half_grid_k.append(w)
         return transfer(kernel, w)
 
-    monkeypatch.setattr(engine, "fourier_inverse", counted_inverse)
     monkeypatch.setattr(engine, "transfer_on_grid", counted_transfer)
     X = _class_signal("LOW", pipeline_grid)
     results = list(spectral_predict_ladder(X, single_pole, LADDERS["LOW"]))
     assert len(results) == len(LADDERS["LOW"])
-    assert len(inverses) == len(LADDERS["LOW"]) + 1
-    assert len(full_grid_k) == 1
+    assert inverses == ["irfft"] * (len(LADDERS["LOW"]) + 1)
+    assert len(half_grid_k) == 1
     assert all(r.y is results[0].y for r in results)
+
+
+def _hermitian_inputs(n):
+    """LOW, HIGH and composite Hermitian spectra on a centered n-point grid."""
+    g = GridSpec(n, 400.0 * n / 2048)
+    low = _class_signal("LOW", g)
+    high = _class_signal("HIGH", g)
+    composite = SampledSpectrum(g.omega0, g.domega, low.values + high.values)
+    return [(low, LADDERS["LOW"]), (high, LADDERS["HIGH"]), (composite, LADDERS["LOW"])]
+
+
+def _complex_path_ladder(monkeypatch, X, kernel, gammas):
+    """The ladder with the Hermitian check disabled: every grid point, ifft."""
+    with monkeypatch.context() as m:
+        m.setattr(engine, "hermitian_half", lambda *args: None)
+        return list(spectral_predict_ladder(X, kernel, gammas))
+
+
+def _l2(values, dt):
+    return math.sqrt(np.trapezoid(np.abs(values) ** 2, dx=dt))
+
+
+@pytest.mark.parametrize("n", [2**11, 2**16])
+@pytest.mark.parametrize("kernel_name", ["single_pole", "conjugate_pair"])
+def test_real_path_matches_complex_path(monkeypatch, request, n, kernel_name):
+    # y and y_hat agree to 1e-12 relative.  The error norms are norms of
+    # y - y_hat, so their rounding scales with ||y|| + ||y_hat||, not with
+    # their own size (err_l2 falls to 2.5e-7 at gamma = 50): they agree to
+    # 1e-12 of that sum and to the benchmark's 1e-9 of themselves.
+    kernel = request.getfixturevalue(kernel_name)
+    for X, gammas in _hermitian_inputs(n):
+        real = list(spectral_predict_ladder(X, kernel, gammas))
+        cplx = _complex_path_ladder(monkeypatch, X, kernel, gammas)
+        y = cplx[0].y
+        assert real[0].y.values.dtype == np.float64 and y.values.dtype == np.complex128
+        assert np.max(np.abs(real[0].y.values - y.values)) <= 1e-12 * np.max(np.abs(y.values))
+        for r, c in zip(real, cplx):
+            assert r.yhat.values.dtype == np.float64
+            yhat_linf = np.max(np.abs(c.yhat.values))
+            assert np.max(np.abs(r.yhat.values - c.yhat.values)) <= 1e-12 * yhat_linf
+            l2_scale = _l2(y.values, y.dt) + _l2(c.yhat.values, y.dt)
+            assert abs(r.err_l2 - c.err_l2) <= 1e-12 * l2_scale
+            assert abs(r.err_linf - c.err_linf) <= 1e-12 * (np.max(np.abs(y.values)) + yhat_linf)
+            assert r.err_l2 == pytest.approx(c.err_l2, rel=1e-9)
+            assert r.err_linf == pytest.approx(c.err_linf, rel=1e-9)
+            assert np.max(np.abs(r.yhat_spectrum.values - c.yhat_spectrum.values)) <= 1e-12 * np.max(
+                np.abs(c.yhat_spectrum.values)
+            )
+
+
+def test_one_ulp_off_hermitian_takes_complex_path(single_pole, pipeline_grid):
+    X = _class_signal("LOW", pipeline_grid)
+    h = pipeline_grid.n // 2
+    assert transforms.hermitian_half(X.values, X.omega0, X.domega) is not None
+    vals = X.values.copy()
+    vals[h + 3] = complex(np.nextafter(vals[h + 3].real, np.inf), vals[h + 3].imag)
+    off = SampledSpectrum(X.omega0, X.domega, vals)
+    assert transforms.hermitian_half(off.values, off.omega0, off.domega) is None
+    real = list(spectral_predict_ladder(X, single_pole, LADDERS["LOW"]))
+    cplx = list(spectral_predict_ladder(off, single_pole, LADDERS["LOW"]))
+    assert cplx[0].y.values.dtype == np.complex128
+    for r, c in zip(real, cplx):
+        assert c.yhat.values.dtype == np.complex128
+        assert np.max(np.abs(r.yhat.values - c.yhat.values)) <= 1e-12 * np.max(np.abs(r.yhat.values))
+    # A non-real DC bin is off Hermitian too.
+    vals = X.values.copy()
+    vals[h] += 1e-300j
+    assert transforms.hermitian_half(vals, X.omega0, X.domega) is None
+
+
+def test_half_spectrum_needs_its_length_and_the_centered_grid(pipeline_grid):
+    g = pipeline_grid
+    half = np.zeros(g.n // 2 + 1, dtype=complex)
+    half[0] = 1.0
+    sig, t0, dt = transforms.signal_from_spectrum(half, g.omega0, g.domega, n=g.n)
+    assert sig.dtype == np.float64 and (t0, dt) == pytest.approx((g.t0, g.dt))
+    assert np.allclose(sig, g.domega / (2 * np.pi))  # X = delta at DC
+    with pytest.raises(ValueError):
+        transforms.signal_from_spectrum(half[:-1], g.omega0, g.domega, n=g.n)
+    with pytest.raises(ValueError):
+        transforms.signal_from_spectrum(half, g.omega0 + g.domega, g.domega, n=g.n)
+
+
+@pytest.mark.parametrize("n", [2**11, 2**16])
+def test_real_round_trip_is_float_and_no_worse_than_complex(n):
+    g = GridSpec(n, 400.0 * n / 2048)
+    sig = fourier_inverse(_class_signal("LOW", g))
+    assert sig.values.dtype == np.float64
+    X = fourier_forward(sig)
+    assert transforms.hermitian_half(X.values, X.omega0, X.domega) is not None
+    back = fourier_inverse(X)
+    assert back.values.dtype == np.float64
+    as_complex = SampledSignal(sig.t0, sig.dt, sig.values.astype(complex))
+    back_c = fourier_inverse(fourier_forward(as_complex))
+    assert back_c.values.dtype == np.complex128
+    # Compared in L2: single samples of either path trade places within an ulp.
+    err = _l2(back.values - sig.values, sig.dt)
+    assert err <= _l2(back_c.values - sig.values, sig.dt)
+    assert np.max(np.abs(back.values - sig.values)) <= 1e-14 * np.max(np.abs(sig.values))
+
+
+def test_causal_horizon_shorter_than_one_step():
+    # One tap would be halved twice (khat(0)*dt/4 per sample) at 0 < M < dt.
+    dt = 0.1
+    x = SampledSignal(0.0, dt, np.ones(64))
+    khat = SampledSignal(0.0, dt, np.ones(64))
+    with pytest.raises(InsufficientHistory):
+        causal_convolve(khat, x, 0.05)
+    out = causal_convolve(khat, x, dt)
+    assert np.allclose(out.values[1:], dt)  # trapezoid over [0, dt]: (1/2 + 1/2)*dt
 
 
 def test_mixed_predict_single_atom_exact(single_pole):

@@ -384,17 +384,20 @@ def test_cli_monotonicity_failure_names_its_signal(tmp_path, monkeypatch, capsys
 )
 def test_inverse_transform_budget(monkeypatch, name, op, inverses):
     # Grid signals are spectra: no op inverts a signal it does not predict.
+    # The configs' signals are Hermitian, so every inverse is a real one.
     cfg = config_from_dict(json.loads((ROOT / "configs" / f"{name}.json").read_text()))
     calls = []
-    ifft = np.fft.ifft
+    for fn_name in ("ifft", "irfft"):
+        fn = getattr(np.fft, fn_name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return ifft(*args, **kwargs)
+        def counted(*args, fn=fn, fn_name=fn_name, **kwargs):
+            calls.append(fn_name)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "ifft", counted)
+        monkeypatch.setattr(np.fft, fn_name, counted)
     op(cfg)
     assert len(calls) == inverses
+    assert calls.count("ifft") == 0
 
 
 def test_cli_validate_ok(tmp_path):
@@ -416,7 +419,9 @@ def test_cli_synth_writes_outputs(tmp_path, monkeypatch):
     assert cli_main(["synth", "--config", str(cfg)]) == 0
     sidecar = json.loads((tmp_path / "khat.json").read_text())
     assert sidecar["leakage"] < 1e-10
-    assert (tmp_path / "khat.csv").read_text().startswith("t,re,im\n")
+    lines = (tmp_path / "khat.csv").read_text().splitlines()
+    assert lines[0] == "t,re,im"
+    assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"0.0"}  # the kernel is real
 
 
 def test_cli_golden_sweep_and_determinism(tmp_path, monkeypatch):

@@ -26,8 +26,10 @@ from bandcast.errors import (
     SpectrumNotDecayed,
     TruncationNotJustified,
 )
+from bandcast import transforms
 from bandcast.grids import GridSpec
 from bandcast.kernels import transfer_on_grid
+from bandcast.predictor import predictor_transfer_on_grid
 from bandcast.predictor import (
     compensator_minus_one_on_points,
     _khat_on_points,
@@ -299,6 +301,29 @@ def test_synthesize_linearity(single_pole):
     r1 = synthesize_time_predictor(PredictorTransfer(single_pole, 5.0), GridSpec(2**14, 100.0), decay_tol=1.0)
     r2 = synthesize_time_predictor(PredictorTransfer(doubled, 5.0), GridSpec(2**14, 100.0), decay_tol=2.0)
     assert np.array_equal(r2.khat.values, 2 * r1.khat.values)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0])
+def test_synthesize_real_path_matches_full_grid_inverse(triple_pole, monkeypatch, gamma):
+    # K_hat on omega >= 0 and irfft against K_hat on every grid point and a
+    # complex inverse.
+    pred = PredictorTransfer(triple_pole, gamma)
+    grid = GridSpec(2**17, 128.0)
+    result = synthesize_time_predictor(pred, grid)
+    assert result.khat.values.dtype == np.float64
+    full, sat = predictor_transfer_on_grid(pred, grid.omegas())
+    assert not np.any(sat)
+    monkeypatch.setattr(transforms, "hermitian_half", lambda *args: None)
+    ref, t0, dt = transforms.signal_from_spectrum(full, grid.omega0, grid.domega)
+    assert ref.dtype == np.complex128
+    assert (result.khat.t0, result.khat.dt) == (t0, dt)
+    assert np.max(np.abs(result.khat.values - ref.real)) <= 1e-12 * np.max(np.abs(ref))
+    # The complex inverse's imaginary part is the Nyquist bin's, (-1)^j *
+    # Im K_hat(-pi/dt) * domega/2pi, which a real kernel's samples cannot carry.
+    nyquist = abs(full[0].imag) * grid.domega / (2 * np.pi)
+    assert np.max(np.abs(ref.imag)) <= nyquist + 1e-12 * np.max(np.abs(ref))
+    end = max(abs(full[0]), abs(full[-1]))
+    assert result.spectrum_end_magnitude == pytest.approx(end, rel=1e-12)
 
 
 def test_hardy_boundary_lines(single_pole):

@@ -20,6 +20,7 @@ from bandcast import (
 from bandcast.errors import ClassConstraintViolation, SupportViolation
 from bandcast.grids import GridSpec
 from bandcast.signals import mixed_from_json_dict, mixed_to_json_dict, signal_to_csv
+from bandcast.transforms import hermitian_half
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +244,31 @@ def test_noise_support_validation(grid):
         add_outofband_noise(spec, 1e-3, (0.9, 1.1), 1, 1.0)
     with pytest.raises(SupportViolation):
         add_outofband_noise(spec, -1.0, (1.05, 1.1), 1, 1.0)
+
+
+def _assert_exactly_hermitian(spec):
+    v, h = spec.values, len(spec.values) // 2
+    assert spec.omega0 == -h * spec.domega
+    assert v[0].imag == 0.0 and v[h].imag == 0.0
+    assert np.array_equal(v[h + 1 :], np.conj(v[h - 1 : 0 : -1]))
+    assert hermitian_half(v, spec.omega0, spec.domega) is not None
+
+
+@pytest.mark.parametrize("span", [400.0, 200.0 * math.pi], ids=["span400", "span200pi"])
+@pytest.mark.parametrize("envelope", ["indicator", "raised_cosine", "gaussian"])
+def test_producers_are_exactly_hermitian(span, envelope):
+    grid_ = GridSpec(2048, span)
+    if span != 400.0:  # the band edge omega = 1 is grid point +-100
+        assert 100 * grid_.domega == 1.0
+    low = make_bandlimited_signal(envelope, (-1.0, 1.0), grid_, 1.0, hermitian=True)
+    high = make_highfreq_signal(envelope, (1.0, 1.5), grid_, 1.0, hermitian=True)
+    composite = SampledSpectrum(grid_.omega0, grid_.domega, low.values + high.values)
+    noisy = add_outofband_noise(composite, 1e-3, (1.05, 1.1), 7, 1.0)
+    produced = [low, high, composite, noisy, *ideal_lowpass_split(noisy, 1.0)]
+    for spec in produced:
+        _assert_exactly_hermitian(spec)
+        assert np.any(spec.values != 0.0)
+        assert fourier_inverse(spec).values.dtype == np.float64
 
 
 def test_csv_and_json_serialization(grid):
