@@ -73,6 +73,18 @@ def fourier_inverse(spectrum: SampledSpectrum, t0: float | None = None) -> Sampl
     return SampledSignal(t0_out, dt, vals)
 
 
+def _uniform_t_grid(t_grid) -> tuple[np.ndarray, float, float]:
+    """(t, t[0], step) of a finite, strictly increasing, uniform t grid of at
+    least 2 points; anything else raises GridMismatch."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or len(t) < 2 or not np.all(np.isfinite(t)):
+        raise GridMismatch("t_grid must be finite with >= 2 points")
+    steps = np.diff(t)
+    if not (steps[0] > 0 and np.max(np.abs(steps - steps[0])) <= 1e-9 * steps[0]):
+        raise GridMismatch("t_grid must be strictly increasing and uniform")
+    return t, float(t[0]), float(steps[0])
+
+
 def anticausal_convolve_oracle(
     kernel: RationalAnticausalKernel,
     x,
@@ -81,7 +93,8 @@ def anticausal_convolve_oracle(
 ) -> SampledSignal:
     """y(t) = integral_t^inf k(t-s) x(s) ds by adaptive quadrature.
 
-    x must be evaluable at arbitrary floats (may return complex); 0 < tol < 1.
+    x must be evaluable at arbitrary floats (may return complex); 0 < tol < 1;
+    t_grid must be finite, strictly increasing and uniform (GridMismatch).
     The substitution u = s - t turns the integral into
     integral_0^U k(-u) x(t+u) du with U chosen so exp(-min_rate*U) < tol.
     That cut assumes |k(-u)| <= exp(-min_rate*u), which is not checked:
@@ -90,12 +103,7 @@ def anticausal_convolve_oracle(
     """
     if not (math.isfinite(tol) and 0.0 < tol < 1.0):
         raise DomainError(f"oracle tol must be finite with 0 < tol < 1, got {tol}")
-    t = np.asarray(t_grid, dtype=float)
-    if len(t) < 2:
-        raise GridMismatch("t_grid needs at least 2 points")
-    steps = np.diff(t)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
-        raise GridMismatch("t_grid must be uniform")
+    t, t0, dt = _uniform_t_grid(t_grid)
     # One extra decay constant puts exp(-min_rate * upper) strictly below tol.
     upper = (-math.log(tol) + 1.0) / kernel.min_pole_rate
     k = scalar_time_kernel(kernel)
@@ -118,7 +126,7 @@ def anticausal_convolve_oracle(
                     f"oracle quadrature error {part_err:.3e} at t = {ti:g}"
                 )
         out[i] = val
-    return SampledSignal(float(t[0]), float(steps[0]), out)
+    return SampledSignal(t0, dt, out)
 
 
 def causal_convolve(
@@ -276,6 +284,7 @@ def mixed_predict_ladder(
     declared class must match the sign of every gamma.  One result per gamma,
     in ladder order, all sharing one y.
     """
+    t, t0, dt = _uniform_t_grid(t_grid)
     predictors = [PredictorTransfer(kernel, gamma) for gamma in gammas]
     for predictor in predictors:
         if predictor.target_class != ms.class_tag:
@@ -283,10 +292,6 @@ def mixed_predict_ladder(
                 f"signal class {ms.class_tag} inconsistent with gamma = {predictor.gamma:g} "
                 f"(targets {predictor.target_class})"
             )
-    t = np.asarray(t_grid, dtype=float)
-    steps = np.diff(t)
-    if len(t) < 2 or np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
-        raise GridMismatch("t_grid must be uniform with >= 2 points")
 
     y_vals = np.zeros(len(t), dtype=complex)
     yhat_vals = [np.zeros(len(t), dtype=complex) for _ in predictors]
@@ -315,11 +320,11 @@ def mixed_predict_ladder(
         for c, acc in enumerate(yhat_vals, start=1):
             acc += integrals[:, c]
 
-    y = SampledSignal(float(t[0]), float(steps[0]), y_vals / (2 * np.pi))
+    y = SampledSignal(t0, dt, y_vals / (2 * np.pi))
     return [
         PredictionResult(
             y=y,
-            yhat=SampledSignal(float(t[0]), float(steps[0]), acc / (2 * np.pi)),
+            yhat=SampledSignal(t0, dt, acc / (2 * np.pi)),
             gamma=predictor.gamma,
         )
         for predictor, acc in zip(predictors, yhat_vals)

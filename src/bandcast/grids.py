@@ -4,7 +4,9 @@ A :class:`GridSpec` describes a centered uniform time grid of ``n`` samples
 spanning ``span`` seconds: t_j = -span/2 + j*dt with dt = span/n.  Its
 conjugate frequency grid is the fftshifted DFT grid, ascending:
 omega_j = (j - n/2) * (2*pi/span), covering [-pi/dt, pi/dt).  All transform
-code in the package assumes this pairing.
+code in the package assumes this pairing.  Frequencies are computed as
+(j + omega0/domega) * domega: with n a power of two omega0/domega is exactly
+-n/2, so omega_{n-j} == -omega_j bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ from .errors import GridMismatch
 
 def is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
+
+
+def uniform_omegas(omega0: float, domega: float, n: int) -> np.ndarray:
+    """omega_j = (j + omega0/domega) * domega, j = 0..n-1 (see the module doc)."""
+    return (np.arange(n) + omega0 / domega) * domega
 
 
 @dataclass(frozen=True)
@@ -53,4 +60,4 @@ class GridSpec:
         return self.t0 + self.dt * np.arange(self.n)
 
     def omegas(self) -> np.ndarray:
-        return self.omega0 + self.domega * np.arange(self.n)
+        return uniform_omegas(self.omega0, self.domega, self.n)

@@ -158,13 +158,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 def build_grid_spectrum(spec: dict, grid: GridSpec, omega: float) -> SampledSpectrum:
     """The sampled spectrum of a grid signal entry.  A composite entry is the
-    sum of its parts' spectra; a part's kind defaults by its support."""
+    sum of its parts' spectra; a part whose support lies inside
+    [-omega, omega] defaults to bandlimited, any other to highfreq."""
     with _malformed(f"signal {spec.get('id')!r}"):
         kind = spec["kind"]
         if kind == "composite":
             total = np.zeros(grid.n, dtype=complex)
             for part in spec["parts"]:
-                default = "bandlimited" if abs(float(part["support"][0])) < omega else "highfreq"
+                inside = max(abs(float(v)) for v in part["support"]) <= omega
+                default = "bandlimited" if inside else "highfreq"
                 sub = {"id": spec.get("id"), "kind": default, **part}
                 total += build_grid_spectrum(sub, grid, omega).values
             return SampledSpectrum(grid.omega0, grid.domega, total)
@@ -172,10 +174,10 @@ def build_grid_spectrum(spec: dict, grid: GridSpec, omega: float) -> SampledSpec
         if "height" in spec:
             envelope = (envelope, {"height": float(spec["height"])})
         support = tuple(float(v) for v in spec["support"])
-        hermitian = bool(spec.get("hermitian", True))
         if kind == "bandlimited":
-            return make_bandlimited_signal(envelope, support, grid, omega, hermitian=hermitian)
+            return make_bandlimited_signal(envelope, support, grid, omega)
         if kind == "highfreq":
+            hermitian = bool(spec.get("hermitian", True))
             return make_highfreq_signal(envelope, support, grid, omega, hermitian=hermitian)
     raise ConfigError(f"signal kind {kind!r} is not grid-based")
 

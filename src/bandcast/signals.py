@@ -5,7 +5,9 @@ Two signal families are generated here:
 * square-integrable grid signals, given by their spectra: samples on a
   uniform frequency grid that vanish exactly outside a declared support
   (either inside the band [-omega, omega] or outside it); the time signal is
-  one ``engine.fourier_inverse`` away;
+  one ``engine.fourier_inverse`` away.  A two-sided spectrum is the envelope
+  evaluated at |omega|; grid frequencies are exactly antisymmetric
+  (:mod:`bandcast.grids`), so it is exactly Hermitian and its signal real;
 * bounded "mixed" signals made of spectral atoms plus an integrable density,
   x(t) = (1/2pi) * (sum c_k e^{i w_k t} + integral e^{i w t} X_c(w) dw),
   measured in the total-variation norm sum|c_k| + ||X_c||_L1.
@@ -28,8 +30,7 @@ from .errors import (
     QuadratureNotConverged,
     SupportViolation,
 )
-from .grids import GridSpec
-from .transforms import mirror_half
+from .grids import GridSpec, uniform_omegas
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +82,7 @@ class SampledSpectrum:
             raise GridMismatch("spectrum needs at least 2 samples")
 
     def omegas(self) -> np.ndarray:
-        return self.omega0 + self.domega * np.arange(len(self.values))
+        return uniform_omegas(self.omega0, self.domega, len(self.values))
 
     def energy(self) -> float:
         """(1/2pi) sum |X|^2 domega; equals the paired signal energy."""
@@ -101,31 +102,25 @@ def same_time_grid(a: SampledSignal, b: SampledSignal, tol: float = 1e-12) -> bo
 # Band-restricted L2 signal generators
 
 
-def _envelope_values(envelope_spec, omegas: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Evaluate a named envelope; exactly zero off the declared support."""
+def _envelope_spectrum(envelope_spec, grid_spec: GridSpec, lo: float, hi: float, two_sided: bool):
+    """A named envelope on the grid's frequencies, at |omega| when two-sided;
+    exactly zero off the declared support."""
     if isinstance(envelope_spec, str):
         name, params = envelope_spec, {}
     else:
         name, params = envelope_spec
     height = float(params.get("height", 1.0))
+    w = np.abs(grid_spec.omegas()) if two_sided else grid_spec.omegas()
     if name == "indicator":
-        return np.where((omegas >= lo) & (omegas <= hi), height, 0.0).astype(complex)
-    if name == "raised_cosine":
-        return RaisedCosineBump(lo, hi, height)(omegas)
-    if name == "gaussian":
+        vals = np.where((w >= lo) & (w <= hi), height, 0.0).astype(complex)
+    elif name == "raised_cosine":
+        vals = RaisedCosineBump(lo, hi, height)(w)
+    elif name == "gaussian":
         sigma = params.get("sigma")
-        return GaussianBump(lo, hi, height, None if sigma is None else float(sigma))(omegas)
-    raise SupportViolation(f"unknown envelope {name!r}")
-
-
-def _envelope_on_grid(envelope_spec, grid_spec: GridSpec, lo: float, hi: float, hermitian: bool):
-    """The envelope on the grid's frequencies.  With hermitian=True it is
-    evaluated on omega >= 0 only and mirrored, so the spectrum is exactly
-    Hermitian (X(-w) == conj X(w) bit for bit) and takes the real path."""
-    if not hermitian:
-        return _envelope_values(envelope_spec, grid_spec.omegas(), lo, hi)
-    w = grid_spec.domega * np.arange(grid_spec.n // 2 + 1)
-    return mirror_half(_envelope_values(envelope_spec, w, lo, hi), grid_spec.n)
+        vals = GaussianBump(lo, hi, height, None if sigma is None else float(sigma))(w)
+    else:
+        raise SupportViolation(f"unknown envelope {name!r}")
+    return SampledSpectrum(grid_spec.omega0, grid_spec.domega, vals)
 
 
 def make_bandlimited_signal(
@@ -133,22 +128,18 @@ def make_bandlimited_signal(
     support: tuple[float, float],
     grid_spec: GridSpec,
     omega: float,
-    hermitian: bool = False,
 ) -> SampledSpectrum:
     """Spectrum that is `envelope` on `support` inside [-omega, omega].
 
-    With hermitian=True the support must be symmetric (lo == -hi) so the real
-    envelope yields an exactly Hermitian spectrum and a real-valued signal.
+    A symmetric support (lo == -hi) gives an exactly Hermitian spectrum and a
+    real signal; any other support gives a complex signal.
     """
     lo, hi = float(support[0]), float(support[1])
     if not (-omega <= lo < hi <= omega):
         raise SupportViolation(
             f"support [{lo}, {hi}] not inside the band [-{omega}, {omega}]"
         )
-    if hermitian and lo != -hi:
-        raise SupportViolation("hermitian option requires a symmetric support")
-    vals = _envelope_on_grid(envelope_spec, grid_spec, lo, hi, hermitian)
-    return SampledSpectrum(grid_spec.omega0, grid_spec.domega, vals)
+    return _envelope_spectrum(envelope_spec, grid_spec, lo, hi, lo == -hi)
 
 
 def make_highfreq_signal(
@@ -172,8 +163,7 @@ def make_highfreq_signal(
     top = grid_spec.omega0 + grid_spec.domega * (grid_spec.n - 1)
     if hi > top:
         raise SupportViolation(f"support end {hi} beyond grid maximum {top:.6g}")
-    vals = _envelope_on_grid(envelope_spec, grid_spec, lo, hi, hermitian)
-    return SampledSpectrum(grid_spec.omega0, grid_spec.domega, vals)
+    return _envelope_spectrum(envelope_spec, grid_spec, lo, hi, hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +415,10 @@ def ideal_lowpass_split(
     """Split X into (low, high) by the closed indicator |w| <= omega.
 
     The parts carry the original grid and sum to X bit-exactly; |w| == omega
-    goes to the LOW part.  On a centered grid |w_j| is |j - n/2|*domega, even
-    in j, so the parts of a Hermitian X are exactly Hermitian.
+    goes to the LOW part.  |w| is even on a centered grid, so the parts of a
+    Hermitian X are exactly Hermitian.
     """
-    n = len(spectrum.values)
-    if spectrum.omega0 == -(n // 2) * spectrum.domega:
-        mask = np.abs(np.arange(n) - n // 2) * spectrum.domega <= omega
-    else:
-        mask = np.abs(spectrum.omegas()) <= omega
+    mask = np.abs(spectrum.omegas()) <= omega
     low = np.where(mask, spectrum.values, 0.0 + 0.0j)
     high = np.where(mask, 0.0 + 0.0j, spectrum.values)
     return (
@@ -456,28 +442,25 @@ def add_outofband_noise(
     lo, hi = float(noise_support[0]), float(noise_support[1])
     if eta < 0:
         raise SupportViolation(f"eta must be >= 0, got {eta}")
-    if lo <= omega:
+    if not 0.0 < omega < lo:
         raise SupportViolation(
-            f"noise support [{lo}, {hi}] must be disjoint from [-{omega}, {omega}]"
+            f"noise support [{lo}, {hi}] must lie above the band [-{omega}, {omega}], omega > 0"
         )
     if eta == 0.0:
         return spectrum
 
     og = spectrum.omegas()
-    n = len(og)
     pos = np.where((og >= lo) & (og <= hi))[0]
-    pos = pos[og[pos] > 0]
     if len(pos) == 0:
         raise SupportViolation("noise support contains no positive-frequency grid points")
 
     rng = np.random.default_rng(seed)
-    noise = np.zeros(n, dtype=complex)
+    noise = np.zeros(len(og), dtype=complex)
     draws = rng.standard_normal(len(pos)) + 1j * rng.standard_normal(len(pos))
     noise[pos] = draws
-    # Hermitian mate: omega_{n-j} = -omega_j on the centered grid (j != 0).
-    mirror = n - pos
-    keep = (mirror > 0) & (mirror < n)
-    noise[mirror[keep]] = np.conj(draws[keep])
+    # Hermitian mate: index -j is n - j, and omega_{n-j} = -omega_j on the
+    # centered grid.
+    noise[-pos] = np.conj(draws)
 
     sig_energy = spectrum.energy()
     noise_energy = float(np.sum(np.abs(noise) ** 2) * spectrum.domega / (2 * np.pi))

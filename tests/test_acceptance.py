@@ -198,9 +198,7 @@ def test_c04_l2_error_convergence(single_pole, pipeline_grid):
     from bandcast import make_bandlimited_signal, make_highfreq_signal
 
     start = time.perf_counter()
-    x_low = make_bandlimited_signal(
-        "raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True
-    )
+    x_low = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0)
     x_high = make_highfreq_signal(
         "raised_cosine", (1.1, 2.0), pipeline_grid, 1.0, hermitian=True
     )

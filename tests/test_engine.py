@@ -10,6 +10,7 @@ from scipy.integrate import IntegrationWarning
 from bandcast import (
     PredictionResult,
     PredictorTransfer,
+    RaisedCosineBump,
     SampledSignal,
     SampledSpectrum,
     anticausal_convolve_oracle,
@@ -57,7 +58,7 @@ def test_gaussian_transform_pair():
 
 def test_round_trip_identity():
     g = GridSpec(2048, 400.0)
-    sig = fourier_inverse(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0, hermitian=True))
+    sig = fourier_inverse(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0))
     back = fourier_inverse(fourier_forward(sig))
     assert back.t0 == pytest.approx(sig.t0)
     assert np.max(np.abs(back.values - sig.values)) <= 1e-10 * np.max(np.abs(sig.values))
@@ -67,7 +68,7 @@ def test_round_trip_no_worse_than_phase_path():
     # The general phase path is the transform pair every grid used before
     # centered grids got exact signs; its rounding grows with n.
     for g in (GridSpec(2048, 400.0), GridSpec(2**16, 12800.0)):
-        sig = fourier_inverse(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0, hermitian=True))
+        sig = fourier_inverse(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0))
         back = fourier_inverse(fourier_forward(sig))
         spec = np.fft.fftshift(transforms._phased_spectrum(sig.values, sig.dt, sig.t0))
         phased = transforms._phased_signal(spec, g.omega0, g.domega, sig.t0)
@@ -103,7 +104,7 @@ def test_off_center_grids_take_phase_path(monkeypatch):
 
         monkeypatch.setattr(transforms, name, spy)
     g = GridSpec(2048, 400.0)
-    sig = fourier_inverse(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0, hermitian=True))
+    sig = fourier_inverse(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0))
     calls.clear()
     shifted = SampledSignal(g.t0 + 37.5, g.dt, sig.values)
     back = fourier_inverse(fourier_forward(shifted), t0=shifted.t0)
@@ -128,7 +129,7 @@ def test_transform_requires_power_of_two():
 
 def test_shift_theorem():
     g = GridSpec(2048, 400.0)
-    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0, hermitian=True)
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0)
     sig = fourier_inverse(spec)
     m = 64
     delayed = SampledSignal(g.t0, g.dt, np.roll(sig.values, m))
@@ -182,6 +183,31 @@ def test_oracle_against_fixed_order_gauss(single_pole):
 def test_oracle_rejects_nonuniform_grid(single_pole):
     with pytest.raises(GridMismatch):
         anticausal_convolve_oracle(single_pole, lambda s: 1.0, np.array([0.0, 1.0, 3.0]))
+
+
+_BAD_T_GRIDS = {
+    "nan": [0.0, np.nan, 2.0, 3.0],
+    "inf": [0.0, 1.0, 2.0, np.inf],
+    "descending": [3.0, 2.0, 1.0, 0.0],
+    "constant": [1.0, 1.0, 1.0, 1.0],
+    "single": [0.0],
+}
+
+
+@pytest.mark.parametrize("route", ["oracle", "mixed"])
+@pytest.mark.parametrize("name", list(_BAD_T_GRIDS))
+def test_t_grid_entry_points_reject_bad_grids_before_any_work(single_pole, monkeypatch, route, name):
+    t = np.array(_BAD_T_GRIDS[name])
+    calls = []
+    if route == "oracle":
+        with pytest.raises(GridMismatch):
+            anticausal_convolve_oracle(single_pole, lambda s: calls.append(s) or 1.0, t)
+    else:
+        monkeypatch.setattr(engine, "transfer_on_grid", lambda *args: calls.append(args))
+        ms = make_mixed_signal([(0.5, 1.0)], [RaisedCosineBump(-0.5, 0.5)], "LOW", 0.25, 1.0)
+        with pytest.raises(GridMismatch):
+            mixed_predict_ladder(ms, single_pole, [2.0, 5.0], t)
+    assert calls == []
 
 
 # Oracle outputs at t = -2, -1, 0, 1, 2 and tol 1e-9, recorded before the
@@ -324,13 +350,13 @@ def test_spectral_predict_zero_signal(single_pole, pipeline_grid):
 
 
 def test_spectral_predict_monotone_sweep(single_pole, pipeline_grid):
-    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
+    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0)
     errs = [spectral_predict(X, single_pole, g).err_l2 for g in (2, 5, 10, 20, 50)]
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
 def test_spectral_predict_scaling(single_pole, pipeline_grid):
-    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
+    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0)
     r1 = spectral_predict(X, single_pole, 5.0)
     X3 = SampledSpectrum(X.omega0, X.domega, 3.0 * X.values)
     r3 = spectral_predict(X3, single_pole, 5.0)
@@ -341,14 +367,14 @@ def test_spectral_predict_scaling(single_pole, pipeline_grid):
 def test_spectral_predict_zero_guard_allows_large_gamma(single_pole, pipeline_grid):
     # gamma = 800 saturates off-band, but the signal is zero there; the
     # zero-times-anything guard must keep the run clean.
-    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
+    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0)
     r = spectral_predict(X, single_pole, 800.0)
     assert np.isfinite(r.err_l2)
     assert r.err_l2 < 1e-10
 
 
 def test_spectral_predict_class_mismatch(single_pole, pipeline_grid):
-    X = make_bandlimited_signal("indicator", (5.0, 6.0), pipeline_grid, 8.0, hermitian=False)
+    X = make_bandlimited_signal("indicator", (5.0, 6.0), pipeline_grid, 8.0)
     with pytest.raises(ClassMismatch):
         spectral_predict(X, single_pole, 800.0)
 
@@ -374,7 +400,7 @@ def test_prediction_result_rejects_nonfinite_norms(pipeline_grid):
 
 def _class_signal(class_tag, grid):
     if class_tag == "LOW":
-        return make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+        return make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
     return make_highfreq_signal("raised_cosine", (1.2, 1.5), grid, 1.0, hermitian=True)
 
 
@@ -431,9 +457,13 @@ def _hermitian_inputs(n):
 
 
 def _complex_path_ladder(monkeypatch, X, kernel, gammas):
-    """The ladder with the Hermitian check disabled: every grid point, ifft."""
+    """The ladder with the Hermitian check disabled: every grid point, ifft.
+
+    Both checks go: K is evaluated on exactly antisymmetric frequencies, so
+    K*X is exactly Hermitian and the inverse would take irfft on its own."""
     with monkeypatch.context() as m:
         m.setattr(engine, "hermitian_half", lambda *args: None)
+        m.setattr(transforms, "hermitian_half", lambda *args: None)
         return list(spectral_predict_ladder(X, kernel, gammas))
 
 
@@ -657,7 +687,7 @@ def test_error_norms_grid_mismatch():
 
 def test_parseval_bridging(single_pole, pipeline_grid):
     # Time-domain error norm equals the frequency-domain one up to 1/sqrt(2pi).
-    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
+    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0)
     r = spectral_predict(X, single_pole, 5.0)
     w = X.omegas()
     K = transfer_on_grid(single_pole, w)
@@ -685,7 +715,7 @@ def test_pure_tone_chain_oracle_vs_atoms(single_pole):
 
 def test_prediction_result_validates_norms(single_pole, pipeline_grid):
     # The norms are derived from the samples, so they cannot disagree with them.
-    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0, hermitian=True)
+    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0)
     r = spectral_predict(X, single_pole, 5.0)
     assert (r.err_l2, r.err_linf) == error_norms(r.y, r.yhat)
     with pytest.raises(TypeError):

@@ -239,23 +239,21 @@ def test_robustness_full_strength_noise_grows_immediately():
 
 
 def test_decompose_in_band_only_reduces_to_low_sweep():
-    cfg = config_from_dict(
-        base_config(
-            signals=[
-                {
-                    "id": "mix",
-                    "kind": "composite",
-                    "parts": [
-                        {"envelope": "raised_cosine", "support": [-0.9, 0.9], "hermitian": True}
-                    ],
-                }
-            ]
+    # A part whose support reaches the band edge omega = 1 is band-limited
+    # too, and builds the same spectrum as the equal bandlimited entry.
+    for part in (
+        {"envelope": "raised_cosine", "support": [-0.9, 0.9]},
+        {"envelope": "indicator", "support": [-1.0, 1.0]},
+    ):
+        cfg = config_from_dict(
+            base_config(signals=[{"id": "mix", "kind": "composite", "parts": [part]}])
         )
-    )
-    report = run_decomposition_demo(cfg)
-    info = report.summary["mix"]
-    assert all(e == 0.0 for e in info["err_high"])
-    assert info["err_total"] == pytest.approx(info["err_low"], rel=1e-12)
+        report = run_decomposition_demo(cfg)
+        info = report.summary["mix"]
+        assert all(e == 0.0 for e in info["err_high"])
+        assert info["err_total"] == pytest.approx(info["err_low"], rel=1e-12)
+        entry = config_from_dict(base_config(signals=[{"id": "b", "kind": "bandlimited", **part}]))
+        assert info["err_low"] == [r.err_l2 for r in run_convergence_sweep(entry).rows]
 
 
 def test_decompose_off_band_only_mirror():

@@ -29,7 +29,7 @@ def grid():
 
 
 def test_indicator_bandlimited_is_sinc(grid):
-    sig = fourier_inverse(make_bandlimited_signal("indicator", (-1.0, 1.0), grid, 1.0, hermitian=True))
+    sig = fourier_inverse(make_bandlimited_signal("indicator", (-1.0, 1.0), grid, 1.0))
     t = sig.times()
     i0 = int(np.argmin(np.abs(t)))
     assert t[i0] == 0.0
@@ -42,7 +42,7 @@ def test_indicator_bandlimited_is_sinc(grid):
 
 
 def test_raised_cosine_support_exact_zero(grid):
-    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
     og = spec.omegas()
     assert np.all(spec.values[np.abs(og) >= 0.9] == 0.0)
     assert np.any(spec.values != 0.0)
@@ -51,8 +51,10 @@ def test_raised_cosine_support_exact_zero(grid):
 def test_bandlimited_support_validation(grid):
     with pytest.raises(SupportViolation):
         make_bandlimited_signal("indicator", (-1.2, 0.5), grid, 1.0)
-    with pytest.raises(SupportViolation):
-        make_bandlimited_signal("indicator", (-0.5, 0.9), grid, 1.0, hermitian=True)
+    # An asymmetric support builds a one-sided, non-Hermitian spectrum.
+    spec = make_bandlimited_signal("indicator", (-0.5, 0.9), grid, 1.0)
+    assert np.any(spec.values != 0.0)
+    assert hermitian_half(spec.values, spec.omega0, spec.domega) is None
 
 
 def test_parseval_consistency(grid):
@@ -60,7 +62,7 @@ def test_parseval_consistency(grid):
         (make_bandlimited_signal, (-0.9, 0.9)),
         (make_highfreq_signal, (1.1, 2.0)),
     ):
-        spec = maker("raised_cosine", support, grid, 1.0, hermitian=True)
+        spec = maker("raised_cosine", support, grid, 1.0)
         assert fourier_inverse(spec).energy() == pytest.approx(spec.energy(), rel=1e-12)
 
 
@@ -159,7 +161,7 @@ def test_mixed_evaluation_bounded_by_cstar():
 
 
 def test_split_trivial_cases(grid):
-    low_spec = make_bandlimited_signal("raised_cosine", (-0.5, 0.5), grid, 1.0, hermitian=True)
+    low_spec = make_bandlimited_signal("raised_cosine", (-0.5, 0.5), grid, 1.0)
     low, high = ideal_lowpass_split(low_spec, 1.0)
     assert np.array_equal(low.values, low_spec.values)
     assert np.all(high.values == 0.0)
@@ -203,20 +205,20 @@ def test_split_band_edge_goes_low():
 
 
 def test_noise_zero_eta_is_identity(grid):
-    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
     spec2 = add_outofband_noise(spec, 0.0, (1.05, 1.1), 1, 1.0)
     assert np.array_equal(spec2.values, spec.values)
 
 
 def test_noise_energy_ratio_exact(grid):
-    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
     spec2 = add_outofband_noise(spec, 1e-3, (1.05, 1.1), 42, 1.0)
     noise = SampledSpectrum(spec.omega0, spec.domega, spec2.values - spec.values)
     assert noise.energy() / spec.energy() == pytest.approx(1e-3, abs=1e-9)
 
 
 def test_noise_preserves_in_band_exactly(grid):
-    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
     spec2 = add_outofband_noise(spec, 1e-3, (1.05, 1.1), 42, 1.0)
     og = spec.omegas()
     inband = np.abs(og) <= 1.0
@@ -224,13 +226,13 @@ def test_noise_preserves_in_band_exactly(grid):
 
 
 def test_noise_keeps_signal_real(grid):
-    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
     sig2 = fourier_inverse(add_outofband_noise(spec, 1e-2, (1.05, 1.2), 3, 1.0))
     assert np.max(np.abs(sig2.values.imag)) < 1e-12 * np.max(np.abs(sig2.values.real))
 
 
 def test_noise_deterministic(grid):
-    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
     a = add_outofband_noise(spec, 1e-3, (1.05, 1.1), 42, 1.0)
     b = add_outofband_noise(spec, 1e-3, (1.05, 1.1), 42, 1.0)
     assert np.array_equal(a.values, b.values)
@@ -239,11 +241,23 @@ def test_noise_deterministic(grid):
 
 
 def test_noise_support_validation(grid):
-    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True)
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
     with pytest.raises(SupportViolation):
         add_outofband_noise(spec, 1e-3, (0.9, 1.1), 1, 1.0)
     with pytest.raises(SupportViolation):
         add_outofband_noise(spec, -1.0, (1.05, 1.1), 1, 1.0)
+
+
+@pytest.mark.parametrize("span", [400.0, 200.0 * math.pi], ids=["span400", "span200pi"])
+@pytest.mark.parametrize("n", [2, 2**11, 2**20])
+def test_centered_grid_frequencies_are_exactly_antisymmetric(n, span):
+    g = GridSpec(n, span)
+    spec = SampledSpectrum(g.omega0, g.domega, np.zeros(n))
+    for w in (g.omegas(), spec.omegas()):
+        assert w[n // 2] == 0.0 and w[0] == -(n // 2) * g.domega
+        assert np.array_equal(w[1:], -w[:0:-1])
+        assert np.all(np.diff(w) > 0)
+        assert np.max(np.abs(w - (g.omega0 + g.domega * np.arange(n)))) <= 4 * np.spacing(abs(g.omega0))
 
 
 def _assert_exactly_hermitian(spec):
@@ -260,11 +274,12 @@ def test_producers_are_exactly_hermitian(span, envelope):
     grid_ = GridSpec(2048, span)
     if span != 400.0:  # the band edge omega = 1 is grid point +-100
         assert 100 * grid_.domega == 1.0
-    low = make_bandlimited_signal(envelope, (-1.0, 1.0), grid_, 1.0, hermitian=True)
+    low = make_bandlimited_signal(envelope, (-1.0, 1.0), grid_, 1.0)
+    inner = make_bandlimited_signal(envelope, (-0.9, 0.9), grid_, 1.0)
     high = make_highfreq_signal(envelope, (1.0, 1.5), grid_, 1.0, hermitian=True)
     composite = SampledSpectrum(grid_.omega0, grid_.domega, low.values + high.values)
     noisy = add_outofband_noise(composite, 1e-3, (1.05, 1.1), 7, 1.0)
-    produced = [low, high, composite, noisy, *ideal_lowpass_split(noisy, 1.0)]
+    produced = [low, inner, high, composite, noisy, *ideal_lowpass_split(noisy, 1.0)]
     for spec in produced:
         _assert_exactly_hermitian(spec)
         assert np.any(spec.values != 0.0)
@@ -272,7 +287,7 @@ def test_producers_are_exactly_hermitian(span, envelope):
 
 
 def test_csv_and_json_serialization(grid):
-    sig = fourier_inverse(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0, hermitian=True))
+    sig = fourier_inverse(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0))
     text = signal_to_csv(sig)
     assert text.startswith("t,re,im\n")
     assert len(text.splitlines()) == grid.n + 1
