@@ -180,6 +180,30 @@ def _gauss_legendre_panels(lo: float, hi: float, panels: int, order: int = 8):
     return x, w
 
 
+def _phase_matrices(t: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Return x -> exp(1j * np.outer(t, x)), equal to it entry for entry.
+
+    The angles are taken on the distinct |t| only, so an exactly symmetric t
+    grid (``GridSpec(2048, 400).times()``) needs cos and sin on n/2 + 1 rows;
+    a row with t < 0 reuses its mirror with sin negated.  This is exact
+    because outer(-a, x) == -outer(a, x), and because numpy's float64 sin and
+    cos (libm's) are odd and even and agree with its complex exp(+-0 + i
+    theta) == (cos theta, sin theta); the tests pin both facts.  The only bits
+    that can differ are the signs of the zero imaginary parts on a t == 0 row.
+    """
+    abs_t, rows = np.unique(np.abs(t), return_inverse=True)
+    sign = np.copysign(1.0, t)[:, None]
+
+    def phase(x: np.ndarray) -> np.ndarray:
+        theta = np.outer(abs_t, x)
+        out = np.empty((len(t), len(x)), dtype=complex)
+        out.real = np.cos(theta)[rows]
+        np.multiply(np.sin(theta)[rows], sign, out=out.imag)
+        return out
+
+    return phase
+
+
 def _oscillatory_integral(
     density: Callable[[np.ndarray], np.ndarray],
     weight: Callable[[np.ndarray], np.ndarray] | None,
@@ -191,17 +215,25 @@ def _oscillatory_integral(
     """integral_lo^hi density(w) weight_c(w) e^{i w t} dw per t and column c.
 
     `weight` is None (weight 1), or returns one value per node, or a
-    (nodes, columns) array; the result is then (t,) or (t, columns).  Every
-    column shares one node set and one exp(i t w) matrix per pass, and the
-    weight is called once per pass.  Fixed-order Gauss panels, with the panel
-    count scaled to the oscillation count; a doubled-panel pass certifies
-    convergence of each column on its own (1e-9 relative + 1e-13).  Each
-    column is one matrix-vector product, so it is summed in the same order as
-    when integrated alone.
+    (nodes, columns) array; the result is then (t,) or (t, columns).  `t`
+    must be a non-empty, finite 1-D array (else `GridMismatch`, before any
+    work).  Every column shares one node set and one exp(i t w) matrix per
+    pass, and the weight is called once per pass.  The matrix is built from
+    real cos/sin on the distinct |t| (`_phase_matrices`), with the same
+    values as a complex exp of the outer product.  Fixed-order Gauss panels,
+    with the panel count scaled to the oscillation count; a doubled-panel
+    pass certifies convergence of each column on its own (1e-9 relative +
+    1e-13).  Each column is one matrix-vector product, so it is summed in the
+    same order as when integrated alone.
     """
     t = np.asarray(t_values, dtype=float)
-    tmax = float(np.max(np.abs(t))) if len(t) else 0.0
+    if t.ndim != 1 or len(t) == 0 or not np.all(np.isfinite(t)):
+        raise GridMismatch(
+            f"quadrature times must be a non-empty finite 1-D array, got shape {t.shape}"
+        )
+    tmax = float(np.max(np.abs(t)))
     panels = max(16, int(math.ceil((hi - lo) * (tmax + 1.0) / 3.0)))
+    phase_matrix = _phase_matrices(t)
 
     def compute(npanels: int) -> np.ndarray:
         x, w = _gauss_legendre_panels(lo, hi, npanels)
@@ -209,7 +241,7 @@ def _oscillatory_integral(
         if weight is not None:
             fx = fx * np.asarray(weight(x)).T  # (columns, nodes) or (nodes,)
         columns = np.ascontiguousarray(fx * w).reshape(-1, len(x))
-        phase = np.exp(1j * np.outer(t, x))
+        phase = phase_matrix(x)
         out = np.stack([phase @ col for col in columns], axis=1)
         return out if fx.ndim == 2 else out[:, 0]
 
@@ -437,7 +469,9 @@ def add_outofband_noise(
     """Add a Hermitian pseudo-random spectrum component on |w| in noise_support.
 
     The perturbation carries exactly eta * (signal energy); the in-band part
-    of the spectrum is untouched.  Deterministic given seed.
+    of the spectrum is untouched.  Deterministic given seed.  The mate of
+    grid point j is written at index -j, so the grid must be centered (n
+    even, omega0 == -(n/2) * domega), else `GridMismatch`.
     """
     lo, hi = float(noise_support[0]), float(noise_support[1])
     if eta < 0:
@@ -445,6 +479,12 @@ def add_outofband_noise(
     if not 0.0 < omega < lo:
         raise SupportViolation(
             f"noise support [{lo}, {hi}] must lie above the band [-{omega}, {omega}], omega > 0"
+        )
+    n = len(spectrum.values)
+    if n % 2 or spectrum.omega0 != -(n // 2) * spectrum.domega:
+        raise GridMismatch(
+            f"out-of-band noise needs a centered grid: n = {n}, omega0 = {spectrum.omega0!r}, "
+            f"-(n/2) * domega = {-(n // 2) * spectrum.domega!r}"
         )
     if eta == 0.0:
         return spectrum

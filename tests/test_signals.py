@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bandcast import (
+    GaussianBump,
     RaisedCosineBump,
     SampledDensity,
     SampledSpectrum,
@@ -17,9 +18,15 @@ from bandcast import (
     make_highfreq_signal,
     make_mixed_signal,
 )
-from bandcast.errors import ClassConstraintViolation, SupportViolation
+from bandcast.errors import ClassConstraintViolation, GridMismatch, SupportViolation
 from bandcast.grids import GridSpec
-from bandcast.signals import mixed_from_json_dict, mixed_to_json_dict, signal_to_csv
+from bandcast.signals import (
+    _gauss_legendre_panels,
+    _phase_matrices,
+    mixed_from_json_dict,
+    mixed_to_json_dict,
+    signal_to_csv,
+)
 from bandcast.transforms import hermitian_half
 
 
@@ -150,6 +157,77 @@ def test_sampled_density_mass_and_interp():
     assert cstar_norm(ms) == pytest.approx(np.trapezoid(np.abs(dens(w)), w), rel=1e-6)
 
 
+def _assert_phase_matrix_exact(t, x):
+    # Equal entry for entry; array_equal takes -0.0 == 0.0, which only a
+    # t == 0 row can need.
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    assert np.array_equal(_phase_matrices(t)(x), np.exp(1j * np.outer(t, x)))
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        GridSpec(2048, 400.0).times(),
+        np.linspace(-3.0, 5.0, 97),
+        np.array([-2.5, -1.0, 0.0, 0.5, 2.5]),
+        np.linspace(-3.0, 3.0, 8),
+    ],
+    ids=["centered", "off-center", "with-zero", "even-linspace"],
+)
+@pytest.mark.parametrize("band", [(-1.1, -0.3), (0.3, 1.1), (-0.6, 0.9)], ids=["neg", "pos", "mixed"])
+def test_phase_matrix_equals_complex_exp(t, band):
+    x, _ = _gauss_legendre_panels(*band, 7)
+    _assert_phase_matrix_exact(t, x)
+
+
+def test_phase_matrix_mirrors_an_exactly_symmetric_grid():
+    # GridSpec(2048, 400) has t_{n-j} == -t_j, so cos/sin run on n/2 + 1 rows.
+    t = GridSpec(2048, 400.0).times()
+    assert np.array_equal(t[1:], -t[:0:-1])
+    assert len(np.unique(np.abs(t))) == 2048 // 2 + 1
+
+
+def test_phase_matrix_property_random_grids_and_nodes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    finite = dict(allow_nan=False, allow_infinity=False)
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(
+        t0=st.floats(-500.0, 500.0, **finite),
+        dt=st.floats(1e-3, 10.0, **finite),
+        n=st.integers(1, 64),
+        x=st.lists(st.floats(-50.0, 50.0, **finite), min_size=1, max_size=32),
+    )
+    def check(t0, dt, n, x):
+        _assert_phase_matrix_exact(t0 + dt * np.arange(n), x)
+        _assert_phase_matrix_exact(np.linspace(-t0, t0, n), x)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "t",
+    [[0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [], [[0.0, 1.0], [2.0, 3.0]]],
+    ids=["nan", "inf", "empty", "2-D"],
+)
+@pytest.mark.parametrize(
+    "density",
+    [
+        RaisedCosineBump(0.1, 0.5, 2.0),
+        GaussianBump(0.1, 0.5, 2.0),
+        SampledDensity(np.linspace(1.3, 1.8, 21), np.ones(21)),
+    ],
+    ids=["raised_cosine", "gaussian", "sampled"],
+)
+def test_density_integral_rejects_bad_times_before_any_work(density, t):
+    def weight(w):
+        pytest.fail("the quadrature ran on a bad time grid")
+
+    with pytest.raises(GridMismatch):
+        density.integrate_against(weight, np.array(t))
+
+
 def test_mixed_evaluation_bounded_by_cstar():
     rng = np.random.default_rng(23)
     ms = make_mixed_signal(
@@ -246,6 +324,20 @@ def test_noise_support_validation(grid):
         add_outofband_noise(spec, 1e-3, (0.9, 1.1), 1, 1.0)
     with pytest.raises(SupportViolation):
         add_outofband_noise(spec, -1.0, (1.05, 1.1), 1, 1.0)
+
+
+def test_noise_rejects_off_center_grid(grid):
+    # Index -j is the mate of j only on a centered grid.  With omega0 moved
+    # by 0.9 domega the mates of (1.001, 1.1) used to land in band, at
+    # |w| = 0.991 and 0.975; on the odd grid -1, -0.5, 0, 0.5, 1 the mate
+    # of w = 1 was w = -0.5.
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
+    shifted = SampledSpectrum(spec.omega0 + 0.9 * spec.domega, spec.domega, spec.values)
+    with pytest.raises(GridMismatch):
+        add_outofband_noise(shifted, 1e-3, (1.001, 1.1), 1, 1.0)
+    odd = SampledSpectrum(-1.0, 0.5, np.ones(5, dtype=complex))
+    with pytest.raises(GridMismatch):
+        add_outofband_noise(odd, 1e-3, (0.9, 1.1), 1, 0.6)
 
 
 @pytest.mark.parametrize("span", [400.0, 200.0 * math.pi], ids=["span400", "span200pi"])
