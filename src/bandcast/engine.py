@@ -10,13 +10,14 @@ y(t) = integral_t^inf k(t-s) x(s) ds and its causal approximation:
 
 Each route exists to validate the other; keep them independent.
 
-The pipeline has a real path.  The kernel's coefficients are real and its
-poles conjugate-closed, so K, V and K_hat are Hermitian, and an exactly
-Hermitian X on a centered grid (one check, :func:`transforms.hermitian_half`)
-has real y and y_hat.  That X is carried as its omega >= 0 half: K and V are
-evaluated on the n/2 + 1 points omega >= 0 and each inverse is an irfft to
-float samples.  Any other X (a one-sided or complex-tone spectrum, an
-off-center grid) takes the complex path on every grid point.
+The pipeline runs on centered grids only (:mod:`bandcast.transforms`) and
+has a real path.  The kernel's coefficients are real and its poles
+conjugate-closed, so K, V and K_hat are Hermitian, and an exactly Hermitian
+X (one check, :func:`transforms.hermitian_half`) has real y and y_hat.  That
+X is carried as its omega >= 0 half: K and V are evaluated on the n/2 + 1
+points omega >= 0 and each inverse is an irfft to float samples.  Any other
+X (a one-sided or complex-tone spectrum) takes the complex path on every
+grid point.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .errors import (
     NonFiniteResult,
     QuadratureNotConverged,
 )
-from .grids import is_power_of_two
 from .kernels import (
     RationalAnticausalKernel,
     scalar_time_kernel,
@@ -49,28 +49,22 @@ from .predictor import (
     predictor_transfer_on_grid,
 )
 from .signals import MixedSpectrum, SampledSignal, SampledSpectrum, same_time_grid
-from .transforms import hermitian_half, mirror_half, signal_from_spectrum, spectrum_from_signal
-
-
-def _require_power_of_two(n: int) -> None:
-    if not is_power_of_two(n):
-        raise GridMismatch(f"transform length must be a power of two, got {n}")
+from .transforms import hermitian_half, require_centered, signal_from_spectrum, spectrum_from_signal
 
 
 def fourier_forward(signal: SampledSignal) -> SampledSpectrum:
-    """Grid approximation of X(i w) = integral e^{-i w t} x(t) dt."""
-    _require_power_of_two(len(signal.values))
+    """Grid approximation of X(i w) = integral e^{-i w t} x(t) dt on the
+    conjugate centered grid; the time grid must be centered (GridMismatch)."""
     vals, omega0, domega = spectrum_from_signal(signal.values, signal.dt, signal.t0)
     return SampledSpectrum(omega0, domega, vals)
 
 
-def fourier_inverse(spectrum: SampledSpectrum, t0: float | None = None) -> SampledSignal:
-    """Inverse transform onto the conjugate (centered by default) time grid."""
-    _require_power_of_two(len(spectrum.values))
-    vals, t0_out, dt = signal_from_spectrum(
-        spectrum.values, spectrum.omega0, spectrum.domega, t0=t0
-    )
-    return SampledSignal(t0_out, dt, vals)
+def fourier_inverse(spectrum: SampledSpectrum) -> SampledSignal:
+    """Inverse transform onto the conjugate centered time grid.  `spectrum` is
+    on a centered grid or is the omega >= 0 half of a Hermitian spectrum
+    (omega0 == 0, as real-path results carry it); else GridMismatch."""
+    vals, t0, dt = signal_from_spectrum(spectrum.values, spectrum.omega0, spectrum.domega)
+    return SampledSignal(t0, dt, vals)
 
 
 def _uniform_t_grid(t_grid) -> tuple[np.ndarray, float, float]:
@@ -173,8 +167,10 @@ class PredictionResult:
 
     ``err_l2`` and ``err_linf`` are derived from y and y_hat by
     :func:`error_norms` when the result is built, so they always describe the
-    samples.  ``yhat_spectrum`` is the guarded Y_hat the FFT route inverted
-    (None on the atomic-plus-density route).  Non-finite norms raise
+    samples.  ``yhat_spectrum`` is the guarded Y_hat exactly as the FFT route
+    inverted it: on the real path the omega >= 0 half, on its own grid
+    omega_k = k*domega, k = 0..n/2; else the full grid.  It is None on the
+    atomic-plus-density route.  Non-finite norms raise
     NonFiniteResult; y and y_hat on different grids raise GridMismatch.
     """
 
@@ -213,32 +209,27 @@ def spectral_predict_ladder(
 
     y does not depend on gamma, so K is evaluated and Y inverted once, here;
     the returned iterator computes each rung when it is reached and inverts
-    only its Y_hat.  An exactly Hermitian X on a centered grid is carried as
-    its omega >= 0 half (K and V on n/2 + 1 points, irfft, float y and
-    y_hat); any other X uses every grid point.  Wherever X = 0 exactly,
-    Y_hat is forced to 0 without evaluating the compensator, so off-band
-    blow-up cannot poison in-class runs; if X has energy where the
-    compensator saturates, ClassMismatch is raised when that rung is reached.
-    One result per gamma, in ladder order, all sharing one y; each carries
-    its guarded Y_hat on the full grid as ``yhat_spectrum``.  Between rungs
-    only y, the mask and the active points are kept.
+    only its Y_hat.  X must be on a centered grid (GridMismatch, raised
+    before K is evaluated).  An exactly Hermitian X is carried as its
+    omega >= 0 half (K and V on n/2 + 1 points, irfft, float y and y_hat);
+    any other X uses every grid point.  Wherever X = 0 exactly, Y_hat is
+    forced to 0 without evaluating the compensator, so off-band blow-up
+    cannot poison in-class runs; if X has energy where the compensator
+    saturates, ClassMismatch is raised when that rung is reached.  One
+    result per gamma, in ladder order, all sharing one y; each carries the
+    guarded Y_hat it inverted, on the half or the full grid, as
+    ``yhat_spectrum``.  Between rungs only y, the mask and the active points
+    are kept.
     """
+    require_centered(len(X.values), X.omega0, X.domega)
     predictors = [PredictorTransfer(kernel, gamma) for gamma in gammas]
-    n = len(X.values)
-    _require_power_of_two(n)
     half = hermitian_half(X.values, X.omega0, X.domega)
-    if half is None:
-        vals, w, n_half = X.values, X.omegas(), None
-    else:
-        vals, w, n_half = half, X.domega * np.arange(len(half)), n
-    active = vals != 0.0
-    Y = transfer_on_grid(kernel, w) * vals
-
-    def inverse(S: np.ndarray) -> SampledSignal:
-        sig, t0, dt = signal_from_spectrum(S, X.omega0, X.domega, n=n_half)
-        return SampledSignal(t0, dt, sig)
-
-    y = inverse(Y)
+    if half is not None:  # run on the half, on its own grid omega_k = k*domega
+        X = SampledSpectrum(0.0, X.domega, half)
+    w = X.omegas()
+    active = X.values != 0.0
+    Y = transfer_on_grid(kernel, w) * X.values
+    y = fourier_inverse(SampledSpectrum(X.omega0, X.domega, Y))
     p_active, Y_active = 1j * w[active], Y[active]
 
     def rung(predictor: PredictorTransfer) -> PredictionResult:
@@ -251,12 +242,9 @@ def spectral_predict_ladder(
             )
         Yhat = np.zeros(len(active), dtype=complex)
         Yhat[active] = v * Y_active
-        full = Yhat if n_half is None else mirror_half(Yhat, n)
+        spectrum = SampledSpectrum(X.omega0, X.domega, Yhat)
         return PredictionResult(
-            y=y,
-            yhat=inverse(Yhat),
-            gamma=predictor.gamma,
-            yhat_spectrum=SampledSpectrum(X.omega0, X.domega, full),
+            y=y, yhat=fourier_inverse(spectrum), gamma=predictor.gamma, yhat_spectrum=spectrum
         )
 
     return map(rung, predictors)

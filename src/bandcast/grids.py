@@ -3,10 +3,10 @@
 A :class:`GridSpec` describes a centered uniform time grid of ``n`` samples
 spanning ``span`` seconds: t_j = -span/2 + j*dt with dt = span/n.  Its
 conjugate frequency grid is the fftshifted DFT grid, ascending:
-omega_j = (j - n/2) * (2*pi/span), covering [-pi/dt, pi/dt).  All transform
-code in the package assumes this pairing.  Frequencies are computed as
-(j + omega0/domega) * domega: with n a power of two omega0/domega is exactly
--n/2, so omega_{n-j} == -omega_j bit for bit.
+omega_j = (j - n/2) * (2*pi/span), covering [-pi/dt, pi/dt).  Every transform
+in the package requires this pairing (:func:`is_centered`).  Frequencies
+are computed as (j + omega0/domega) * domega: with n a power of two
+omega0/domega is exactly -n/2, so omega_{n-j} == -omega_j bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +20,12 @@ from .errors import GridMismatch
 
 def is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
+
+
+def is_centered(n: int, origin: float, step: float) -> bool:
+    """n even and origin == -(n/2)*step exactly: the one grid every transform
+    takes, in time (t0, dt) and in frequency (omega0, domega)."""
+    return n % 2 == 0 and origin == -(n // 2) * step
 
 
 def uniform_omegas(omega0: float, domega: float, n: int) -> np.ndarray:

@@ -61,6 +61,7 @@ from .signals import (
     signal_to_csv,
 )
 from .svgplot import line_plot_svg
+from .transforms import mirror_half
 
 _ZERO_FLOOR = 1e-300
 
@@ -428,10 +429,14 @@ def _recombined_errors(signal_id: str, r_low, r_high) -> tuple[float, float]:
     (a) and (b) of :func:`run_decomposition_demo`."""
     gamma = r_low.gamma
     yhat_sum = r_low.yhat.values + r_high.yhat.values
-    spec = r_low.yhat_spectrum
-    combined = fourier_inverse(
-        SampledSpectrum(spec.omega0, spec.domega, spec.values + r_high.yhat_spectrum.values)
-    )
+    # Each side carries the Y_hat it inverted: the omega >= 0 half (omega0
+    # == 0) when its part is Hermitian, else the full grid (omega0 < 0).  A
+    # half beside a full grid is mirrored onto it before the sum.
+    whole, part = sorted((r_low.yhat_spectrum, r_high.yhat_spectrum), key=lambda s: s.omega0)
+    part_values = part.values
+    if part.omega0 != whole.omega0:
+        part_values = mirror_half(part.values, len(whole.values))
+    combined = fourier_inverse(SampledSpectrum(whole.omega0, whole.domega, part_values + whole.values))
     scale = max(float(np.max(np.abs(yhat_sum))), 1.0)
     split_gap = float(np.max(np.abs(yhat_sum - combined.values)))
     if split_gap > 1e-12 * scale:

@@ -371,7 +371,7 @@ def synthesize_time_predictor(
         raise SpectrumNotDecayed(
             f"|K_hat| = {end_mag:.3e} at the grid ends exceeds decay_tol = {decay_tol:g}"
         )
-    vals, t0, dt = signal_from_spectrum(khat_w, grid.omega0, grid.domega, n=grid.n)
+    vals, t0, dt = signal_from_spectrum(khat_w, 0.0, grid.domega)
     khat = SampledSignal(t0, dt, vals)
     t = khat.times()
     power = vals**2

@@ -30,7 +30,7 @@ from .errors import (
     QuadratureNotConverged,
     SupportViolation,
 )
-from .grids import GridSpec, uniform_omegas
+from .grids import GridSpec, is_centered, uniform_omegas
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +85,16 @@ class SampledSpectrum:
         return uniform_omegas(self.omega0, self.domega, len(self.values))
 
     def energy(self) -> float:
-        """(1/2pi) sum |X|^2 domega; equals the paired signal energy."""
-        return float(np.sum(np.abs(self.values) ** 2) * self.domega / (2.0 * np.pi))
+        """(1/2pi) sum |X|^2 domega; equals the paired signal energy.
+
+        An omega >= 0 half (omega0 == 0, see :mod:`bandcast.transforms`)
+        stands for its Hermitian mirror, as irfft reads it: DC and Nyquist
+        count their real parts once, every other point twice."""
+        power = np.abs(self.values) ** 2
+        if self.omega0 == 0.0:
+            power[0], power[-1] = self.values[0].real ** 2, self.values[-1].real ** 2
+            power[1:-1] *= 2.0
+        return float(np.sum(power) * self.domega / (2.0 * np.pi))
 
 
 def same_time_grid(a: SampledSignal, b: SampledSignal, tol: float = 1e-12) -> bool:
@@ -481,7 +489,7 @@ def add_outofband_noise(
             f"noise support [{lo}, {hi}] must lie above the band [-{omega}, {omega}], omega > 0"
         )
     n = len(spectrum.values)
-    if n % 2 or spectrum.omega0 != -(n // 2) * spectrum.domega:
+    if not is_centered(n, spectrum.omega0, spectrum.domega):
         raise GridMismatch(
             f"out-of-band noise needs a centered grid: n = {n}, omega0 = {spectrum.omega0!r}, "
             f"-(n/2) * domega = {-(n // 2) * spectrum.domega!r}"

@@ -4,38 +4,46 @@ Convention: forward transform approximates integral e^{-i*omega*t} x(t) dt
 with no prefactor; the inverse carries 1/(2*pi) and e^{+i*omega*t}.  Arrays
 only; the typed wrappers live in :mod:`bandcast.engine`.
 
-Frequency grids are ascending with omega_j = omega0 + j*domega.  For a time
-grid (t0, dt, n) the conjugate frequency grid is omega0 = -(n//2)*domega,
-domega = 2*pi/(n*dt); the pair round-trips exactly (up to rounding).
+Only centered grids are accepted: n a power of two, t0 == -(n/2)*dt and
+omega0 == -(n/2)*domega exactly (:func:`grids.is_centered`), with
+domega = 2*pi/(n*dt).  Anything else raises GridMismatch before any work.
+There every phase factor of the pair is (-1)^j, so both directions apply
+exact signs around a bare FFT instead of evaluating exp at arguments up to
+n*pi/2, whose rounding grows with n.
 
-Centered grids (n even, omega0 = -(n//2)*domega and t0 = -(n//2)*dt to within
-a few ulps) are the common case.  There every phase factor of the pair is
-(-1)^j, so both directions apply exact signs around a bare FFT instead of
-evaluating exp at arguments up to n*pi/2, whose rounding grows with n.  The
-general phase path covers every other grid.
-
-Real signals on centered grids take the real path.  Their spectra are
-Hermitian, X(-w) = conj X(w), so the omega >= 0 half X(k*domega),
-k = 0..n/2, carries the whole spectrum: the forward transform of float
-samples is an rfft mirrored onto the full grid (:func:`mirror_half`), and a
+Real signals take the real path.  Their spectra are Hermitian,
+X(-w) = conj X(w), so the omega >= 0 half X(k*domega), k = 0..n/2, carries
+the whole spectrum.  A half lives on its own grid, omega0 = 0, which no
+centered n-point grid has, so values and grid say which one they are: the
+inverse takes a half of n/2 + 1 values to float samples with irfft.  A full
 spectrum that is exactly Hermitian (:func:`hermitian_half`, one exact check)
-inverts with irfft to float samples.  A caller that already holds the half
-passes it with ``n`` and skips both the mirror and the check.
+takes the same path; any other inverts with a complex FFT.  The forward
+transform of float samples is an rfft mirrored onto the full grid
+(:func:`mirror_half`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# GridSpec.t0 = -span/2 and -(n//2)*dt with dt = 2*pi/(n*domega) agree only
-# to rounding (one ulp, 1.5e-11 s, at n = 2^20 and span 204800).
-_CENTER_ULPS = 4
+from .errors import GridMismatch
+from .grids import is_centered, is_power_of_two
 
 
-def _centered_origin(n: int, step: float, origin: float) -> bool:
-    """True when origin is -(n//2)*step to within a few ulps and n is even."""
-    center = -(n // 2) * step
-    return n % 2 == 0 and abs(origin - center) <= _CENTER_ULPS * np.spacing(abs(center))
+def _require_power_of_two(n: int) -> None:
+    if not is_power_of_two(n):
+        raise GridMismatch(f"transform length must be a power of two, got {n}")
+
+
+def require_centered(n: int, origin: float, step: float) -> None:
+    """GridMismatch unless n points from `origin` by `step` form a centered
+    power-of-two grid: the one grid rule of this module."""
+    _require_power_of_two(n)
+    if not is_centered(n, origin, step):
+        raise GridMismatch(
+            f"transforms need a centered grid: n = {n}, origin = {origin!r}, "
+            f"-(n/2) * step = {-(n // 2) * step!r}"
+        )
 
 
 def _alternate_signs(a: np.ndarray) -> np.ndarray:
@@ -46,7 +54,7 @@ def _alternate_signs(a: np.ndarray) -> np.ndarray:
 
 def hermitian_half(values: np.ndarray, omega0: float, domega: float) -> np.ndarray | None:
     """The omega >= 0 half X(k*domega), k = 0..n/2, of an exactly Hermitian
-    spectrum on a centered grid (omega0 == -(n//2)*domega, n even); else None.
+    spectrum on a centered grid (:func:`grids.is_centered`); else None.
 
     Exact means X(-w) == conj X(w) bit for bit at every mirrored pair, with
     real DC and Nyquist bins.  The Nyquist bin -(n/2)*domega is stored first
@@ -54,7 +62,7 @@ def hermitian_half(values: np.ndarray, omega0: float, domega: float) -> np.ndarr
     """
     n = len(values)
     h = n // 2
-    if n % 2 or omega0 != -h * domega or values[0].imag != 0.0 or values[h].imag != 0.0:
+    if not is_centered(n, omega0, domega) or values[0].imag != 0.0 or values[h].imag != 0.0:
         return None
     if not np.array_equal(values[h + 1 :], np.conj(values[h - 1 : 0 : -1])):
         return None
@@ -80,13 +88,15 @@ def mirror_half(half: np.ndarray, n: int) -> np.ndarray:
 
 
 def spectrum_from_signal(values: np.ndarray, dt: float, t0: float):
-    """Forward transform.  Returns (spectrum_values, omega0, domega)."""
+    """Forward transform of samples on the centered grid (t0, dt).
+
+    Returns (spectrum_values, omega0, domega) on the full centered grid.
+    """
     values = np.asarray(values)
     n = len(values)
+    require_centered(n, t0, dt)
     domega = 2.0 * np.pi / (n * dt)
     omega0 = -(n // 2) * domega
-    if not _centered_origin(n, dt, t0):
-        return np.fft.fftshift(_phased_spectrum(values, dt, t0)), omega0, domega
     # exp(-i*omega_k*t0) = (-1)^k at the FFT's k-th frequency.
     if np.isrealobj(values):
         # rfft's DC and Nyquist bins are real: the mirror is exactly Hermitian.
@@ -98,60 +108,34 @@ def spectrum_from_signal(values: np.ndarray, dt: float, t0: float):
     return np.fft.fftshift(spec), omega0, domega
 
 
-def _phased_spectrum(values: np.ndarray, dt: float, t0: float) -> np.ndarray:
-    """General forward path, in FFT order: dt * exp(-i*omega_k*t0) * fft(values)."""
-    omegas_fft = 2.0 * np.pi * np.fft.fftfreq(len(values), d=dt)
-    return dt * np.exp(-1j * omegas_fft * t0) * np.fft.fft(values)
+def signal_from_spectrum(values: np.ndarray, omega0: float, domega: float):
+    """Inverse transform onto the conjugate centered time grid.
 
-
-def signal_from_spectrum(
-    values: np.ndarray, omega0: float, domega: float, t0=None, n: int | None = None
-):
-    """Inverse transform onto the conjugate time grid.
-
-    Returns (signal_values, t0, dt).  The default t0 centers the grid; any
-    uniform frequency grid is accepted (a non-centered omega0 shows up as a
-    phase factor e^{i*omega_offset*t}).  An exactly Hermitian spectrum on a
-    centered grid comes back as float samples.
-
-    With ``n`` given, `values` is the omega >= 0 half X(k*domega),
-    k = 0..n/2, of a Hermitian spectrum on the centered n-point grid (as
-    :func:`hermitian_half` returns it), and the signal comes back real on the
-    centered time grid.
+    Returns (signal_values, t0, dt) with t0 = -(n/2)*dt.  `values` is either
+    the spectrum on the full centered n-point grid or, with omega0 == 0, the
+    omega >= 0 half X(k*domega), k = 0..n/2, of a Hermitian one (as
+    :func:`hermitian_half` returns it).  A half, and a full spectrum that is
+    exactly Hermitian, come back as float samples.  Any other grid raises
+    GridMismatch.
     """
     values = np.asarray(values, dtype=complex)
-    if n is None:
-        n, half = len(values), None
+    if omega0 == 0.0:
+        n, half = 2 * (len(values) - 1), values
+        _require_power_of_two(n)
     else:
-        half = values
-    dt = 2.0 * np.pi / (n * domega)
-    if t0 is None:
-        t0 = -(n // 2) * dt
-    centered = omega0 == -(n // 2) * domega and _centered_origin(n, dt, t0)
-    if half is None and centered:
+        n = len(values)
+        require_centered(n, omega0, domega)
         half = hermitian_half(values, omega0, domega)
+    dt = 2.0 * np.pi / (n * domega)
     if half is not None:
-        if not centered or len(half) != n // 2 + 1:
-            raise ValueError(f"a half spectrum is n/2 + 1 = {n // 2 + 1} values on the centered grid")
         # x_j = (n*domega/2pi) * irfft((-1)^k X(k*domega))_j: the phases
         # e^{i*omega0*t_j} and e^{-i*omega_k*t0} cancel on a centered grid.
         sig = np.fft.irfft(_alternate_signs(np.array(half)), n)
         sig *= domega * n / (2.0 * np.pi)
-    elif centered:
+    else:
         # Both phases are (-1)^j; exp(i*omega0*t_j) also carries (-1)^(n/2).
         sig = np.array(values)
         np.fft.ifft(_alternate_signs(sig), out=sig)
         _alternate_signs(sig)
         sig *= (-1.0 if (n // 2) % 2 else 1.0) * (domega * n / (2.0 * np.pi))
-    else:
-        sig = _phased_signal(values, omega0, domega, t0)
-    return sig, float(t0), dt
-
-
-def _phased_signal(values: np.ndarray, omega0: float, domega: float, t0: float) -> np.ndarray:
-    """General inverse path onto the time grid starting at t0."""
-    n = len(values)
-    dt = 2.0 * np.pi / (n * domega)
-    t = t0 + dt * np.arange(n)
-    inner = values * np.exp(1j * np.arange(n) * domega * t0)
-    return (domega * n / (2.0 * np.pi)) * np.exp(1j * omega0 * t) * np.fft.ifft(inner)
+    return sig, float(-(n // 2) * dt), dt

@@ -74,3 +74,20 @@ def hermitian_random_band_spectrum(rng, grid, support, base_height=1.0):
     mirrored[idx] = np.conj(vals[n - idx])
     vals = 0.5 * (vals + mirrored)
     return SampledSpectrum(grid.omega0, grid.domega, vals)
+
+
+def phased_spectrum(values, dt, t0):
+    """Reference forward transform on any uniform time grid, in FFT order:
+    dt * exp(-i*omega_k*t0) * fft(values), phases evaluated with exp."""
+    omegas_fft = 2.0 * np.pi * np.fft.fftfreq(len(values), d=dt)
+    return dt * np.exp(-1j * omegas_fft * t0) * np.fft.fft(values)
+
+
+def phased_signal(values, omega0, domega, t0):
+    """Reference inverse transform of a spectrum on any uniform frequency
+    grid onto the time grid starting at t0, phases evaluated with exp."""
+    n = len(values)
+    dt = 2.0 * np.pi / (n * domega)
+    t = t0 + dt * np.arange(n)
+    inner = values * np.exp(1j * np.arange(n) * domega * t0)
+    return (domega * n / (2.0 * np.pi)) * np.exp(1j * omega0 * t) * np.fft.ifft(inner)

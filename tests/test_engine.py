@@ -42,7 +42,12 @@ from bandcast.errors import (
 )
 from bandcast.grids import GridSpec
 from bandcast.kernels import transfer_on_grid
-from helpers import hermitian_random_band_spectrum, random_mixed_signal
+from helpers import (
+    hermitian_random_band_spectrum,
+    phased_signal,
+    phased_spectrum,
+    random_mixed_signal,
+)
 
 LADDERS = {"LOW": [2, 5, 10, 20, 50], "HIGH": [-2, -5, -10, -20, -50]}
 
@@ -60,18 +65,18 @@ def test_round_trip_identity():
     g = GridSpec(2048, 400.0)
     sig = fourier_inverse(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0))
     back = fourier_inverse(fourier_forward(sig))
-    assert back.t0 == pytest.approx(sig.t0)
+    assert back.t0 == sig.t0
     assert np.max(np.abs(back.values - sig.values)) <= 1e-10 * np.max(np.abs(sig.values))
 
 
 def test_round_trip_no_worse_than_phase_path():
-    # The general phase path is the transform pair every grid used before
-    # centered grids got exact signs; its rounding grows with n.
+    # The phase reference (tests/helpers.py) is the transform pair every grid
+    # used before centered grids got exact signs; its rounding grows with n.
     for g in (GridSpec(2048, 400.0), GridSpec(2**16, 12800.0)):
         sig = fourier_inverse(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0))
         back = fourier_inverse(fourier_forward(sig))
-        spec = np.fft.fftshift(transforms._phased_spectrum(sig.values, sig.dt, sig.t0))
-        phased = transforms._phased_signal(spec, g.omega0, g.domega, sig.t0)
+        spec = np.fft.fftshift(phased_spectrum(sig.values, sig.dt, sig.t0))
+        phased = phased_signal(spec, g.omega0, g.domega, sig.t0)
         assert back.t0 == sig.t0
         err = np.max(np.abs(back.values - sig.values))
         assert err <= np.max(np.abs(phased - sig.values))
@@ -85,40 +90,34 @@ def test_sign_path_matches_phase_path(n):
     rng = np.random.default_rng(n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     sig, t0, dt = transforms.signal_from_spectrum(v, g.omega0, g.domega)
-    ref = transforms._phased_signal(v, g.omega0, g.domega, t0)
+    ref = phased_signal(v, g.omega0, g.domega, t0)
     assert np.max(np.abs(sig - ref)) <= 1e-9 * np.max(np.abs(ref))
     spec, omega0, domega = transforms.spectrum_from_signal(v, g.dt, g.t0)
-    ref = np.fft.fftshift(transforms._phased_spectrum(v, g.dt, g.t0))
+    ref = np.fft.fftshift(phased_spectrum(v, g.dt, g.t0))
     assert (omega0, domega) == (g.omega0, g.domega)
     assert np.max(np.abs(spec - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
-def test_off_center_grids_take_phase_path(monkeypatch):
-    calls = []
-    for name in ("_phased_signal", "_phased_spectrum"):
-        original = getattr(transforms, name)
-
-        def spy(*args, original=original, name=name):
-            calls.append(name)
-            return original(*args)
-
-        monkeypatch.setattr(transforms, name, spy)
+def test_off_center_grids_raise_grid_mismatch(single_pole, monkeypatch):
+    # Every transform takes the centered grid only; off it nothing is computed.
     g = GridSpec(2048, 400.0)
-    sig = fourier_inverse(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0))
-    calls.clear()
-    shifted = SampledSignal(g.t0 + 37.5, g.dt, sig.values)
-    back = fourier_inverse(fourier_forward(shifted), t0=shifted.t0)
-    assert calls == ["_phased_spectrum", "_phased_signal"]
-    assert back.t0 == shifted.t0
-    assert np.max(np.abs(back.values - sig.values)) <= 1e-10 * np.max(np.abs(sig.values))
-    # An omega0 off -(n//2)*domega is a frequency shift: x(t) e^{i*shift*t}.
-    calls.clear()
-    X = fourier_forward(sig)
-    shift = 5 * g.domega
-    moved = fourier_inverse(SampledSpectrum(X.omega0 + shift, X.domega, X.values))
-    assert calls == ["_phased_signal"]
-    expected = sig.values * np.exp(1j * shift * sig.times())
-    assert np.max(np.abs(moved.values - expected)) <= 1e-10 * np.max(np.abs(sig.values))
+    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0)
+    sig = fourier_inverse(X)
+    for t0 in (g.t0 + 37.5, np.nextafter(sig.t0, 0.0)):
+        with pytest.raises(GridMismatch):
+            fourier_forward(SampledSignal(t0, sig.dt, sig.values))
+    moved = SampledSpectrum(X.omega0 + 5 * g.domega, X.domega, X.values)
+    with pytest.raises(GridMismatch):
+        fourier_inverse(moved)
+    with pytest.raises(GridMismatch):
+        transforms.signal_from_spectrum(moved.values, moved.omega0, moved.domega)
+
+    def no_transfer(kernel, w):
+        raise AssertionError("K evaluated on an off-center grid")
+
+    monkeypatch.setattr(engine, "transfer_on_grid", no_transfer)
+    with pytest.raises(GridMismatch):
+        spectral_predict_ladder(moved, single_pole, LADDERS["LOW"])
 
 
 def test_transform_requires_power_of_two():
@@ -494,9 +493,35 @@ def test_real_path_matches_complex_path(monkeypatch, request, n, kernel_name):
             assert abs(r.err_linf - c.err_linf) <= 1e-12 * (np.max(np.abs(y.values)) + yhat_linf)
             assert r.err_l2 == pytest.approx(c.err_l2, rel=1e-9)
             assert r.err_linf == pytest.approx(c.err_linf, rel=1e-9)
-            assert np.max(np.abs(r.yhat_spectrum.values - c.yhat_spectrum.values)) <= 1e-12 * np.max(
-                np.abs(c.yhat_spectrum.values)
-            )
+            # The real path carries the omega >= 0 half it inverted; the
+            # complex path's Nyquist bin is stored first, at -(n/2)*domega.
+            assert r.yhat_spectrum.omega0 == 0.0 and len(r.yhat_spectrum.values) == n // 2 + 1
+            full = c.yhat_spectrum.values
+            c_half = np.append(full[n // 2 :], np.conj(full[0]))
+            assert np.max(np.abs(r.yhat_spectrum.values - c_half)) <= 1e-12 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("n, span", [(2, 20.0), (2**11, 400.0)])
+def test_results_carry_the_spectrum_they_inverted(single_pole, n, span):
+    # LOW Hermitian X takes the real path and carries the omega >= 0 half;
+    # a one-sided complex X takes the complex path and carries the full grid.
+    # At n = 2 a half and a full grid have the same length and differ by
+    # omega0; any real pair is Hermitian there, so the one-sided X is i times
+    # a real one-sided spectrum.
+    g = GridSpec(n, span)
+    one_sided = make_bandlimited_signal("raised_cosine", (-0.9, 0.2), g, 1.0)
+    one_sided = SampledSpectrum(g.omega0, g.domega, 1j * one_sided.values)
+    for X, real in ((_class_signal("LOW", g), True), (one_sided, False)):
+        assert np.any(X.values != 0.0)
+        for r in spectral_predict_ladder(X, single_pole, LADDERS["LOW"]):
+            spec = r.yhat_spectrum
+            assert (spec.omega0 == 0.0) == real
+            assert len(spec.values) == (n // 2 + 1 if real else n)
+            back = fourier_inverse(spec)
+            assert back.values.dtype == r.yhat.values.dtype
+            assert (back.t0, back.dt) == (r.yhat.t0, r.yhat.dt)
+            assert np.array_equal(back.values, r.yhat.values)
+            assert spec.energy() == pytest.approx(r.yhat.energy(), rel=1e-12)
 
 
 def test_one_ulp_off_hermitian_takes_complex_path(single_pole, pipeline_grid):
@@ -523,13 +548,14 @@ def test_half_spectrum_needs_its_length_and_the_centered_grid(pipeline_grid):
     g = pipeline_grid
     half = np.zeros(g.n // 2 + 1, dtype=complex)
     half[0] = 1.0
-    sig, t0, dt = transforms.signal_from_spectrum(half, g.omega0, g.domega, n=g.n)
+    # A half lives on its own grid, omega_k = k*domega: omega0 == 0 says it is one.
+    sig, t0, dt = transforms.signal_from_spectrum(half, 0.0, g.domega)
     assert sig.dtype == np.float64 and (t0, dt) == pytest.approx((g.t0, g.dt))
     assert np.allclose(sig, g.domega / (2 * np.pi))  # X = delta at DC
-    with pytest.raises(ValueError):
-        transforms.signal_from_spectrum(half[:-1], g.omega0, g.domega, n=g.n)
-    with pytest.raises(ValueError):
-        transforms.signal_from_spectrum(half, g.omega0 + g.domega, g.domega, n=g.n)
+    with pytest.raises(GridMismatch):
+        transforms.signal_from_spectrum(half[:-1], 0.0, g.domega)
+    with pytest.raises(GridMismatch):
+        transforms.signal_from_spectrum(half, g.omega0 + g.domega, g.domega)
 
 
 @pytest.mark.parametrize("n", [2**11, 2**16])

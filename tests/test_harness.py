@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bandcast import harness, transforms
 from bandcast.errors import ClassMismatch, ConfigError, QuadratureNotConverged
 from bandcast.harness import (
     cli_main,
@@ -297,6 +298,25 @@ def test_decompose_mixed_support_combined_ladder():
     assert all(r.monotone_ok for r in report.rows)
 
 
+def test_decompose_one_sided_high_part():
+    # The symmetric LOW part is carried as its omega >= 0 half, the one-sided
+    # HIGH part on the full grid; check (a) sums them on the full grid.  The
+    # err_l2 values are pinned as the full-grid version of check (a) gave them.
+    part = {"envelope": "raised_cosine", "support": [-0.9, 0.9], "hermitian": True}
+    high = {"envelope": "raised_cosine", "support": [1.2, 1.5], "hermitian": False}
+    cfg = config_from_dict(
+        base_config(signals=[{"id": "mix", "kind": "composite", "parts": [part, high]}])
+    )
+    report = run_decomposition_demo(cfg)
+    assert [r.err_l2 for r in report.rows] == [
+        0.07269457377040017,
+        0.020419292849063745,
+        0.0048616941254093615,
+        0.000343952754855864,
+        3.6055731902022107e-07,
+    ]
+
+
 def test_cli_unknown_subcommand_exits_2(tmp_path):
     assert cli_main(["frobnicate", "--config", "x.json"]) == 2
 
@@ -382,20 +402,24 @@ def test_cli_monotonicity_failure_names_its_signal(tmp_path, monkeypatch, capsys
 )
 def test_inverse_transform_budget(monkeypatch, name, op, inverses):
     # Grid signals are spectra: no op inverts a signal it does not predict.
-    # The configs' signals are Hermitian, so every inverse is a real one.
+    # The configs' signals are Hermitian, so every inverse is a real one, and
+    # results carry the halves they inverted: nothing is mirrored.
     cfg = config_from_dict(json.loads((ROOT / "configs" / f"{name}.json").read_text()))
     calls = []
-    for fn_name in ("ifft", "irfft"):
-        fn = getattr(np.fft, fn_name)
+    for module, fn_name in ((np.fft, "ifft"), (np.fft, "irfft"), (transforms, "mirror_half")):
+        fn = getattr(module, fn_name)
 
         def counted(*args, fn=fn, fn_name=fn_name, **kwargs):
             calls.append(fn_name)
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, fn_name, counted)
+        monkeypatch.setattr(module, fn_name, counted)
+        if module is transforms:
+            monkeypatch.setattr(harness, fn_name, counted)
     op(cfg)
-    assert len(calls) == inverses
+    assert calls.count("irfft") == inverses
     assert calls.count("ifft") == 0
+    assert calls.count("mirror_half") == 0
 
 
 def test_cli_validate_ok(tmp_path):
