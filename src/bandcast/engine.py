@@ -94,6 +94,13 @@ def anticausal_convolve_oracle(
     That cut assumes |k(-u)| <= exp(-min_rate*u), which is not checked:
     repeated poles and large residues break it (see "Known defects" in
     perfbench/README.md).
+
+    Each t-point runs two real QUADPACK passes, one per part of the
+    integrand, and combines them as re + 1j*im.  k(-u) is computed once per
+    distinct node u for the whole call (QUADPACK places nearly the same
+    nodes at every t), and x once per distinct (t, u).  A part whose value
+    or error estimate is not finite raises NonFiniteResult; a part whose
+    error exceeds tol * max(|value|, 1) raises QuadratureNotConverged.
     """
     if not (math.isfinite(tol) and 0.0 < tol < 1.0):
         raise DomainError(f"oracle tol must be finite with 0 < tol < 1, got {tol}")
@@ -101,25 +108,42 @@ def anticausal_convolve_oracle(
     # One extra decay constant puts exp(-min_rate * upper) strictly below tol.
     upper = (-math.log(tol) + 1.0) / kernel.min_pole_rate
     k = scalar_time_kernel(kernel)
+    k_memo: dict[float, float] = {}
 
     out = np.empty(len(t), dtype=complex)
     for i, ti in enumerate(t.tolist()):
-        # complex_func runs a real and an imaginary pass over shared nodes.
         memo: dict[float, complex] = {}
 
-        def integrand(u, ti=ti, memo=memo):
-            if u not in memo:
-                memo[u] = k(-u) * complex(x(ti + u))
-            return memo[u]
+        def value(u, ti=ti, memo=memo):
+            ku = k_memo.get(u)
+            if ku is None:
+                ku = k_memo[u] = k(-u)
+            v = memo[u] = ku * complex(x(ti + u))
+            return v
 
-        val, err = quad(integrand, 0.0, upper, limit=400, epsabs=1e-12, epsrel=tol,
-                        complex_func=True)
-        for part_val, part_err in ((val.real, err.real), (val.imag, err.imag)):
+        def real_part(u, memo=memo, value=value):
+            v = memo.get(u)
+            return (value(u) if v is None else v).real
+
+        def imag_part(u, memo=memo, value=value):
+            v = memo.get(u)
+            return (value(u) if v is None else v).imag
+
+        parts = [
+            quad(part, 0.0, upper, limit=400, epsabs=1e-12, epsrel=tol)
+            for part in (real_part, imag_part)
+        ]
+        for part_val, part_err in parts:
+            if not (math.isfinite(part_val) and math.isfinite(part_err)):
+                raise NonFiniteResult(
+                    f"oracle integral {part_val!r} (error {part_err!r}) at t = {ti:g}"
+                )
             if part_err > tol * max(abs(part_val), 1.0):
                 raise QuadratureNotConverged(
                     f"oracle quadrature error {part_err:.3e} at t = {ti:g}"
                 )
-        out[i] = val
+        (re, _), (im, _) = parts
+        out[i] = re + 1j * im
     return SampledSignal(t0, dt, out)
 
 
@@ -130,11 +154,13 @@ def causal_convolve(
 
     Uses only lags in [0, M] of khat (strictly causal); x is zero-extended
     before its grid.  khat's grid must contain the lag range at x's spacing.
+    A horizon that is not positive (or NaN) raises InsufficientHistory; a
+    non-finite sample of x or of the taps used raises NonFiniteResult.
     """
     dt = x.dt
     if abs(khat.dt - dt) > 1e-12 * dt:
         raise GridMismatch(f"khat dt = {khat.dt:g} differs from signal dt = {dt:g}")
-    if horizon_m <= 0:
+    if not horizon_m > 0:
         raise InsufficientHistory(f"horizon must be positive, got {horizon_m}")
     if horizon_m > x.span + 1e-12 * x.span:
         raise InsufficientHistory(
@@ -154,6 +180,9 @@ def causal_convolve(
             f"khat grid does not cover lags [0, {horizon_m:g}]"
         )
     taps = khat.values[offset : offset + lags + 1].copy()
+    for name, values in (("x", x.values), ("khat", taps)):
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteResult(f"causal_convolve: {name} has non-finite samples")
     taps[0] *= 0.5
     taps[-1] *= 0.5
     taps *= dt
@@ -196,9 +225,11 @@ def error_norms(y: SampledSignal, yhat: SampledSignal) -> tuple[float, float]:
     """(trapezoid L2, sup) norms of y - yhat on their shared grid."""
     if not same_time_grid(y, yhat):
         raise GridMismatch("error norms need a shared grid")
-    diff = np.abs(y.values - yhat.values)
+    diff = y.values - yhat.values
+    diff = np.abs(diff) if np.iscomplexobj(diff) else np.abs(diff, out=diff)
     err_linf = float(np.max(diff))
-    err_l2 = float(math.sqrt(np.trapezoid(diff**2, dx=y.dt)))
+    np.multiply(diff, diff, out=diff)
+    err_l2 = float(math.sqrt(np.trapezoid(diff, dx=y.dt)))
     return err_l2, err_linf
 
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.integrate import quad
 
 from bandcast import build_kernel
+from bandcast.kernels import scalar_time_kernel
 from bandcast.signals import RaisedCosineBump, make_mixed_signal
 
 
@@ -91,3 +95,23 @@ def phased_signal(values, omega0, domega, t0):
     t = t0 + dt * np.arange(n)
     inner = values * np.exp(1j * np.arange(n) * domega * t0)
     return (domega * n / (2.0 * np.pi)) * np.exp(1j * omega0 * t) * np.fft.ifft(inner)
+
+
+def oracle_reference(kernel, x, t, tol):
+    """Reference anticausal oracle values at the points t: one
+    quad(..., complex_func=True) pass per t-point, k(-u) evaluated at every
+    node visit, x once per distinct (t, u)."""
+    upper = (-math.log(tol) + 1.0) / kernel.min_pole_rate
+    k = scalar_time_kernel(kernel)
+    out = np.empty(len(t), dtype=complex)
+    for i, ti in enumerate(np.asarray(t, dtype=float).tolist()):
+        memo = {}
+
+        def integrand(u, ti=ti, memo=memo):
+            if u not in memo:
+                memo[u] = k(-u) * complex(x(ti + u))
+            return memo[u]
+
+        out[i] = quad(integrand, 0.0, upper, limit=400, epsabs=1e-12, epsrel=tol,
+                      complex_func=True)[0]
+    return out

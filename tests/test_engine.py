@@ -33,6 +33,7 @@ from bandcast import (
 )
 from bandcast import engine, transforms
 from bandcast.errors import (
+    BandcastError,
     ClassMismatch,
     DomainError,
     GridMismatch,
@@ -41,9 +42,10 @@ from bandcast.errors import (
     QuadratureNotConverged,
 )
 from bandcast.grids import GridSpec
-from bandcast.kernels import transfer_on_grid
+from bandcast.kernels import partial_fraction_expand, transfer_on_grid
 from helpers import (
     hermitian_random_band_spectrum,
+    oracle_reference,
     phased_signal,
     phased_spectrum,
     random_mixed_signal,
@@ -306,6 +308,100 @@ def test_oracle_convergence_checked_per_part(single_pole, x):
     assert np.max(np.abs(calm.values + complex(1e9, 1e9))) < 1e-3
     with pytest.warns(IntegrationWarning), pytest.raises(QuadratureNotConverged, match="t = 0$"):
         anticausal_convolve_oracle(single_pole, x, t, tol=1e-12)
+
+
+def _real_input(s):
+    return math.cos(1.3 * s) * math.exp(-0.1 * s * s)
+
+
+@pytest.mark.parametrize("x_name", ["tone", "sinc", "real"])
+@pytest.mark.parametrize("kernel_name", ["single_pole", "triple_pole", "double_pair"])
+def test_oracle_bits_match_complex_func_reference(kernel_name, x_name, single_pole, triple_pole):
+    kernel = {
+        "single_pole": single_pole,
+        "triple_pole": triple_pole,
+        "double_pair": build_kernel([(0.8, 0.6, 2), (0.8, -0.6, 2)], [1.0, -0.5, 0.25], 1.0),
+    }[kernel_name]
+    x = {"tone": _tone, "sinc": _sinc, "real": _real_input}[x_name]
+    t = np.linspace(-2.0, 2.0, 5)
+    y = anticausal_convolve_oracle(kernel, x, t, tol=1e-9)
+    assert np.array_equal(y.values, oracle_reference(kernel, x, t, 1e-9))
+
+
+def test_oracle_bits_match_reference_on_random_kernels():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def kernels(draw):
+        """1-2 pole groups, rate 0.3-2.5, multiplicity 1-3, real or paired."""
+        omega = draw(st.floats(0.5, 2.0))
+        poles = []
+        for _ in range(draw(st.integers(1, 2))):
+            a, mult = draw(st.floats(0.3, 2.5)), draw(st.integers(1, 3))
+            if draw(st.booleans()):
+                poles.append((a, 0.0, mult))
+            else:
+                b = draw(st.floats(0.1, 0.85)) * omega
+                poles += [(a, b, mult), (a, -b, mult)]
+        degree = sum(m for (_a, _b, m) in poles)
+        coeffs = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=degree))
+        try:  # the library refuses some draws, as NumericalDegeneracy
+            kernel = build_kernel(poles, coeffs, omega)
+            partial_fraction_expand(kernel)
+        except BandcastError:
+            hypothesis.assume(False)
+        return kernel
+
+    @hypothesis.settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(kernel=kernels(), w0=st.floats(-3.0, 3.0))
+    def check(kernel, w0):
+        def x(s):
+            return cmath.exp(1j * w0 * s)
+
+        t = np.linspace(-3.0, 3.0, 4)
+        y = anticausal_convolve_oracle(kernel, x, t, tol=1e-9)
+        assert np.all(np.isfinite(y.values))
+        assert np.array_equal(y.values, oracle_reference(kernel, x, t, 1e-9))
+
+    check()
+
+
+def test_oracle_evaluates_kernel_once_per_distinct_node(conjugate_pair, monkeypatch):
+    k_args, x_args = [], []
+    scalar_time_kernel = engine.scalar_time_kernel
+
+    def counting_kernel(kernel):
+        k = scalar_time_kernel(kernel)
+
+        def counted(t):
+            k_args.append(t)
+            return k(t)
+
+        return counted
+
+    def x(s):
+        x_args.append(s)
+        return _tone(s)
+
+    monkeypatch.setattr(engine, "scalar_time_kernel", counting_kernel)
+    t = np.linspace(-3.0, 3.0, 7)
+    y = anticausal_convolve_oracle(conjugate_pair, x, t, tol=1e-9)
+    assert np.array_equal(y.values, oracle_reference(conjugate_pair, _tone, t, 1e-9))
+    assert len(set(k_args)) == len(k_args)
+    assert 0 < len(k_args) < len(x_args)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [lambda s: math.nan, lambda s: math.inf, lambda s: complex(1.0, math.nan)],
+    ids=["nan", "inf", "complex-nan"],
+)
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_oracle_rejects_non_finite_integral(single_pole, x):
+    # A NaN value and error pass the convergence check err > tol*max(|val|, 1).
+    with pytest.raises(NonFiniteResult, match="t = -1$"):
+        anticausal_convolve_oracle(single_pole, x, np.linspace(-1.0, 1.0, 4))
 
 
 def test_causal_identity_kernel():
@@ -587,6 +683,26 @@ def test_causal_horizon_shorter_than_one_step():
     assert np.allclose(out.values[1:], dt)  # trapezoid over [0, dt]: (1/2 + 1/2)*dt
 
 
+def test_causal_rejects_nan_horizon_and_non_finite_input():
+    dt = 0.1
+    x = SampledSignal(0.0, dt, np.ones(64))
+    khat = SampledSignal(0.0, dt, np.ones(64))
+    with pytest.raises(InsufficientHistory):
+        causal_convolve(khat, x, math.nan)
+    for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+        values = np.ones(64, dtype=complex)
+        values[40] = bad
+        with pytest.raises(NonFiniteResult, match="x has"):
+            causal_convolve(khat, SampledSignal(0.0, dt, values), 1.0)
+        values = np.ones(64, dtype=complex)
+        values[3] = bad  # a lag inside [0, M]
+        with pytest.raises(NonFiniteResult, match="khat has"):
+            causal_convolve(SampledSignal(0.0, dt, values), x, 1.0)
+    values = np.ones(64)
+    values[40] = math.nan  # a lag beyond M is never used
+    assert np.all(np.isfinite(causal_convolve(SampledSignal(0.0, dt, values), x, 1.0).values))
+
+
 def test_mixed_predict_single_atom_exact(single_pole):
     ms = make_mixed_signal([(0.5, 2 * math.pi)], [], "LOW", 0.4, 1.0)
     t = np.linspace(-20, 20, 401)
@@ -702,6 +818,17 @@ def test_error_norms_triangle_inequality():
         ac = error_norms(a, c)
         assert ac[0] <= ab[0] + bc[0] + 1e-12
         assert ac[1] <= ab[1] + bc[1] + 1e-12
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_error_norms_bits_match_reference(dtype):
+    parts = np.random.default_rng(41).standard_normal((2, 2, 257))
+    vals = parts[:, 0] + 1j * parts[:, 1] if dtype is complex else parts[:, 0]
+    y, yhat = (SampledSignal(-1.0, 0.125, v.copy()) for v in vals)
+    diff = np.abs(vals[0] - vals[1])
+    want = (float(math.sqrt(np.trapezoid(diff**2, dx=0.125))), float(np.max(diff)))
+    assert error_norms(y, yhat) == want
+    assert np.array_equal(y.values, vals[0]) and np.array_equal(yhat.values, vals[1])
 
 
 def test_error_norms_grid_mismatch():
