@@ -155,7 +155,9 @@ def causal_convolve(
     Uses only lags in [0, M] of khat (strictly causal); x is zero-extended
     before its grid.  khat's grid must contain the lag range at x's spacing.
     A horizon that is not positive (or NaN) raises InsufficientHistory; a
-    non-finite sample of x or of the taps used raises NonFiniteResult.
+    non-finite sample of x or of the taps used, or a non-finite output (an
+    overflow of finite inputs), raises NonFiniteResult without a numpy
+    warning.
     """
     dt = x.dt
     if abs(khat.dt - dt) > 1e-12 * dt:
@@ -186,8 +188,11 @@ def causal_convolve(
     taps[0] *= 0.5
     taps[-1] *= 0.5
     taps *= dt
-    full = fftconvolve(x.values, taps)
-    return SampledSignal(x.t0, dt, full[: len(x.values)])
+    with np.errstate(invalid="ignore", over="ignore"):
+        full = fftconvolve(x.values, taps)[: len(x.values)]
+    if not np.all(np.isfinite(full)):
+        raise NonFiniteResult("causal_convolve: the convolution overflowed")
+    return SampledSignal(x.t0, dt, full)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     ClassConstraintViolation,
     GridMismatch,
+    NonFiniteResult,
     QuadratureNotConverged,
     SupportViolation,
 )
@@ -188,28 +189,43 @@ def _gauss_legendre_panels(lo: float, hi: float, panels: int, order: int = 8):
     return x, w
 
 
-def _phase_matrices(t: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Return x -> exp(1j * np.outer(t, x)), equal to it entry for entry.
+def _phase_products(t: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Return (x, columns) -> exp(1j * np.outer(t, x)) @ c for each column c.
 
-    The angles are taken on the distinct |t| only, so an exactly symmetric t
-    grid (``GridSpec(2048, 400).times()``) needs cos and sin on n/2 + 1 rows;
-    a row with t < 0 reuses its mirror with sin negated.  This is exact
-    because outer(-a, x) == -outer(a, x), and because numpy's float64 sin and
-    cos (libm's) are odd and even and agree with its complex exp(+-0 + i
-    theta) == (cos theta, sin theta); the tests pin both facts.  The only bits
-    that can differ are the signs of the zero imaginary parts on a t == 0 row.
+    The result is (len(t), len(columns)) and equals the product with the full
+    phase matrix value for value (only the sign of an exactly zero part may
+    differ); that matrix is never built.  cos and sin are taken on the
+    distinct |t| only, into one complex matrix Q (for an exactly symmetric t
+    grid such as ``GridSpec(2048, 400).times()`` that is n/2 + 1 rows).  A row
+    with t >= +0.0 reads (Q @ c); a row with the sign bit of t set (t < 0 or
+    t == -0.0) reads conj(Q @ conj(c)), which equals conj(Q) @ c bit for bit because rounding
+    is symmetric under negation.  numpy's float64 sin and cos are odd and even
+    and agree with its complex exp, and a matrix-vector product sums each row
+    in an order that does not depend on its position; the tests pin these
+    facts.  A one-row Q would take numpy's dot path, not its matrix-vector
+    one, so a single distinct |t| is repeated when t has several rows.
     """
     abs_t, rows = np.unique(np.abs(t), return_inverse=True)
-    sign = np.copysign(1.0, t)[:, None]
+    if len(abs_t) < min(len(t), 2):
+        abs_t = np.repeat(abs_t, 2)
+    neg = np.signbit(t)
+    pos_at, neg_at = np.flatnonzero(~neg), np.flatnonzero(neg)
+    pos_rows, neg_rows = rows[pos_at], rows[neg_at]
 
-    def phase(x: np.ndarray) -> np.ndarray:
+    def products(x: np.ndarray, columns: np.ndarray) -> np.ndarray:
         theta = np.outer(abs_t, x)
-        out = np.empty((len(t), len(x)), dtype=complex)
-        out.real = np.cos(theta)[rows]
-        np.multiply(np.sin(theta)[rows], sign, out=out.imag)
+        q = np.empty(theta.shape, dtype=complex)
+        q.real = np.cos(theta)
+        q.imag = np.sin(theta, out=theta)
+        out = np.empty((len(t), len(columns)), dtype=complex)
+        for j, col in enumerate(columns):
+            if len(pos_at):
+                out[pos_at, j] = (q @ col)[pos_rows]
+            if len(neg_at):
+                out[neg_at, j] = np.conj(q @ np.conj(col))[neg_rows]
         return out
 
-    return phase
+    return products
 
 
 def _oscillatory_integral(
@@ -225,14 +241,17 @@ def _oscillatory_integral(
     `weight` is None (weight 1), or returns one value per node, or a
     (nodes, columns) array; the result is then (t,) or (t, columns).  `t`
     must be a non-empty, finite 1-D array (else `GridMismatch`, before any
-    work).  Every column shares one node set and one exp(i t w) matrix per
-    pass, and the weight is called once per pass.  The matrix is built from
-    real cos/sin on the distinct |t| (`_phase_matrices`), with the same
-    values as a complex exp of the outer product.  Fixed-order Gauss panels,
-    with the panel count scaled to the oscillation count; a doubled-panel
-    pass certifies convergence of each column on its own (1e-9 relative +
-    1e-13).  Each column is one matrix-vector product, so it is summed in the
-    same order as when integrated alone.
+    work).  Every column shares one node set per pass, and the weight is
+    called once per pass.  The t x nodes phase matrix is never built:
+    `_phase_products` takes cos/sin on the distinct |t| only (n/2 + 1 rows on
+    a centered grid) and serves rows with t < 0 by conjugation, with the same
+    bits as the product with a complex exp of the outer product.  Each column
+    is its own matrix-vector product, so it is summed in the same order as
+    when integrated alone.  Fixed-order Gauss panels, with the panel count
+    scaled to the oscillation count; a doubled-panel pass certifies
+    convergence of each column on its own (1e-9 relative + 1e-13).  A pass
+    with a non-finite value (a NaN or infinite density or weight) raises
+    `NonFiniteResult` naming [lo, hi], without a numpy warning.
     """
     t = np.asarray(t_values, dtype=float)
     if t.ndim != 1 or len(t) == 0 or not np.all(np.isfinite(t)):
@@ -241,16 +260,18 @@ def _oscillatory_integral(
         )
     tmax = float(np.max(np.abs(t)))
     panels = max(16, int(math.ceil((hi - lo) * (tmax + 1.0) / 3.0)))
-    phase_matrix = _phase_matrices(t)
+    phase_products = _phase_products(t)
 
     def compute(npanels: int) -> np.ndarray:
         x, w = _gauss_legendre_panels(lo, hi, npanels)
-        fx = np.asarray(density(x), dtype=complex)
-        if weight is not None:
-            fx = fx * np.asarray(weight(x)).T  # (columns, nodes) or (nodes,)
-        columns = np.ascontiguousarray(fx * w).reshape(-1, len(x))
-        phase = phase_matrix(x)
-        out = np.stack([phase @ col for col in columns], axis=1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            fx = np.asarray(density(x), dtype=complex)
+            if weight is not None:
+                fx = fx * np.asarray(weight(x)).T  # (columns, nodes) or (nodes,)
+            columns = np.ascontiguousarray(fx * w).reshape(-1, len(x))
+            out = phase_products(x, columns)
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteResult(f"oscillatory integral is not finite on [{lo}, {hi}]")
         return out if fx.ndim == 2 else out[:, 0]
 
     coarse = compute(panels)

@@ -97,6 +97,37 @@ def phased_signal(values, omega0, domega, t0):
     return (domega * n / (2.0 * np.pi)) * np.exp(1j * omega0 * t) * np.fft.ifft(inner)
 
 
+def phase_matrices(t):
+    """Reference phase matrix: x -> exp(1j * np.outer(t, x)), entry for entry.
+
+    cos and sin are taken on the distinct |t|, and a row with t < 0 reuses its
+    mirror with sin negated, so the matrix is built in full, n_t x nodes."""
+    t = np.asarray(t, dtype=float)
+    abs_t, rows = np.unique(np.abs(t), return_inverse=True)
+    sign = np.copysign(1.0, t)[:, None]
+
+    def phase(x):
+        theta = np.outer(abs_t, x)
+        out = np.empty((len(t), len(x)), dtype=complex)
+        out.real = np.cos(theta)[rows]
+        np.multiply(np.sin(theta)[rows], sign, out=out.imag)
+        return out
+
+    return phase
+
+
+def reference_phase_products(t):
+    """Drop-in for `signals._phase_products` that builds the full phase matrix
+    of `phase_matrices` and multiplies it into each column on its own."""
+    phase_matrix = phase_matrices(t)
+
+    def products(x, columns):
+        phase = phase_matrix(x)
+        return np.stack([phase @ col for col in columns], axis=1)
+
+    return products
+
+
 def oracle_reference(kernel, x, t, tol):
     """Reference anticausal oracle values at the points t: one
     quad(..., complex_func=True) pass per t-point, k(-u) evaluated at every

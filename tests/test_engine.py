@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -701,6 +702,26 @@ def test_causal_rejects_nan_horizon_and_non_finite_input():
     values = np.ones(64)
     values[40] = math.nan  # a lag beyond M is never used
     assert np.all(np.isfinite(causal_convolve(SampledSignal(0.0, dt, values), x, 1.0).values))
+
+
+def test_causal_overflow_raises_without_warning():
+    # Finite inputs whose convolution overflows used to come back all NaN.
+    dt = 0.1
+    x = SampledSignal(0.0, dt, np.full(64, 1e308))
+    khat = SampledSignal(0.0, dt, np.full(64, 1e10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResult, match="overflowed"):
+            causal_convolve(khat, x, 1.0)
+
+
+@pytest.mark.parametrize("height", [math.nan, math.inf], ids=["nan", "inf"])
+def test_mixed_predict_ladder_rejects_non_finite_density(conjugate_pair, height):
+    ms = make_mixed_signal([(0.3, 1.0)], [RaisedCosineBump(0.1, 0.5, height)], "LOW", 0.25, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResult, match=r"not finite on \[0\.1, 0\.5\]"):
+            mixed_predict_ladder(ms, conjugate_pair, LADDERS["LOW"], GridSpec(256, 60.0).times())
 
 
 def test_mixed_predict_single_atom_exact(single_pole):

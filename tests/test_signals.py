@@ -1,6 +1,7 @@
 """Signal generators, mixed spectra, ideal split, out-of-band noise."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,16 +19,23 @@ from bandcast import (
     make_highfreq_signal,
     make_mixed_signal,
 )
-from bandcast.errors import ClassConstraintViolation, GridMismatch, SupportViolation
+from bandcast import signals
+from bandcast.errors import (
+    ClassConstraintViolation,
+    GridMismatch,
+    NonFiniteResult,
+    SupportViolation,
+)
 from bandcast.grids import GridSpec
 from bandcast.signals import (
     _gauss_legendre_panels,
-    _phase_matrices,
+    _phase_products,
     mixed_from_json_dict,
     mixed_to_json_dict,
     signal_to_csv,
 )
 from bandcast.transforms import hermitian_half
+from helpers import phase_matrices, reference_phase_products
 
 
 @pytest.fixture(scope="module")
@@ -157,11 +165,18 @@ def test_sampled_density_mass_and_interp():
     assert cstar_norm(ms) == pytest.approx(np.trapezoid(np.abs(dens(w)), w), rel=1e-6)
 
 
-def _assert_phase_matrix_exact(t, x):
-    # Equal entry for entry; array_equal takes -0.0 == 0.0, which only a
-    # t == 0 row can need.
+def _assert_phase_products_exact(t, x, columns=3):
+    # Each column's product equals the one with the full complex-exp matrix,
+    # bit for bit; array_equal takes -0.0 == 0.0.
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
-    assert np.array_equal(_phase_matrices(t)(x), np.exp(1j * np.outer(t, x)))
+    rng = np.random.default_rng(len(t) * 1000 + len(x))
+    cols = rng.standard_normal((columns, len(x))) + 1j * rng.standard_normal((columns, len(x)))
+    exp_matrix = np.exp(1j * np.outer(t, x))
+    assert np.array_equal(phase_matrices(t)(x), exp_matrix)
+    got = _phase_products(t)(x, cols)
+    assert got.shape == (len(t), columns)
+    for j, col in enumerate(cols):
+        assert np.array_equal(got[:, j], exp_matrix @ col)
 
 
 @pytest.mark.parametrize(
@@ -171,13 +186,19 @@ def _assert_phase_matrix_exact(t, x):
         np.linspace(-3.0, 5.0, 97),
         np.array([-2.5, -1.0, 0.0, 0.5, 2.5]),
         np.linspace(-3.0, 3.0, 8),
+        np.array([-2.5, 2.5]),
+        np.array([-2.5]),
+        np.array([-0.0, 0.0, 1.5, -1.5, 3.0]),
     ],
-    ids=["centered", "off-center", "with-zero", "even-linspace"],
+    ids=[
+        "centered", "off-center", "with-zero", "even-linspace", "two-point", "one-point",
+        "minus-zero",
+    ],
 )
 @pytest.mark.parametrize("band", [(-1.1, -0.3), (0.3, 1.1), (-0.6, 0.9)], ids=["neg", "pos", "mixed"])
 def test_phase_matrix_equals_complex_exp(t, band):
     x, _ = _gauss_legendre_panels(*band, 7)
-    _assert_phase_matrix_exact(t, x)
+    _assert_phase_products_exact(t, x)
 
 
 def test_phase_matrix_mirrors_an_exactly_symmetric_grid():
@@ -200,10 +221,54 @@ def test_phase_matrix_property_random_grids_and_nodes():
         x=st.lists(st.floats(-50.0, 50.0, **finite), min_size=1, max_size=32),
     )
     def check(t0, dt, n, x):
-        _assert_phase_matrix_exact(t0 + dt * np.arange(n), x)
-        _assert_phase_matrix_exact(np.linspace(-t0, t0, n), x)
+        _assert_phase_products_exact(t0 + dt * np.arange(n), x)
+        _assert_phase_products_exact(np.linspace(-t0, t0, n), x)
 
     check()
+
+
+@pytest.mark.parametrize(
+    "density",
+    [
+        RaisedCosineBump(-0.6, 0.9, 1.7),
+        GaussianBump(0.3, 1.1, -0.8, 0.25),
+        SampledDensity(np.linspace(1.3, 1.8, 21), np.linspace(0.5, 1.5, 21) + 0.2j),
+    ],
+    ids=["raised_cosine", "gaussian", "sampled"],
+)
+def test_density_integral_bit_equal_to_full_phase_matrix(density, monkeypatch):
+    # Six weight columns on a centered grid, against the same quadrature run
+    # with the full n_t x nodes complex-exp matrix.
+    t = GridSpec(256, 60.0).times()
+
+    def weight(w):
+        return np.stack([np.cos(k * w) + 1j * np.sin((k + 1) * w) for k in range(6)], axis=1)
+
+    got = density.integrate_against(weight, t)
+    got_single = density.integrate_against(None, t)
+    monkeypatch.setattr(signals, "_phase_products", reference_phase_products)
+    assert got.shape == (len(t), 6)
+    assert np.array_equal(got, density.integrate_against(weight, t))
+    assert np.array_equal(got_single, density.integrate_against(None, t))
+
+
+def _no_warnings(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call()
+
+
+@pytest.mark.parametrize("height", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_density_integral_rejects_non_finite_height(height):
+    t = np.linspace(-10.0, 10.0, 33)
+    bump = RaisedCosineBump(0.1, 0.5, height)
+    with pytest.raises(NonFiniteResult, match=r"not finite on \[0\.1, 0\.5\]"):
+        _no_warnings(lambda: bump.integrate_against(None, t))
+    with pytest.raises(NonFiniteResult, match=r"not finite on \[0\.1, 0\.5\]"):
+        _no_warnings(lambda: bump.integrate_against(lambda w: np.ones((len(w), 3)), t))
+    ms = make_mixed_signal([(0.2, 1.0)], [bump], "LOW", 0.4, 1.0)
+    with pytest.raises(NonFiniteResult, match=r"not finite on \[0\.1, 0\.5\]"):
+        _no_warnings(lambda: ms.evaluate(t))
 
 
 @pytest.mark.parametrize(
