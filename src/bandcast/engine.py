@@ -301,12 +301,12 @@ def mixed_predict_ladder(
 ) -> list[PredictionResult]:
     """Pipeline for atomic-plus-density spectra over a gamma ladder.
 
-    Atom responses are exact (K and K_hat evaluated at the atom frequency);
-    density terms go through oscillatory quadrature.  y does not depend on
-    gamma, so it is computed once; each density is integrated once against
-    the columns [K, K_hat_gamma for each gamma] on one shared node set.  The
-    declared class must match the sign of every gamma.  One result per gamma,
-    in ladder order, all sharing one y.
+    One `weights` call gives the columns [K, K_hat_gamma for each gamma] at
+    every atom (exact responses), and each density is integrated once
+    against them on one shared node set.  The declared class must match the
+    sign of every gamma; a frequency where a predictor saturates raises
+    ClassMismatch naming it.  One result per gamma, in ladder order, all
+    sharing one y.
     """
     t, t0, dt = _uniform_t_grid(t_grid)
     predictors = [PredictorTransfer(kernel, gamma) for gamma in gammas]
@@ -317,41 +317,32 @@ def mixed_predict_ladder(
                 f"(targets {predictor.target_class})"
             )
 
-    y_vals = np.zeros(len(t), dtype=complex)
-    yhat_vals = [np.zeros(len(t), dtype=complex) for _ in predictors]
-    for wk, ck in ms.atoms:
-        tone = ck * np.exp(1j * wk * t)
-        kw = complex(transfer_on_grid(kernel, np.array([wk]))[0])
-        y_vals += kw * tone
-        for predictor, acc in zip(predictors, yhat_vals):
-            khat_w, sat = predictor_transfer_on_grid(predictor, np.array([wk]))
-            if bool(sat[0]):
-                raise ClassMismatch(f"atom at omega = {wk:g} saturates the predictor")
-            acc += complex(khat_w[0]) * tone
-
     def weights(wv):
         columns = [transfer_on_grid(kernel, wv)]
         for predictor in predictors:
             vals, sat = predictor_transfer_on_grid(predictor, wv)
             if bool(np.any(sat)):
-                raise ClassMismatch("density support saturates the predictor")
+                raise ClassMismatch(
+                    f"omega = {wv[np.argmax(sat)]:g} saturates the predictor "
+                    f"(gamma = {predictor.gamma:g})"
+                )
             columns.append(vals)
         return np.stack(columns, axis=1)
 
+    # accs[0] accumulates y, accs[1:] y_hat per rung.
+    accs = [np.zeros(len(t), dtype=complex) for _ in range(len(predictors) + 1)]
+    for (wk, ck), row in zip(ms.atoms, weights(np.array([wk for wk, _ck in ms.atoms]))):
+        tone = ck * np.exp(1j * wk * t)
+        for acc, w in zip(accs, row):
+            acc += complex(w) * tone
     for comp in ms.density:
-        integrals = comp.integrate_against(weights, t)
-        y_vals += integrals[:, 0]
-        for c, acc in enumerate(yhat_vals, start=1):
-            acc += integrals[:, c]
+        for acc, column in zip(accs, comp.integrate_against(weights, t).T):
+            acc += column
 
-    y = SampledSignal(t0, dt, y_vals / (2 * np.pi))
+    y = SampledSignal(t0, dt, accs[0] / (2 * np.pi))
     return [
-        PredictionResult(
-            y=y,
-            yhat=SampledSignal(t0, dt, acc / (2 * np.pi)),
-            gamma=predictor.gamma,
-        )
-        for predictor, acc in zip(predictors, yhat_vals)
+        PredictionResult(y=y, yhat=SampledSignal(t0, dt, acc / (2 * np.pi)), gamma=predictor.gamma)
+        for predictor, acc in zip(predictors, accs[1:])
     ]
 
 

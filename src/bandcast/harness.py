@@ -9,6 +9,9 @@ Subcommands (all driven by a JSON config):
     robustness  sweep on a noise-perturbed signal; detect the U-shaped error
     decompose   split-predict-recombine demo on a mixed-support signal
 
+sweep and robustness share one ladder loop and its class rule (_grid_ladders);
+an entry of the other route's kind (grid or mixed) is a ConfigError.
+
 Exit codes: 0 all asserted properties hold; 1 a property failed (machine
 readable JSON record on stderr); 2 usage or configuration error.  Identical
 config + seed reproduce byte-identical CSV output.
@@ -157,33 +160,56 @@ def validate_config(cfg: ExperimentConfig) -> None:
 # Signal construction from config entries
 
 
+_GRID_CLASS = {"bandlimited": "LOW", "highfreq": "HIGH"}
+
+
 def build_grid_spectrum(spec: dict, grid: GridSpec, omega: float) -> SampledSpectrum:
     """The sampled spectrum of a grid signal entry.  A composite entry is the
     sum of its parts' spectra; a part whose support lies inside
-    [-omega, omega] defaults to bandlimited, any other to highfreq."""
+    [-omega, omega] defaults to bandlimited, any other to highfreq.  Any
+    other kind raises ConfigError before a field is read."""
+    return _grid_spectrum(spec, grid, omega, None)
+
+
+def _grid_spectrum(spec: dict, grid: GridSpec, omega: float, domain: str | None):
+    """:func:`build_grid_spectrum`; with a domain, an entry with a part
+    outside its class raises ClassMismatch before any spectrum is built."""
+    kind = spec.get("kind")
+    if kind not in ("bandlimited", "highfreq", "composite"):
+        raise ConfigError(f"signal {spec.get('id')!r}: the FFT route takes grid signals")
     with _malformed(f"signal {spec.get('id')!r}"):
-        kind = spec["kind"]
-        if kind == "composite":
-            total = np.zeros(grid.n, dtype=complex)
-            for part in spec["parts"]:
-                inside = max(abs(float(v)) for v in part["support"]) <= omega
-                default = "bandlimited" if inside else "highfreq"
-                sub = {"id": spec.get("id"), "kind": default, **part}
-                total += build_grid_spectrum(sub, grid, omega).values
-            return SampledSpectrum(grid.omega0, grid.domega, total)
-        envelope = spec.get("envelope", "raised_cosine")
-        if "height" in spec:
-            envelope = (envelope, {"height": float(spec["height"])})
-        support = tuple(float(v) for v in spec["support"])
-        if kind == "bandlimited":
-            return make_bandlimited_signal(envelope, support, grid, omega)
-        if kind == "highfreq":
-            hermitian = bool(spec.get("hermitian", True))
-            return make_highfreq_signal(envelope, support, grid, omega, hermitian=hermitian)
-    raise ConfigError(f"signal kind {kind!r} is not grid-based")
+        parts = [spec] if kind != "composite" else [
+            {"kind": "bandlimited" if max(abs(float(v)) for v in p["support"]) <= omega
+             else "highfreq", **p}
+            for p in spec["parts"]
+        ]
+        for part in parts:
+            if domain not in (None, _GRID_CLASS[part["kind"]]):  # KeyError: not a grid kind
+                raise ClassMismatch(
+                    f"signal {spec['id']!r}: a {part['kind']} part is outside the {domain} class"
+                )
+        total = np.zeros(grid.n, dtype=complex) if kind == "composite" else None
+        for part in parts:
+            envelope = part.get("envelope", "raised_cosine")
+            if "height" in part:
+                envelope = (envelope, {"height": float(part["height"])})
+            support = tuple(float(v) for v in part["support"])
+            if part["kind"] == "bandlimited":
+                built = make_bandlimited_signal(envelope, support, grid, omega)
+            else:
+                hermitian = bool(part.get("hermitian", True))
+                built = make_highfreq_signal(envelope, support, grid, omega, hermitian=hermitian)
+            if total is None:
+                return built
+            total += built.values
+    return SampledSpectrum(grid.omega0, grid.domega, total)
 
 
 def build_mixed_signal(spec: dict, omega: float) -> MixedSpectrum:
+    """The spectrum of a mixed entry; any other kind raises ConfigError
+    before a field is read."""
+    if spec.get("kind") != "mixed":
+        raise ConfigError(f"signal {spec.get('id')!r}: the mixed route takes mixed signals")
     with _malformed(f"signal {spec.get('id')!r}"):
         return mixed_from_json_dict({"omega": omega, **spec})
 
@@ -210,9 +236,7 @@ class ErrorReport:
     summary: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        lines = [
-            "signal_id,gamma,err_l2,err_linf,deviation_sup,uniform_bound,bound_ok,monotone_ok"
-        ]
+        lines = ["signal_id,gamma,err_l2,err_linf,deviation_sup,uniform_bound,bound_ok,monotone_ok"]
         for r in self.rows:
             def num(v):
                 return "" if (isinstance(v, float) and math.isnan(v)) else repr(float(v))
@@ -270,27 +294,27 @@ def _ladder_rows(signal_id: str, gammas, norms, deviations, flags) -> list[Repor
 # Operations
 
 
-def run_convergence_sweep(cfg: ExperimentConfig) -> ErrorReport:
-    """Predict each grid signal along the gamma ladder; errors must fall."""
-    kernel = cfg.kernel
-    deviations = _ladder_deviations(kernel, cfg.gamma_ladder, cfg.epsilon)
-    rows: list[ReportRow] = []
+def _grid_ladders(cfg: ExperimentConfig, noise=None):
+    """The FFT-route ladder loop: per grid entry, its id and its per-rung
+    (err_l2, err_linf).  An entry with a part outside the domain's class
+    raises ClassMismatch before its spectrum is built; `noise`, an
+    (eta, support) pair, is added to each built spectrum."""
     for spec in cfg.signals:
-        if spec["kind"] == "mixed":
-            raise ConfigError("convergence sweep expects grid-based signals")
-        if cfg.domain == "LOW" and spec["kind"] == "highfreq":
-            raise ClassMismatch(
-                f"signal {spec['id']!r} is high-frequency but the ladder targets LOW"
-            )
-        if cfg.domain == "HIGH" and spec["kind"] == "bandlimited":
-            raise ClassMismatch(
-                f"signal {spec['id']!r} is band-limited but the ladder targets HIGH"
-            )
-        spectrum = build_grid_spectrum(spec, cfg.grid, kernel.omega)
-        ladder = spectral_predict_ladder(spectrum, kernel, cfg.gamma_ladder)
-        norms = [(r.err_l2, r.err_linf) for r in ladder]
-        flags = _check_monotone(spec["id"], cfg.gamma_ladder, [l2 for l2, _linf in norms])
-        rows += _ladder_rows(spec["id"], cfg.gamma_ladder, norms, deviations, flags)
+        spectrum = _grid_spectrum(spec, cfg.grid, cfg.kernel.omega, cfg.domain)
+        if noise is not None:
+            spectrum = add_outofband_noise(spectrum, *noise, cfg.seed, cfg.kernel.omega)
+        ladder = spectral_predict_ladder(spectrum, cfg.kernel, cfg.gamma_ladder)
+        yield spec["id"], [(r.err_l2, r.err_linf) for r in ladder]
+
+
+def run_convergence_sweep(cfg: ExperimentConfig) -> ErrorReport:
+    """Predict each grid signal of the domain's class along the gamma
+    ladder; errors must fall."""
+    deviations = _ladder_deviations(cfg.kernel, cfg.gamma_ladder, cfg.epsilon)
+    rows: list[ReportRow] = []
+    for signal_id, norms in _grid_ladders(cfg):
+        flags = _check_monotone(signal_id, cfg.gamma_ladder, [l2 for l2, _linf in norms])
+        rows += _ladder_rows(signal_id, cfg.gamma_ladder, norms, deviations, flags)
     return ErrorReport(tuple(rows), summary={"op": "sweep"})
 
 
@@ -323,18 +347,7 @@ def run_uniform_bound_check(cfg: ExperimentConfig) -> ErrorReport:
             bound = dev * norm / (2.0 * math.pi)
             measured = result.err_linf
             ok = measured <= bound + _BOUND_SLACK
-            rows.append(
-                ReportRow(
-                    signal_id=spec["id"],
-                    gamma=gamma,
-                    err_l2=result.err_l2,
-                    err_linf=measured,
-                    deviation_sup=dev,
-                    uniform_bound=bound,
-                    bound_ok=ok,
-                    monotone_ok=None,
-                )
-            )
+            rows.append(ReportRow(spec["id"], gamma, result.err_l2, measured, dev, bound, ok, None))
             if not ok:
                 raise BoundViolation(gamma, spec["id"], measured, bound)
             if len(ms.atoms) == 1 and not ms.density:
@@ -353,35 +366,31 @@ def run_uniform_bound_check(cfg: ExperimentConfig) -> ErrorReport:
 def run_robustness_probe(cfg: ExperimentConfig) -> ErrorReport:
     """Sweep on a perturbed signal; locate the error minimum and any regrowth.
 
+    The signals are grid signals of the domain's class, as for the sweep.
     Out-of-band energy makes large gamma hurt: the report records the
     minimizing gamma and the growth factor (last error / minimum).  A ladder
     too short to show regrowth is reported, not fatal.
     """
-    kernel = cfg.kernel
     if cfg.noise is None:
         raise ConfigError("robustness probe needs a noise entry in the config")
     eta = float(cfg.noise["eta"])
     support = tuple(float(v) for v in cfg.noise["support"])
-    deviations = _ladder_deviations(kernel, cfg.gamma_ladder, cfg.epsilon)
+    deviations = _ladder_deviations(cfg.kernel, cfg.gamma_ladder, cfg.epsilon)
     rows: list[ReportRow] = []
     summary: dict = {"op": "robustness", "eta": eta}
-    for spec in cfg.signals:
-        spectrum = build_grid_spectrum(spec, cfg.grid, kernel.omega)
-        pspec = add_outofband_noise(spectrum, eta, support, cfg.seed, kernel.omega)
-        ladder = spectral_predict_ladder(pspec, kernel, cfg.gamma_ladder)
-        norms = [(r.err_l2, r.err_linf) for r in ladder]
-        rows += _ladder_rows(spec["id"], cfg.gamma_ladder, norms, deviations, None)
+    for signal_id, norms in _grid_ladders(cfg, (eta, support)):
+        rows += _ladder_rows(signal_id, cfg.gamma_ladder, norms, deviations, None)
         errs = [l2 for l2, _linf in norms]
         imin = int(np.argmin(errs))
         growth = errs[-1] / max(errs[imin], _ZERO_FLOOR)
-        summary[spec["id"]] = {
+        summary[signal_id] = {
             "gamma_star": cfg.gamma_ladder[imin],
             "min_err_l2": errs[imin],
             "growth_factor": growth,
             "growth_detected": bool(errs[-1] > errs[imin]),
         }
-        if not summary[spec["id"]]["growth_detected"]:
-            summary[spec["id"]]["note"] = "no growth detected; ladder may be too short"
+        if not summary[signal_id]["growth_detected"]:
+            summary[signal_id]["note"] = "no growth detected; ladder may be too short"
     return ErrorReport(tuple(rows), summary=summary)
 
 
@@ -561,24 +570,13 @@ def cli_main(argv) -> int:
         bad = [r for r in report.rows if r.bound_ok is False or r.monotone_ok is False]
         if bad:
             r = bad[0]
-            print(
-                json.dumps(
-                    {
-                        "error": "RowFlagFailure",
-                        "signal_id": r.signal_id,
-                        "gamma": r.gamma,
-                    }
-                ),
-                file=sys.stderr,
-            )
+            print(json.dumps({"error": "RowFlagFailure", "signal_id": r.signal_id, "gamma": r.gamma}),
+                  file=sys.stderr)
             return 1
         return 0
-    except ConfigError as exc:
-        print(_failure_record(exc), file=sys.stderr)
-        return 2
     except BandcastError as exc:
         print(_failure_record(exc), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 def main() -> None:

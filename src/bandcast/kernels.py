@@ -241,16 +241,18 @@ def _residue_terms_at(
 
 
 def _reconstruction_points(kernel: RationalAnticausalKernel) -> np.ndarray:
-    """64 fixed pseudo-random probe points kept away from the poles."""
+    """64 fixed pseudo-random probe points kept away from the poles: the first
+    scaled (re, im) draws farther than 0.25 * scale from every pole."""
     rng = np.random.default_rng(0x5EED)
-    pts = []
-    poles = kernel.pole_values
-    scale = max(1.0, kernel.omega, max(abs(p) for p in poles))
+    poles = np.array(kernel.pole_values)
+    # Python's abs and np.hypot: numpy's complex abs can differ by an ulp.
+    scale = max(1.0, kernel.omega, max(abs(p) for p in kernel.pole_values))
+    pts = np.empty(0, dtype=complex)
     while len(pts) < 64:
-        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * scale
-        if min(abs(z - p) for p in poles) > 0.25 * scale:
-            pts.append(z)
-    return np.array(pts)
+        z = (rng.uniform(-3, 3, size=(128, 2)) * scale).view(complex)[:, 0]
+        dist = np.hypot(z.real[:, None] - poles.real, z.imag[:, None] - poles.imag)
+        pts = np.concatenate([pts, z[dist.min(axis=1) > 0.25 * scale]])
+    return pts[:64]
 
 
 def _partial_fraction_expand(kernel: RationalAnticausalKernel) -> ResidueExpansion:

@@ -7,8 +7,10 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from bandcast import build_kernel
-from bandcast.kernels import scalar_time_kernel
+from bandcast import PredictorTransfer, build_kernel
+from bandcast.errors import ClassMismatch
+from bandcast.kernels import scalar_time_kernel, transfer_on_grid
+from bandcast.predictor import predictor_transfer_on_grid
 from bandcast.signals import RaisedCosineBump, make_mixed_signal
 
 
@@ -30,6 +32,72 @@ def random_kernel(rng, omega=None, max_groups=2):
     if coeffs[-1] == 0.0:
         coeffs[-1] = 1.0
     return build_kernel(poles, coeffs, om)
+
+
+def random_oracle_kernel(rng):
+    """Random kernel drawn as the oracle-tones benchmark pool draws them: 1-2
+    pole groups, a in [0.3, 2.5], multiplicity 1-3, |b| < omega."""
+    omega = float(rng.uniform(0.5, 2.0))
+    poles = []
+    for _ in range(int(rng.integers(1, 3))):
+        a = float(rng.uniform(0.3, 2.5))
+        mult = int(rng.integers(1, 4))
+        if rng.random() < 0.5:
+            poles.append((a, 0.0, mult))
+        else:
+            b = float(rng.uniform(0.1, 0.85) * omega)
+            poles += [(a, b, mult), (a, -b, mult)]
+    degree = sum(m for (_a, _b, m) in poles)
+    coeffs = [float(rng.uniform(-2, 2)) for _ in range(int(rng.integers(0, degree)) + 1)]
+    return build_kernel(poles, coeffs, omega)
+
+
+def reference_reconstruction_points(kernel):
+    """Reference for `kernels._reconstruction_points`: one scalar draw per
+    coordinate, each point formed and tested on its own."""
+    rng = np.random.default_rng(0x5EED)
+    pts = []
+    poles = kernel.pole_values
+    scale = max(1.0, kernel.omega, max(abs(p) for p in poles))
+    while len(pts) < 64:
+        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * scale
+        if min(abs(z - p) for p in poles) > 0.25 * scale:
+            pts.append(z)
+    return np.array(pts)
+
+
+def reference_mixed_predict_ladder(ms, kernel, gammas, t):
+    """Reference (y, [y_hat per rung]) of `engine.mixed_predict_ladder`: K
+    and each K_hat evaluated one atom and one rung at a time, the density
+    integrated against the columns [K, K_hat per rung]."""
+    predictors = [PredictorTransfer(kernel, gamma) for gamma in gammas]
+    y_vals = np.zeros(len(t), dtype=complex)
+    yhat_vals = [np.zeros(len(t), dtype=complex) for _ in predictors]
+    for wk, ck in ms.atoms:
+        tone = ck * np.exp(1j * wk * t)
+        kw = complex(transfer_on_grid(kernel, np.array([wk]))[0])
+        y_vals += kw * tone
+        for predictor, acc in zip(predictors, yhat_vals):
+            khat_w, sat = predictor_transfer_on_grid(predictor, np.array([wk]))
+            if bool(sat[0]):
+                raise ClassMismatch(f"atom at omega = {wk:g} saturates the predictor")
+            acc += complex(khat_w[0]) * tone
+
+    def weights(wv):
+        columns = [transfer_on_grid(kernel, wv)]
+        for predictor in predictors:
+            vals, sat = predictor_transfer_on_grid(predictor, wv)
+            if bool(np.any(sat)):
+                raise ClassMismatch("density support saturates the predictor")
+            columns.append(vals)
+        return np.stack(columns, axis=1)
+
+    for comp in ms.density:
+        integrals = comp.integrate_against(weights, t)
+        y_vals += integrals[:, 0]
+        for c, acc in enumerate(yhat_vals, start=1):
+            acc += integrals[:, c]
+    return y_vals / (2 * np.pi), [acc / (2 * np.pi) for acc in yhat_vals]
 
 
 def random_mixed_signal(rng, class_tag, omega, epsilon, n_atoms=4, with_density=True,

@@ -44,12 +44,15 @@ from bandcast.errors import (
 )
 from bandcast.grids import GridSpec
 from bandcast.kernels import partial_fraction_expand, transfer_on_grid
+from bandcast.signals import MixedSpectrum
 from helpers import (
     hermitian_random_band_spectrum,
     oracle_reference,
     phased_signal,
     phased_spectrum,
+    random_kernel,
     random_mixed_signal,
+    reference_mixed_predict_ladder,
 )
 
 LADDERS = {"LOW": [2, 5, 10, 20, 50], "HIGH": [-2, -5, -10, -20, -50]}
@@ -776,6 +779,34 @@ def test_mixed_predict_ladder_bit_identical_to_single_rungs(conjugate_pair, clas
         assert np.array_equal(rung.yhat.values, single.yhat.values)
         assert rung.err_l2 == single.err_l2
         assert rung.err_linf == single.err_linf
+
+
+@pytest.mark.parametrize("with_density", [True, False], ids=["density", "atoms-only"])
+@pytest.mark.parametrize("class_tag", ["LOW", "HIGH"])
+def test_mixed_predict_ladder_atoms_bit_equal_to_per_atom_loop(conjugate_pair, class_tag,
+                                                               with_density):
+    # K and every K_hat come from one weight call at all atoms; y and each
+    # y_hat must equal one evaluation per atom and rung, bit for bit.
+    rng = np.random.default_rng(0xA7)
+    t = GridSpec(2048, 400.0).times()
+    for kernel in (conjugate_pair, random_kernel(rng, omega=1.0)):
+        ms = random_mixed_signal(rng, class_tag, 1.0, 0.25, n_atoms=6, with_density=with_density)
+        assert len(ms.atoms) == 6 and bool(ms.density) == with_density
+        ladder = mixed_predict_ladder(ms, kernel, LADDERS[class_tag], t)
+        y, yhats = reference_mixed_predict_ladder(ms, kernel, LADDERS[class_tag], t)
+        for rung, yhat in zip(ladder, yhats, strict=True):
+            assert np.array_equal(rung.y.values, y)
+            assert np.array_equal(rung.yhat.values, yhat)
+
+
+def test_mixed_predict_ladder_saturating_atom_names_its_omega(conjugate_pair):
+    # An atom off the declared class (MixedSpectrum built without the
+    # constructor's checks) saturates the large-gamma predictor.
+    ms = MixedSpectrum(((0.3, 1 + 0j), (2.5, 1j)), (), "LOW", 0.25, 1.0)
+    t = np.linspace(-5.0, 5.0, 11)
+    assert len(mixed_predict_ladder(ms, conjugate_pair, [2, 5], t)) == 2
+    with pytest.raises(ClassMismatch, match=r"omega = 2\.5 saturates the predictor"):
+        mixed_predict_ladder(ms, conjugate_pair, [2, 800], t)
 
 
 def test_mixed_predict_ladder_one_node_set_pair_per_density(conjugate_pair, monkeypatch):

@@ -379,17 +379,79 @@ def test_sweep_ladder_converged_to_zero_passes():
 
 
 def test_cli_monotonicity_failure_names_its_signal(tmp_path, monkeypatch, capsys):
-    # A LOW ladder on the composite signal: its high part makes the error grow.
+    # A band-limited indicator up to the band edge: under this kernel its
+    # LOW error grows from gamma = 2 to 3 (0.224 -> 0.311).
     monkeypatch.chdir(tmp_path)
-    doc = json.loads((ROOT / "configs" / "decompose.json").read_text())
-    doc["gamma_ladder"] = [2, 5, 10]
+    doc = json.loads((ROOT / "configs" / "bound_check.json").read_text())
+    doc["gamma_ladder"] = [2, 3]
+    doc["grid"] = {"n": 2048, "span": 400.0}
+    doc["signals"] = [
+        {"id": "ind", "kind": "bandlimited", "envelope": "indicator", "support": [-1.0, 1.0]}
+    ]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert cli_main(["sweep", "--config", str(cfg)]) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "MonotonicityViolation"
-    assert (record["signal_id"], record["gamma_prev"], record["gamma"]) == ("mix", 2.0, 5.0)
+    assert (record["signal_id"], record["gamma_prev"], record["gamma"]) == ("ind", 2.0, 3.0)
     assert record["err"] > record["err_prev"]
+
+
+def _config_with_signal(name: str, signal: dict) -> dict:
+    doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    doc["signals"] = [signal]
+    doc["outputs"] = {}
+    return doc
+
+
+_HIGHFREQ = {"id": "hf", "kind": "highfreq", "envelope": "raised_cosine", "support": [1.3, 1.6]}
+_COMPOSITE = json.loads((ROOT / "configs" / "decompose.json").read_text())["signals"][0]
+_MIXED = json.loads((ROOT / "configs" / "bound_check.json").read_text())["signals"][0]
+_BANDLIMITED = json.loads((ROOT / "configs" / "sweep.json").read_text())["signals"][0]
+
+
+@pytest.mark.parametrize(
+    "name, op, signal, error, message",
+    [
+        ("robustness", run_robustness_probe, _HIGHFREQ, ClassMismatch, "highfreq part"),
+        ("robustness", run_robustness_probe, _COMPOSITE, ClassMismatch, "highfreq part"),
+        ("sweep", run_convergence_sweep, _COMPOSITE, ClassMismatch, "highfreq part"),
+        ("robustness", run_robustness_probe, _MIXED, ConfigError, "takes grid signals"),
+        ("decompose", run_decomposition_demo, _MIXED, ConfigError, "takes grid signals"),
+        ("bound_check", run_uniform_bound_check, _BANDLIMITED, ConfigError,
+         "takes mixed signals"),
+    ],
+    ids=["robustness-highfreq", "robustness-composite", "sweep-composite", "robustness-mixed",
+         "decompose-mixed", "bound-check-grid"],
+)
+def test_intake_rejects_entry_before_building(monkeypatch, name, op, signal, error, message):
+    # Each op takes the entries of its route and class only, and says so
+    # before any spectrum is built or any ladder runs.
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a spectrum was built or a ladder ran")
+
+    for fn_name in ("make_bandlimited_signal", "make_highfreq_signal", "mixed_from_json_dict",
+                    "spectral_predict_ladder", "mixed_predict_ladder"):
+        monkeypatch.setattr(harness, fn_name, forbidden)
+    cfg = config_from_dict(_config_with_signal(name, signal))
+    with pytest.raises(error, match=message):
+        op(cfg)
+
+
+@pytest.mark.parametrize(
+    "command, name, signal, code, error",
+    [
+        ("robustness", "robustness", _HIGHFREQ, 1, "ClassMismatch"),
+        ("decompose", "decompose", _MIXED, 2, "ConfigError"),
+    ],
+    ids=["robustness-highfreq", "decompose-mixed"],
+)
+def test_cli_intake_exit_codes(tmp_path, capsys, command, name, signal, code, error):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_config_with_signal(name, signal)))
+    assert cli_main([command, "--config", str(cfg)]) == code
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == error
 
 
 @pytest.mark.parametrize(
