@@ -29,8 +29,6 @@ from .kernels import (
     partial_fraction_expand,
 )
 from .predictor import (
-    DeviationGrid,
-    FrequencyDomain,
     PredictorTransfer,
     alpha_coefficient,
     deviation_norm,

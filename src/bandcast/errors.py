@@ -30,7 +30,7 @@ class NumericalDegeneracy(BandcastError):
 
 
 class NonFiniteResult(BandcastError):
-    """A computed error norm is NaN or infinite."""
+    """A computed value or norm is NaN or infinite."""
 
 
 class QuadratureNotConverged(BandcastError):
@@ -70,7 +70,7 @@ class SaturatedSpectrum(BandcastError):
 
 
 class TruncationNotJustified(BandcastError):
-    """|K(i omega_max)| is too large for the requested domain truncation."""
+    """|K(i w)| stops being finite before it falls to the HIGH-domain truncation tolerance."""
 
 
 class GridMismatch(BandcastError):

@@ -44,8 +44,6 @@ from .errors import (
 from .grids import GridSpec
 from .kernels import RationalAnticausalKernel, kernel_from_dict, transfer_on_grid
 from .predictor import (
-    DeviationGrid,
-    FrequencyDomain,
     PredictorTransfer,
     deviation_norm,
     predictor_transfer_on_grid,
@@ -138,19 +136,17 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"gamma sign {math.copysign(1, cfg.gamma_ladder[0]):+.0f} inconsistent "
             f"with domain {cfg.domain}"
         )
-    if cfg.epsilon < 0:
-        raise ConfigError("epsilon must be >= 0")
     kernel = cfg.kernel
-    if cfg.epsilon >= kernel.omega:
-        raise ConfigError("epsilon must be < the kernel band constant")
+    if not (0.0 <= cfg.epsilon < kernel.omega):
+        raise ConfigError(f"epsilon must lie in [0, omega = {kernel.omega}), got {cfg.epsilon}")
     for spec in cfg.signals:
         if spec.get("kind") not in ("bandlimited", "highfreq", "mixed", "composite"):
             raise ConfigError(f"unknown signal kind in {spec!r}")
         if "id" not in spec:
             raise ConfigError(f"signal entry missing 'id': {spec!r}")
     if cfg.noise is not None:
-        if float(cfg.noise.get("eta", -1)) < 0:
-            raise ConfigError("noise.eta must be >= 0")
+        if not (0.0 <= float(cfg.noise.get("eta", -1)) < math.inf):
+            raise ConfigError("noise.eta must be finite and >= 0")
         lo, hi = cfg.noise.get("support", (0, 0))
         if not (kernel.omega < float(lo) < float(hi)):
             raise ConfigError("noise.support must lie strictly outside the band")
@@ -271,13 +267,10 @@ def _check_monotone(signal_id: str, gammas, errs) -> list[bool]:
 def _ladder_deviations(kernel, gammas, epsilon: float, extra_points=()) -> list[float]:
     """sup |K_hat - K| on the matching eps-gapped domain, one per ladder rung,
     over the domain grid plus `extra_points`."""
-    grid = DeviationGrid(extra_points=tuple(extra_points))
-    sups = []
-    for gamma in gammas:
-        predictor = PredictorTransfer(kernel, gamma)
-        domain = FrequencyDomain(predictor.target_class, epsilon)
-        sups.append(deviation_norm(predictor, domain, math.inf, grid))
-    return sups
+    return [
+        deviation_norm(PredictorTransfer(kernel, gamma), epsilon, math.inf, extra_points)
+        for gamma in gammas
+    ]
 
 
 def _ladder_rows(signal_id: str, gammas, norms, deviations, flags) -> list[ReportRow]:
@@ -506,6 +499,10 @@ _OPS = {
 
 
 def cli_main(argv) -> int:
+    """Run one subcommand and return its exit code.  `validate` builds each
+    entry by its kind (1 if one cannot be built) but cannot know which op
+    will run, since decompose takes a highfreq entry under a LOW ladder, so
+    the class rule of sweep and robustness is checked when they run (exit 1)."""
     parser = argparse.ArgumentParser(
         prog="bandcast", description="causal-prediction experiment harness"
     )

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    NonFiniteResult,
     Saturated,
     SaturatedSpectrum,
     SpectrumNotDecayed,
@@ -89,20 +90,6 @@ class PredictorTransfer:
     def target_class(self) -> str:
         """Declared input class: LOW for gamma > 0, HIGH for gamma < 0."""
         return "LOW" if self.gamma > 0 else "HIGH"
-
-
-@dataclass(frozen=True)
-class FrequencyDomain:
-    """LOW: [-omega+eps, omega-eps]; HIGH: |w| >= omega+eps (eps=0 allowed)."""
-
-    kind: str
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("LOW", "HIGH"):
-            raise DomainError(f"domain kind must be LOW or HIGH, got {self.kind!r}")
-        if self.epsilon < 0:
-            raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
 def _exponents(predictor: PredictorTransfer, p) -> tuple[list[tuple[np.ndarray, int]], np.ndarray]:
@@ -190,40 +177,30 @@ def eval_predictor_transfer(predictor: PredictorTransfer, omega_val: float) -> c
 
 
 # ---------------------------------------------------------------------------
-# Deviation norms over frequency domains
-
-
-@dataclass(frozen=True)
-class DeviationGrid:
-    """Grid control for deviation_norm (spacing bound min(a_m)/50).
-
-    omega_max: truncation point for HIGH domains (default: smallest decade
-    point with |K| <= 1e-10); extra_points: frequencies merged into the
-    evaluation set (e.g. atom locations); nodes: explicit full node set,
-    overriding everything else.
-    """
-
-    omega_max: float | None = None
-    extra_points: tuple[float, ...] = ()
-    nodes: tuple[float, ...] | None = None
-
-
-_TRUNCATION_TOL = 1e-10
+# Deviation norms over the predictor's own eps-gapped domain
 
 
 def _default_omega_max(kernel: RationalAnticausalKernel) -> float:
+    """Smallest point of the search w0 * 1.2**k with |K(i w)| <= 1e-10; raises
+    TruncationNotJustified when w overflows first (a NaN |K| never qualifies)."""
     gap = kernel.denominator_degree - kernel.numerator_degree
     lead = abs(kernel.numerator_coeffs[kernel.numerator_degree])
     w = max((lead * 1e10) ** (1.0 / gap), 10.0 * kernel.omega)
-    while abs(transfer_on_grid(kernel, np.array([w]))[0]) > _TRUNCATION_TOL:
+    while math.isfinite(w):
+        if abs(transfer_on_grid(kernel, np.array([w]))[0]) <= 1e-10:
+            return w
         w *= 1.2
-    return w
+    raise TruncationNotJustified("w overflowed before |K(i w)| fell to 1e-10")
 
 
 def _deviation_values(predictor: PredictorTransfer, w: np.ndarray) -> np.ndarray:
-    """|K_hat - K| = |V - 1| * |K| pointwise (cancellation-free)."""
+    """|K_hat - K| = |V - 1| * |K| pointwise (cancellation-free); a value that
+    is not finite raises NonFiniteResult naming its frequency."""
     vm1 = compensator_minus_one_on_points(predictor, 1j * w)
-    return np.abs(vm1) * np.abs(transfer_on_grid(predictor.kernel, w))
+    vals = np.abs(vm1) * np.abs(transfer_on_grid(predictor.kernel, w))
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteResult(f"|K_hat - K| not finite at omega = {w[~np.isfinite(vals)][0]:.6g}")
+    return vals
 
 
 _CHUNK = 1 << 19
@@ -275,60 +252,38 @@ def _norm_over_chunks(predictor: PredictorTransfer, chunks, mu: float) -> tuple[
 
 
 def deviation_norm(
-    predictor: PredictorTransfer,
-    domain: FrequencyDomain,
-    mu: float,
-    grid_spec: DeviationGrid | None = None,
+    predictor: PredictorTransfer, epsilon: float, mu: float, extra_points: Sequence[float] = ()
 ) -> float:
-    """L_mu norm of |K_hat(i w) - K(i w)| over the domain (sup for mu = inf).
-
-    HIGH domains are truncated at omega_max; TruncationNotJustified is raised
-    when |K(i omega_max)| exceeds 1e-10.
-    """
+    """L_mu norm (sup for mu = inf) of |K_hat(i w) - K(i w)| over the
+    predictor's own eps-gapped domain: |w| <= omega - eps for gamma > 0, |w| >=
+    omega + eps (truncated where |K| falls to 1e-10) for gamma < 0; the points
+    of `extra_points` whose |w| lies in it join the sup.  A finite number, or
+    DomainError, TruncationNotJustified or NonFiniteResult, without a numpy
+    warning."""
     if not (mu >= 1.0):
         raise DomainError(f"mu must be in [1, inf], got {mu}")
-    grid_spec = grid_spec or DeviationGrid()
-    kernel = predictor.kernel
-    om = kernel.omega
-    if domain.epsilon >= om:
-        raise DomainError(f"epsilon = {domain.epsilon} must be < omega = {om}")
-
-    if grid_spec.nodes is not None:
-        w = np.asarray(grid_spec.nodes, dtype=float)
-        vals = _deviation_values(predictor, w)
-        if np.isinf(mu):
-            return float(np.max(vals))
-        return float(np.trapezoid(vals**mu, w)) ** (1.0 / mu)
-
+    kernel, om = predictor.kernel, predictor.kernel.omega
+    if not (0.0 <= epsilon < om):
+        raise DomainError(f"epsilon = {epsilon} must lie in [0, omega = {om})")
     h = kernel.min_pole_rate / 50.0
-    extras = np.abs(np.asarray(grid_spec.extra_points, dtype=float))
-
-    if domain.kind == "LOW":
-        lo, hi = -(om - domain.epsilon), om - domain.epsilon
-        integral, sup = _norm_over_chunks(predictor, _uniform_chunks(lo, hi, h), mu)
-    else:
-        wmax = grid_spec.omega_max if grid_spec.omega_max is not None else _default_omega_max(kernel)
-        tail = abs(transfer_on_grid(kernel, np.array([wmax]))[0])
-        if tail > _TRUNCATION_TOL:
-            raise TruncationNotJustified(
-                f"|K(i*{wmax:g})| = {tail:.3e} exceeds {_TRUNCATION_TOL}"
-            )
-        lo = om + domain.epsilon
-        integral, sup = _norm_over_chunks(
-            predictor, _high_domain_chunks(lo, wmax, h, om), mu
-        )
-        integral *= 2.0  # |deviation| is even in w for real kernels
-
-    if len(extras):
-        inside = (
-            extras <= om - domain.epsilon
-            if domain.kind == "LOW"
-            else extras >= om + domain.epsilon
-        )
-        if np.any(inside):
-            sup = max(sup, float(np.max(_deviation_values(predictor, extras[inside]))))
-
-    return sup if np.isinf(mu) else integral ** (1.0 / mu)
+    extras = np.abs(np.asarray(extra_points, dtype=float))
+    with np.errstate(all="ignore"):
+        if predictor.target_class == "LOW":
+            edge = om - epsilon
+            integral, sup = _norm_over_chunks(predictor, _uniform_chunks(-edge, edge, h), mu)
+            inside = extras[extras <= edge]
+        else:
+            edge = om + epsilon
+            chunks = _high_domain_chunks(edge, _default_omega_max(kernel), h, om)
+            integral, sup = _norm_over_chunks(predictor, chunks, mu)
+            integral *= 2.0  # |deviation| is even in w for real kernels
+            inside = extras[extras >= edge]
+        if len(inside):
+            sup = max(sup, float(np.max(_deviation_values(predictor, inside))))
+        norm = sup if np.isinf(mu) else integral ** (1.0 / mu)
+    if not math.isfinite(norm):
+        raise NonFiniteResult(f"deviation L_{mu:g} norm overflowed (gamma = {predictor.gamma:g})")
+    return norm
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,10 @@ class GaussianBump:
     height: float = 1.0
     sigma: float | None = None
 
+    def __post_init__(self):
+        if self.sigma is not None and not (0.0 < self.sigma < math.inf):
+            raise SupportViolation(f"gaussian sigma must be finite and > 0, got {self.sigma}")
+
     def _sigma(self) -> float:
         return self.sigma if self.sigma is not None else (self.hi - self.lo) / 4.0
 
@@ -357,8 +361,9 @@ class SampledDensity:
     def __post_init__(self):
         object.__setattr__(self, "omegas", np.asarray(self.omegas, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-        if len(self.omegas) < 2 or np.any(np.diff(self.omegas) <= 0):
-            raise SupportViolation("sampled density needs an increasing grid")
+        w = self.omegas
+        if len(w) < 2 or not (np.all(np.isfinite(w)) and np.all(np.diff(w) > 0)):
+            raise SupportViolation("sampled density needs a finite increasing grid")
 
     def support(self) -> tuple[float, float]:
         return (float(self.omegas[0]), float(self.omegas[-1]))
@@ -503,8 +508,8 @@ def add_outofband_noise(
     even, omega0 == -(n/2) * domega), else `GridMismatch`.
     """
     lo, hi = float(noise_support[0]), float(noise_support[1])
-    if eta < 0:
-        raise SupportViolation(f"eta must be >= 0, got {eta}")
+    if not (0.0 <= eta < math.inf):
+        raise SupportViolation(f"eta must be finite and >= 0, got {eta}")
     if not 0.0 < omega < lo:
         raise SupportViolation(
             f"noise support [{lo}, {hi}] must lie above the band [-{omega}, {omega}], omega > 0"
@@ -584,23 +589,22 @@ def mixed_to_json_dict(ms: MixedSpectrum) -> dict:
 
 
 def mixed_from_json_dict(doc: dict) -> MixedSpectrum:
+    """The mixed spectrum of a JSON document.  A density whose height or
+    samples are not finite raises SupportViolation before any quadrature."""
     atoms = [(float(a[0]), complex(a[1], a[2])) for a in doc.get("atoms", [])]
     comps = []
     for d in doc.get("density", []):
         if d["kind"] == "raised_cosine":
-            comps.append(RaisedCosineBump(float(d["lo"]), float(d["hi"]), float(d.get("height", 1.0))))
+            comp = RaisedCosineBump(float(d["lo"]), float(d["hi"]), float(d.get("height", 1.0)))
         elif d["kind"] == "gaussian":
-            comps.append(
-                GaussianBump(
-                    float(d["lo"]),
-                    float(d["hi"]),
-                    float(d.get("height", 1.0)),
-                    float(d["sigma"]) if "sigma" in d else None,
-                )
-            )
+            sigma = float(d["sigma"]) if "sigma" in d else None
+            comp = GaussianBump(float(d["lo"]), float(d["hi"]), float(d.get("height", 1.0)), sigma)
         elif d["kind"] == "sampled":
             vals = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-            comps.append(SampledDensity(np.asarray(d["omegas"], dtype=float), vals))
+            comp = SampledDensity(np.asarray(d["omegas"], dtype=float), vals)
         else:
             raise SupportViolation(f"unknown density kind {d['kind']!r}")
+        if not np.all(np.isfinite(comp.values if d["kind"] == "sampled" else comp.height)):
+            raise SupportViolation(f"{d['kind']} density height or samples not finite")
+        comps.append(comp)
     return make_mixed_signal(atoms, comps, doc["class"], float(doc["epsilon"]), float(doc["omega"]))

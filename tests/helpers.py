@@ -10,7 +10,13 @@ from scipy.integrate import quad
 from bandcast import PredictorTransfer, build_kernel
 from bandcast.errors import ClassMismatch
 from bandcast.kernels import scalar_time_kernel, transfer_on_grid
-from bandcast.predictor import predictor_transfer_on_grid
+from bandcast.predictor import (
+    _deviation_values,
+    _high_domain_chunks,
+    _norm_over_chunks,
+    _uniform_chunks,
+    predictor_transfer_on_grid,
+)
 from bandcast.signals import RaisedCosineBump, make_mixed_signal
 
 
@@ -98,6 +104,33 @@ def reference_mixed_predict_ladder(ms, kernel, gammas, t):
         for c, acc in enumerate(yhat_vals, start=1):
             acc += integrals[:, c]
     return y_vals / (2 * np.pi), [acc / (2 * np.pi) for acc in yhat_vals]
+
+
+def reference_deviation_norm(predictor, kind, epsilon, mu, extra_points=()):
+    """Reference for `predictor.deviation_norm`: the domain kind ("LOW" or
+    "HIGH") passed on its own and the HIGH truncation point searched without
+    a guard, over the same node chunks."""
+    kernel = predictor.kernel
+    om = kernel.omega
+    h = kernel.min_pole_rate / 50.0
+    extras = np.abs(np.asarray(extra_points, dtype=float))
+    if kind == "LOW":
+        lo, hi = -(om - epsilon), om - epsilon
+        integral, sup = _norm_over_chunks(predictor, _uniform_chunks(lo, hi, h), mu)
+    else:
+        gap = kernel.denominator_degree - kernel.numerator_degree
+        lead = abs(kernel.numerator_coeffs[kernel.numerator_degree])
+        wmax = max((lead * 1e10) ** (1.0 / gap), 10.0 * om)
+        while abs(transfer_on_grid(kernel, np.array([wmax]))[0]) > 1e-10:
+            wmax *= 1.2
+        lo = om + epsilon
+        integral, sup = _norm_over_chunks(predictor, _high_domain_chunks(lo, wmax, h, om), mu)
+        integral *= 2.0
+    if len(extras):
+        inside = extras <= om - epsilon if kind == "LOW" else extras >= om + epsilon
+        if np.any(inside):
+            sup = max(sup, float(np.max(_deviation_values(predictor, extras[inside]))))
+    return sup if np.isinf(mu) else integral ** (1.0 / mu)
 
 
 def random_mixed_signal(rng, class_tag, omega, epsilon, n_atoms=4, with_density=True,

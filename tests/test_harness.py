@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bandcast import harness, transforms
+from bandcast import harness, signals, transforms
 from bandcast.errors import ClassMismatch, ConfigError, QuadratureNotConverged
 from bandcast.harness import (
     cli_main,
@@ -452,6 +452,71 @@ def test_cli_intake_exit_codes(tmp_path, capsys, command, name, signal, code, er
     assert cli_main([command, "--config", str(cfg)]) == code
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == error
+
+
+def test_validate_builds_entries_without_the_class_rule(tmp_path, capsys):
+    # validate cannot know which op will run (decompose takes a highfreq
+    # entry under a LOW ladder), so the class rule is checked by the op.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_config_with_signal("robustness", _HIGHFREQ)))
+    assert cli_main(["validate", "--config", str(cfg)]) == 0
+    assert cli_main(["robustness", "--config", str(cfg)]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ClassMismatch"
+
+
+@pytest.mark.parametrize(
+    "command, name, mutate",
+    [
+        ("sweep", "sweep", lambda doc: doc.update(epsilon=math.nan)),
+        ("sweep", "sweep", lambda doc: doc.update(epsilon=math.inf)),
+        ("robustness", "robustness", lambda doc: doc["noise"].update(eta=math.nan)),
+        ("robustness", "robustness", lambda doc: doc["noise"].update(eta=math.inf)),
+    ],
+    ids=["epsilon-nan", "epsilon-inf", "eta-nan", "eta-inf"],
+)
+def test_cli_non_finite_config_values_exit_2(tmp_path, capsys, command, name, mutate):
+    doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    doc["outputs"] = {}
+    mutate(doc)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    for cmd in ("validate", command):
+        assert cli_main([cmd, "--config", str(cfg)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+
+
+_DENSITY_DEFECTS = {
+    "gaussian-sigma-0": {"kind": "gaussian", "lo": -0.6, "hi": -0.2, "sigma": 0.0},
+    "gaussian-sigma-negative": {"kind": "gaussian", "lo": -0.6, "hi": -0.2, "sigma": -1.0},
+    "raised-cosine-nan-height": {"kind": "raised_cosine", "lo": -0.6, "hi": -0.2,
+                                 "height": math.nan},
+    "gaussian-nan-height": {"kind": "gaussian", "lo": -0.6, "hi": -0.2, "height": math.nan},
+    "sampled-nan-omega": {"kind": "sampled", "omegas": [-0.6, math.nan, -0.2],
+                          "re": [0.0, 1.0, 0.0], "im": [0.0, 0.0, 0.0]},
+    "sampled-nan-value": {"kind": "sampled", "omegas": [-0.6, -0.4, -0.2],
+                          "re": [0.0, math.nan, 0.0], "im": [0.0, 0.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize("density", _DENSITY_DEFECTS.values(), ids=_DENSITY_DEFECTS.keys())
+def test_cli_defective_density_fails_when_built(tmp_path, monkeypatch, capsys, density):
+    # The density is refused when it is built: validate catches it, and
+    # bound-check fails before any quadrature.
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("density quadrature ran")
+
+    monkeypatch.setattr(signals, "_oscillatory_integral", no_quadrature)
+    doc = json.loads((ROOT / "configs" / "bound_check.json").read_text())
+    doc["outputs"] = {}
+    doc["signals"][1]["density"] = [density]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    for command in ("validate", "bound-check"):
+        assert cli_main([command, "--config", str(cfg)]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "SupportViolation"
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,13 @@
 """Compensator evaluation, deviation norms, synthesis, boundary checks."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bandcast import (
-    DeviationGrid,
-    FrequencyDomain,
     PredictorTransfer,
     alpha_coefficient,
     build_kernel,
@@ -21,6 +21,7 @@ from bandcast import (
 )
 from bandcast.errors import (
     DomainError,
+    NonFiniteResult,
     Saturated,
     SaturatedSpectrum,
     SpectrumNotDecayed,
@@ -31,12 +32,13 @@ from bandcast.grids import GridSpec
 from bandcast.kernels import transfer_on_grid
 from bandcast.predictor import predictor_transfer_on_grid
 from bandcast.predictor import (
+    _deviation_values,
     compensator_minus_one_on_points,
     _khat_on_points,
     compensator_on_points,
     predictor_transfer_on_grid,
 )
-from helpers import random_kernel
+from helpers import random_kernel, reference_deviation_norm
 
 
 def test_alpha_coefficient_values():
@@ -170,7 +172,7 @@ def test_deviation_norm_sup_at_band_interior_edge(single_pole):
     # For b = 0 the deviation is monotone in |w| in-band, so the sup over
     # [-0.9, 0.9] sits at the endpoints.
     pred = PredictorTransfer(single_pole, 20.0)
-    sup = deviation_norm(pred, FrequencyDomain("LOW", 0.1), math.inf)
+    sup = deviation_norm(pred, 0.1, math.inf)
     edge = abs(compensator_minus_one_on_points(pred, 1j * np.array([0.9]))[0]) * abs(
         eval_transfer(single_pole, 0.9)
     )
@@ -180,21 +182,21 @@ def test_deviation_norm_sup_at_band_interior_edge(single_pole):
 def test_deviation_norm_linearity(single_pole):
     doubled = build_kernel([(1.0, 0.0, 1)], [2.0], 1.0)
     for mu in (2.0, math.inf):
-        d1 = deviation_norm(PredictorTransfer(single_pole, 5.0), FrequencyDomain("LOW", 0.0), mu)
-        d2 = deviation_norm(PredictorTransfer(doubled, 5.0), FrequencyDomain("LOW", 0.0), mu)
+        d1 = deviation_norm(PredictorTransfer(single_pole, 5.0), 0.0, mu)
+        d2 = deviation_norm(PredictorTransfer(doubled, 5.0), 0.0, mu)
         assert d2 == pytest.approx(2 * d1, rel=1e-13)
 
 
 def test_deviation_norm_bounded_by_twice_sup_transfer(single_pole):
     pred = PredictorTransfer(single_pole, 5.0)
-    sup_dev = deviation_norm(pred, FrequencyDomain("LOW", 0.0), math.inf)
+    sup_dev = deviation_norm(pred, 0.0, math.inf)
     w = np.linspace(-1, 1, 4001)
     assert sup_dev <= 2 * np.max(np.abs(transfer_on_grid(single_pole, w)))
 
 
 def test_deviation_norm_high_domain(single_pole):
     pred = PredictorTransfer(single_pole, -10.0)
-    sup = deviation_norm(pred, FrequencyDomain("HIGH", 0.1), math.inf)
+    sup = deviation_norm(pred, 0.1, math.inf)
     # Deviation decays away from the band edge; the sup sits near w = 1.1.
     near_edge = abs(compensator_minus_one_on_points(pred, 1j * np.array([1.1]))[0]) * abs(
         eval_transfer(single_pole, 1.1)
@@ -202,12 +204,70 @@ def test_deviation_norm_high_domain(single_pole):
     assert sup == pytest.approx(near_edge, rel=1e-6)
 
 
-def test_deviation_norm_truncation_guard(single_pole):
-    pred = PredictorTransfer(single_pole, -10.0)
-    with pytest.raises(TruncationNotJustified):
-        deviation_norm(
-            pred, FrequencyDomain("HIGH", 0.1), math.inf, DeviationGrid(omega_max=100.0)
-        )
+def test_deviation_norm_truncation_guard():
+    # |K(i w)| ~ 1e300 / w: the truncation search overflows w before |K|
+    # falls to 1e-10.  1e200 p**2 / (p - 1)**3 is inf / inf = NaN from the
+    # first search point on.  Neither HIGH domain can be truncated.
+    cases = (([(1.0, 0.0, 2)], [1.0, 1e300]), ([(1.0, 0.0, 3)], [0.0, 0.0, 1e200]))
+    for poles, numerator in cases:
+        kernel = build_kernel(poles, numerator, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TruncationNotJustified, match="overflowed"):
+                deviation_norm(PredictorTransfer(kernel, -10.0), 0.0, math.inf)
+
+
+def test_deviation_norm_equals_reference_on_own_domain():
+    # The domain is the predictor's own class; the numbers are those of the
+    # kind-taking reference, bit for bit, on every draw.
+    rng = np.random.default_rng(0xD15)
+    combos = list(itertools.product((2.0, -2.0, 20.0, -20.0), (0.0, 0.1), (2.0, math.inf), (0, 5)))
+    for i in range(200):
+        kernel = random_kernel(rng)
+        gamma, eps, mu, n_extra = combos[i % len(combos)]
+        extra = tuple(rng.uniform(-3.0, 3.0, n_extra) * kernel.omega)
+        pred = PredictorTransfer(kernel, gamma)
+        expected = reference_deviation_norm(pred, pred.target_class, eps, mu, extra)
+        assert deviation_norm(pred, eps, mu, extra) == expected, (i, gamma, eps, mu, n_extra)
+
+
+def test_deviation_norm_extra_points_join_the_sup_inside_the_domain_only(conjugate_pair):
+    # At gamma = +-2 the deviation peaks between two domain nodes, so that
+    # peak as an extra point raises the sup.  A point of the other class,
+    # where the deviation is over ten times larger, stays out.
+    for gamma, (lo, hi), off in ((2.0, (-0.9, 0.9), 1.5), (-2.0, (1.1, 6.0), 0.5)):
+        pred = PredictorTransfer(conjugate_pair, gamma)
+        base = deviation_norm(pred, 0.1, math.inf)
+        w = np.linspace(lo, hi, 400001)
+        vals = _deviation_values(pred, w)
+        assert vals.max() > base
+        joined = deviation_norm(pred, 0.1, math.inf, [float(w[np.argmax(vals)]), off, -off])
+        assert joined == pytest.approx(vals.max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [math.nan, -0.1, 1.0], ids=["nan", "negative", "omega"])
+def test_deviation_norm_epsilon_outside_domain(single_pole, eps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for gamma in (5.0, -5.0):
+            with pytest.raises(DomainError, match="epsilon"):
+                deviation_norm(PredictorTransfer(single_pole, gamma), eps, math.inf)
+
+
+def test_deviation_norm_non_finite_values_raise():
+    # |K(i w)| = 1e307 / |i w - 1e-3| overflows near w = 0.
+    kernel = build_kernel([(1e-3, 0.0, 1)], [1e307], 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for mu in (2.0, math.inf):
+            with pytest.raises(NonFiniteResult, match="not finite at omega"):
+                deviation_norm(PredictorTransfer(kernel, 5.0), 0.0, mu)
+        # Finite values whose mu-th powers overflow: the sup is finite, the
+        # L2 norm is not.
+        large = PredictorTransfer(build_kernel([(1.0, 0.0, 1)], [1e200], 1.0), 5.0)
+        assert math.isfinite(deviation_norm(large, 0.0, math.inf))
+        with pytest.raises(NonFiniteResult, match="overflowed"):
+            deviation_norm(large, 0.0, 2.0)
 
 
 def test_pointwise_convergence_single_factor(single_pole):

@@ -391,6 +391,13 @@ def test_noise_support_validation(grid):
         add_outofband_noise(spec, -1.0, (1.05, 1.1), 1, 1.0)
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf], ids=["nan", "inf"])
+def test_noise_rejects_non_finite_eta(grid, eta):
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
+    with pytest.raises(SupportViolation, match="finite"):
+        _no_warnings(lambda: add_outofband_noise(spec, eta, (1.05, 1.1), 1, 1.0))
+
+
 def test_noise_rejects_off_center_grid(grid):
     # Index -j is the mate of j only on a centered grid.  With omega0 moved
     # by 0.9 domega the mates of (1.001, 1.1) used to land in band, at
