@@ -154,10 +154,12 @@ def causal_convolve(
 
     Uses only lags in [0, M] of khat (strictly causal); x is zero-extended
     before its grid.  khat's grid must contain the lag range at x's spacing.
-    A horizon that is not positive (or NaN) raises InsufficientHistory; a
-    non-finite sample of x or of the taps used, or a non-finite output (an
-    overflow of finite inputs), raises NonFiniteResult without a numpy
-    warning.
+    x is convolved by overlap-add in blocks of max(2 * taps, 2**14) samples,
+    each one fftconvolve summed into the output, so the memory beyond the
+    output scales with the tap count, not with the length of x.  A horizon
+    that is not positive (or NaN) raises InsufficientHistory; a non-finite
+    sample of x or of the taps used, or a non-finite output (an overflow of
+    finite inputs), raises NonFiniteResult without a numpy warning.
     """
     dt = x.dt
     if abs(khat.dt - dt) > 1e-12 * dt:
@@ -182,17 +184,25 @@ def causal_convolve(
             f"khat grid does not cover lags [0, {horizon_m:g}]"
         )
     taps = khat.values[offset : offset + lags + 1].copy()
-    for name, values in (("x", x.values), ("khat", taps)):
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteResult(f"causal_convolve: {name} has non-finite samples")
+    if not np.all(np.isfinite(taps)):
+        raise NonFiniteResult("causal_convolve: khat has non-finite samples")
     taps[0] *= 0.5
     taps[-1] *= 0.5
     taps *= dt
+    n = len(x.values)
+    block = max(2 * len(taps), 1 << 14)
+    out = np.zeros(n, dtype=np.result_type(x.values, taps))
     with np.errstate(invalid="ignore", over="ignore"):
-        full = fftconvolve(x.values, taps)[: len(x.values)]
-    if not np.all(np.isfinite(full)):
-        raise NonFiniteResult("causal_convolve: the convolution overflowed")
-    return SampledSignal(x.t0, dt, full)
+        for start in range(0, n, block):
+            segment = x.values[start : start + block]
+            if not np.all(np.isfinite(segment)):
+                raise NonFiniteResult("causal_convolve: x has non-finite samples")
+            piece = fftconvolve(segment, taps)[: n - start]
+            out[start : start + len(piece)] += piece
+            # No later block reaches below start + block: that stretch is final.
+            if not np.all(np.isfinite(out[start : start + block])):
+                raise NonFiniteResult("causal_convolve: the convolution overflowed")
+    return SampledSignal(x.t0, dt, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,26 +257,35 @@ def spectral_predict_ladder(
     the returned iterator computes each rung when it is reached and inverts
     only its Y_hat.  X must be on a centered grid (GridMismatch, raised
     before K is evaluated).  An exactly Hermitian X is carried as its
-    omega >= 0 half (K and V on n/2 + 1 points, irfft, float y and y_hat);
-    any other X uses every grid point.  Wherever X = 0 exactly, Y_hat is
-    forced to 0 without evaluating the compensator, so off-band blow-up
-    cannot poison in-class runs; if X has energy where the compensator
-    saturates, ClassMismatch is raised when that rung is reached.  One
-    result per gamma, in ladder order, all sharing one y; each carries the
-    guarded Y_hat it inverted, on the half or the full grid, as
-    ``yhat_spectrum``.  Between rungs only y, the mask and the active points
-    are kept.
+    omega >= 0 half (n/2 + 1 points, irfft, float y and y_hat); any other X
+    uses every grid point.  K and V are evaluated only where X != 0 and
+    scattered into zero-filled Y and Y_hat, so off-band blow-up cannot
+    poison in-class runs; if X has energy where the compensator saturates,
+    ClassMismatch is raised when that rung is reached.  One result per
+    gamma, in ladder order, all sharing one y; each carries the guarded
+    Y_hat it inverted, on the half or the full grid, as ``yhat_spectrum``.
+    Between rungs only y, the mask and the values at the active points are
+    kept, not X: a caller that drops X and each result before asking for
+    the next holds one rung at a time.
     """
     require_centered(len(X.values), X.omega0, X.domega)
     predictors = [PredictorTransfer(kernel, gamma) for gamma in gammas]
     half = hermitian_half(X.values, X.omega0, X.domega)
     if half is not None:  # run on the half, on its own grid omega_k = k*domega
         X = SampledSpectrum(0.0, X.domega, half)
-    w = X.omegas()
+    omega0, domega = X.omega0, X.domega
     active = X.values != 0.0
-    Y = transfer_on_grid(kernel, w) * X.values
-    y = fourier_inverse(SampledSpectrum(X.omega0, X.domega, Y))
-    p_active, Y_active = 1j * w[active], Y[active]
+    w = X.omegas()[active]
+    Y_active = transfer_on_grid(kernel, w) * X.values[active]
+    p_active = 1j * w
+    del X, half  # y's inverse and the rungs read only the active points
+
+    def on_grid(values: np.ndarray) -> SampledSpectrum:
+        full = np.zeros(len(active), dtype=complex)
+        full[active] = values
+        return SampledSpectrum(omega0, domega, full)
+
+    y = fourier_inverse(on_grid(Y_active))
 
     def rung(predictor: PredictorTransfer) -> PredictionResult:
         v, sat = compensator_on_points(predictor, p_active)
@@ -276,9 +295,7 @@ def spectral_predict_ladder(
                 f"X has energy at omega = {bad:.6g} where the predictor "
                 f"saturates (gamma = {predictor.gamma:g})"
             )
-        Yhat = np.zeros(len(active), dtype=complex)
-        Yhat[active] = v * Y_active
-        spectrum = SampledSpectrum(X.omega0, X.domega, Yhat)
+        spectrum = on_grid(v * Y_active)
         return PredictionResult(
             y=y, yhat=fourier_inverse(spectrum), gamma=predictor.gamma, yhat_spectrum=spectrum
         )

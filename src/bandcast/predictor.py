@@ -257,7 +257,8 @@ def deviation_norm(
     """L_mu norm (sup for mu = inf) of |K_hat(i w) - K(i w)| over the
     predictor's own eps-gapped domain: |w| <= omega - eps for gamma > 0, |w| >=
     omega + eps (truncated where |K| falls to 1e-10) for gamma < 0; the points
-    of `extra_points` whose |w| lies in it join the sup.  A finite number, or
+    of `extra_points` whose |w| lies in it join the sup; a non-finite one
+    raises DomainError before anything is evaluated.  A finite number, or
     DomainError, TruncationNotJustified or NonFiniteResult, without a numpy
     warning."""
     if not (mu >= 1.0):
@@ -265,8 +266,11 @@ def deviation_norm(
     kernel, om = predictor.kernel, predictor.kernel.omega
     if not (0.0 <= epsilon < om):
         raise DomainError(f"epsilon = {epsilon} must lie in [0, omega = {om})")
+    extras = np.asarray(extra_points, dtype=float)
+    if not np.all(np.isfinite(extras)):
+        raise DomainError(f"extra point {float(extras[~np.isfinite(extras)][0])} is not finite")
+    extras = np.abs(extras)
     h = kernel.min_pole_rate / 50.0
-    extras = np.abs(np.asarray(extra_points, dtype=float))
     with np.errstate(all="ignore"):
         if predictor.target_class == "LOW":
             edge = om - epsilon

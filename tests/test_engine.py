@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -431,6 +432,46 @@ def test_causal_horizon_tail_negligible(triple_pole):
     assert np.max(np.abs(a.values - b.values)) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("complex_x", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "n, lags",
+    [(3 * 2**14 + 777, 50), (2 * 18002 + 5001, 9000), (1500, 1499)],
+    ids=["short-taps", "long-taps", "horizon-span"],
+)
+def test_causal_convolve_matches_direct_sum(complex_x, n, lags):
+    # Several blocks plus a remainder with blocks of 2**14 samples (short
+    # taps) and of 2 * taps samples (long taps), and one block when the
+    # horizon is the whole span.
+    rng = np.random.default_rng(n)
+    dt = 0.05
+    x = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_x else 0.0)
+    khat = SampledSignal(-3 * dt, dt, rng.standard_normal(lags + 10))  # lag 0 at index 3
+    out = causal_convolve(khat, SampledSignal(0.0, dt, x), lags * dt)
+    taps = khat.values[3 : 4 + lags] * dt
+    taps[[0, -1]] *= 0.5
+    direct = np.convolve(x, taps)[:n]
+    assert out.values.dtype == direct.dtype
+    assert np.max(np.abs(out.values - direct)) <= 1e-12 * np.max(np.abs(out.values))
+
+
+def test_causal_convolve_memory_beyond_output_does_not_grow_with_n():
+    # At 1001 taps the memory the call allocates besides its output stays
+    # flat from n = 2**16 to 2**18; one fftconvolve over all of x grows 4x.
+    dt = 0.05
+    khat = SampledSignal(0.0, dt, np.ones(2048))
+    transient = []
+    for n in (2**16, 2**18):
+        x = SampledSignal(0.0, dt, np.ones(n, dtype=complex))
+        tracemalloc.start()
+        try:
+            out = causal_convolve(khat, x, 1000 * dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        transient.append(peak - out.values.nbytes)
+    assert transient[1] <= 1.1 * transient[0]
+
+
 def test_causal_requires_history_and_grid(triple_pole):
     dt = 0.05
     x = SampledSignal(-10.0, dt, np.zeros(512, dtype=complex))
@@ -520,7 +561,10 @@ def test_spectral_predict_ladder_equals_single_rungs(single_pole, pipeline_grid,
 
 def test_spectral_predict_ladder_inverts_y_once(single_pole, pipeline_grid, monkeypatch):
     # L rungs: one inverse transform for y plus one per y_hat, and K once on
-    # the half grid omega >= 0 of the Hermitian X.
+    # the nonzero points of the half grid omega >= 0 of the Hermitian X.
+    X = _class_signal("LOW", pipeline_grid)
+    support = np.count_nonzero(transforms.hermitian_half(X.values, X.omega0, X.domega))
+    assert 0 < support < pipeline_grid.n // 2 + 1
     inverses, half_grid_k = [], []
     transfer = engine.transfer_on_grid
     for fn_name in ("ifft", "irfft"):
@@ -533,12 +577,11 @@ def test_spectral_predict_ladder_inverts_y_once(single_pole, pipeline_grid, monk
         monkeypatch.setattr(np.fft, fn_name, counted)
 
     def counted_transfer(kernel, w):
-        assert np.size(w) == pipeline_grid.n // 2 + 1
+        assert np.size(w) == support
         half_grid_k.append(w)
         return transfer(kernel, w)
 
     monkeypatch.setattr(engine, "transfer_on_grid", counted_transfer)
-    X = _class_signal("LOW", pipeline_grid)
     results = list(spectral_predict_ladder(X, single_pole, LADDERS["LOW"]))
     assert len(results) == len(LADDERS["LOW"])
     assert inverses == ["irfft"] * (len(LADDERS["LOW"]) + 1)

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -370,12 +371,39 @@ def test_cli_malformed_config_exits_2_with_record(tmp_path, monkeypatch, capsys,
 
 
 def test_sweep_ladder_converged_to_zero_passes():
-    # Past gamma = 200, V - 1 underflows on the support: y_hat equals y exactly.
+    # Past gamma = 200 the error is 0.0, though V - 1 does not underflow:
+    # |V - 1| <= 7.5e-20 on the support at gamma = 400
+    # (compensator_minus_one_on_points), so V * Y rounds to Y and y_hat
+    # equals y exactly.
     doc = json.loads((ROOT / "configs" / "sweep.json").read_text())
     doc["gamma_ladder"] = [20, 50, 100, 200, 400, 800]
     report = run_convergence_sweep(config_from_dict(doc))
     assert [r.err_l2 for r in report.rows][-2:] == [0.0, 0.0]
     assert all(r.monotone_ok for r in report.rows)
+
+
+@pytest.mark.parametrize(
+    "name, op, bound",
+    [("sweep", run_convergence_sweep, 6.0), ("decompose", run_decomposition_demo, 12.5)],
+)
+def test_grid_op_peak_memory(name, op, bound):
+    # Traced peak at n = 2**16, in (n/2 + 1)-point complex half spectra.
+    # One live rung and no held spectrum take 5.3 (sweep) and 11.4
+    # (decompose).  Holding any one of the built spectra, the previous rung
+    # or X inside the ladder takes 6.2-7.3 and 13.3-15.4; all of them, 10.3
+    # and 18.3.
+    n = 2**16
+    doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    doc["grid"] = {"n": n, "span": 400.0 * n / 2048}
+    cfg = config_from_dict(doc)
+    op(cfg)  # first-call allocations (FFT plans, caches) stay out of the count
+    tracemalloc.start()
+    try:
+        op(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 16 * (n // 2 + 1)
 
 
 def test_cli_monotonicity_failure_names_its_signal(tmp_path, monkeypatch, capsys):

@@ -27,7 +27,7 @@ from bandcast.errors import (
     SpectrumNotDecayed,
     TruncationNotJustified,
 )
-from bandcast import transforms
+from bandcast import predictor, transforms
 from bandcast.grids import GridSpec
 from bandcast.kernels import transfer_on_grid
 from bandcast.predictor import predictor_transfer_on_grid
@@ -243,6 +243,21 @@ def test_deviation_norm_extra_points_join_the_sup_inside_the_domain_only(conjuga
         assert vals.max() > base
         joined = deviation_norm(pred, 0.1, math.inf, [float(w[np.argmax(vals)]), off, -off])
         assert joined == pytest.approx(vals.max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [20.0, -20.0], ids=["low", "high"])
+@pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_deviation_norm_rejects_non_finite_extra_point(single_pole, monkeypatch, gamma, point):
+    # A NaN fails both domain tests, so unchecked it drops out of the sup
+    # (0.0911 at gamma = 20, 0.1006 at -20, as with no extra points); inf
+    # would raise NonFiniteResult on HIGH and drop out of the LOW sup.
+    def not_evaluated(*args):
+        raise AssertionError("evaluated before the extra points were checked")
+
+    monkeypatch.setattr(predictor, "_deviation_values", not_evaluated)
+    monkeypatch.setattr(predictor, "_default_omega_max", not_evaluated)
+    with pytest.raises(DomainError, match=f"extra point {point} is not finite"):
+        deviation_norm(PredictorTransfer(single_pole, gamma), 0.1, math.inf, [0.5, point])
 
 
 @pytest.mark.parametrize("eps", [math.nan, -0.1, 1.0], ids=["nan", "negative", "omega"])
