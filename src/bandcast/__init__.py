@@ -23,8 +23,6 @@ from .kernels import (
     build_kernel,
     eval_time_kernel,
     eval_transfer,
-    kernel_from_json,
-    kernel_l2_norm,
     kernel_to_json,
     partial_fraction_expand,
 )
@@ -32,9 +30,7 @@ from .predictor import (
     PredictorTransfer,
     alpha_coefficient,
     deviation_norm,
-    eval_compensator,
     eval_predictor_transfer,
-    hardy_boundary_check,
     mobius_real_part,
     synthesize_time_predictor,
 )

@@ -41,32 +41,12 @@ class DomainError(BandcastError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class Saturated(BandcastError):
-    """A compensator factor overflowed; value carried in log form.
-
-    Attributes
-    ----------
-    log_magnitude : float
-        Natural log of the magnitude of the (unrepresentable) value.
-    phase : float
-        Phase of the value, radians.
-    """
-
-    def __init__(self, log_magnitude: float, phase: float):
-        self.log_magnitude = float(log_magnitude)
-        self.phase = float(phase)
-        super().__init__(
-            f"saturated: log-magnitude {self.log_magnitude:.6g}, "
-            f"phase {self.phase:.6g} rad"
-        )
-
-
 class SpectrumNotDecayed(BandcastError):
     """The transfer magnitude at the frequency grid ends exceeds the decay tolerance."""
 
 
 class SaturatedSpectrum(BandcastError):
-    """The predictor transfer saturates somewhere on the synthesis grid."""
+    """The compensator saturates where synthesis or eval_predictor_transfer needs K_hat."""
 
 
 class TruncationNotJustified(BandcastError):

@@ -25,7 +25,7 @@ import math
 import operator
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -92,8 +92,27 @@ def _malformed(what: str):
         raise ConfigError(f"malformed {what}: {exc}") from exc
 
 
+_SECTION_KEYS = {
+    "grid": ("n", "span"),
+    "noise": ("eta", "support"),
+    "outputs": ("csv", "sidecar", "svg", "decay_tol"),
+}
+
+
+def _reject_unknown_keys(doc: dict) -> None:
+    """ConfigError naming an unknown key of the config or of its grid, noise
+    or outputs object, so that a misspelt key cannot take its default."""
+    sections = {"config": (doc, [f.name for f in fields(ExperimentConfig)])}
+    sections.update({name: (doc.get(name) or {}, keys) for name, keys in _SECTION_KEYS.items()})
+    for name, (section, keys) in sections.items():
+        unknown = sorted(set(section) - set(keys))
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in {name}")
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     with _malformed("config"):
+        _reject_unknown_keys(doc)
         grid_doc = doc.get("grid", {})
         cfg = ExperimentConfig(
             kernel=kernel_from_dict(doc["kernel"]),
@@ -151,6 +170,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         lo, hi = cfg.noise.get("support", (0, 0))
         if not (kernel.omega < float(lo) < float(hi)):
             raise ConfigError("noise.support must lie strictly outside the band")
+    if not (0.0 < float(cfg.outputs.get("decay_tol", 1e-8)) < math.inf):
+        raise ConfigError("outputs.decay_tol must be finite and > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +212,18 @@ def _grid_spectrum(spec: dict, grid: GridSpec, omega: float, domain: str | None)
             if "height" in part:
                 envelope = (envelope, {"height": float(part["height"])})
             support = tuple(float(v) for v in part["support"])
-            if part["kind"] == "bandlimited":
+            bandlimited = part["kind"] == "bandlimited"
+            # A bandlimited spectrum is Hermitian exactly when its support is symmetric.
+            symmetric = support[0] == -support[1]
+            hermitian = part.get("hermitian", symmetric or not bandlimited)
+            if not isinstance(hermitian, bool) or (bandlimited and hermitian != symmetric):
+                raise ConfigError(
+                    f"signal {spec['id']!r}: hermitian must be a bool, on a bandlimited "
+                    f"part true exactly when lo == -hi; got {hermitian!r} on {list(support)}"
+                )
+            if bandlimited:
                 built = make_bandlimited_signal(envelope, support, grid, omega)
             else:
-                hermitian = bool(part.get("hermitian", True))
                 built = make_highfreq_signal(envelope, support, grid, omega, hermitian=hermitian)
             if total is None:
                 return built
@@ -248,23 +277,16 @@ class ErrorReport:
         return "\n".join(lines) + "\n"
 
 
-def _ladder_monotone_flags(errs: list[float]) -> list[bool]:
-    """Per-rung flags along a ladder: the error falls strictly, or it and its
-    predecessor both lie at the zero floor.  That floor is reached when V * Y
-    rounds to Y, not because V - 1 underflows: on configs/sweep.json at
-    gamma = 400 the error is 0.0 with |V - 1| <= 7.5e-20 on the support."""
-    return [True] + [
-        cur < prev or max(prev, cur) <= _ZERO_FLOOR for prev, cur in zip(errs, errs[1:])
-    ]
-
-
-def _check_monotone(signal_id: str, gammas, errs) -> list[bool]:
-    """The flags of :func:`_ladder_monotone_flags`; raises at the first failure."""
-    flags = _ladder_monotone_flags(errs)
-    for i, ok in enumerate(flags):
-        if not ok:
-            raise MonotonicityViolation(signal_id, gammas[i - 1], errs[i - 1], gammas[i], errs[i])
-    return flags
+def _check_monotone(signal_id: str, gammas, errs) -> None:
+    """Raise MonotonicityViolation at the first rung of a ladder whose error
+    neither falls strictly nor lies, with its predecessor's, at the zero
+    floor.  That floor is reached when V * Y rounds to Y, not because V - 1
+    underflows: on configs/sweep.json at gamma = 400 the error is 0.0 with
+    |V - 1| <= 7.5e-20 on the support."""
+    for i in range(1, len(errs)):
+        prev, cur = errs[i - 1], errs[i]
+        if not (cur < prev or max(prev, cur) <= _ZERO_FLOOR):
+            raise MonotonicityViolation(signal_id, gammas[i - 1], prev, gammas[i], cur)
 
 
 def _ladder_deviations(kernel, gammas, epsilon: float, extra_points=()) -> list[float]:
@@ -276,13 +298,14 @@ def _ladder_deviations(kernel, gammas, epsilon: float, extra_points=()) -> list[
     ]
 
 
-def _ladder_rows(signal_id: str, gammas, norms, deviations, flags) -> list[ReportRow]:
+def _ladder_rows(signal_id: str, gammas, norms, deviations, monotone) -> list[ReportRow]:
     """Report rows of one signal's ladder: norms holds (err_l2, err_linf) per
-    rung; the per-rung deviations and monotone flags may be None."""
-    none = [None] * len(norms)
+    rung; the per-rung deviations may be None; monotone is True once the
+    ladder passed :func:`_check_monotone`, None if it is not checked."""
     return [
-        ReportRow(signal_id, gamma, l2, linf, math.nan if dev is None else dev, math.nan, None, ok)
-        for gamma, (l2, linf), dev, ok in zip(gammas, norms, deviations or none, flags or none)
+        ReportRow(signal_id, gamma, l2, linf, math.nan if dev is None else dev, math.nan, None,
+                  monotone)
+        for gamma, (l2, linf), dev in zip(gammas, norms, deviations or [None] * len(norms))
     ]
 
 
@@ -311,8 +334,8 @@ def run_convergence_sweep(cfg: ExperimentConfig) -> ErrorReport:
     deviations = _ladder_deviations(cfg.kernel, cfg.gamma_ladder, cfg.epsilon)
     rows: list[ReportRow] = []
     for signal_id, norms in _grid_ladders(cfg):
-        flags = _check_monotone(signal_id, cfg.gamma_ladder, [l2 for l2, _linf in norms])
-        rows += _ladder_rows(signal_id, cfg.gamma_ladder, norms, deviations, flags)
+        _check_monotone(signal_id, cfg.gamma_ladder, [l2 for l2, _linf in norms])
+        rows += _ladder_rows(signal_id, cfg.gamma_ladder, norms, deviations, True)
     return ErrorReport(tuple(rows), summary={"op": "sweep"})
 
 
@@ -398,8 +421,8 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
     Per ladder rung gamma the LOW part uses +gamma, the HIGH part -gamma.
     Asserts (a) the summed prediction equals a single combined-pass
     prediction to 1e-12 relative and (b) the combined error obeys the
-    triangle inequality against the component errors; both component error
-    ladders must decrease.
+    triangle inequality against the component errors; the LOW, HIGH and
+    recombined error ladders must each decrease.
     """
     kernel = cfg.kernel
     gammas = [abs(g) for g in cfg.gamma_ladder]
@@ -426,8 +449,8 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
         _check_monotone(spec["id"] + "[low]", gammas, errs_l)
         _check_monotone(spec["id"] + "[high]", gammas, errs_h)
         errs_total = [l2 for l2, _linf in norms]
-        flags = _ladder_monotone_flags(errs_total)
-        rows += _ladder_rows(spec["id"], gammas, norms, None, flags)
+        _check_monotone(spec["id"], gammas, errs_total)
+        rows += _ladder_rows(spec["id"], gammas, norms, None, True)
         summary[spec["id"]] = {
             "err_low": errs_l,
             "err_high": errs_h,
@@ -577,14 +600,7 @@ def cli_main(argv) -> int:
                 )
             print(f"leakage {result.leakage!r}")
             return 0
-        report = _OPS[args.command](cfg)
-        _emit_outputs(cfg, report, args.emit_svg)
-        bad = [r for r in report.rows if r.bound_ok is False or r.monotone_ok is False]
-        if bad:
-            r = bad[0]
-            print(json.dumps({"error": "RowFlagFailure", "signal_id": r.signal_id, "gamma": r.gamma}),
-                  file=sys.stderr)
-            return 1
+        _emit_outputs(cfg, _OPS[args.command](cfg), args.emit_svg)
         return 0
     except BandcastError as exc:
         print(_failure_record(exc), file=sys.stderr)

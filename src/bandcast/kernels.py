@@ -29,14 +29,12 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DegreeViolation,
     NonConjugateSymmetric,
     NumericalDegeneracy,
     PoleOutOfRegion,
-    QuadratureNotConverged,
 )
 
 _COINCIDENCE_TOL = 1e-12
@@ -342,38 +340,6 @@ def eval_time_kernel(kernel: RationalAnticausalKernel, t: float) -> float:
     return scalar_time_kernel(kernel)(t) if t <= 0.0 else 0.0
 
 
-def kernel_l2_norm(kernel: RationalAnticausalKernel) -> float:
-    """L2 norm of k over the real line.
-
-    Computed as sqrt((1/pi) * integral_0^inf |K(i w)|^2 dw) by adaptive
-    quadrature (|K| is even in w), relative tolerance 1e-8.
-    """
-
-    def integrand(w: float) -> float:
-        return abs(eval_transfer(kernel, w)) ** 2
-
-    features = sorted({abs(b) for (_a, b, _m) in kernel.poles} | {kernel.omega})
-    breakpoint_ = 10.0 * max(
-        max(a for (a, _b, _m) in kernel.poles), features[-1], 1.0
-    )
-    try:
-        head, head_err = quad(
-            integrand, 0.0, breakpoint_, points=features, limit=400,
-            epsabs=0.0, epsrel=1e-9,
-        )
-        tail, tail_err = quad(
-            integrand, breakpoint_, np.inf, limit=400, epsabs=0.0, epsrel=1e-9
-        )
-    except Exception as exc:  # pragma: no cover - quadpack internal failure
-        raise QuadratureNotConverged(str(exc)) from exc
-    total = head + tail
-    if total <= 0 or (head_err + tail_err) > 1e-8 * total:
-        raise QuadratureNotConverged(
-            f"estimated error {head_err + tail_err:.3e} vs value {total:.6e}"
-        )
-    return math.sqrt(total / math.pi)
-
-
 def kernel_to_json(kernel: RationalAnticausalKernel) -> str:
     """Serialize a kernel.
 
@@ -409,8 +375,3 @@ def kernel_from_dict(doc: dict) -> RationalAnticausalKernel:
         if paired and b != 0.0:
             poles.append((a, -b, mult))
     return build_kernel(poles, [float(c) for c in doc["numerator"]], float(doc["omega"]))
-
-
-def kernel_from_json(text: str) -> RationalAnticausalKernel:
-    """Parse and validate a kernel from its JSON form."""
-    return kernel_from_dict(json.loads(text))

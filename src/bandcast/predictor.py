@@ -18,9 +18,10 @@ there, and the product obeys |V| <= 2**deg(delta).  |V| <= 1 does not hold
 on the matching domain: at the band edge the exponent is purely imaginary and
 |V_m| = 2|sin(Im z / 2)|, which reaches 2.  Off the matching domain the
 exponent's real part is positive and the factor grows like
-exp(gamma * Re(.)); magnitudes past exp(700) are reported as structured
-Saturated values rather than infinities, because that blow-up is an object of
-study, not an accident.
+exp(gamma * Re(.)); where the summed growth passes exp(700) the compensator
+is saturated, and an op that needs V there raises a typed error instead of
+returning an infinity: ClassMismatch in the gamma ladders, SaturatedSpectrum
+in synthesis and in :func:`eval_predictor_transfer`.
 """
 
 from __future__ import annotations
@@ -34,13 +35,12 @@ import numpy as np
 from .errors import (
     DomainError,
     NonFiniteResult,
-    Saturated,
     SaturatedSpectrum,
     SpectrumNotDecayed,
     TruncationNotJustified,
 )
 from .grids import GridSpec
-from .kernels import RationalAnticausalKernel, _numerator_at, eval_transfer, transfer_on_grid
+from .kernels import RationalAnticausalKernel, eval_transfer, transfer_on_grid
 from .signals import SampledSignal
 from .transforms import signal_from_spectrum
 
@@ -125,9 +125,8 @@ def compensator_minus_one_on_points(predictor: PredictorTransfer, p) -> np.ndarr
 def compensator_on_points(predictor: PredictorTransfer, p) -> tuple[np.ndarray, np.ndarray]:
     """(V values, saturation mask) on arbitrary complex points.
 
-    Where the mask is set the returned value is meaningless; callers decide
-    whether saturation is an error (scalar eval), a guard (pipelines) or a
-    reported fact (boundary checks).
+    Where the mask is set the returned value is meaningless; each caller
+    raises its own typed error there (see the module docstring).
     """
     exps, sat = _exponents(predictor, p)
     vals = np.ones(sat.shape, dtype=complex)
@@ -135,28 +134,6 @@ def compensator_on_points(predictor: PredictorTransfer, p) -> tuple[np.ndarray, 
         zsafe = np.where(sat, 0.0, z)
         vals = vals * (1.0 - np.exp(zsafe)) ** mult
     return vals, sat
-
-
-def eval_compensator(predictor: PredictorTransfer, p: complex) -> complex:
-    """V(p) at one point, Re p >= 0.  Raises Saturated past exp(700), carrying
-    log|V| and arg V summed factor by factor in log space."""
-    pt = np.array([complex(p)])
-    vals, sat = compensator_on_points(predictor, pt)
-    if not sat[0]:
-        return complex(vals[0])
-    log_mag = 0.0
-    phase = 0.0
-    for z, mult in _exponents(predictor, pt)[0]:
-        zc = complex(z[0])
-        if zc.real > SATURATION_EXPONENT:
-            # 1 - e^z = -e^z (1 - e^{-z}); the correction is O(e^{-Re z}).
-            log_mag += mult * zc.real
-            phase += mult * (math.pi + zc.imag)
-        else:
-            factor = 1.0 - np.exp(zc)
-            log_mag += mult * math.log(max(abs(factor), 1e-300))
-            phase += mult * np.angle(factor)
-    raise Saturated(log_mag, math.remainder(phase, 2.0 * math.pi))
 
 
 def predictor_transfer_on_grid(
@@ -170,10 +147,16 @@ def predictor_transfer_on_grid(
 
 
 def eval_predictor_transfer(predictor: PredictorTransfer, omega_val: float) -> complex:
-    """K_hat(i w) = V(i w) K(i w) at one real frequency."""
-    return eval_compensator(predictor, 1j * float(omega_val)) * eval_transfer(
-        predictor.kernel, float(omega_val)
-    )
+    """K_hat(i w) = V(i w) K(i w) at one real frequency; raises
+    SaturatedSpectrum where the compensator saturates."""
+    w = float(omega_val)
+    v, sat = compensator_on_points(predictor, np.array([1j * w]))
+    if sat[0]:
+        raise SaturatedSpectrum(
+            f"compensator exponent exceeds {SATURATION_EXPONENT:g} at omega = {w:.6g} "
+            f"for gamma = {predictor.gamma:g}"
+        )
+    return complex(v[0]) * eval_transfer(predictor.kernel, w)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +298,11 @@ def synthesize_time_predictor(
     irfft; the sampled kernel is real.  Raises SaturatedSpectrum if any of
     them saturates the compensator and SpectrumNotDecayed if |K_hat| at the
     two highest of them exceeds decay_tol (pass a larger decay_tol to accept
-    grid-limited truncation; leakage is reported either way).
+    grid-limited truncation; leakage is reported either way).  A decay_tol
+    that is not finite and > 0 raises DomainError.
     """
+    if not (0.0 < decay_tol < math.inf):
+        raise DomainError(f"decay_tol must be finite and > 0, got {decay_tol}")
     w = grid.domega * np.arange(grid.n // 2 + 1)
     khat_w, sat = predictor_transfer_on_grid(predictor, w)
     if bool(np.any(sat)):
@@ -337,92 +323,3 @@ def synthesize_time_predictor(
     total = float(np.sum(power))
     leak = float(np.sum(power[t < 0])) / total if total > 0 else 0.0
     return SynthesisResult(khat=khat, leakage=leak, spectrum_end_magnitude=end_mag)
-
-
-# ---------------------------------------------------------------------------
-# Hardy-space boundary diagnostics
-
-
-@dataclass(frozen=True)
-class HardyLine:
-    s: float
-    sup_v: float
-    l2_v: float
-    sup_khat: float
-    l2_khat: float
-    saturated: bool
-
-
-@dataclass(frozen=True)
-class HardyBoundaryReport:
-    lines: tuple[HardyLine, ...]
-    all_finite: bool
-    sup_nonincreasing: bool  # checked for s beyond max pole rate
-
-
-def _khat_on_points(predictor: PredictorTransfer, p: np.ndarray) -> np.ndarray:
-    """K_hat = d(p) * prod_m (-expm1(z_m) / (p - pole_m))**mult_m on arbitrary points.
-
-    Each compensator factor cancels its pole inside the quotient, so K_hat is
-    accurate near the poles without dividing V by delta.  At a pole the factor
-    takes its limit -gamma / ((a + alpha) - 2bi).
-    """
-    p = np.asarray(p, dtype=complex)
-    kernel = predictor.kernel
-    out = _numerator_at(kernel, p)
-    factors = zip(_exponents(predictor, p)[0], kernel.poles, predictor.alphas, kernel.pole_values)
-    for (z, mult), (a, b, _m), alpha, pole in factors:
-        at_pole = p == pole
-        gap = np.where(at_pole, 1.0, p - pole)
-        factor = np.where(at_pole, -predictor.gamma / complex(a + alpha, -2 * b), -np.expm1(z) / gap)
-        out = out * factor**mult
-    return out
-
-
-def hardy_boundary_check(
-    predictor: PredictorTransfer,
-    s_levels: Sequence[float],
-    omega_max: float | None = None,
-    h: float | None = None,
-) -> HardyBoundaryReport:
-    """Sample |V| and |K_hat| along vertical lines Re p = s.
-
-    Records the sup and the grid-truncated L2 norm per line; asserts nothing
-    fatal, but reports whether all values are finite and whether sup|V| is
-    nonincreasing in s past the largest pole rate (a maximum-principle
-    sanity check on half-plane boundedness, not a proof).
-    """
-    kernel = predictor.kernel
-    max_rate = max(a for (a, _b, _m) in kernel.poles)
-    scale = max(max_rate, max(predictor.alphas), kernel.omega)
-    wmax = omega_max if omega_max is not None else 50.0 * scale
-    step = h if h is not None else kernel.min_pole_rate / 50.0
-    n = min(max(int(math.ceil(2 * wmax / step)) + 1, 64), 200001)
-    w = np.linspace(-wmax, wmax, n)
-
-    lines = []
-    for s in s_levels:
-        if not (s > 0):
-            raise DomainError(f"s levels must be > 0, got {s}")
-        p = s + 1j * w
-        v, sat = compensator_on_points(predictor, p)
-        saturated = bool(np.any(sat))
-        if saturated:
-            sup_v = l2_v = sup_k = l2_k = float("inf")
-        else:
-            khat = _khat_on_points(predictor, p)
-            av, ak = np.abs(v), np.abs(khat)
-            sup_v = float(np.max(av))
-            l2_v = float(math.sqrt(np.trapezoid(av**2, w)))
-            sup_k = float(np.max(ak))
-            l2_k = float(math.sqrt(np.trapezoid(ak**2, w)))
-        lines.append(HardyLine(float(s), sup_v, l2_v, sup_k, l2_k, saturated))
-
-    finite = all(
-        np.isfinite([ln.sup_v, ln.l2_v, ln.sup_khat, ln.l2_khat]).all() for ln in lines
-    )
-    beyond = sorted((ln for ln in lines if ln.s > max_rate), key=lambda ln: ln.s)
-    nonincreasing = all(
-        b.sup_v <= a.sup_v * (1 + 1e-6) for a, b in zip(beyond, beyond[1:])
-    )
-    return HardyBoundaryReport(tuple(lines), finite, nonincreasing)

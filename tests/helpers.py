@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
-from bandcast import PredictorTransfer, build_kernel
-from bandcast.errors import ClassMismatch
-from bandcast.kernels import scalar_time_kernel, transfer_on_grid
+from bandcast import PredictorTransfer, build_kernel, eval_transfer
+from bandcast.errors import BandcastError, ClassMismatch, DomainError, QuadratureNotConverged
+from bandcast.kernels import _numerator_at, scalar_time_kernel, transfer_on_grid
 from bandcast.predictor import (
+    SATURATION_EXPONENT,
     _deviation_values,
+    _exponents,
     _high_domain_chunks,
     _norm_over_chunks,
     _uniform_chunks,
+    compensator_on_points,
     predictor_transfer_on_grid,
 )
 from bandcast.signals import RaisedCosineBump, make_mixed_signal
@@ -247,3 +252,162 @@ def oracle_reference(kernel, x, t, tol):
         out[i] = quad(integrand, 0.0, upper, limit=400, epsabs=1e-12, epsrel=tol,
                       complex_func=True)[0]
     return out
+
+
+def kernel_l2_norm(kernel) -> float:
+    """L2 norm of k over the real line.
+
+    Computed as sqrt((1/pi) * integral_0^inf |K(i w)|^2 dw) by adaptive
+    quadrature (|K| is even in w), relative tolerance 1e-8.
+    """
+
+    def integrand(w: float) -> float:
+        return abs(eval_transfer(kernel, w)) ** 2
+
+    features = sorted({abs(b) for (_a, b, _m) in kernel.poles} | {kernel.omega})
+    breakpoint_ = 10.0 * max(
+        max(a for (a, _b, _m) in kernel.poles), features[-1], 1.0
+    )
+    try:
+        head, head_err = quad(
+            integrand, 0.0, breakpoint_, points=features, limit=400,
+            epsabs=0.0, epsrel=1e-9,
+        )
+        tail, tail_err = quad(
+            integrand, breakpoint_, np.inf, limit=400, epsabs=0.0, epsrel=1e-9
+        )
+    except Exception as exc:  # pragma: no cover - quadpack internal failure
+        raise QuadratureNotConverged(str(exc)) from exc
+    total = head + tail
+    if total <= 0 or (head_err + tail_err) > 1e-8 * total:
+        raise QuadratureNotConverged(
+            f"estimated error {head_err + tail_err:.3e} vs value {total:.6e}"
+        )
+    return math.sqrt(total / math.pi)
+
+
+class Saturated(BandcastError):
+    """A compensator factor overflowed; value carried in log form.
+
+    Attributes
+    ----------
+    log_magnitude : float
+        Natural log of the magnitude of the (unrepresentable) value.
+    phase : float
+        Phase of the value, radians.
+    """
+
+    def __init__(self, log_magnitude: float, phase: float):
+        self.log_magnitude = float(log_magnitude)
+        self.phase = float(phase)
+        super().__init__(
+            f"saturated: log-magnitude {self.log_magnitude:.6g}, "
+            f"phase {self.phase:.6g} rad"
+        )
+
+
+def eval_compensator(predictor, p: complex) -> complex:
+    """V(p) at one point, Re p >= 0.  Raises Saturated past exp(700), carrying
+    log|V| and arg V summed factor by factor in log space."""
+    pt = np.array([complex(p)])
+    vals, sat = compensator_on_points(predictor, pt)
+    if not sat[0]:
+        return complex(vals[0])
+    log_mag = 0.0
+    phase = 0.0
+    for z, mult in _exponents(predictor, pt)[0]:
+        zc = complex(z[0])
+        if zc.real > SATURATION_EXPONENT:
+            # 1 - e^z = -e^z (1 - e^{-z}); the correction is O(e^{-Re z}).
+            log_mag += mult * zc.real
+            phase += mult * (math.pi + zc.imag)
+        else:
+            factor = 1.0 - np.exp(zc)
+            log_mag += mult * math.log(max(abs(factor), 1e-300))
+            phase += mult * np.angle(factor)
+    raise Saturated(log_mag, math.remainder(phase, 2.0 * math.pi))
+
+
+@dataclass(frozen=True)
+class HardyLine:
+    s: float
+    sup_v: float
+    l2_v: float
+    sup_khat: float
+    l2_khat: float
+    saturated: bool
+
+
+@dataclass(frozen=True)
+class HardyBoundaryReport:
+    lines: tuple[HardyLine, ...]
+    all_finite: bool
+    sup_nonincreasing: bool  # checked for s beyond max pole rate
+
+
+def _khat_on_points(predictor, p: np.ndarray) -> np.ndarray:
+    """K_hat = d(p) * prod_m (-expm1(z_m) / (p - pole_m))**mult_m on arbitrary points.
+
+    Each compensator factor cancels its pole inside the quotient, so K_hat is
+    accurate near the poles without dividing V by delta.  At a pole the factor
+    takes its limit -gamma / ((a + alpha) - 2bi).
+    """
+    p = np.asarray(p, dtype=complex)
+    kernel = predictor.kernel
+    out = _numerator_at(kernel, p)
+    factors = zip(_exponents(predictor, p)[0], kernel.poles, predictor.alphas, kernel.pole_values)
+    for (z, mult), (a, b, _m), alpha, pole in factors:
+        at_pole = p == pole
+        gap = np.where(at_pole, 1.0, p - pole)
+        factor = np.where(at_pole, -predictor.gamma / complex(a + alpha, -2 * b), -np.expm1(z) / gap)
+        out = out * factor**mult
+    return out
+
+
+def hardy_boundary_check(
+    predictor,
+    s_levels: Sequence[float],
+    omega_max: float | None = None,
+    h: float | None = None,
+) -> HardyBoundaryReport:
+    """Sample |V| and |K_hat| along vertical lines Re p = s.
+
+    Records the sup and the grid-truncated L2 norm per line; asserts nothing
+    fatal, but reports whether all values are finite and whether sup|V| is
+    nonincreasing in s past the largest pole rate (a maximum-principle
+    sanity check on half-plane boundedness, not a proof).
+    """
+    kernel = predictor.kernel
+    max_rate = max(a for (a, _b, _m) in kernel.poles)
+    scale = max(max_rate, max(predictor.alphas), kernel.omega)
+    wmax = omega_max if omega_max is not None else 50.0 * scale
+    step = h if h is not None else kernel.min_pole_rate / 50.0
+    n = min(max(int(math.ceil(2 * wmax / step)) + 1, 64), 200001)
+    w = np.linspace(-wmax, wmax, n)
+
+    lines = []
+    for s in s_levels:
+        if not (s > 0):
+            raise DomainError(f"s levels must be > 0, got {s}")
+        p = s + 1j * w
+        v, sat = compensator_on_points(predictor, p)
+        saturated = bool(np.any(sat))
+        if saturated:
+            sup_v = l2_v = sup_k = l2_k = float("inf")
+        else:
+            khat = _khat_on_points(predictor, p)
+            av, ak = np.abs(v), np.abs(khat)
+            sup_v = float(np.max(av))
+            l2_v = float(math.sqrt(np.trapezoid(av**2, w)))
+            sup_k = float(np.max(ak))
+            l2_k = float(math.sqrt(np.trapezoid(ak**2, w)))
+        lines.append(HardyLine(float(s), sup_v, l2_v, sup_k, l2_k, saturated))
+
+    finite = all(
+        np.isfinite([ln.sup_v, ln.l2_v, ln.sup_khat, ln.l2_khat]).all() for ln in lines
+    )
+    beyond = sorted((ln for ln in lines if ln.s > max_rate), key=lambda ln: ln.s)
+    nonincreasing = all(
+        b.sup_v <= a.sup_v * (1 + 1e-6) for a, b in zip(beyond, beyond[1:])
+    )
+    return HardyBoundaryReport(tuple(lines), finite, nonincreasing)

@@ -1,5 +1,6 @@
 """Config validation, experiment operations, CLI behavior, golden output."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -14,8 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bandcast import harness, signals, transforms
-from bandcast.errors import ClassMismatch, ConfigError, QuadratureNotConverged
+from bandcast import (
+    GridSpec,
+    PredictorTransfer,
+    harness,
+    signals,
+    synthesize_time_predictor,
+    transforms,
+)
+from bandcast.errors import ClassMismatch, ConfigError, DomainError, QuadratureNotConverged
 from bandcast.harness import (
     cli_main,
     config_from_dict,
@@ -69,6 +77,24 @@ def test_config_rejects_unknown_signal_kind():
         config_from_dict(base_config(signals=[{"id": "x", "kind": "chirp"}]))
     with pytest.raises(ConfigError):
         config_from_dict(base_config(signals=[{"kind": "bandlimited", "support": [-0.5, 0.5]}]))
+
+
+@pytest.mark.parametrize(
+    "mutate, key",
+    [
+        (lambda doc: doc.update(espilon=doc.pop("epsilon")), "espilon"),
+        (lambda doc: doc["grid"].update(N=4096), "N"),
+        (lambda doc: doc.update(noise={"eta": 1e-3, "suport": [1.05, 1.1]}), "suport"),
+        (lambda doc: doc.update(outputs={"cvs": "sweep.csv"}), "cvs"),
+    ],
+    ids=["top-level", "grid", "noise", "outputs"],
+)
+def test_config_rejects_unknown_keys(mutate, key):
+    # A misspelt key used to take its default silently: "espilon" gave eps = 0.
+    doc = base_config()
+    mutate(doc)
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        config_from_dict(doc)
 
 
 def test_config_rejects_in_band_noise():
@@ -240,6 +266,39 @@ def test_robustness_full_strength_noise_grows_immediately():
     assert report.summary["rc"]["gamma_star"] == 2.0
 
 
+@pytest.mark.parametrize(
+    "part",
+    [
+        {"kind": "highfreq", "support": [1.2, 1.5], "hermitian": "no"},
+        {"kind": "highfreq", "support": [1.2, 1.5], "hermitian": 0},
+        {"kind": "bandlimited", "support": [-0.9, 0.9], "hermitian": False},
+        {"kind": "bandlimited", "support": [-0.9, 0.5], "hermitian": True},
+    ],
+    ids=["string", "integer", "symmetric-band-false", "asymmetric-band-true"],
+)
+@pytest.mark.parametrize("composite", [False, True], ids=["entry", "composite-part"])
+def test_grid_entry_hermitian_must_be_a_bool_that_holds(part, composite):
+    # "no" used to read as true, and a bandlimited entry's value was ignored:
+    # its spectrum is Hermitian exactly when its support is symmetric.
+    spec = {"id": "s", "kind": "composite", "parts": [part]} if composite else {"id": "s", **part}
+    with pytest.raises(ConfigError, match="hermitian"):
+        harness.build_grid_spectrum(spec, GridSpec(2048, 400.0), 1.0)
+
+
+def test_grid_entry_hermitian_values_that_hold():
+    grid = GridSpec(2048, 400.0)
+    for part, one_sided in (
+        ({"kind": "bandlimited", "support": [-0.9, 0.5]}, True),
+        ({"kind": "bandlimited", "support": [-0.9, 0.5], "hermitian": False}, True),
+        ({"kind": "bandlimited", "support": [-0.9, 0.9]}, False),
+        ({"kind": "highfreq", "support": [1.2, 1.5], "hermitian": False}, True),
+        ({"kind": "highfreq", "support": [1.2, 1.5]}, False),
+    ):
+        X = harness.build_grid_spectrum({"id": "s", **part}, grid, 1.0)
+        half = transforms.hermitian_half(X.values, X.omega0, X.domega)
+        assert (half is None) == one_sided, part
+
+
 def test_decompose_in_band_only_reduces_to_low_sweep():
     # A part whose support reaches the band edge omega = 1 is band-limited
     # too, and builds the same spectrum as the equal bandlimited entry.
@@ -353,10 +412,15 @@ def test_cli_class_mismatch_exits_1(tmp_path, capsys):
         ("robustness", "robustness", lambda doc: doc["noise"].update(eta="high")),
         ("robustness", "robustness", lambda doc: doc["noise"].update(support=[1.05])),
         ("sweep", "sweep", lambda doc: doc.update(grid=[2048, 400.0])),
+        ("sweep", "sweep", lambda doc: doc.update(espilon=doc.pop("epsilon"))),
+        ("sweep", "sweep", lambda doc: doc["outputs"].update(cvs=doc["outputs"].pop("csv"))),
+        ("sweep", "sweep", lambda doc: doc["signals"][0].update(hermitian="no")),
+        ("synth", "sweep", lambda doc: doc["outputs"].update(decay_tol="abc")),
     ],
     ids=["kernel-without-poles", "pole-entry-too-short", "grid-signal-without-support",
          "mixed-signal-without-class", "noise-eta-not-a-number", "noise-support-too-short",
-         "grid-not-an-object"],
+         "grid-not-an-object", "misspelt-epsilon", "misspelt-output-key",
+         "hermitian-not-a-bool", "decay-tol-not-a-number"],
 )
 def test_cli_malformed_config_exits_2_with_record(tmp_path, monkeypatch, capsys, command, config,
                                                   mutate):
@@ -577,6 +641,52 @@ def test_inverse_transform_budget(monkeypatch, name, op, inverses):
     assert calls.count("mirror_half") == 0
 
 
+def _slow_decay_synth_config(tmp_path, **outputs) -> str:
+    # K = 1/(p - 1) at gamma = 5 on GridSpec(2**16, 200): |K_hat| at the grid
+    # ends is 0.14.
+    doc = base_config(gamma_ladder=[5.0], grid={"n": 2**16, "span": 200.0}, outputs=outputs)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("decay_tol, code, error", [
+    (None, 1, "SpectrumNotDecayed"),
+    (1.0, 0, None),
+    (math.nan, 2, "ConfigError"),
+    (math.inf, 2, "ConfigError"),
+    (0.0, 2, "ConfigError"),
+    (-1.0, 2, "ConfigError"),
+])
+def test_cli_synth_decay_tol(tmp_path, capsys, decay_tol, code, error):
+    # A NaN decay_tol used to turn the decay check off (exit 0).
+    outputs = {} if decay_tol is None else {"decay_tol": decay_tol}
+    assert cli_main(["synth", "--config", _slow_decay_synth_config(tmp_path, **outputs)]) == code
+    if error is not None:
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == error
+
+
+@pytest.mark.parametrize("decay_tol", [math.nan, math.inf, 0.0, -1.0])
+def test_synthesize_rejects_bad_decay_tol(single_pole, decay_tol):
+    predictor = PredictorTransfer(single_pole, 5.0)
+    with pytest.raises(DomainError, match="decay_tol"):
+        synthesize_time_predictor(predictor, GridSpec(2**10, 100.0), decay_tol)
+
+
+def test_cli_decompose_rising_total_is_a_monotonicity_violation(tmp_path, monkeypatch, capsys):
+    # The recombined ladder fails as its parts do: a MonotonicityViolation
+    # record naming the signal, and no CSV.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "_recombined_errors", lambda _id, _y, r_low, _r_high: (
+        float(r_low.gamma), float(r_low.gamma)))
+    assert cli_main(["decompose", "--config", str(ROOT / "configs" / "decompose.json")]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "MonotonicityViolation"
+    assert (record["signal_id"], record["gamma_prev"], record["gamma"]) == ("mix", 2.0, 5.0)
+    assert not (tmp_path / "decompose.csv").exists()
+
+
 def test_cli_validate_ok(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(base_config()))
@@ -728,14 +838,48 @@ def test_package_all_exports_only_classes_and_functions():
         assert inspect.isclass(obj) or inspect.isfunction(obj), name
 
 
+# Exports kept without a caller in src/ or perfbench/, each for a reason.
+_EXPORTS_WITHOUT_CALLER = {
+    "fourier_forward",  # the way in for measured time signals (ROADMAP 6b)
+    "mobius_real_part",  # acceptance c01 checks the paper's Re z identity with it
+}
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_export_has_a_caller():
+    # A public name that only tests call belongs in tests/helpers.py.
+    import bandcast
+
+    used = set()
+    files = [*(ROOT / "src" / "bandcast").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    for path in files:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    for target in _load_tracer().TARGETS:
+        for text in target:
+            used.update(text.split("."))
+    unused = set(bandcast.__all__) - used - _EXPORTS_WITHOUT_CALLER
+    assert not unused, sorted(unused)
+
+
 def test_benchmark_tracer_targets_resolve():
     # perfbench/tracer.py wraps these names in place, as Tracer.install does:
     # a module attribute, or a method in its class's own __dict__.  A name
     # that no longer resolves crashes the traced benchmark run.
-    spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for _layer, module_name, attr in tracer.TARGETS:
+    for _layer, module_name, attr in _load_tracer().TARGETS:
         owner = importlib.import_module(module_name)
         if "." in attr:
             cls_name, meth = attr.split(".")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,17 +13,14 @@ from bandcast import (
     alpha_coefficient,
     build_kernel,
     deviation_norm,
-    eval_compensator,
     eval_predictor_transfer,
     eval_transfer,
-    hardy_boundary_check,
     mobius_real_part,
     synthesize_time_predictor,
 )
 from bandcast.errors import (
     DomainError,
     NonFiniteResult,
-    Saturated,
     SaturatedSpectrum,
     SpectrumNotDecayed,
     TruncationNotJustified,
@@ -34,11 +32,17 @@ from bandcast.predictor import predictor_transfer_on_grid
 from bandcast.predictor import (
     _deviation_values,
     compensator_minus_one_on_points,
-    _khat_on_points,
     compensator_on_points,
     predictor_transfer_on_grid,
 )
-from helpers import random_kernel, reference_deviation_norm
+from helpers import (
+    Saturated,
+    _khat_on_points,
+    eval_compensator,
+    hardy_boundary_check,
+    random_kernel,
+    reference_deviation_norm,
+)
 
 
 def test_alpha_coefficient_values():
@@ -111,6 +115,29 @@ def test_predictor_transfer_large_gamma_in_band(single_pole):
     for w in (0.0, 0.3, 0.5):
         dev = abs(eval_predictor_transfer(pred, w) - eval_transfer(single_pole, w))
         assert dev <= 1e-12
+
+
+def test_predictor_transfer_bits_and_saturation():
+    # Off saturation: the bits of V from the scalar log-form evaluator times
+    # K(i w).  On it: SaturatedSpectrum naming omega and gamma.
+    rng = np.random.default_rng(1717)
+    saturated = 0
+    for _ in range(600):
+        kernel = random_kernel(rng)
+        gamma = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-1.0, 3.5))
+        w = float(rng.uniform(-5.0, 5.0) * kernel.omega)
+        pred = PredictorTransfer(kernel, gamma)
+        try:
+            expected = eval_compensator(pred, 1j * w) * eval_transfer(kernel, w)
+        except Saturated:
+            saturated += 1
+            message = f"omega = {w:.6g} for gamma = {gamma:g}"
+            with pytest.raises(SaturatedSpectrum, match=re.escape(message)):
+                eval_predictor_transfer(pred, w)
+            continue
+        got = eval_predictor_transfer(pred, w)
+        assert (got.real, got.imag) == (expected.real, expected.imag)
+    assert 0 < saturated < 600
 
 
 def test_predictor_transfer_high_frequency_deviation(single_pole):
