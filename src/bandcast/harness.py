@@ -43,11 +43,11 @@ from .errors import (
     MonotonicityViolation,
 )
 from .grids import GridSpec
-from .kernels import RationalAnticausalKernel, kernel_from_dict, transfer_on_grid
+from .kernels import RationalAnticausalKernel, json_value, kernel_from_dict
 from .predictor import (
     PredictorTransfer,
+    _deviation_values,
     deviation_norm,
-    predictor_transfer_on_grid,
     synthesize_time_predictor,
 )
 from .signals import (
@@ -97,30 +97,53 @@ _SECTION_KEYS = {
     "noise": ("eta", "support"),
     "outputs": ("csv", "sidecar", "svg", "decay_tol"),
 }
+_PART_KEYS = {"kind", "envelope", "support", "hermitian", "height"}
+_MIXED_KEYS = ("id", "kind", "atoms", "density", "class", "epsilon", "omega")
+_DENSITY_KEYS = {
+    "raised_cosine": ("kind", "lo", "hi", "height"),
+    "gaussian": ("kind", "lo", "hi", "height", "sigma"),
+    "sampled": ("kind", "omegas", "re", "im"),
+}
 
 
-def _reject_unknown_keys(doc: dict) -> None:
-    """ConfigError naming an unknown key of the config or of its grid, noise
-    or outputs object, so that a misspelt key cannot take its default."""
-    sections = {"config": (doc, [f.name for f in fields(ExperimentConfig)])}
-    sections.update({name: (doc.get(name) or {}, keys) for name, keys in _SECTION_KEYS.items()})
-    for name, (section, keys) in sections.items():
-        unknown = sorted(set(section) - set(keys))
-        if unknown:
-            raise ConfigError(f"unknown key {unknown[0]!r} in {name}")
+def _reject_unknown_keys(section: dict, keys, name: str) -> None:
+    """ConfigError naming an unknown key of `section`, so that a misspelt key
+    cannot take its default."""
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {name}")
+
+
+def _reject_bools(node, where: str) -> None:
+    """ConfigError at a JSON true/false under any key but "hermitian", where
+    it would be read as the number 0 or 1 (the kernel reads its own types)."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        if isinstance(value, bool) and key != "hermitian":
+            raise ConfigError(f"{where}[{key!r}] takes no bool, got {value!r}")
+        _reject_bools(value, f"{where}[{key!r}]")
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     with _malformed("config"):
-        _reject_unknown_keys(doc)
+        _reject_unknown_keys(doc, [f.name for f in fields(ExperimentConfig)], "config")
+        for name, keys in _SECTION_KEYS.items():
+            _reject_unknown_keys(doc.get(name) or {}, keys, name)
+        _reject_bools({key: value for key, value in doc.items() if key != "kernel"}, "config")
         grid_doc = doc.get("grid", {})
         cfg = ExperimentConfig(
             kernel=kernel_from_dict(doc["kernel"]),
             gamma_ladder=tuple(float(g) for g in doc["gamma_ladder"]),
             epsilon=float(doc.get("epsilon", 0.0)),
             domain=doc.get("domain", "LOW"),
-            grid=GridSpec(int(grid_doc.get("n", 2048)), float(grid_doc.get("span", 400.0))),
-            seed=int(doc.get("seed", 0)),
+            grid=GridSpec(json_value(grid_doc.get("n", 2048), int, "grid.n"),
+                          float(grid_doc.get("span", 400.0))),
+            seed=json_value(doc.get("seed", 0), int, "seed"),
             signals=tuple(doc.get("signals", [])),
             noise=doc.get("noise"),
             outputs=dict(doc.get("outputs", {})),
@@ -159,11 +182,21 @@ def validate_config(cfg: ExperimentConfig) -> None:
     kernel = cfg.kernel
     if not (0.0 <= cfg.epsilon < kernel.omega):
         raise ConfigError(f"epsilon must lie in [0, omega = {kernel.omega}), got {cfg.epsilon}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    ids = set()
     for spec in cfg.signals:
         if spec.get("kind") not in ("bandlimited", "highfreq", "mixed", "composite"):
             raise ConfigError(f"unknown signal kind in {spec!r}")
-        if "id" not in spec:
-            raise ConfigError(f"signal entry missing 'id': {spec!r}")
+        # An id is one CSV field and one sidecar key.
+        sid = spec.get("id")
+        if not isinstance(sid, str) or any(c in sid for c in ',"\r\n'):
+            raise ConfigError(
+                f"signal id must be a string without ',', '\"' or a line break: {spec!r}"
+            )
+        if sid in ids:
+            raise ConfigError(f"duplicate signal id {sid!r}")
+        ids.add(sid)
     if cfg.noise is not None:
         if not (0.0 <= float(cfg.noise.get("eta", -1)) < math.inf):
             raise ConfigError("noise.eta must be finite and >= 0")
@@ -181,27 +214,30 @@ def validate_config(cfg: ExperimentConfig) -> None:
 _GRID_CLASS = {"bandlimited": "LOW", "highfreq": "HIGH"}
 
 
-def build_grid_spectrum(spec: dict, grid: GridSpec, omega: float) -> SampledSpectrum:
+def build_grid_spectrum(
+    spec: dict, grid: GridSpec, omega: float, domain: str | None = None
+) -> SampledSpectrum:
     """The sampled spectrum of a grid signal entry.  A composite entry is the
     sum of its parts' spectra; a part whose support lies inside
     [-omega, omega] defaults to bandlimited, any other to highfreq.  Any
-    other kind raises ConfigError before a field is read."""
-    return _grid_spectrum(spec, grid, omega, None)
-
-
-def _grid_spectrum(spec: dict, grid: GridSpec, omega: float, domain: str | None):
-    """:func:`build_grid_spectrum`; with a domain, an entry with a part
-    outside its class raises ClassMismatch before any spectrum is built."""
+    other kind raises ConfigError before a field is read, and so does a key
+    that the entry or a part does not take.  With a domain, an entry with a
+    part outside its class raises ClassMismatch before any spectrum is built."""
     kind = spec.get("kind")
     if kind not in ("bandlimited", "highfreq", "composite"):
         raise ConfigError(f"signal {spec.get('id')!r}: the FFT route takes grid signals")
-    with _malformed(f"signal {spec.get('id')!r}"):
+    name = f"signal {spec.get('id')!r}"
+    with _malformed(name):
+        if kind == "composite":
+            _reject_unknown_keys(spec, ("id", "kind", "parts"), name)
         parts = [spec] if kind != "composite" else [
             {"kind": "bandlimited" if max(abs(float(v)) for v in p["support"]) <= omega
              else "highfreq", **p}
             for p in spec["parts"]
         ]
         for part in parts:
+            keys = _PART_KEYS | ({"sigma"} if part.get("envelope") == "gaussian" else set())
+            _reject_unknown_keys(part, keys | ({"id"} if part is spec else set()), name)
             if domain not in (None, _GRID_CLASS[part["kind"]]):  # KeyError: not a grid kind
                 raise ClassMismatch(
                     f"signal {spec['id']!r}: a {part['kind']} part is outside the {domain} class"
@@ -209,8 +245,9 @@ def _grid_spectrum(spec: dict, grid: GridSpec, omega: float, domain: str | None)
         total = np.zeros(grid.n, dtype=complex) if kind == "composite" else None
         for part in parts:
             envelope = part.get("envelope", "raised_cosine")
-            if "height" in part:
-                envelope = (envelope, {"height": float(part["height"])})
+            params = {key: float(part[key]) for key in ("height", "sigma") if key in part}
+            if params:
+                envelope = (envelope, params)
             support = tuple(float(v) for v in part["support"])
             bandlimited = part["kind"] == "bandlimited"
             # A bandlimited spectrum is Hermitian exactly when its support is symmetric.
@@ -236,8 +273,15 @@ def build_mixed_signal(spec: dict, omega: float) -> MixedSpectrum:
     before a field is read."""
     if spec.get("kind") != "mixed":
         raise ConfigError(f"signal {spec.get('id')!r}: the mixed route takes mixed signals")
-    with _malformed(f"signal {spec.get('id')!r}"):
-        return mixed_from_json_dict({"omega": omega, **spec})
+    name = f"signal {spec.get('id')!r}"
+    with _malformed(name):
+        _reject_unknown_keys(spec, _MIXED_KEYS, name)
+        for item in spec.get("density", []):
+            if item.get("kind") in _DENSITY_KEYS:  # any other kind: SupportViolation when built
+                _reject_unknown_keys(item, _DENSITY_KEYS[item["kind"]], name)
+        if spec.get("omega", omega) != omega:
+            raise ConfigError(f"{name}: omega {spec['omega']!r} is not the kernel's {omega}")
+        return mixed_from_json_dict({**spec, "omega": omega})
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +337,7 @@ def _ladder_deviations(kernel, gammas, epsilon: float, extra_points=()) -> list[
     """sup |K_hat - K| on the matching eps-gapped domain, one per ladder rung,
     over the domain grid plus `extra_points`."""
     return [
-        deviation_norm(PredictorTransfer(kernel, gamma), epsilon, math.inf, extra_points)
-        for gamma in gammas
+        deviation_norm(PredictorTransfer(kernel, gamma), epsilon, extra_points) for gamma in gammas
     ]
 
 
@@ -319,7 +362,7 @@ def _grid_ladders(cfg: ExperimentConfig, noise=None):
     raises ClassMismatch before its spectrum is built; `noise`, an
     (eta, support) pair, is added to each built spectrum."""
     for spec in cfg.signals:
-        spectrum = _grid_spectrum(spec, cfg.grid, cfg.kernel.omega, cfg.domain)
+        spectrum = build_grid_spectrum(spec, cfg.grid, cfg.kernel.omega, cfg.domain)
         if noise is not None:
             spectrum = add_outofband_noise(spectrum, *noise, cfg.seed, cfg.kernel.omega)
         ladder = spectral_predict_ladder(spectrum, cfg.kernel, cfg.gamma_ladder)
@@ -373,11 +416,7 @@ def run_uniform_bound_check(cfg: ExperimentConfig) -> ErrorReport:
                 raise BoundViolation(gamma, spec["id"], measured, bound)
             if len(ms.atoms) == 1 and not ms.density:
                 wk, ck = ms.atoms[0]
-                predictor = PredictorTransfer(kernel, gamma)
-                khat_w, _sat = predictor_transfer_on_grid(predictor, np.array([wk]))
-                atom_dev = abs(
-                    complex(khat_w[0]) - complex(transfer_on_grid(kernel, np.array([wk]))[0])
-                )
+                atom_dev = _deviation_values(PredictorTransfer(kernel, gamma), np.array([wk]))[0]
                 expected = atom_dev * abs(ck) / (2.0 * math.pi)
                 if abs(measured - expected) > _BOUND_SLACK:
                     raise BoundViolation(gamma, spec["id"], measured, expected)
@@ -496,8 +535,11 @@ def _recombined_errors(signal_id: str, y: SampledSignal, r_low, r_high) -> tuple
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 
 
 def _emit_outputs(cfg: ExperimentConfig, report: ErrorReport, emit_svg: bool) -> None:
@@ -562,6 +604,7 @@ def cli_main(argv) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
+            validate_config(cfg)
     except BandcastError as exc:
         print(_failure_record(exc), file=sys.stderr)
         return 2

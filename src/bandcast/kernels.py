@@ -253,7 +253,9 @@ def _reconstruction_points(kernel: RationalAnticausalKernel) -> np.ndarray:
     return pts[:64]
 
 
-def _partial_fraction_expand(kernel: RationalAnticausalKernel) -> ResidueExpansion:
+@lru_cache(maxsize=256)
+def _cached_expansion(kernel: RationalAnticausalKernel) -> ResidueExpansion:
+    """:func:`partial_fraction_expand`, computed once per kernel."""
     for i in range(len(kernel.poles)):
         for j in range(i + 1, len(kernel.poles)):
             if abs(kernel.pole_values[i] - kernel.pole_values[j]) <= _COINCIDENCE_TOL:
@@ -293,11 +295,6 @@ def _partial_fraction_expand(kernel: RationalAnticausalKernel) -> ResidueExpansi
             f"partial-fraction reconstruction error {rel.max():.3e} exceeds 1e-10"
         )
     return expansion
-
-
-@lru_cache(maxsize=256)
-def _cached_expansion(kernel: RationalAnticausalKernel) -> ResidueExpansion:
-    return _partial_fraction_expand(kernel)
 
 
 def partial_fraction_expand(kernel: RationalAnticausalKernel) -> ResidueExpansion:
@@ -362,16 +359,34 @@ def kernel_to_json(kernel: RationalAnticausalKernel) -> str:
     return json.dumps(doc)
 
 
+_JSON_KINDS = {float: "number", int: "integer", bool: "bool"}
+
+
+def json_value(value, kind: type, what: str):
+    """`value` as `kind` if it is a JSON value of that kind (any number for
+    float), else TypeError naming `what`: a bool is not the number 0 or 1,
+    and 1.7 is not the integer 1."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise TypeError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
 def kernel_from_dict(doc: dict) -> RationalAnticausalKernel:
+    """The kernel of a JSON document, read by type: a, b, the numerator and
+    omega are numbers, mult an integer and paired a bool (else TypeError)."""
     poles: list[tuple[float, float, int]] = []
     for entry in doc["poles"]:
         if isinstance(entry, dict):
-            a, b, mult = float(entry["a"]), float(entry["b"]), int(entry["mult"])
-            paired = bool(entry.get("paired", False))
+            a, b, mult = entry["a"], entry["b"], entry["mult"]
+            paired = entry.get("paired", False)
         else:
-            a, b, mult = float(entry[0]), float(entry[1]), int(entry[2])
-            paired = bool(entry[3]) if len(entry) > 3 else False
+            a, b, mult = entry[0], entry[1], entry[2]
+            paired = entry[3] if len(entry) > 3 else False
+        a, b = json_value(a, float, "pole a"), json_value(b, float, "pole b")
+        mult = json_value(mult, int, "pole mult")
         poles.append((a, b, mult))
-        if paired and b != 0.0:
+        if json_value(paired, bool, "pole paired") and b != 0.0:
             poles.append((a, -b, mult))
-    return build_kernel(poles, [float(c) for c in doc["numerator"]], float(doc["omega"]))
+    numerator = [json_value(c, float, "numerator coefficient") for c in doc["numerator"]]
+    return build_kernel(poles, numerator, json_value(doc["omega"], float, "kernel omega"))

@@ -26,6 +26,7 @@ in synthesis and in :func:`eval_predictor_transfer`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -213,64 +214,37 @@ def _high_domain_chunks(lo: float, wmax: float, h: float, omega: float):
             yield tail[start : start + _CHUNK]
 
 
-def _norm_over_chunks(predictor: PredictorTransfer, chunks, mu: float) -> tuple[float, float]:
-    """(integral |dev|**mu, sup |dev|) over consecutive ascending node chunks."""
-    total = 0.0
-    sup = 0.0
-    prev_w = None
-    prev_v = None
-    for w in chunks:
-        vals = _deviation_values(predictor, w)
-        sup = max(sup, float(np.max(vals)))
-        if np.isfinite(mu):
-            powered = vals**mu
-            if prev_w is not None:
-                seg_w = np.concatenate(([prev_w], w))
-                seg_v = np.concatenate(([prev_v], powered))
-            else:
-                seg_w, seg_v = w, powered
-            total += float(np.trapezoid(seg_v, seg_w))
-            prev_w, prev_v = float(w[-1]), float(powered[-1])
-    return total, sup
-
-
 def deviation_norm(
-    predictor: PredictorTransfer, epsilon: float, mu: float, extra_points: Sequence[float] = ()
+    predictor: PredictorTransfer, epsilon: float, extra_points: Sequence[float] = ()
 ) -> float:
-    """L_mu norm (sup for mu = inf) of |K_hat(i w) - K(i w)| over the
-    predictor's own eps-gapped domain: |w| <= omega - eps for gamma > 0, |w| >=
-    omega + eps (truncated where |K| falls to 1e-10) for gamma < 0; the points
-    of `extra_points` whose |w| lies in it join the sup; a non-finite one
-    raises DomainError before anything is evaluated.  A finite number, or
-    DomainError, TruncationNotJustified or NonFiniteResult, without a numpy
-    warning."""
-    if not (mu >= 1.0):
-        raise DomainError(f"mu must be in [1, inf], got {mu}")
+    """sup |K_hat(i w) - K(i w)| over the predictor's own eps-gapped domain:
+    |w| <= omega - eps for gamma > 0, |w| >= omega + eps (truncated where |K|
+    falls to 1e-10) for gamma < 0.  The points of `extra_points` whose |w|
+    lies in the domain join the sup; a non-finite one, or extra points that
+    are not a 1-D sequence, raise DomainError before anything is evaluated.
+    A finite number, or DomainError, TruncationNotJustified or
+    NonFiniteResult, without a numpy warning."""
     kernel, om = predictor.kernel, predictor.kernel.omega
     if not (0.0 <= epsilon < om):
         raise DomainError(f"epsilon = {epsilon} must lie in [0, omega = {om})")
     extras = np.asarray(extra_points, dtype=float)
     if not np.all(np.isfinite(extras)):
         raise DomainError(f"extra point {float(extras[~np.isfinite(extras)][0])} is not finite")
+    if extras.ndim != 1:
+        raise DomainError(f"extra points must be a 1-D sequence, got shape {extras.shape}")
     extras = np.abs(extras)
     h = kernel.min_pole_rate / 50.0
     with np.errstate(all="ignore"):
         if predictor.target_class == "LOW":
             edge = om - epsilon
-            integral, sup = _norm_over_chunks(predictor, _uniform_chunks(-edge, edge, h), mu)
+            chunks = _uniform_chunks(-edge, edge, h)
             inside = extras[extras <= edge]
         else:
             edge = om + epsilon
             chunks = _high_domain_chunks(edge, _default_omega_max(kernel), h, om)
-            integral, sup = _norm_over_chunks(predictor, chunks, mu)
-            integral *= 2.0  # |deviation| is even in w for real kernels
             inside = extras[extras >= edge]
-        if len(inside):
-            sup = max(sup, float(np.max(_deviation_values(predictor, inside))))
-        norm = sup if np.isinf(mu) else integral ** (1.0 / mu)
-    if not math.isfinite(norm):
-        raise NonFiniteResult(f"deviation L_{mu:g} norm overflowed (gamma = {predictor.gamma:g})")
-    return norm
+        nodes = itertools.chain(chunks, [inside] if len(inside) else [])
+        return max(float(np.max(_deviation_values(predictor, w))) for w in nodes)
 
 
 # ---------------------------------------------------------------------------

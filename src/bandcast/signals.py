@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     ClassConstraintViolation,
+    DomainError,
     GridMismatch,
     NonFiniteResult,
     QuadratureNotConverged,
@@ -132,6 +133,14 @@ def _envelope_spectrum(envelope_spec, grid_spec: GridSpec, lo: float, hi: float,
     return SampledSpectrum(grid_spec.omega0, grid_spec.domega, vals)
 
 
+def _require_on_grid(lo: float, hi: float, grid_spec: GridSpec) -> None:
+    """SupportViolation unless the grid's frequencies reach both ends of the
+    support, so that no part of it is cut silently."""
+    first, top = grid_spec.omega0, grid_spec.omega0 + grid_spec.domega * (grid_spec.n - 1)
+    if lo < first or hi > top:
+        raise SupportViolation(f"support [{lo}, {hi}] beyond the grid's [{first:.6g}, {top:.6g}]")
+
+
 def make_bandlimited_signal(
     envelope_spec,
     support: tuple[float, float],
@@ -141,13 +150,15 @@ def make_bandlimited_signal(
     """Spectrum that is `envelope` on `support` inside [-omega, omega].
 
     A symmetric support (lo == -hi) gives an exactly Hermitian spectrum and a
-    real signal; any other support gives a complex signal.
+    real signal; any other support gives a complex signal.  A support past
+    the grid's frequencies raises SupportViolation.
     """
     lo, hi = float(support[0]), float(support[1])
     if not (-omega <= lo < hi <= omega):
         raise SupportViolation(
             f"support [{lo}, {hi}] not inside the band [-{omega}, {omega}]"
         )
+    _require_on_grid(lo, hi, grid_spec)
     return _envelope_spectrum(envelope_spec, grid_spec, lo, hi, lo == -hi)
 
 
@@ -169,9 +180,7 @@ def make_highfreq_signal(
         raise SupportViolation(
             f"high-frequency support [{lo}, {hi}] must satisfy omega <= lo < hi"
         )
-    top = grid_spec.omega0 + grid_spec.domega * (grid_spec.n - 1)
-    if hi > top:
-        raise SupportViolation(f"support end {hi} beyond grid maximum {top:.6g}")
+    _require_on_grid(lo, hi, grid_spec)
     return _envelope_spectrum(envelope_spec, grid_spec, lo, hi, hermitian)
 
 
@@ -503,13 +512,16 @@ def add_outofband_noise(
     """Add a Hermitian pseudo-random spectrum component on |w| in noise_support.
 
     The perturbation carries exactly eta * (signal energy); the in-band part
-    of the spectrum is untouched.  Deterministic given seed.  The mate of
-    grid point j is written at index -j, so the grid must be centered (n
-    even, omega0 == -(n/2) * domega), else `GridMismatch`.
+    of the spectrum is untouched.  Deterministic given seed, which must be
+    >= 0 (else `DomainError`).  The mate of grid point j is written at index
+    -j, so the grid must be centered (n even, omega0 == -(n/2) * domega),
+    else `GridMismatch`.
     """
     lo, hi = float(noise_support[0]), float(noise_support[1])
     if not (0.0 <= eta < math.inf):
         raise SupportViolation(f"eta must be finite and >= 0, got {eta}")
+    if seed < 0:
+        raise DomainError(f"noise seed must be >= 0, got {seed}")
     if not 0.0 < omega < lo:
         raise SupportViolation(
             f"noise support [{lo}, {hi}] must lie above the band [-{omega}, {omega}], omega > 0"

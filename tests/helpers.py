@@ -17,7 +17,6 @@ from bandcast.predictor import (
     _deviation_values,
     _exponents,
     _high_domain_chunks,
-    _norm_over_chunks,
     _uniform_chunks,
     compensator_on_points,
     predictor_transfer_on_grid,
@@ -111,31 +110,28 @@ def reference_mixed_predict_ladder(ms, kernel, gammas, t):
     return y_vals / (2 * np.pi), [acc / (2 * np.pi) for acc in yhat_vals]
 
 
-def reference_deviation_norm(predictor, kind, epsilon, mu, extra_points=()):
+def reference_deviation_norm(predictor, kind, epsilon, extra_points=()):
     """Reference for `predictor.deviation_norm`: the domain kind ("LOW" or
-    "HIGH") passed on its own and the HIGH truncation point searched without
-    a guard, over the same node chunks."""
+    "HIGH") passed on its own, the HIGH truncation point searched without a
+    guard, and the max taken once over the values of every node chunk and of
+    the extra points in the domain."""
     kernel = predictor.kernel
     om = kernel.omega
     h = kernel.min_pole_rate / 50.0
     extras = np.abs(np.asarray(extra_points, dtype=float))
     if kind == "LOW":
-        lo, hi = -(om - epsilon), om - epsilon
-        integral, sup = _norm_over_chunks(predictor, _uniform_chunks(lo, hi, h), mu)
+        chunks = list(_uniform_chunks(-(om - epsilon), om - epsilon, h))
+        inside = extras[extras <= om - epsilon]
     else:
         gap = kernel.denominator_degree - kernel.numerator_degree
         lead = abs(kernel.numerator_coeffs[kernel.numerator_degree])
         wmax = max((lead * 1e10) ** (1.0 / gap), 10.0 * om)
         while abs(transfer_on_grid(kernel, np.array([wmax]))[0]) > 1e-10:
             wmax *= 1.2
-        lo = om + epsilon
-        integral, sup = _norm_over_chunks(predictor, _high_domain_chunks(lo, wmax, h, om), mu)
-        integral *= 2.0
-    if len(extras):
-        inside = extras <= om - epsilon if kind == "LOW" else extras >= om + epsilon
-        if np.any(inside):
-            sup = max(sup, float(np.max(_deviation_values(predictor, extras[inside]))))
-    return sup if np.isinf(mu) else integral ** (1.0 / mu)
+        chunks = list(_high_domain_chunks(om + epsilon, wmax, h, om))
+        inside = extras[extras >= om + epsilon]
+    values = [_deviation_values(predictor, w) for w in chunks + [inside]]
+    return float(np.max(np.concatenate(values)))
 
 
 def random_mixed_signal(rng, class_tag, omega, epsilon, n_atoms=4, with_density=True,

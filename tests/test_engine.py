@@ -650,11 +650,14 @@ def test_results_carry_the_spectrum_they_inverted(single_pole, n, span):
     # a one-sided complex X takes the complex path and carries the full grid.
     # At n = 2 a half and a full grid have the same length and differ by
     # omega0; any real pair is Hermitian there, so the one-sided X is i times
-    # a real one-sided spectrum.
+    # a real one-sided spectrum.  Its frequencies are -domega and 0, so the
+    # generators refuse these supports as cut; the envelopes are sampled on
+    # the grid as the generators sample them (at |omega| when two-sided).
     g = GridSpec(n, span)
-    one_sided = make_bandlimited_signal("raised_cosine", (-0.9, 0.2), g, 1.0)
-    one_sided = SampledSpectrum(g.omega0, g.domega, 1j * one_sided.values)
-    for X, real in ((_class_signal("LOW", g), True), (one_sided, False)):
+    w = g.omegas()
+    low = SampledSpectrum(g.omega0, g.domega, RaisedCosineBump(-0.9, 0.9)(np.abs(w)))
+    one_sided = SampledSpectrum(g.omega0, g.domega, 1j * RaisedCosineBump(-0.9, 0.2)(w))
+    for X, real in ((low, True), (one_sided, False)):
         assert np.any(X.values != 0.0)
         for r in spectral_predict_ladder(X, single_pole, LADDERS["LOW"]):
             spec = r.yhat_spectrum

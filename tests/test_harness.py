@@ -97,6 +97,61 @@ def test_config_rejects_unknown_keys(mutate, key):
         config_from_dict(doc)
 
 
+def _pole(**entry):
+    return {"omega": 1.0, "poles": [{"a": 0.5, "b": 0.8, "mult": 1, **entry}],
+            "numerator": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: doc.update(seed=1.5), "seed must be a JSON integer"),
+        (lambda doc: doc.update(seed="7"), "seed must be a JSON integer"),
+        (lambda doc: doc.update(seed=-1), "seed must be >= 0"),
+        (lambda doc: doc.update(seed=True), "takes no bool"),
+        (lambda doc: doc.update(gamma_ladder=[True, 5]), "takes no bool"),
+        (lambda doc: doc.update(epsilon=False), "takes no bool"),
+        (lambda doc: doc["grid"].update(n=2048.9), "grid.n must be a JSON integer"),
+        (lambda doc: doc["grid"].update(n=2048.0), "grid.n must be a JSON integer"),
+        (lambda doc: doc["signals"][0].update(support=[-0.9, True]), "takes no bool"),
+        (lambda doc: doc.update(kernel=_pole(mult=1.7)), "pole mult must be a JSON integer"),
+        (lambda doc: doc.update(kernel=_pole(mult=True)), "pole mult must be a JSON integer"),
+        (lambda doc: doc.update(kernel=_pole(a=True)), "pole a must be a JSON number"),
+        (lambda doc: doc.update(kernel=_pole(paired="no")), "pole paired must be a JSON bool"),
+        (lambda doc: doc.update(kernel=_pole(paired=1)), "pole paired must be a JSON bool"),
+    ],
+    ids=["seed-fraction", "seed-string", "seed-negative", "seed-bool", "ladder-bool",
+         "epsilon-bool", "n-fraction", "n-float", "support-bool", "mult-fraction", "mult-bool",
+         "a-bool", "paired-string", "paired-integer"],
+)
+def test_config_reads_numbers_and_flags_by_type(mutate, message):
+    # Each used to be coerced: seed 1.5 ran as seed 1, [true, 5] as gammas
+    # (1.0, 5.0), mult 1.7 as 1, and "paired": "no" added the conjugate mate.
+    doc = base_config()
+    mutate(doc)
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(doc)
+
+
+def test_config_takes_paired_and_hermitian_bools():
+    cfg = config_from_dict(base_config(kernel=_pole(paired=True)))
+    assert cfg.kernel.poles == ((0.5, 0.8, 1), (0.5, -0.8, 1))
+    assert cfg.signals[0]["hermitian"] is True
+
+
+@pytest.mark.parametrize("seed_args, doc_seed", [([], -1), (["--seed", "-1"], 7)],
+                         ids=["config", "command-line"])
+def test_cli_negative_seed_exits_2(tmp_path, capsys, seed_args, doc_seed):
+    # A negative seed used to end in numpy's ValueError traceback (exit 1).
+    doc = json.loads((ROOT / "configs" / "robustness.json").read_text())
+    doc.update(seed=doc_seed, outputs={})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli_main(["robustness", "--config", str(cfg), *seed_args]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and "seed must be >= 0" in record["message"]
+
+
 def test_config_rejects_in_band_noise():
     with pytest.raises(ConfigError):
         config_from_dict(base_config(noise={"eta": 1e-3, "support": [0.9, 1.1]}))
@@ -502,6 +557,74 @@ _MIXED = json.loads((ROOT / "configs" / "bound_check.json").read_text())["signal
 _BANDLIMITED = json.loads((ROOT / "configs" / "sweep.json").read_text())["signals"][0]
 
 
+_RAISED = {"kind": "raised_cosine", "lo": -0.6, "hi": -0.2, "height": 1.5}
+
+
+@pytest.mark.parametrize(
+    "signal, message",
+    [
+        ({"id": "s", "kind": "bandlimited", "envelop": "indicator", "support": [-0.9, 0.9]},
+         "unknown key 'envelop'"),
+        ({"id": "s", "kind": "bandlimited", "support": [-0.9, 0.9], "sigma": 0.1},
+         "unknown key 'sigma'"),
+        ({"id": "s", "kind": "composite", "part": []}, "unknown key 'part'"),
+        ({"id": "s", "kind": "composite", "parts": [{"id": "p", "support": [-0.9, 0.9]}]},
+         "unknown key 'id'"),
+        ({**_MIXED, "atom": []}, "unknown key 'atom'"),
+        ({**_MIXED, "density": [{**_RAISED, "sigma": 0.1}]}, "unknown key 'sigma'"),
+        ({**_MIXED, "omega": 3.0}, "omega 3.0 is not the kernel's 1.0"),
+    ],
+    ids=["misspelt-envelope", "sigma-on-raised-cosine", "misspelt-parts", "id-in-a-part",
+         "misspelt-atoms", "sigma-on-raised-cosine-density", "mixed-omega"],
+)
+def test_signal_entries_reject_keys_they_do_not_take(signal, message):
+    # "envelop" used to build the default raised cosine, and a mixed entry's
+    # omega overrode the kernel's.
+    cfg = config_from_dict(base_config(signals=[signal]))
+    with pytest.raises(ConfigError, match=message):
+        for spec in cfg.signals:
+            if spec["kind"] == "mixed":
+                harness.build_mixed_signal(spec, cfg.kernel.omega)
+            else:
+                harness.build_grid_spectrum(spec, cfg.grid, cfg.kernel.omega)
+
+
+def test_grid_gaussian_entry_takes_its_sigma():
+    # sigma used to be dropped: the spectrum was the default sigma's.
+    grid = GridSpec(2048, 400.0)
+    spec = {"id": "g", "kind": "bandlimited", "envelope": "gaussian", "support": [-0.9, 0.9]}
+    default = harness.build_grid_spectrum(spec, grid, 1.0)
+    narrow = harness.build_grid_spectrum({**spec, "sigma": 0.1}, grid, 1.0)
+    expected = signals.GaussianBump(-0.9, 0.9, 1.0, 0.1)(np.abs(grid.omegas()))
+    assert np.array_equal(narrow.values, expected)
+    assert not np.array_equal(narrow.values, default.values)
+
+
+def test_mixed_entry_may_repeat_the_kernel_omega():
+    # perfbench's pool entries carry the omega of mixed_to_json_dict.
+    ms = harness.build_mixed_signal({**_MIXED, "omega": 1.0}, 1.0)
+    assert ms.omega == 1.0
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        (["a", "a"], "duplicate signal id 'a'"),
+        (["a,b"], "signal id must be a string"),
+        (['a"b'], "signal id must be a string"),
+        (["a\nb"], "signal id must be a string"),
+        ([7], "signal id must be a string"),
+    ],
+    ids=["duplicate", "comma", "quote", "line-break", "number"],
+)
+def test_signal_ids_are_unique_csv_fields(ids, message):
+    # Two entries with one id gave robustness one sidecar entry for two
+    # ladders, and "a,b" wrote a 9-field row under the 8-column header.
+    signal = base_config()["signals"][0]
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(base_config(signals=[{**signal, "id": sid} for sid in ids]))
+
+
 @pytest.mark.parametrize(
     "name, op, signal, error, message",
     [
@@ -709,6 +832,27 @@ def test_cli_synth_writes_outputs(tmp_path, monkeypatch):
     lines = (tmp_path / "khat.csv").read_text().splitlines()
     assert lines[0] == "t,re,im"
     assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"0.0"}  # the kernel is real
+
+
+def test_cli_unwritable_output_exits_2_naming_the_path(tmp_path, capsys):
+    # A missing directory used to end in a FileNotFoundError traceback (exit 1).
+    doc = json.loads((ROOT / "configs" / "sweep.json").read_text())
+    missing = str(tmp_path / "missing" / "sweep.csv")
+    doc["outputs"] = {"csv": missing}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli_main(["sweep", "--config", str(cfg)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and missing in record["message"]
+
+
+def test_cli_synth_shipped_config(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["synth", "--config", str(ROOT / "configs" / "synth.json")]) == 0
+    sidecar = json.loads((tmp_path / "synth_summary.json").read_text())
+    assert (sidecar["n"], sidecar["span"], sidecar["gamma"]) == (2**16, 64.0, 1.0)
+    assert sidecar["spectrum_end_magnitude"] <= 1e-8
+    assert sidecar["leakage"] < 1e-12
 
 
 def test_cli_golden_sweep_and_determinism(tmp_path, monkeypatch):

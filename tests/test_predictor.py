@@ -1,5 +1,6 @@
 """Compensator evaluation, deviation norms, synthesis, boundary checks."""
 
+import inspect
 import itertools
 import math
 import re
@@ -199,7 +200,7 @@ def test_deviation_norm_sup_at_band_interior_edge(single_pole):
     # For b = 0 the deviation is monotone in |w| in-band, so the sup over
     # [-0.9, 0.9] sits at the endpoints.
     pred = PredictorTransfer(single_pole, 20.0)
-    sup = deviation_norm(pred, 0.1, math.inf)
+    sup = deviation_norm(pred, 0.1)
     edge = abs(compensator_minus_one_on_points(pred, 1j * np.array([0.9]))[0]) * abs(
         eval_transfer(single_pole, 0.9)
     )
@@ -208,22 +209,21 @@ def test_deviation_norm_sup_at_band_interior_edge(single_pole):
 
 def test_deviation_norm_linearity(single_pole):
     doubled = build_kernel([(1.0, 0.0, 1)], [2.0], 1.0)
-    for mu in (2.0, math.inf):
-        d1 = deviation_norm(PredictorTransfer(single_pole, 5.0), 0.0, mu)
-        d2 = deviation_norm(PredictorTransfer(doubled, 5.0), 0.0, mu)
-        assert d2 == pytest.approx(2 * d1, rel=1e-13)
+    d1 = deviation_norm(PredictorTransfer(single_pole, 5.0), 0.0)
+    d2 = deviation_norm(PredictorTransfer(doubled, 5.0), 0.0)
+    assert d2 == pytest.approx(2 * d1, rel=1e-13)
 
 
 def test_deviation_norm_bounded_by_twice_sup_transfer(single_pole):
     pred = PredictorTransfer(single_pole, 5.0)
-    sup_dev = deviation_norm(pred, 0.0, math.inf)
+    sup_dev = deviation_norm(pred, 0.0)
     w = np.linspace(-1, 1, 4001)
     assert sup_dev <= 2 * np.max(np.abs(transfer_on_grid(single_pole, w)))
 
 
 def test_deviation_norm_high_domain(single_pole):
     pred = PredictorTransfer(single_pole, -10.0)
-    sup = deviation_norm(pred, 0.1, math.inf)
+    sup = deviation_norm(pred, 0.1)
     # Deviation decays away from the band edge; the sup sits near w = 1.1.
     near_edge = abs(compensator_minus_one_on_points(pred, 1j * np.array([1.1]))[0]) * abs(
         eval_transfer(single_pole, 1.1)
@@ -241,21 +241,21 @@ def test_deviation_norm_truncation_guard():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(TruncationNotJustified, match="overflowed"):
-                deviation_norm(PredictorTransfer(kernel, -10.0), 0.0, math.inf)
+                deviation_norm(PredictorTransfer(kernel, -10.0), 0.0)
 
 
 def test_deviation_norm_equals_reference_on_own_domain():
     # The domain is the predictor's own class; the numbers are those of the
     # kind-taking reference, bit for bit, on every draw.
     rng = np.random.default_rng(0xD15)
-    combos = list(itertools.product((2.0, -2.0, 20.0, -20.0), (0.0, 0.1), (2.0, math.inf), (0, 5)))
+    combos = list(itertools.product((2.0, -2.0, 20.0, -20.0), (0.0, 0.1), (0, 5)))
     for i in range(200):
         kernel = random_kernel(rng)
-        gamma, eps, mu, n_extra = combos[i % len(combos)]
+        gamma, eps, n_extra = combos[i % len(combos)]
         extra = tuple(rng.uniform(-3.0, 3.0, n_extra) * kernel.omega)
         pred = PredictorTransfer(kernel, gamma)
-        expected = reference_deviation_norm(pred, pred.target_class, eps, mu, extra)
-        assert deviation_norm(pred, eps, mu, extra) == expected, (i, gamma, eps, mu, n_extra)
+        expected = reference_deviation_norm(pred, pred.target_class, eps, extra)
+        assert deviation_norm(pred, eps, extra) == expected, (i, gamma, eps, n_extra)
 
 
 def test_deviation_norm_extra_points_join_the_sup_inside_the_domain_only(conjugate_pair):
@@ -264,12 +264,29 @@ def test_deviation_norm_extra_points_join_the_sup_inside_the_domain_only(conjuga
     # where the deviation is over ten times larger, stays out.
     for gamma, (lo, hi), off in ((2.0, (-0.9, 0.9), 1.5), (-2.0, (1.1, 6.0), 0.5)):
         pred = PredictorTransfer(conjugate_pair, gamma)
-        base = deviation_norm(pred, 0.1, math.inf)
+        base = deviation_norm(pred, 0.1)
         w = np.linspace(lo, hi, 400001)
         vals = _deviation_values(pred, w)
         assert vals.max() > base
-        joined = deviation_norm(pred, 0.1, math.inf, [float(w[np.argmax(vals)]), off, -off])
+        joined = deviation_norm(pred, 0.1, [float(w[np.argmax(vals)]), off, -off])
         assert joined == pytest.approx(vals.max(), rel=1e-12)
+
+
+def test_deviation_norm_is_the_sup_and_takes_extra_points_third(conjugate_pair):
+    # The sup is the only norm: the third positional argument is the extra
+    # points, and a call in the old (predictor, epsilon, mu) form fails loudly
+    # instead of reading mu as extra points.
+    pred = PredictorTransfer(conjugate_pair, 2.0)
+    w = np.linspace(-0.9, 0.9, 400001)
+    peak = float(w[np.argmax(_deviation_values(pred, w))])
+    assert deviation_norm(pred, 0.1, [peak]) == deviation_norm(pred, 0.1, extra_points=[peak])
+    assert deviation_norm(pred, 0.1, [peak]) > deviation_norm(pred, 0.1)
+    with pytest.raises(DomainError, match="extra point inf is not finite"):
+        deviation_norm(pred, 0.1, math.inf)
+    with pytest.raises(DomainError, match="1-D sequence"):
+        deviation_norm(pred, 0.1, 2.0)
+    assert list(inspect.signature(deviation_norm).parameters) == [
+        "predictor", "epsilon", "extra_points"]
 
 
 @pytest.mark.parametrize("gamma", [20.0, -20.0], ids=["low", "high"])
@@ -284,7 +301,7 @@ def test_deviation_norm_rejects_non_finite_extra_point(single_pole, monkeypatch,
     monkeypatch.setattr(predictor, "_deviation_values", not_evaluated)
     monkeypatch.setattr(predictor, "_default_omega_max", not_evaluated)
     with pytest.raises(DomainError, match=f"extra point {point} is not finite"):
-        deviation_norm(PredictorTransfer(single_pole, gamma), 0.1, math.inf, [0.5, point])
+        deviation_norm(PredictorTransfer(single_pole, gamma), 0.1, [0.5, point])
 
 
 @pytest.mark.parametrize("eps", [math.nan, -0.1, 1.0], ids=["nan", "negative", "omega"])
@@ -293,7 +310,7 @@ def test_deviation_norm_epsilon_outside_domain(single_pole, eps):
         warnings.simplefilter("error", RuntimeWarning)
         for gamma in (5.0, -5.0):
             with pytest.raises(DomainError, match="epsilon"):
-                deviation_norm(PredictorTransfer(single_pole, gamma), eps, math.inf)
+                deviation_norm(PredictorTransfer(single_pole, gamma), eps)
 
 
 def test_deviation_norm_non_finite_values_raise():
@@ -301,15 +318,11 @@ def test_deviation_norm_non_finite_values_raise():
     kernel = build_kernel([(1e-3, 0.0, 1)], [1e307], 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for mu in (2.0, math.inf):
-            with pytest.raises(NonFiniteResult, match="not finite at omega"):
-                deviation_norm(PredictorTransfer(kernel, 5.0), 0.0, mu)
-        # Finite values whose mu-th powers overflow: the sup is finite, the
-        # L2 norm is not.
+        with pytest.raises(NonFiniteResult, match="not finite at omega"):
+            deviation_norm(PredictorTransfer(kernel, 5.0), 0.0)
+        # Finite values whose squares would overflow: the sup is finite.
         large = PredictorTransfer(build_kernel([(1.0, 0.0, 1)], [1e200], 1.0), 5.0)
-        assert math.isfinite(deviation_norm(large, 0.0, math.inf))
-        with pytest.raises(NonFiniteResult, match="overflowed"):
-            deviation_norm(large, 0.0, 2.0)
+        assert math.isfinite(deviation_norm(large, 0.0))
 
 
 def test_pointwise_convergence_single_factor(single_pole):

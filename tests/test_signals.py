@@ -22,6 +22,7 @@ from bandcast import (
 from bandcast import signals
 from bandcast.errors import (
     ClassConstraintViolation,
+    DomainError,
     GridMismatch,
     NonFiniteResult,
     SupportViolation,
@@ -70,6 +71,26 @@ def test_bandlimited_support_validation(grid):
     spec = make_bandlimited_signal("indicator", (-0.5, 0.9), grid, 1.0)
     assert np.any(spec.values != 0.0)
     assert hermitian_half(spec.values, spec.omega0, spec.domega) is None
+
+
+def test_bandlimited_support_past_the_grid_is_refused():
+    # GridSpec(16, 400) reaches omega = 0.11: a raised cosine on [-0.9, 0.9]
+    # used to build 16 nonzero bins of a cut envelope, while highfreq raised.
+    small = GridSpec(16, 400.0)
+    for maker, support in ((make_bandlimited_signal, (-0.9, 0.9)),
+                           (make_bandlimited_signal, (-0.9, -0.2)),
+                           (make_highfreq_signal, (1.2, 1.5))):
+        with pytest.raises(SupportViolation, match=r"beyond the grid's \[-0.125664, 0.109956\]"):
+            maker("raised_cosine", support, small, 1.0)
+    inside = make_bandlimited_signal("raised_cosine", (-0.1, 0.1), small, 1.0)
+    assert np.any(inside.values != 0.0)
+
+
+def test_outofband_noise_rejects_a_negative_seed(grid):
+    # It used to end in numpy's ValueError.
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
+    with pytest.raises(DomainError, match="seed"):
+        add_outofband_noise(spec, 1e-3, (1.05, 1.1), -1, 1.0)
 
 
 def test_parseval_consistency(grid):
