@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import operator
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -97,6 +98,7 @@ _SECTION_KEYS = {
     "noise": ("eta", "support"),
     "outputs": ("csv", "sidecar", "svg", "decay_tol"),
 }
+_OUTPUT_PATHS = ("csv", "sidecar", "svg")
 _PART_KEYS = {"kind", "envelope", "support", "hermitian", "height"}
 _MIXED_KEYS = ("id", "kind", "atoms", "density", "class", "epsilon", "omega")
 _DENSITY_KEYS = {
@@ -138,11 +140,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         grid_doc = doc.get("grid", {})
         cfg = ExperimentConfig(
             kernel=kernel_from_dict(doc["kernel"]),
-            gamma_ladder=tuple(float(g) for g in doc["gamma_ladder"]),
-            epsilon=float(doc.get("epsilon", 0.0)),
+            gamma_ladder=tuple(json_value(g, float, "gamma_ladder entry")
+                               for g in doc["gamma_ladder"]),
+            epsilon=json_value(doc.get("epsilon", 0.0), float, "epsilon"),
             domain=doc.get("domain", "LOW"),
             grid=GridSpec(json_value(grid_doc.get("n", 2048), int, "grid.n"),
-                          float(grid_doc.get("span", 400.0))),
+                          json_value(grid_doc.get("span", 400.0), float, "grid.span")),
             seed=json_value(doc.get("seed", 0), int, "seed"),
             signals=tuple(doc.get("signals", [])),
             noise=doc.get("noise"),
@@ -198,13 +201,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"duplicate signal id {sid!r}")
         ids.add(sid)
     if cfg.noise is not None:
-        if not (0.0 <= float(cfg.noise.get("eta", -1)) < math.inf):
+        if not (0.0 <= json_value(cfg.noise.get("eta", -1), float, "noise.eta") < math.inf):
             raise ConfigError("noise.eta must be finite and >= 0")
-        lo, hi = cfg.noise.get("support", (0, 0))
-        if not (kernel.omega < float(lo) < float(hi)):
+        lo, hi = (json_value(v, float, "noise.support") for v in cfg.noise.get("support", (0, 0)))
+        if not (kernel.omega < lo < hi):
             raise ConfigError("noise.support must lie strictly outside the band")
-    if not (0.0 < float(cfg.outputs.get("decay_tol", 1e-8)) < math.inf):
+    if not (0.0 < json_value(cfg.outputs.get("decay_tol", 1e-8), float, "outputs.decay_tol")
+            < math.inf):
         raise ConfigError("outputs.decay_tol must be finite and > 0")
+    for key in _OUTPUT_PATHS:
+        json_value(cfg.outputs.get(key, ""), str, f"outputs.{key}")
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +237,8 @@ def build_grid_spectrum(
         if kind == "composite":
             _reject_unknown_keys(spec, ("id", "kind", "parts"), name)
         parts = [spec] if kind != "composite" else [
-            {"kind": "bandlimited" if max(abs(float(v)) for v in p["support"]) <= omega
+            {"kind": "bandlimited"
+             if max(abs(json_value(v, float, "support")) for v in p["support"]) <= omega
              else "highfreq", **p}
             for p in spec["parts"]
         ]
@@ -245,10 +252,11 @@ def build_grid_spectrum(
         total = np.zeros(grid.n, dtype=complex) if kind == "composite" else None
         for part in parts:
             envelope = part.get("envelope", "raised_cosine")
-            params = {key: float(part[key]) for key in ("height", "sigma") if key in part}
+            params = {key: json_value(part[key], float, key)
+                      for key in ("height", "sigma") if key in part}
             if params:
                 envelope = (envelope, params)
-            support = tuple(float(v) for v in part["support"])
+            support = tuple(json_value(v, float, "support") for v in part["support"])
             bandlimited = part["kind"] == "bandlimited"
             # A bandlimited spectrum is Hermitian exactly when its support is symmetric.
             symmetric = support[0] == -support[1]
@@ -542,6 +550,16 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 
 
+def _check_output_dirs(cfg: ExperimentConfig, svg: bool) -> None:
+    """ConfigError if an output the run writes (the SVG only with `svg`) has
+    no directory to go in, so that a run that cannot write all its outputs
+    writes none and computes nothing."""
+    for key in _OUTPUT_PATHS if svg else _OUTPUT_PATHS[:2]:
+        path = cfg.outputs.get(key)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write output {path!r}: no directory to write it in")
+
+
 def _emit_outputs(cfg: ExperimentConfig, report: ErrorReport, emit_svg: bool) -> None:
     csv_path = cfg.outputs.get("csv")
     if csv_path:
@@ -618,6 +636,7 @@ def cli_main(argv) -> int:
                     build_grid_spectrum(spec, cfg.grid, cfg.kernel.omega)
             print("config ok")
             return 0
+        _check_output_dirs(cfg, args.emit_svg and args.command != "synth")
         if args.command == "synth":
             predictor = PredictorTransfer(cfg.kernel, cfg.gamma_ladder[0])
             decay_tol = float(cfg.outputs.get("decay_tol", 1e-8))

@@ -359,7 +359,7 @@ def kernel_to_json(kernel: RationalAnticausalKernel) -> str:
     return json.dumps(doc)
 
 
-_JSON_KINDS = {float: "number", int: "integer", bool: "bool"}
+_JSON_KINDS = {float: "number", int: "integer", bool: "bool", str: "string"}
 
 
 def json_value(value, kind: type, what: str):

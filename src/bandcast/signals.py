@@ -19,6 +19,8 @@ with |omega| == band constant go to the LOW part of a split.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,6 +35,7 @@ from .errors import (
     SupportViolation,
 )
 from .grids import GridSpec, is_centered, uniform_omegas
+from .kernels import json_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,40 +201,89 @@ def _gauss_legendre_panels(lo: float, hi: float, panels: int, order: int = 8):
     return x, w
 
 
+# Elements of one row block of the phase matrix (512 KB complex): a block's
+# cos/sin and its products stay in cache, and live Q is workers x block.
+_BLOCK_ELEMENTS = 1 << 15
+_row_pool: ThreadPoolExecutor | None = None
+
+
+def _new_row_pool() -> None:
+    """One worker per CPU this process may run on, or None (run inline) on
+    one CPU.  The executor starts its threads on first use."""
+    global _row_pool
+    workers = len(os.sched_getaffinity(0))
+    _row_pool = ThreadPoolExecutor(workers) if workers > 1 else None
+
+
+_new_row_pool()
+# A forked child has none of the pool's threads; work sent to them would wait
+# forever, so the child makes its own pool.
+os.register_at_fork(after_in_child=_new_row_pool)
+
+
+def _map_row_blocks(task, blocks) -> list:
+    """[task(b) for b in blocks], on the row pool or inline without one."""
+    return list(map(task, blocks) if _row_pool is None else _row_pool.map(task, blocks))
+
+
 def _phase_products(t: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Return (x, columns) -> exp(1j * np.outer(t, x)) @ c for each column c.
 
     The result is (len(t), len(columns)) and equals the product with the full
     phase matrix value for value (only the sign of an exactly zero part may
     differ); that matrix is never built.  cos and sin are taken on the
-    distinct |t| only, into one complex matrix Q (for an exactly symmetric t
-    grid such as ``GridSpec(2048, 400).times()`` that is n/2 + 1 rows).  A row
-    with t >= +0.0 reads (Q @ c); a row with the sign bit of t set (t < 0 or
-    t == -0.0) reads conj(Q @ conj(c)), which equals conj(Q) @ c bit for bit because rounding
-    is symmetric under negation.  numpy's float64 sin and cos are odd and even
-    and agree with its complex exp, and a matrix-vector product sums each row
-    in an order that does not depend on its position; the tests pin these
-    facts.  A one-row Q would take numpy's dot path, not its matrix-vector
-    one, so a single distinct |t| is repeated when t has several rows.
+    distinct |t| only (for an exactly symmetric t grid such as
+    ``GridSpec(2048, 400).times()`` that is n/2 + 1 rows), one row block of
+    complex Q at a time, about `_BLOCK_ELEMENTS` entries, and the blocks run
+    in parallel on `_map_row_blocks`; a block is freed once its products are
+    taken, so live Q is workers x block, not rows x nodes.  A row with
+    t >= +0.0 reads (Q @ c); a row with the sign bit of t set (t < 0 or
+    t == -0.0) reads conj(Q @ conj(c)), which equals conj(Q) @ c bit for bit
+    because rounding is symmetric under negation.  numpy's float64 sin and cos
+    are odd and even and agree with its complex exp, and a matrix-vector
+    product sums each row in an order that does not depend on its position or
+    its block; the tests pin these facts, so the bits do not depend on the
+    block size or the number of workers.  A one-row Q would take numpy's dot
+    path, not its matrix-vector one, so a single distinct |t| is repeated
+    when t has several rows and a one-row last block joins the one before it.
+    Only numpy runs on the pool: `x` and `columns` are arrays, and a worker
+    enters its own `np.errstate`, which is per thread.
     """
     abs_t, rows = np.unique(np.abs(t), return_inverse=True)
     if len(abs_t) < min(len(t), 2):
         abs_t = np.repeat(abs_t, 2)
-    neg = np.signbit(t)
-    pos_at, neg_at = np.flatnonzero(~neg), np.flatnonzero(neg)
+    signed = np.signbit(t)
+    pos_at, neg_at = np.flatnonzero(~signed), np.flatnonzero(signed)
     pos_rows, neg_rows = rows[pos_at], rows[neg_at]
 
     def products(x: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        theta = np.outer(abs_t, x)
-        q = np.empty(theta.shape, dtype=complex)
-        q.real = np.cos(theta)
-        q.imag = np.sin(theta, out=theta)
+        step = max(2, _BLOCK_ELEMENTS // len(x))
+        edges = list(range(0, len(abs_t), step)) + [len(abs_t)]
+        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+            del edges[-2]
+
+        conj_columns = np.conj(columns)
+
+        def block(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+            lo, hi = bounds
+            pos = np.empty((len(columns), hi - lo), dtype=complex)
+            neg = np.empty_like(pos)  # rows of a side that t lacks are never read
+            with np.errstate(invalid="ignore", over="ignore"):
+                theta = np.outer(abs_t[lo:hi], x)
+                q = np.empty(theta.shape, dtype=complex)
+                q.real = np.cos(theta)
+                q.imag = np.sin(theta, out=theta)
+                for j in range(len(columns)):
+                    if len(pos_at):
+                        np.matmul(q, columns[j], out=pos[j])
+                    if len(neg_at):
+                        np.matmul(q, conj_columns[j], out=neg[j])
+            return pos, neg
+
+        pos, neg = map(np.hstack, zip(*_map_row_blocks(block, zip(edges[:-1], edges[1:]))))
         out = np.empty((len(t), len(columns)), dtype=complex)
-        for j, col in enumerate(columns):
-            if len(pos_at):
-                out[pos_at, j] = (q @ col)[pos_rows]
-            if len(neg_at):
-                out[neg_at, j] = np.conj(q @ np.conj(col))[neg_rows]
+        out[pos_at] = pos.T[pos_rows]
+        out[neg_at] = np.conj(neg.T[neg_rows])
         return out
 
     return products
@@ -251,16 +303,18 @@ def _oscillatory_integral(
     (nodes, columns) array; the result is then (t,) or (t, columns).  `t`
     must be a non-empty, finite 1-D array (else `GridMismatch`, before any
     work).  Every column shares one node set per pass, and the weight is
-    called once per pass.  The t x nodes phase matrix is never built:
-    `_phase_products` takes cos/sin on the distinct |t| only (n/2 + 1 rows on
-    a centered grid) and serves rows with t < 0 by conjugation, with the same
-    bits as the product with a complex exp of the outer product.  Each column
-    is its own matrix-vector product, so it is summed in the same order as
-    when integrated alone.  Fixed-order Gauss panels, with the panel count
-    scaled to the oscillation count; a doubled-panel pass certifies
-    convergence of each column on its own (1e-9 relative + 1e-13).  A pass
-    with a non-finite value (a NaN or infinite density or weight) raises
-    `NonFiniteResult` naming [lo, hi], without a numpy warning.
+    called once per pass, on the calling thread.  The t x nodes phase matrix
+    is never built: `_phase_products` takes cos/sin on the distinct |t| only
+    (n/2 + 1 rows on a centered grid), in row blocks that run in parallel and
+    hold O(workers x block) memory, and serves rows with t < 0 by
+    conjugation, with the same bits as the product with a complex exp of the
+    outer product.  Each column is its own matrix-vector product, so it is
+    summed in the same order as when integrated alone.  Fixed-order Gauss
+    panels, with the panel count scaled to the oscillation count; a
+    doubled-panel pass certifies convergence of each column on its own
+    (1e-9 relative + 1e-13).  A pass with a non-finite value (a NaN or
+    infinite density or weight) raises `NonFiniteResult` naming [lo, hi],
+    without a numpy warning.
     """
     t = np.asarray(t_values, dtype=float)
     if t.ndim != 1 or len(t) == 0 or not np.all(np.isfinite(t)):
@@ -601,22 +655,32 @@ def mixed_to_json_dict(ms: MixedSpectrum) -> dict:
 
 
 def mixed_from_json_dict(doc: dict) -> MixedSpectrum:
-    """The mixed spectrum of a JSON document.  A density whose height or
+    """The mixed spectrum of a JSON document, its numbers read by type (a
+    string that spells a number raises TypeError).  A density whose height or
     samples are not finite raises SupportViolation before any quadrature."""
-    atoms = [(float(a[0]), complex(a[1], a[2])) for a in doc.get("atoms", [])]
+
+    def number(key, where=doc):
+        return json_value(where[key], float, key)
+
+    def numbers(key, where):
+        return np.array([json_value(v, float, key) for v in where[key]])
+
+    atoms = [(json_value(a[0], float, "atom omega"),
+              complex(json_value(a[1], float, "atom re"), json_value(a[2], float, "atom im")))
+             for a in doc.get("atoms", [])]
     comps = []
     for d in doc.get("density", []):
+        height = json_value(d.get("height", 1.0), float, "height")
         if d["kind"] == "raised_cosine":
-            comp = RaisedCosineBump(float(d["lo"]), float(d["hi"]), float(d.get("height", 1.0)))
+            comp = RaisedCosineBump(number("lo", d), number("hi", d), height)
         elif d["kind"] == "gaussian":
-            sigma = float(d["sigma"]) if "sigma" in d else None
-            comp = GaussianBump(float(d["lo"]), float(d["hi"]), float(d.get("height", 1.0)), sigma)
+            sigma = number("sigma", d) if "sigma" in d else None
+            comp = GaussianBump(number("lo", d), number("hi", d), height, sigma)
         elif d["kind"] == "sampled":
-            vals = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-            comp = SampledDensity(np.asarray(d["omegas"], dtype=float), vals)
+            comp = SampledDensity(numbers("omegas", d), numbers("re", d) + 1j * numbers("im", d))
         else:
             raise SupportViolation(f"unknown density kind {d['kind']!r}")
         if not np.all(np.isfinite(comp.values if d["kind"] == "sampled" else comp.height)):
             raise SupportViolation(f"{d['kind']} density height or samples not finite")
         comps.append(comp)
-    return make_mixed_signal(atoms, comps, doc["class"], float(doc["epsilon"]), float(doc["omega"]))
+    return make_mixed_signal(atoms, comps, doc["class"], number("epsilon"), number("omega"))

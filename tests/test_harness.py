@@ -119,14 +119,28 @@ def _pole(**entry):
         (lambda doc: doc.update(kernel=_pole(a=True)), "pole a must be a JSON number"),
         (lambda doc: doc.update(kernel=_pole(paired="no")), "pole paired must be a JSON bool"),
         (lambda doc: doc.update(kernel=_pole(paired=1)), "pole paired must be a JSON bool"),
+        (lambda doc: doc["grid"].update(span="400"), "grid.span must be a JSON number"),
+        (lambda doc: doc.update(epsilon="0.1"), "epsilon must be a JSON number"),
+        (lambda doc: doc.update(gamma_ladder=["2", "5"]),
+         "gamma_ladder entry must be a JSON number"),
+        (lambda doc: doc.update(noise={"eta": "1e-3", "support": [1.05, 1.1]}),
+         "noise.eta must be a JSON number"),
+        (lambda doc: doc.update(noise={"eta": 1e-3, "support": ["1.05", 1.1]}),
+         "noise.support must be a JSON number"),
+        (lambda doc: doc.update(outputs={"decay_tol": "1e-8"}),
+         "outputs.decay_tol must be a JSON number"),
+        (lambda doc: doc.update(outputs={"csv": 5}), "outputs.csv must be a JSON string"),
     ],
     ids=["seed-fraction", "seed-string", "seed-negative", "seed-bool", "ladder-bool",
          "epsilon-bool", "n-fraction", "n-float", "support-bool", "mult-fraction", "mult-bool",
-         "a-bool", "paired-string", "paired-integer"],
+         "a-bool", "paired-string", "paired-integer", "span-string", "epsilon-string",
+         "ladder-strings", "eta-string", "noise-support-string", "decay-tol-string",
+         "csv-path-number"],
 )
 def test_config_reads_numbers_and_flags_by_type(mutate, message):
     # Each used to be coerced: seed 1.5 ran as seed 1, [true, 5] as gammas
-    # (1.0, 5.0), mult 1.7 as 1, and "paired": "no" added the conjugate mate.
+    # (1.0, 5.0), mult 1.7 as 1, "paired": "no" added the conjugate mate, and
+    # "span": "400" ran as span 400.0.
     doc = base_config()
     mutate(doc)
     with pytest.raises(ConfigError, match=message):
@@ -338,6 +352,56 @@ def test_grid_entry_hermitian_must_be_a_bool_that_holds(part, composite):
     spec = {"id": "s", "kind": "composite", "parts": [part]} if composite else {"id": "s", **part}
     with pytest.raises(ConfigError, match="hermitian"):
         harness.build_grid_spectrum(spec, GridSpec(2048, 400.0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        ({"support": ["-0.9", 0.9]}, "support must be a JSON number"),
+        ({"height": "2"}, "height must be a JSON number"),
+        ({"envelope": "gaussian", "sigma": "0.2"}, "sigma must be a JSON number"),
+    ],
+    ids=["support-string", "height-string", "sigma-string"],
+)
+@pytest.mark.parametrize("composite", [False, True], ids=["entry", "composite-part"])
+def test_grid_entry_reads_numbers_by_type(part, message, composite):
+    # Each string used to be read as the number it spells.
+    part = {"kind": "bandlimited", "support": [-0.9, 0.9], **part}
+    spec = {"id": "s", "kind": "composite", "parts": [part]} if composite else {"id": "s", **part}
+    with pytest.raises(ConfigError, match=message):
+        harness.build_grid_spectrum(spec, GridSpec(2048, 400.0), 1.0)
+
+
+_BUMP = {"kind": "raised_cosine", "lo": -0.6, "hi": -0.2, "height": 1.5}
+_MIXED_NUMBER_DEFECTS = {
+    "atom-omega": ({"atoms": [["0.3", 3.0, 1.0]]}, "atom omega"),
+    "atom-re": ({"atoms": [[0.3, "3.0", 1.0]]}, "atom re"),
+    "atom-im": ({"atoms": [[0.3, 3.0, "1.0"]]}, "atom im"),
+    "lo": ({"density": [{**_BUMP, "lo": "-0.6"}]}, "lo"),
+    "hi": ({"density": [{**_BUMP, "hi": "-0.2"}]}, "hi"),
+    "height": ({"density": [{**_BUMP, "height": "1.5"}]}, "height"),
+    "sigma": ({"density": [{**_BUMP, "kind": "gaussian", "sigma": "0.1"}]}, "sigma"),
+    "sampled-omegas": ({"density": [{"kind": "sampled", "omegas": [-0.6, "-0.4", -0.2],
+                                     "re": [0.0, 1.0, 0.0], "im": [0.0, 0.0, 0.0]}]}, "omegas"),
+    "sampled-re": ({"density": [{"kind": "sampled", "omegas": [-0.6, -0.4, -0.2],
+                                 "re": [0.0, "1", 0.0], "im": [0.0, 0.0, 0.0]}]}, "re"),
+    "sampled-im": ({"density": [{"kind": "sampled", "omegas": [-0.6, -0.4, -0.2],
+                                 "re": [0.0, 1.0, 0.0], "im": ["0", 0.0, 0.0]}]}, "im"),
+    "epsilon": ({"epsilon": "0.25"}, "epsilon"),
+}
+
+
+@pytest.mark.parametrize("change, what", _MIXED_NUMBER_DEFECTS.values(),
+                         ids=_MIXED_NUMBER_DEFECTS.keys())
+def test_mixed_entry_reads_numbers_by_type(change, what):
+    # Each string used to be read as the number it spells.
+    spec = {"id": "m", "kind": "mixed", "atoms": [[0.3, 3.0, 1.0]], "density": [_BUMP],
+            "class": "LOW", "epsilon": 0.25, **change}
+    message = f"{what} must be a JSON number"
+    with pytest.raises(ConfigError, match=message):
+        harness.build_mixed_signal(spec, 1.0)
+    with pytest.raises(TypeError, match=message):
+        signals.mixed_from_json_dict({**spec, "omega": 1.0})
 
 
 def test_grid_entry_hermitian_values_that_hold():
@@ -844,6 +908,36 @@ def test_cli_unwritable_output_exits_2_naming_the_path(tmp_path, capsys):
     assert cli_main(["sweep", "--config", str(cfg)]) == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "ConfigError" and missing in record["message"]
+
+
+@pytest.mark.parametrize(
+    "command, config, key, flags",
+    [
+        ("sweep", "sweep", "sidecar", []),
+        ("sweep", "sweep", "svg", ["--emit-svg"]),
+        ("bound-check", "bound_check", "sidecar", []),
+        ("synth", "synth", "sidecar", []),
+    ],
+    ids=["sweep-sidecar", "sweep-svg", "bound-check-sidecar", "synth-sidecar"],
+)
+def test_cli_missing_output_directory_writes_and_computes_nothing(tmp_path, monkeypatch, capsys,
+                                                                  command, config, key, flags):
+    # The CSV used to be written before the sidecar's directory was found
+    # missing: exit 2, with sweep.csv left behind and the op run for nothing.
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the op ran")
+
+    for op in harness._OPS:
+        monkeypatch.setitem(harness._OPS, op, forbidden)
+    monkeypatch.setattr(harness, "synthesize_time_predictor", forbidden)
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+    doc["outputs"][key] = f"missing/{key}.out"
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert cli_main([command, "--config", "cfg.json", *flags]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and f"missing/{key}.out" in record["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_cli_synth_shipped_config(tmp_path, monkeypatch):

@@ -1,7 +1,12 @@
 """Signal generators, mixed spectra, ideal split, out-of-band noise."""
 
 import math
+import os
+import signal
+import time
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -188,7 +193,7 @@ def test_sampled_density_mass_and_interp():
 
 def _assert_phase_products_exact(t, x, columns=3):
     # Each column's product equals the one with the full complex-exp matrix,
-    # bit for bit; array_equal takes -0.0 == 0.0.
+    # bit for bit: bytes, not array_equal, so -0.0 and 0.0 differ.
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     rng = np.random.default_rng(len(t) * 1000 + len(x))
     cols = rng.standard_normal((columns, len(x))) + 1j * rng.standard_normal((columns, len(x)))
@@ -197,7 +202,7 @@ def _assert_phase_products_exact(t, x, columns=3):
     got = _phase_products(t)(x, cols)
     assert got.shape == (len(t), columns)
     for j, col in enumerate(cols):
-        assert np.array_equal(got[:, j], exp_matrix @ col)
+        assert got[:, j].tobytes() == (exp_matrix @ col).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -220,6 +225,88 @@ def _assert_phase_products_exact(t, x, columns=3):
 def test_phase_matrix_equals_complex_exp(t, band):
     x, _ = _gauss_legendre_panels(*band, 7)
     _assert_phase_products_exact(t, x)
+
+
+@pytest.mark.parametrize(
+    "t, band, panels",
+    [
+        (GridSpec(2048, 400.0).times(), (0.2, 0.5), 80),
+        (GridSpec(256, 60.0).times(), (-0.6, 0.9), 32),
+        (np.array([1.5, -1.5, 1.5, -1.5]), (0.3, 1.1), 5000),
+    ],
+    ids=["many-blocks", "one-row-remainder", "single-abs-t"],
+)
+def test_phase_products_exact_across_row_blocks(t, band, panels):
+    # 1025 distinct |t| x 640 nodes split into 21 row blocks; 129 x 256 would
+    # leave a one-row last block, which joins the one before it; one distinct
+    # |t| against 40 000 nodes still takes two rows.
+    x, _ = _gauss_legendre_panels(*band, panels)
+    rows = len(np.unique(np.abs(t)))
+    assert rows * len(x) > signals._BLOCK_ELEMENTS or len(x) > signals._BLOCK_ELEMENTS
+    _assert_phase_products_exact(t, x)
+
+
+def test_phase_products_same_bytes_on_one_worker_and_inline(monkeypatch):
+    t = GridSpec(2048, 400.0).times()
+    x, _ = _gauss_legendre_panels(-0.6, 0.9, 80)
+    rng = np.random.default_rng(11)
+    cols = rng.standard_normal((4, len(x))) + 1j * rng.standard_normal((4, len(x)))
+    pooled = _phase_products(t)(x, cols).tobytes()
+    with ThreadPoolExecutor(1) as one_worker:
+        monkeypatch.setattr(signals, "_row_pool", one_worker)
+        assert _phase_products(t)(x, cols).tobytes() == pooled
+    monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid: {0})
+    signals._new_row_pool()
+    assert signals._row_pool is None
+    assert _phase_products(t)(x, cols).tobytes() == pooled
+
+
+def test_density_integral_runs_in_a_forked_child():
+    # A forked child has none of the parent's pool threads: without a pool of
+    # its own its quadrature used to wait forever.
+    t = GridSpec(256, 60.0).times()
+    bump = RaisedCosineBump(0.2, 0.5, 1.0)
+    expected = bump.integrate_against(None, t).tobytes()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if bump.integrate_against(None, t).tobytes() == expected else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    done, status = os.waitpid(pid, os.WNOHANG)
+    while not done and time.monotonic() < deadline:
+        time.sleep(0.02)
+        done, status = os.waitpid(pid, os.WNOHANG)
+    if not done:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's quadrature did not finish")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_density_integral_memory_is_bounded_by_row_blocks():
+    # The fine pass has 8193 distinct |t| x about 1300 nodes: a full Q would
+    # take about 170 MB; live Q is one row block per worker.
+    t = GridSpec(2**14, 1600.0).times()
+    nodes = []
+
+    def weight(w):
+        nodes.append(len(w))
+        return np.stack([np.cos(k * w) for k in range(6)], axis=1)
+
+    bump = RaisedCosineBump(0.2, 0.5, 1.3)
+    tracemalloc.start()
+    try:
+        out = bump.integrate_against(weight, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (len(t), 6)
+    full_q = 16 * len(np.unique(np.abs(t))) * max(nodes)
+    assert full_q > 150e6
+    assert peak < full_q / 8
 
 
 def test_phase_matrix_mirrors_an_exactly_symmetric_grid():
