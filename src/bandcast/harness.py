@@ -2,7 +2,7 @@
 
 Subcommands (all driven by a JSON config):
 
-    validate    check the config without computing anything
+    validate    read the config and build its signals, without predicting
     synth       synthesize the time-domain predictor kernel, report leakage
     sweep       gamma ladder convergence sweep (errors must decrease)
     bound-check uniform error bound on mixed atomic-plus-density signals
@@ -25,11 +25,11 @@ import math
 import operator
 import os
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ExperimentConfig, config_from_dict, load_config  # noqa: F401 (re-export)
 from .engine import (
     error_norms,
     fourier_inverse,
@@ -42,9 +42,9 @@ from .errors import (
     ClassMismatch,
     ConfigError,
     MonotonicityViolation,
+    SupportViolation,
 )
 from .grids import GridSpec
-from .kernels import RationalAnticausalKernel, json_value, kernel_from_dict
 from .predictor import (
     PredictorTransfer,
     _deviation_values,
@@ -52,7 +52,10 @@ from .predictor import (
     synthesize_time_predictor,
 )
 from .signals import (
+    GaussianBump,
     MixedSpectrum,
+    RaisedCosineBump,
+    SampledDensity,
     SampledSignal,
     SampledSpectrum,
     add_outofband_noise,
@@ -60,7 +63,7 @@ from .signals import (
     ideal_lowpass_split,
     make_bandlimited_signal,
     make_highfreq_signal,
-    mixed_from_json_dict,
+    make_mixed_signal,
     signal_to_csv,
 )
 from .svgplot import line_plot_svg
@@ -69,227 +72,54 @@ from .transforms import mirror_half
 _ZERO_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Parsed and validated experiment description."""
-
-    kernel: RationalAnticausalKernel
-    gamma_ladder: tuple[float, ...]
-    epsilon: float
-    domain: str
-    grid: GridSpec
-    seed: int
-    signals: tuple[dict, ...]
-    noise: dict | None = None
-    outputs: dict = field(default_factory=dict)
-
-
-@contextmanager
-def _malformed(what: str):
-    """Report the lookup and conversion errors of parsing `what` as ConfigError."""
-    try:
-        yield
-    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed {what}: {exc}") from exc
-
-
-_SECTION_KEYS = {
-    "grid": ("n", "span"),
-    "noise": ("eta", "support"),
-    "outputs": ("csv", "sidecar", "svg", "decay_tol"),
-}
-_OUTPUT_PATHS = ("csv", "sidecar", "svg")
-_PART_KEYS = {"kind", "envelope", "support", "hermitian", "height"}
-_MIXED_KEYS = ("id", "kind", "atoms", "density", "class", "epsilon", "omega")
-_DENSITY_KEYS = {
-    "raised_cosine": ("kind", "lo", "hi", "height"),
-    "gaussian": ("kind", "lo", "hi", "height", "sigma"),
-    "sampled": ("kind", "omegas", "re", "im"),
-}
-
-
-def _reject_unknown_keys(section: dict, keys, name: str) -> None:
-    """ConfigError naming an unknown key of `section`, so that a misspelt key
-    cannot take its default."""
-    unknown = sorted(set(section) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {name}")
-
-
-def _reject_bools(node, where: str) -> None:
-    """ConfigError at a JSON true/false under any key but "hermitian", where
-    it would be read as the number 0 or 1 (the kernel reads its own types)."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return
-    for key, value in items:
-        if isinstance(value, bool) and key != "hermitian":
-            raise ConfigError(f"{where}[{key!r}] takes no bool, got {value!r}")
-        _reject_bools(value, f"{where}[{key!r}]")
-
-
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    with _malformed("config"):
-        _reject_unknown_keys(doc, [f.name for f in fields(ExperimentConfig)], "config")
-        for name, keys in _SECTION_KEYS.items():
-            _reject_unknown_keys(doc.get(name) or {}, keys, name)
-        _reject_bools({key: value for key, value in doc.items() if key != "kernel"}, "config")
-        grid_doc = doc.get("grid", {})
-        cfg = ExperimentConfig(
-            kernel=kernel_from_dict(doc["kernel"]),
-            gamma_ladder=tuple(json_value(g, float, "gamma_ladder entry")
-                               for g in doc["gamma_ladder"]),
-            epsilon=json_value(doc.get("epsilon", 0.0), float, "epsilon"),
-            domain=doc.get("domain", "LOW"),
-            grid=GridSpec(json_value(grid_doc.get("n", 2048), int, "grid.n"),
-                          json_value(grid_doc.get("span", 400.0), float, "grid.span")),
-            seed=json_value(doc.get("seed", 0), int, "seed"),
-            signals=tuple(doc.get("signals", [])),
-            noise=doc.get("noise"),
-            outputs=dict(doc.get("outputs", {})),
-        )
-        validate_config(cfg)
-    return cfg
-
-
-def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return config_from_dict(doc)
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    if len(cfg.gamma_ladder) == 0:
-        raise ConfigError("gamma_ladder must be nonempty")
-    if any(g == 0.0 or not np.isfinite(g) for g in cfg.gamma_ladder):
-        raise ConfigError("gamma_ladder entries must be finite and nonzero")
-    signs = {math.copysign(1.0, g) for g in cfg.gamma_ladder}
-    if len(signs) != 1:
-        raise ConfigError("gamma_ladder must have one sign")
-    mags = [abs(g) for g in cfg.gamma_ladder]
-    if any(b <= a for a, b in zip(mags, mags[1:])):
-        raise ConfigError("gamma_ladder must be strictly increasing in |gamma|")
-    if cfg.domain not in ("LOW", "HIGH"):
-        raise ConfigError(f"domain must be LOW or HIGH, got {cfg.domain!r}")
-    if (cfg.domain == "LOW") != (cfg.gamma_ladder[0] > 0):
-        raise ConfigError(
-            f"gamma sign {math.copysign(1, cfg.gamma_ladder[0]):+.0f} inconsistent "
-            f"with domain {cfg.domain}"
-        )
-    kernel = cfg.kernel
-    if not (0.0 <= cfg.epsilon < kernel.omega):
-        raise ConfigError(f"epsilon must lie in [0, omega = {kernel.omega}), got {cfg.epsilon}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    ids = set()
-    for spec in cfg.signals:
-        if spec.get("kind") not in ("bandlimited", "highfreq", "mixed", "composite"):
-            raise ConfigError(f"unknown signal kind in {spec!r}")
-        # An id is one CSV field and one sidecar key.
-        sid = spec.get("id")
-        if not isinstance(sid, str) or any(c in sid for c in ',"\r\n'):
-            raise ConfigError(
-                f"signal id must be a string without ',', '\"' or a line break: {spec!r}"
-            )
-        if sid in ids:
-            raise ConfigError(f"duplicate signal id {sid!r}")
-        ids.add(sid)
-    if cfg.noise is not None:
-        if not (0.0 <= json_value(cfg.noise.get("eta", -1), float, "noise.eta") < math.inf):
-            raise ConfigError("noise.eta must be finite and >= 0")
-        lo, hi = (json_value(v, float, "noise.support") for v in cfg.noise.get("support", (0, 0)))
-        if not (kernel.omega < lo < hi):
-            raise ConfigError("noise.support must lie strictly outside the band")
-    if not (0.0 < json_value(cfg.outputs.get("decay_tol", 1e-8), float, "outputs.decay_tol")
-            < math.inf):
-        raise ConfigError("outputs.decay_tol must be finite and > 0")
-    for key in _OUTPUT_PATHS:
-        json_value(cfg.outputs.get(key, ""), str, f"outputs.{key}")
-
-
-# ---------------------------------------------------------------------------
-# Signal construction from config entries
-
-
 _GRID_CLASS = {"bandlimited": "LOW", "highfreq": "HIGH"}
 
 
-def build_grid_spectrum(
-    spec: dict, grid: GridSpec, omega: float, domain: str | None = None
-) -> SampledSpectrum:
-    """The sampled spectrum of a grid signal entry.  A composite entry is the
-    sum of its parts' spectra; a part whose support lies inside
-    [-omega, omega] defaults to bandlimited, any other to highfreq.  Any
-    other kind raises ConfigError before a field is read, and so does a key
-    that the entry or a part does not take.  With a domain, an entry with a
-    part outside its class raises ClassMismatch before any spectrum is built."""
-    kind = spec.get("kind")
-    if kind not in ("bandlimited", "highfreq", "composite"):
-        raise ConfigError(f"signal {spec.get('id')!r}: the FFT route takes grid signals")
-    name = f"signal {spec.get('id')!r}"
-    with _malformed(name):
-        if kind == "composite":
-            _reject_unknown_keys(spec, ("id", "kind", "parts"), name)
-        parts = [spec] if kind != "composite" else [
-            {"kind": "bandlimited"
-             if max(abs(json_value(v, float, "support")) for v in p["support"]) <= omega
-             else "highfreq", **p}
-            for p in spec["parts"]
-        ]
-        for part in parts:
-            keys = _PART_KEYS | ({"sigma"} if part.get("envelope") == "gaussian" else set())
-            _reject_unknown_keys(part, keys | ({"id"} if part is spec else set()), name)
-            if domain not in (None, _GRID_CLASS[part["kind"]]):  # KeyError: not a grid kind
-                raise ClassMismatch(
-                    f"signal {spec['id']!r}: a {part['kind']} part is outside the {domain} class"
-                )
-        total = np.zeros(grid.n, dtype=complex) if kind == "composite" else None
-        for part in parts:
-            envelope = part.get("envelope", "raised_cosine")
-            params = {key: json_value(part[key], float, key)
-                      for key in ("height", "sigma") if key in part}
-            if params:
-                envelope = (envelope, params)
-            support = tuple(json_value(v, float, "support") for v in part["support"])
-            bandlimited = part["kind"] == "bandlimited"
-            # A bandlimited spectrum is Hermitian exactly when its support is symmetric.
-            symmetric = support[0] == -support[1]
-            hermitian = part.get("hermitian", symmetric or not bandlimited)
-            if not isinstance(hermitian, bool) or (bandlimited and hermitian != symmetric):
-                raise ConfigError(
-                    f"signal {spec['id']!r}: hermitian must be a bool, on a bandlimited "
-                    f"part true exactly when lo == -hi; got {hermitian!r} on {list(support)}"
-                )
-            if bandlimited:
-                built = make_bandlimited_signal(envelope, support, grid, omega)
-            else:
-                built = make_highfreq_signal(envelope, support, grid, omega, hermitian=hermitian)
-            if total is None:
-                return built
-            total += built.values
+def build_grid_spectrum(spec, grid: GridSpec, omega: float, domain=None) -> SampledSpectrum:
+    """The sampled spectrum of a grid entry; a composite entry is the sum of
+    its parts' spectra.  A mixed entry raises ConfigError, and with a domain,
+    an entry with a part outside its class raises ClassMismatch, both before
+    any spectrum is built."""
+    if spec.kind == "mixed":
+        raise ConfigError(f"signal {spec.id!r}: the FFT route takes grid signals")
+    parts = spec.parts if spec.kind == "composite" else [spec]
+    for part in parts:
+        if domain not in (None, _GRID_CLASS[part.kind]):
+            raise ClassMismatch(f"signal {spec.id!r}: a {part.kind} part is outside the "
+                                f"{domain} class")
+    total = np.zeros(grid.n, dtype=complex) if spec.kind == "composite" else None
+    for part in parts:
+        envelope = (part.envelope, {"height": part.height, "sigma": part.sigma})
+        if part.kind == "bandlimited":
+            built = make_bandlimited_signal(envelope, part.support, grid, omega)
+        else:
+            built = make_highfreq_signal(envelope, part.support, grid, omega,
+                                         hermitian=part.hermitian)
+        if total is None:
+            return built
+        total += built.values
     return SampledSpectrum(grid.omega0, grid.domega, total)
 
 
-def build_mixed_signal(spec: dict, omega: float) -> MixedSpectrum:
-    """The spectrum of a mixed entry; any other kind raises ConfigError
-    before a field is read."""
-    if spec.get("kind") != "mixed":
-        raise ConfigError(f"signal {spec.get('id')!r}: the mixed route takes mixed signals")
-    name = f"signal {spec.get('id')!r}"
-    with _malformed(name):
-        _reject_unknown_keys(spec, _MIXED_KEYS, name)
-        for item in spec.get("density", []):
-            if item.get("kind") in _DENSITY_KEYS:  # any other kind: SupportViolation when built
-                _reject_unknown_keys(item, _DENSITY_KEYS[item["kind"]], name)
-        if spec.get("omega", omega) != omega:
-            raise ConfigError(f"{name}: omega {spec['omega']!r} is not the kernel's {omega}")
-        return mixed_from_json_dict({**spec, "omega": omega})
+def build_mixed_signal(spec, omega: float) -> MixedSpectrum:
+    """The spectrum of a mixed entry; a grid entry raises ConfigError.  A
+    density whose height or samples are not finite raises SupportViolation
+    before any quadrature."""
+    if spec.kind != "mixed":
+        raise ConfigError(f"signal {spec.id!r}: the mixed route takes mixed signals")
+    density = []
+    for item in spec.density:
+        if item.kind == "sampled":
+            comp = SampledDensity(np.array(item.omegas), np.array(item.re) + 1j * np.array(item.im))
+        elif item.kind == "gaussian":
+            comp = GaussianBump(item.lo, item.hi, item.height, item.sigma)
+        else:
+            comp = RaisedCosineBump(item.lo, item.hi, item.height)
+        if not np.all(np.isfinite(comp.values if item.kind == "sampled" else comp.height)):
+            raise SupportViolation(f"{item.kind} density height or samples not finite")
+        density.append(comp)
+    atoms = [(w, complex(re, im)) for w, re, im in spec.atoms]
+    return make_mixed_signal(atoms, density, spec.class_, spec.epsilon, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +197,17 @@ def _ladder_rows(signal_id: str, gammas, norms, deviations, monotone) -> list[Re
 def _grid_ladders(cfg: ExperimentConfig, noise=None):
     """The FFT-route ladder loop: per grid entry, its id and its per-rung
     (err_l2, err_linf).  An entry with a part outside the domain's class
-    raises ClassMismatch before its spectrum is built; `noise`, an
-    (eta, support) pair, is added to each built spectrum."""
+    raises ClassMismatch before its spectrum is built; `noise`, the
+    config's noise spec, is added to each built spectrum."""
     for spec in cfg.signals:
         spectrum = build_grid_spectrum(spec, cfg.grid, cfg.kernel.omega, cfg.domain)
         if noise is not None:
-            spectrum = add_outofband_noise(spectrum, *noise, cfg.seed, cfg.kernel.omega)
+            spectrum = add_outofband_noise(spectrum, noise.eta, noise.support, cfg.seed,
+                                           cfg.kernel.omega)
         ladder = spectral_predict_ladder(spectrum, cfg.kernel, cfg.gamma_ladder)
         del spectrum  # the ladder keeps what its rungs read
         # map drops each result before it asks for the next: one live rung.
-        yield spec["id"], list(map(operator.attrgetter("err_l2", "err_linf"), ladder))
+        yield spec.id, list(map(operator.attrgetter("err_l2", "err_linf"), ladder))
 
 
 def run_convergence_sweep(cfg: ExperimentConfig) -> ErrorReport:
@@ -419,15 +250,15 @@ def run_uniform_bound_check(cfg: ExperimentConfig) -> ErrorReport:
             bound = dev * norm / (2.0 * math.pi)
             measured = result.err_linf
             ok = measured <= bound + _BOUND_SLACK
-            rows.append(ReportRow(spec["id"], gamma, result.err_l2, measured, dev, bound, ok, None))
+            rows.append(ReportRow(spec.id, gamma, result.err_l2, measured, dev, bound, ok, None))
             if not ok:
-                raise BoundViolation(gamma, spec["id"], measured, bound)
+                raise BoundViolation(gamma, spec.id, measured, bound)
             if len(ms.atoms) == 1 and not ms.density:
                 wk, ck = ms.atoms[0]
                 atom_dev = _deviation_values(PredictorTransfer(kernel, gamma), np.array([wk]))[0]
                 expected = atom_dev * abs(ck) / (2.0 * math.pi)
                 if abs(measured - expected) > _BOUND_SLACK:
-                    raise BoundViolation(gamma, spec["id"], measured, expected)
+                    raise BoundViolation(gamma, spec.id, measured, expected)
     return ErrorReport(tuple(rows), summary={"op": "bound-check"})
 
 
@@ -441,12 +272,10 @@ def run_robustness_probe(cfg: ExperimentConfig) -> ErrorReport:
     """
     if cfg.noise is None:
         raise ConfigError("robustness probe needs a noise entry in the config")
-    eta = float(cfg.noise["eta"])
-    support = tuple(float(v) for v in cfg.noise["support"])
     deviations = _ladder_deviations(cfg.kernel, cfg.gamma_ladder, cfg.epsilon)
     rows: list[ReportRow] = []
-    summary: dict = {"op": "robustness", "eta": eta}
-    for signal_id, norms in _grid_ladders(cfg, (eta, support)):
+    summary: dict = {"op": "robustness", "eta": cfg.noise.eta}
+    for signal_id, norms in _grid_ladders(cfg, cfg.noise):
         rows += _ladder_rows(signal_id, cfg.gamma_ladder, norms, deviations, None)
         errs = [l2 for l2, _linf in norms]
         imin = int(np.argmin(errs))
@@ -489,16 +318,16 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
         for r_low, r_high in ladders:
             if y is None:  # y does not depend on gamma
                 y = SampledSignal(r_low.y.t0, r_low.y.dt, r_low.y.values + r_high.y.values)
-            norms.append(_recombined_errors(spec["id"], y, r_low, r_high))
+            norms.append(_recombined_errors(spec.id, y, r_low, r_high))
             errs_l.append(r_low.err_l2)
             errs_h.append(r_high.err_l2)
             del r_low, r_high  # one live rung: free it before the next is computed
-        _check_monotone(spec["id"] + "[low]", gammas, errs_l)
-        _check_monotone(spec["id"] + "[high]", gammas, errs_h)
+        _check_monotone(spec.id + "[low]", gammas, errs_l)
+        _check_monotone(spec.id + "[high]", gammas, errs_h)
         errs_total = [l2 for l2, _linf in norms]
-        _check_monotone(spec["id"], gammas, errs_total)
-        rows += _ladder_rows(spec["id"], gammas, norms, None, True)
-        summary[spec["id"]] = {
+        _check_monotone(spec.id, gammas, errs_total)
+        rows += _ladder_rows(spec.id, gammas, norms, None, True)
+        summary[spec.id] = {
             "err_low": errs_l,
             "err_high": errs_h,
             "err_total": errs_total,
@@ -554,30 +383,32 @@ def _check_output_dirs(cfg: ExperimentConfig, svg: bool) -> None:
     """ConfigError if an output the run writes (the SVG only with `svg`) has
     no directory to go in, so that a run that cannot write all its outputs
     writes none and computes nothing."""
-    for key in _OUTPUT_PATHS if svg else _OUTPUT_PATHS[:2]:
-        path = cfg.outputs.get(key)
+    for key in ("csv", "sidecar", "svg") if svg else ("csv", "sidecar"):
+        path = getattr(cfg.outputs, key)
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write output {path!r}: no directory to write it in")
 
 
-def _emit_outputs(cfg: ExperimentConfig, report: ErrorReport, emit_svg: bool) -> None:
-    csv_path = cfg.outputs.get("csv")
-    if csv_path:
-        _write_text(csv_path, report.to_csv())
-    sidecar = cfg.outputs.get("sidecar")
-    if sidecar:
-        _write_text(sidecar, json.dumps(report.summary, sort_keys=True, default=float) + "\n")
-    svg_path = cfg.outputs.get("svg")
-    if emit_svg and svg_path and report.rows:
-        by_gamma: dict[float, float] = {}
-        for r in report.rows:
-            by_gamma[abs(r.gamma)] = max(by_gamma.get(abs(r.gamma), 0.0), r.err_l2)
-        xs = sorted(by_gamma)
-        ys = [by_gamma[x] for x in xs]
-        _write_text(
-            svg_path,
-            line_plot_svg(xs, ys, title="error vs gamma", xlabel="|gamma|", ylabel="err_l2"),
-        )
+def _emit_outputs(cfg: ExperimentConfig, make_csv, summary: dict, plot=None) -> None:
+    """Write the outputs the config names: the text of `make_csv()`, the JSON
+    `summary` and, given as (xs, ys), the error plot."""
+    if cfg.outputs.csv:
+        _write_text(cfg.outputs.csv, make_csv())
+    if cfg.outputs.sidecar:
+        _write_text(cfg.outputs.sidecar,
+                    json.dumps(summary, sort_keys=True, default=float) + "\n")
+    if plot and cfg.outputs.svg:
+        _write_text(cfg.outputs.svg, line_plot_svg(*plot, title="error vs gamma",
+                                                   xlabel="|gamma|", ylabel="err_l2"))
+
+
+def _error_plot(report: ErrorReport):
+    """(|gamma|, the largest err_l2 at it) per ladder rung, or None without rows."""
+    by_gamma: dict[float, float] = {}
+    for r in report.rows:
+        by_gamma[abs(r.gamma)] = max(by_gamma.get(abs(r.gamma), 0.0), r.err_l2)
+    xs = sorted(by_gamma)
+    return (xs, [by_gamma[x] for x in xs]) if xs else None
 
 
 def _failure_record(exc: BandcastError) -> str:
@@ -619,10 +450,7 @@ def cli_main(argv) -> int:
         return 2
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-            validate_config(cfg)
+        cfg = load_config(args.config, args.seed)
     except BandcastError as exc:
         print(_failure_record(exc), file=sys.stderr)
         return 2
@@ -630,7 +458,7 @@ def cli_main(argv) -> int:
     try:
         if args.command == "validate":
             for spec in cfg.signals:
-                if spec["kind"] == "mixed":
+                if spec.kind == "mixed":
                     build_mixed_signal(spec, cfg.kernel.omega)
                 else:
                     build_grid_spectrum(spec, cfg.grid, cfg.kernel.omega)
@@ -639,30 +467,15 @@ def cli_main(argv) -> int:
         _check_output_dirs(cfg, args.emit_svg and args.command != "synth")
         if args.command == "synth":
             predictor = PredictorTransfer(cfg.kernel, cfg.gamma_ladder[0])
-            decay_tol = float(cfg.outputs.get("decay_tol", 1e-8))
-            result = synthesize_time_predictor(predictor, cfg.grid, decay_tol=decay_tol)
-            csv_path = cfg.outputs.get("csv")
-            if csv_path:
-                _write_text(csv_path, signal_to_csv(result.khat))
-            sidecar = cfg.outputs.get("sidecar")
-            if sidecar:
-                _write_text(
-                    sidecar,
-                    json.dumps(
-                        {
-                            "gamma": predictor.gamma,
-                            "leakage": result.leakage,
-                            "spectrum_end_magnitude": result.spectrum_end_magnitude,
-                            "n": cfg.grid.n,
-                            "span": cfg.grid.span,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n",
-                )
+            result = synthesize_time_predictor(predictor, cfg.grid, cfg.outputs.decay_tol)
+            _emit_outputs(cfg, lambda: signal_to_csv(result.khat), {
+                "gamma": predictor.gamma, "leakage": result.leakage, "n": cfg.grid.n,
+                "spectrum_end_magnitude": result.spectrum_end_magnitude, "span": cfg.grid.span,
+            })
             print(f"leakage {result.leakage!r}")
             return 0
-        _emit_outputs(cfg, _OPS[args.command](cfg), args.emit_svg)
+        report = _OPS[args.command](cfg)
+        _emit_outputs(cfg, report.to_csv, report.summary, args.emit_svg and _error_plot(report))
         return 0
     except BandcastError as exc:
         print(_failure_record(exc), file=sys.stderr)

@@ -357,36 +357,3 @@ def kernel_to_json(kernel: RationalAnticausalKernel) -> str:
         "numerator": list(kernel.numerator_coeffs),
     }
     return json.dumps(doc)
-
-
-_JSON_KINDS = {float: "number", int: "integer", bool: "bool", str: "string"}
-
-
-def json_value(value, kind: type, what: str):
-    """`value` as `kind` if it is a JSON value of that kind (any number for
-    float), else TypeError naming `what`: a bool is not the number 0 or 1,
-    and 1.7 is not the integer 1."""
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise TypeError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
-    return kind(value)
-
-
-def kernel_from_dict(doc: dict) -> RationalAnticausalKernel:
-    """The kernel of a JSON document, read by type: a, b, the numerator and
-    omega are numbers, mult an integer and paired a bool (else TypeError)."""
-    poles: list[tuple[float, float, int]] = []
-    for entry in doc["poles"]:
-        if isinstance(entry, dict):
-            a, b, mult = entry["a"], entry["b"], entry["mult"]
-            paired = entry.get("paired", False)
-        else:
-            a, b, mult = entry[0], entry[1], entry[2]
-            paired = entry[3] if len(entry) > 3 else False
-        a, b = json_value(a, float, "pole a"), json_value(b, float, "pole b")
-        mult = json_value(mult, int, "pole mult")
-        poles.append((a, b, mult))
-        if json_value(paired, bool, "pole paired") and b != 0.0:
-            poles.append((a, -b, mult))
-    numerator = [json_value(c, float, "numerator coefficient") for c in doc["numerator"]]
-    return build_kernel(poles, numerator, json_value(doc["omega"], float, "kernel omega"))

@@ -291,9 +291,8 @@ def synthesize_time_predictor(
             f"|K_hat| = {end_mag:.3e} at the grid ends exceeds decay_tol = {decay_tol:g}"
         )
     vals, t0, dt = signal_from_spectrum(khat_w, 0.0, grid.domega)
-    khat = SampledSignal(t0, dt, vals)
-    t = khat.times()
     power = vals**2
     total = float(np.sum(power))
-    leak = float(np.sum(power[t < 0])) / total if total > 0 else 0.0
-    return SynthesisResult(khat=khat, leakage=leak, spectrum_end_magnitude=end_mag)
+    # On the centered grid t_j < 0 exactly for j < n/2: t_{n/2} is 0.0.
+    leak = float(np.sum(power[: grid.n // 2])) / total if total > 0 else 0.0
+    return SynthesisResult(SampledSignal(t0, dt, vals), leak, end_mag)

@@ -35,7 +35,6 @@ from .errors import (
     SupportViolation,
 )
 from .grids import GridSpec, is_centered, uniform_omegas
-from .kernels import json_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -652,35 +651,3 @@ def mixed_to_json_dict(ms: MixedSpectrum) -> dict:
         "epsilon": ms.epsilon,
         "omega": ms.omega,
     }
-
-
-def mixed_from_json_dict(doc: dict) -> MixedSpectrum:
-    """The mixed spectrum of a JSON document, its numbers read by type (a
-    string that spells a number raises TypeError).  A density whose height or
-    samples are not finite raises SupportViolation before any quadrature."""
-
-    def number(key, where=doc):
-        return json_value(where[key], float, key)
-
-    def numbers(key, where):
-        return np.array([json_value(v, float, key) for v in where[key]])
-
-    atoms = [(json_value(a[0], float, "atom omega"),
-              complex(json_value(a[1], float, "atom re"), json_value(a[2], float, "atom im")))
-             for a in doc.get("atoms", [])]
-    comps = []
-    for d in doc.get("density", []):
-        height = json_value(d.get("height", 1.0), float, "height")
-        if d["kind"] == "raised_cosine":
-            comp = RaisedCosineBump(number("lo", d), number("hi", d), height)
-        elif d["kind"] == "gaussian":
-            sigma = number("sigma", d) if "sigma" in d else None
-            comp = GaussianBump(number("lo", d), number("hi", d), height, sigma)
-        elif d["kind"] == "sampled":
-            comp = SampledDensity(numbers("omegas", d), numbers("re", d) + 1j * numbers("im", d))
-        else:
-            raise SupportViolation(f"unknown density kind {d['kind']!r}")
-        if not np.all(np.isfinite(comp.values if d["kind"] == "sampled" else comp.height)):
-            raise SupportViolation(f"{d['kind']} density height or samples not finite")
-        comps.append(comp)
-    return make_mixed_signal(atoms, comps, doc["class"], number("epsilon"), number("omega"))

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 from bandcast import PredictorTransfer, build_kernel, eval_transfer
 from bandcast.errors import BandcastError, ClassMismatch, DomainError, QuadratureNotConverged
+from bandcast.harness import build_mixed_signal, config_from_dict
 from bandcast.kernels import _numerator_at, scalar_time_kernel, transfer_on_grid
 from bandcast.predictor import (
     SATURATION_EXPONENT,
@@ -22,6 +23,21 @@ from bandcast.predictor import (
     predictor_transfer_on_grid,
 )
 from bandcast.signals import RaisedCosineBump, make_mixed_signal
+
+
+def kernel_from_json(doc: dict):
+    """The kernel a config reads from the kernel document `doc`."""
+    return config_from_dict({"kernel": doc, "gamma_ladder": [1.0]}).kernel
+
+
+def mixed_from_json(doc: dict):
+    """The mixed spectrum built from a config entry holding `doc`, a document
+    of signals.mixed_to_json_dict."""
+    cfg = config_from_dict({
+        "kernel": {"omega": doc["omega"], "poles": [[1.0, 0.0, 1]], "numerator": [1.0]},
+        "gamma_ladder": [1.0], "signals": [{"id": "m", "kind": "mixed", **doc}],
+    })
+    return build_mixed_signal(cfg.signals[0], cfg.kernel.omega)
 
 
 def random_kernel(rng, omega=None, max_groups=2):

@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ import pytest
 from bandcast import (
     GridSpec,
     PredictorTransfer,
+    config,
     harness,
     signals,
     synthesize_time_predictor,
@@ -97,6 +99,150 @@ def test_config_rejects_unknown_keys(mutate, key):
         config_from_dict(doc)
 
 
+def _set(path):
+    """A mutation that sets the config value at `path` (keys and indices)."""
+    def mutate(doc, value):
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "name, path, value, where",
+    [
+        ("sweep", ("kernel", "numerater"), [2.0], "kernel.numerater: unknown key 'numerater'"),
+        ("sweep", ("kernel", "poles", 0), [1.0, 0.0, 1, False, 99], "kernel.poles[0]: "),
+        ("bound_check", ("signals", 0, "atoms", 0), [0.5, 6.28, 0.0, 7.0],
+         "signals[0].atoms[0]: "),
+        ("bound_check", ("kernel", "poles", 0, "pared"), True,
+         "kernel.poles[0].pared: unknown key 'pared'"),
+        ("sweep", ("signals", 0, "support"), [-0.9, 0.0, 0.9], "signals[0].support: "),
+        ("sweep", ("signals", 0, "envelope"), "boxcar", "signals[0].envelope: "),
+        ("bound_check", ("signals", 1, "density", 0),
+         {"kind": "sampled", "omegas": [-0.6, -0.4, -0.2], "re": [0.0, 1.0], "im": [0.0, 0.0]},
+         "signals[1].density[0].re: "),
+    ],
+    ids=["kernel-key", "pole-entries", "atom-entries", "pole-key", "support-entries",
+         "envelope", "sampled-lengths"],
+)
+def test_cli_validate_refuses_malformed_entries_naming_their_path(tmp_path, capsys, name, path,
+                                                                  value, where):
+    # Each exited 0, or 1, or 2 with another entry's message; the sampled
+    # density with two samples on three omegas failed bound-check with
+    # numpy's ValueError.
+    doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    _set(path)(doc, value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli_main(["validate", "--config", str(cfg)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and record["message"].startswith(where)
+
+
+# Every entry kind of the table, each with every key it takes.
+_FULL_CONFIG = {
+    "kernel": {"omega": 1.0, "poles": [{"a": 0.5, "b": 0.8, "mult": 1, "paired": True},
+                                       [1.0, 0.0, 1]], "numerator": [0.0, 1.0]},
+    "gamma_ladder": [2, 5], "epsilon": 0.1, "domain": "LOW", "grid": {"n": 2048, "span": 400.0},
+    "seed": 7,
+    "signals": [
+        {"id": "g", "kind": "bandlimited", "envelope": "gaussian", "support": [-0.9, 0.9],
+         "hermitian": True, "height": 2.0, "sigma": 0.2},
+        {"id": "hf", "kind": "highfreq", "envelope": "indicator", "support": [1.1, 2.0]},
+        {"id": "mix", "kind": "composite", "parts": [
+            {"kind": "bandlimited", "envelope": "gaussian", "support": [-0.5, 0.5],
+             "hermitian": True, "height": 1.0, "sigma": 0.1}]},
+        {"id": "m", "kind": "mixed", "class": "LOW", "epsilon": 0.25, "omega": 1.0,
+         "atoms": [[0.5, 1.0, 0.0]], "density": [
+             {"kind": "raised_cosine", "lo": -0.6, "hi": -0.2, "height": 1.5},
+             {"kind": "gaussian", "lo": 0.1, "hi": 0.5, "height": 1.0, "sigma": 0.1},
+             {"kind": "sampled", "omegas": [-0.6, -0.4, -0.2], "re": [0.0, 1.0, 0.0],
+              "im": [0.0, 0.5, 0.0]}]},
+    ],
+    "noise": {"eta": 1e-3, "support": [1.05, 1.1]},
+    "outputs": {"csv": "a.csv", "sidecar": "a.json", "svg": "a.svg", "decay_tol": 1e-8},
+}
+_NUMERIC = (config.NUMBER, config.DENSITY_NUMBER, config.INTEGER)
+# The density numbers a mixed entry checks when it is built: a non-finite
+# one exits 1 with SupportViolation (test_cli_defective_density_fails_when_built).
+_CHECKED_WHEN_BUILT = {"density height", "density sigma", "density omegas", "density re",
+                       "density im"}
+
+
+def _records(type_):
+    """Every Record under `type_`, once."""
+    if isinstance(type_, dict):
+        for record in type_.values():
+            yield from _records(record)
+    elif isinstance(type_, config.ListOf):
+        yield from _records(type_.item)
+    elif isinstance(type_, config.Record):
+        yield type_
+        for field_type, *_rest in type_.fields.values():
+            yield from _records(field_type)
+
+
+def _leaves(field_type) -> list[tuple]:
+    """Where the numbers of a key of `field_type` sit in its value: () for a
+    number, (0,) for a list of numbers, one index per labelled entry of a
+    list such as an atom."""
+    if field_type in _NUMERIC:
+        return [()]
+    if not isinstance(field_type, config.ListOf):
+        return []
+    entries = range(len(field_type.labels)) if isinstance(field_type.labels, tuple) else [0]
+    return [(i,) + leaf for i in entries for leaf in _leaves(field_type.item)]
+
+
+def _numeric_slots(type_, value, path=()):
+    """(record, key, leaf, path to that number) for each numeric key in `value`."""
+    if isinstance(type_, dict):
+        yield from _numeric_slots(type_[value["kind"]], value, path)
+    elif isinstance(type_, config.ListOf):
+        for i, item in enumerate(value):
+            yield from _numeric_slots(type_.item, item, path + (i,))
+    elif isinstance(type_, config.Record):
+        steps = value if isinstance(value, dict) else range(len(value))
+        for key, step in zip(value if isinstance(value, dict) else type_.fields, steps):
+            field_type = type_.fields[key][0]
+            for leaf in _leaves(field_type):
+                yield type_, key, leaf, path + (step,) + leaf
+            if not _leaves(field_type):
+                yield from _numeric_slots(field_type, value[step], path + (step,))
+
+
+def test_table_refuses_bools_strings_and_non_finite_numbers_at_every_numeric_key(tmp_path,
+                                                                                capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_FULL_CONFIG))
+    assert cli_main(["validate", "--config", str(cfg)]) == 0
+    slots = {}
+    for record, key, leaf, path in _numeric_slots(config.SCHEMA, _FULL_CONFIG):
+        slots.setdefault((record, key, leaf), path)
+    table = {(record, key, leaf) for record in set(_records(config.SCHEMA))
+             for key, (field_type, *_rest) in record.fields.items()
+             for leaf in _leaves(field_type)}
+    assert set(slots) == table  # the config above holds every numeric key of the table
+    assert {record.prefix + key for record, key, _leaf in slots} >= _CHECKED_WHEN_BUILT
+    for (record, key, _leaf), path in slots.items():
+        built = record.prefix + key in _CHECKED_WHEN_BUILT
+        for value, code in ((True, 2), ("1", 2), (math.nan, 1 if built else 2)):
+            doc = json.loads(json.dumps(_FULL_CONFIG))
+            _set(path)(doc, value)
+            cfg.write_text(json.dumps(doc))
+            assert cli_main(["validate", "--config", str(cfg)]) == code, (path, value)
+            failure = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert failure["error"] == ("SupportViolation" if code == 1 else "ConfigError")
+
+
+def test_readme_schema_lists_exactly_the_table_keys():
+    block = (ROOT / "README.md").read_text().split("```jsonc")[1].split("```")[0]
+    keys = {key for record in _records(config.SCHEMA) for key in record.fields}
+    assert set(re.findall(r'"(\w+)"\s*:', block)) == keys
+
+
 def _pole(**entry):
     return {"omega": 1.0, "poles": [{"a": 0.5, "b": 0.8, "mult": 1, **entry}],
             "numerator": [0.0, 1.0]}
@@ -150,7 +296,7 @@ def test_config_reads_numbers_and_flags_by_type(mutate, message):
 def test_config_takes_paired_and_hermitian_bools():
     cfg = config_from_dict(base_config(kernel=_pole(paired=True)))
     assert cfg.kernel.poles == ((0.5, 0.8, 1), (0.5, -0.8, 1))
-    assert cfg.signals[0]["hermitian"] is True
+    assert cfg.signals[0].hermitian is True
 
 
 @pytest.mark.parametrize("seed_args, doc_seed", [([], -1), (["--seed", "-1"], 7)],
@@ -164,6 +310,11 @@ def test_cli_negative_seed_exits_2(tmp_path, capsys, seed_args, doc_seed):
     assert cli_main(["robustness", "--config", str(cfg), *seed_args]) == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "ConfigError" and "seed must be >= 0" in record["message"]
+
+
+def _entry(signal: dict):
+    """The spec a config reads from one signal entry."""
+    return config_from_dict(base_config(signals=[signal])).signals[0]
 
 
 def test_config_rejects_in_band_noise():
@@ -351,7 +502,7 @@ def test_grid_entry_hermitian_must_be_a_bool_that_holds(part, composite):
     # its spectrum is Hermitian exactly when its support is symmetric.
     spec = {"id": "s", "kind": "composite", "parts": [part]} if composite else {"id": "s", **part}
     with pytest.raises(ConfigError, match="hermitian"):
-        harness.build_grid_spectrum(spec, GridSpec(2048, 400.0), 1.0)
+        _entry(spec)
 
 
 @pytest.mark.parametrize(
@@ -369,7 +520,7 @@ def test_grid_entry_reads_numbers_by_type(part, message, composite):
     part = {"kind": "bandlimited", "support": [-0.9, 0.9], **part}
     spec = {"id": "s", "kind": "composite", "parts": [part]} if composite else {"id": "s", **part}
     with pytest.raises(ConfigError, match=message):
-        harness.build_grid_spectrum(spec, GridSpec(2048, 400.0), 1.0)
+        _entry(spec)
 
 
 _BUMP = {"kind": "raised_cosine", "lo": -0.6, "hi": -0.2, "height": 1.5}
@@ -397,11 +548,8 @@ def test_mixed_entry_reads_numbers_by_type(change, what):
     # Each string used to be read as the number it spells.
     spec = {"id": "m", "kind": "mixed", "atoms": [[0.3, 3.0, 1.0]], "density": [_BUMP],
             "class": "LOW", "epsilon": 0.25, **change}
-    message = f"{what} must be a JSON number"
-    with pytest.raises(ConfigError, match=message):
-        harness.build_mixed_signal(spec, 1.0)
-    with pytest.raises(TypeError, match=message):
-        signals.mixed_from_json_dict({**spec, "omega": 1.0})
+    with pytest.raises(ConfigError, match=f"{what} must be a JSON number"):
+        _entry(spec)
 
 
 def test_grid_entry_hermitian_values_that_hold():
@@ -413,7 +561,7 @@ def test_grid_entry_hermitian_values_that_hold():
         ({"kind": "highfreq", "support": [1.2, 1.5], "hermitian": False}, True),
         ({"kind": "highfreq", "support": [1.2, 1.5]}, False),
     ):
-        X = harness.build_grid_spectrum({"id": "s", **part}, grid, 1.0)
+        X = harness.build_grid_spectrum(_entry({"id": "s", **part}), grid, 1.0)
         half = transforms.hermitian_half(X.values, X.omega0, X.domega)
         assert (half is None) == one_sided, part
 
@@ -644,10 +792,10 @@ _RAISED = {"kind": "raised_cosine", "lo": -0.6, "hi": -0.2, "height": 1.5}
 def test_signal_entries_reject_keys_they_do_not_take(signal, message):
     # "envelop" used to build the default raised cosine, and a mixed entry's
     # omega overrode the kernel's.
-    cfg = config_from_dict(base_config(signals=[signal]))
     with pytest.raises(ConfigError, match=message):
+        cfg = config_from_dict(base_config(signals=[signal]))
         for spec in cfg.signals:
-            if spec["kind"] == "mixed":
+            if spec.kind == "mixed":
                 harness.build_mixed_signal(spec, cfg.kernel.omega)
             else:
                 harness.build_grid_spectrum(spec, cfg.grid, cfg.kernel.omega)
@@ -657,8 +805,8 @@ def test_grid_gaussian_entry_takes_its_sigma():
     # sigma used to be dropped: the spectrum was the default sigma's.
     grid = GridSpec(2048, 400.0)
     spec = {"id": "g", "kind": "bandlimited", "envelope": "gaussian", "support": [-0.9, 0.9]}
-    default = harness.build_grid_spectrum(spec, grid, 1.0)
-    narrow = harness.build_grid_spectrum({**spec, "sigma": 0.1}, grid, 1.0)
+    default = harness.build_grid_spectrum(_entry(spec), grid, 1.0)
+    narrow = harness.build_grid_spectrum(_entry({**spec, "sigma": 0.1}), grid, 1.0)
     expected = signals.GaussianBump(-0.9, 0.9, 1.0, 0.1)(np.abs(grid.omegas()))
     assert np.array_equal(narrow.values, expected)
     assert not np.array_equal(narrow.values, default.values)
@@ -666,7 +814,7 @@ def test_grid_gaussian_entry_takes_its_sigma():
 
 def test_mixed_entry_may_repeat_the_kernel_omega():
     # perfbench's pool entries carry the omega of mixed_to_json_dict.
-    ms = harness.build_mixed_signal({**_MIXED, "omega": 1.0}, 1.0)
+    ms = harness.build_mixed_signal(_entry({**_MIXED, "omega": 1.0}), 1.0)
     assert ms.omega == 1.0
 
 
@@ -709,7 +857,7 @@ def test_intake_rejects_entry_before_building(monkeypatch, name, op, signal, err
     def forbidden(*_args, **_kwargs):
         raise AssertionError("a spectrum was built or a ladder ran")
 
-    for fn_name in ("make_bandlimited_signal", "make_highfreq_signal", "mixed_from_json_dict",
+    for fn_name in ("make_bandlimited_signal", "make_highfreq_signal", "make_mixed_signal",
                     "spectral_predict_ladder", "mixed_predict_ladder"):
         monkeypatch.setattr(harness, fn_name, forbidden)
     cfg = config_from_dict(_config_with_signal(name, signal))
@@ -949,12 +1097,20 @@ def test_cli_synth_shipped_config(tmp_path, monkeypatch):
     assert sidecar["leakage"] < 1e-12
 
 
-def test_cli_golden_sweep_and_determinism(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "command, config_path, name, flags",
+    [
+        ("sweep", GOLDEN / "sweep_config.json", "sweep", ["--emit-svg"]),
+        ("bound-check", ROOT / "configs" / "bound_check.json", "bound_check", []),
+        ("decompose", ROOT / "configs" / "decompose.json", "decompose", []),
+    ],
+    ids=["sweep", "bound-check", "decompose"],
+)
+def test_cli_golden_and_determinism(tmp_path, monkeypatch, command, config_path, name, flags):
     monkeypatch.chdir(tmp_path)
-    config_path = GOLDEN / "sweep_config.json"
-    assert cli_main(["sweep", "--config", str(config_path), "--emit-svg"]) == 0
-    produced = (tmp_path / "sweep.csv").read_text()
-    golden = (GOLDEN / "sweep_golden.csv").read_text()
+    assert cli_main([command, "--config", str(config_path), *flags]) == 0
+    produced = (tmp_path / f"{name}.csv").read_text()
+    golden = (GOLDEN / f"{name}_golden.csv").read_text()
 
     plines, glines = produced.splitlines(), golden.splitlines()
     assert plines[0] == glines[0]
@@ -968,62 +1124,13 @@ def test_cli_golden_sweep_and_determinism(tmp_path, monkeypatch):
             fa, fb = float(a), float(b)
             assert abs(fa - fb) <= 1e-9 * max(abs(fb), 1.0)
 
-    svg = (tmp_path / "sweep.svg").read_text()
-    assert svg.startswith("<svg")
+    if "--emit-svg" in flags:
+        assert (tmp_path / f"{name}.svg").read_text().startswith("<svg")
 
     # Bit-identical reproduction with the same config and seed.
-    first = produced
-    (tmp_path / "sweep.csv").unlink()
-    assert cli_main(["sweep", "--config", str(config_path)]) == 0
-    assert (tmp_path / "sweep.csv").read_bytes() == first.encode()
-
-
-def test_cli_golden_bound_check_and_determinism(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    config_path = ROOT / "configs" / "bound_check.json"
-    assert cli_main(["bound-check", "--config", str(config_path)]) == 0
-    produced = (tmp_path / "bound_check.csv").read_text()
-    golden = (GOLDEN / "bound_check_golden.csv").read_text()
-
-    plines, glines = produced.splitlines(), golden.splitlines()
-    assert plines[0] == glines[0]
-    assert len(plines) == len(glines)
-    for p, g in zip(plines[1:], glines[1:]):
-        pc, gc = p.split(","), g.split(",")
-        assert pc[0] == gc[0] and pc[6:] == gc[6:]
-        for a, b in zip(pc[1:6], gc[1:6]):
-            fa, fb = float(a), float(b)
-            assert abs(fa - fb) <= 1e-9 * max(abs(fb), 1.0)
-
-    # Bit-identical reproduction with the same config.
-    (tmp_path / "bound_check.csv").unlink()
-    assert cli_main(["bound-check", "--config", str(config_path)]) == 0
-    assert (tmp_path / "bound_check.csv").read_bytes() == produced.encode()
-
-
-def test_cli_golden_decompose_and_determinism(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    config_path = ROOT / "configs" / "decompose.json"
-    assert cli_main(["decompose", "--config", str(config_path)]) == 0
-    produced = (tmp_path / "decompose.csv").read_text()
-    golden = (GOLDEN / "decompose_golden.csv").read_text()
-
-    plines, glines = produced.splitlines(), golden.splitlines()
-    assert plines[0] == glines[0]
-    assert len(plines) == len(glines)
-    for p, g in zip(plines[1:], glines[1:]):
-        pc, gc = p.split(","), g.split(",")
-        assert pc[0] == gc[0] and pc[6:] == gc[6:]
-        for a, b in zip(pc[1:6], gc[1:6]):
-            if a == "" and b == "":
-                continue
-            fa, fb = float(a), float(b)
-            assert abs(fa - fb) <= 1e-9 * max(abs(fb), 1.0)
-
-    # Bit-identical reproduction with the same config.
-    (tmp_path / "decompose.csv").unlink()
-    assert cli_main(["decompose", "--config", str(config_path)]) == 0
-    assert (tmp_path / "decompose.csv").read_bytes() == produced.encode()
+    (tmp_path / f"{name}.csv").unlink()
+    assert cli_main([command, "--config", str(config_path)]) == 0
+    assert (tmp_path / f"{name}.csv").read_bytes() == produced.encode()
 
 
 def _run_module(module, *args, cwd):

@@ -22,11 +22,11 @@ from bandcast.errors import (
 )
 from bandcast.kernels import (
     _reconstruction_points,
-    kernel_from_dict,
     scalar_time_kernel,
     transfer_on_grid,
 )
 from helpers import (
+    kernel_from_json,
     kernel_l2_norm,
     random_kernel,
     random_oracle_kernel,
@@ -238,12 +238,12 @@ def test_l2_norm_time_domain_oracle(conjugate_pair):
 
 def test_json_roundtrip(conjugate_pair, single_pole):
     for k in (conjugate_pair, single_pole):
-        assert kernel_from_dict(json.loads(kernel_to_json(k))) == k
+        assert kernel_from_json(json.loads(kernel_to_json(k))) == k
     doc = kernel_to_json(conjugate_pair)
     assert '"paired": true' in doc
     # Explicitly listed conjugate mates parse too.
     explicit = '{"omega": 1.0, "poles": [[0.5, 0.8, 1], [0.5, -0.8, 1]], "numerator": [0.0, 1.0]}'
-    assert kernel_from_dict(json.loads(explicit)) == conjugate_pair
+    assert kernel_from_json(json.loads(explicit)) == conjugate_pair
 
 
 def test_reconstruction_points_equal_scalar_draws():

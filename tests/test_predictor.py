@@ -406,6 +406,21 @@ def test_synthesize_reference_leakage(single_pole):
     assert result.leakage <= 1e-3
 
 
+@pytest.mark.parametrize("n, span", [(2**11, 400.0 / 3.0), (2**12, 100.0), (2**14, 64.0),
+                                     (2**16, 200.0), (2**18, 1000.0 / 7.0), (2**20, 1024.0)])
+def test_synthesis_leakage_is_the_first_half_of_the_grid(single_pole, triple_pole, n, span):
+    # The leakage sums the first n/2 samples, not those with t < 0: on the
+    # centered grid t_{n/2} is exactly 0.0, so both give the same bits.
+    grid = GridSpec(n, span)
+    for kernel, gamma in ((single_pole, 5.0), (triple_pole, 1.0)):
+        result = synthesize_time_predictor(PredictorTransfer(kernel, gamma), grid, decay_tol=10.0)
+        t, power = result.khat.times(), result.khat.values**2
+        assert t[n // 2] == 0.0
+        mask_form = float(np.sum(power[t < 0])) / float(np.sum(power))
+        assert result.leakage > 0.0
+        assert result.leakage.hex() == mask_form.hex()
+
+
 def test_synthesize_saturates_for_huge_gamma(single_pole):
     with pytest.raises(SaturatedSpectrum):
         synthesize_time_predictor(PredictorTransfer(single_pole, 2000.0), GridSpec(2**14, 100.0))

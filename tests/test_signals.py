@@ -36,12 +36,11 @@ from bandcast.grids import GridSpec
 from bandcast.signals import (
     _gauss_legendre_panels,
     _phase_products,
-    mixed_from_json_dict,
     mixed_to_json_dict,
     signal_to_csv,
 )
 from bandcast.transforms import hermitian_half
-from helpers import phase_matrices, reference_phase_products
+from helpers import mixed_from_json, phase_matrices, reference_phase_products
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +177,7 @@ def test_gaussian_bump_mass_and_roundtrip():
     profile = 2.0 * np.exp(-((w - 0.3) ** 2) / (2 * 0.1**2))
     assert bump.mass() == pytest.approx(np.trapezoid(profile, w), rel=1e-9)
     ms = make_mixed_signal([], [bump], "LOW", 0.4, 1.0)
-    back = mixed_from_json_dict(mixed_to_json_dict(ms))
+    back = mixed_from_json(mixed_to_json_dict(ms))
     assert back.density[0].mass() == pytest.approx(bump.mass(), rel=1e-12)
 
 
@@ -569,7 +568,7 @@ def test_csv_and_json_serialization(grid):
     ms = make_mixed_signal(
         [(0.2, 1 + 1j)], [RaisedCosineBump(-0.5, 0.1, 1.3)], "LOW", 0.4, 1.0
     )
-    back = mixed_from_json_dict(mixed_to_json_dict(ms))
+    back = mixed_from_json(mixed_to_json_dict(ms))
     assert back.atoms == ms.atoms
     assert back.class_tag == ms.class_tag
     assert back.density[0].support() == ms.density[0].support()
