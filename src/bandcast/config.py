@@ -5,9 +5,11 @@ kind, each key's type, default and rules.  The reader refuses an unknown
 key, a wrong JSON type (a bool is no number, 1.5 no integer and "2"
 neither), a wrong list length, an unknown enum value or an out-of-range
 value with a ConfigError naming the dotted path (``kernel.poles[0].pared``).
-Numbers must be finite, except DENSITY_NUMBERs: a mixed entry checks those
-when it is built (bandcast.harness, exit 1).  An object is read into a
-frozen dataclass whose fields are its keys ("class" as ``class_``).
+A rule of GridSpec or build_kernel keeps its error type and gains the
+section's path (``grid: ...``).  Numbers must be finite, except
+DENSITY_NUMBERs: a mixed entry checks those when it is built
+(bandcast.harness, exit 1).  An object is read into a frozen dataclass
+whose fields are its keys ("class" as ``class_``).
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import math
 from collections import namedtuple
 from dataclasses import make_dataclass
 
-from .errors import ConfigError
-from .grids import GridSpec
+from .errors import BandcastError, ConfigError
+from .grids import GridSpec, in_class
 from .kernels import build_kernel
 
 REQUIRED = object()  # the default of a key that must be given
@@ -149,7 +151,10 @@ class Record:
             except _Refused as exc:
                 text, key = exc.args
                 raise ConfigError(f"{_at(path, key)}: {text}") from None
-        return self.make(**values)
+        try:
+            return self.make(**values)
+        except BandcastError as exc:  # a GridSpec or kernel rule, named by its section
+            raise type(exc)(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +167,7 @@ def _finish_part(v: dict, omega: float) -> None:
     is symmetric, so hermitian defaults to that and must agree."""
     lo, hi = v["support"]
     if v["kind"] is None:
-        v["kind"] = "bandlimited" if max(abs(lo), abs(hi)) <= omega else "highfreq"
+        v["kind"] = "bandlimited" if in_class(max(abs(lo), abs(hi)), "LOW", omega) else "highfreq"
     bandlimited, symmetric = v["kind"] == "bandlimited", lo == -hi
     if v["hermitian"] is None:
         v["hermitian"] = symmetric or not bandlimited

@@ -28,6 +28,16 @@ def is_centered(n: int, origin: float, step: float) -> bool:
     return n % 2 == 0 and origin == -(n // 2) * step
 
 
+def in_class(w, class_tag: str, omega: float, epsilon: float = 0.0):
+    """Whether the frequency w (a float, or an array elementwise) lies in the
+    closed class set: |w| <= omega - epsilon for LOW, |w| >= omega + epsilon
+    for HIGH.  The one membership rule for signals, deviation domains, the
+    low-pass split and config intake."""
+    if class_tag == "LOW":
+        return abs(w) <= omega - epsilon
+    return abs(w) >= omega + epsilon
+
+
 def uniform_omegas(omega0: float, domega: float, n: int) -> np.ndarray:
     """omega_j = (j + omega0/domega) * domega, j = 0..n-1 (see the module doc)."""
     return (np.arange(n) + omega0 / domega) * domega

@@ -89,12 +89,12 @@ def build_grid_spectrum(spec, grid: GridSpec, omega: float, domain=None) -> Samp
                                 f"{domain} class")
     total = np.zeros(grid.n, dtype=complex) if spec.kind == "composite" else None
     for part in parts:
-        envelope = (part.envelope, {"height": part.height, "sigma": part.sigma})
+        envelope = {"height": part.height, "sigma": part.sigma}
         if part.kind == "bandlimited":
-            built = make_bandlimited_signal(envelope, part.support, grid, omega)
+            built = make_bandlimited_signal(part.envelope, part.support, grid, omega, **envelope)
         else:
-            built = make_highfreq_signal(envelope, part.support, grid, omega,
-                                         hermitian=part.hermitian)
+            built = make_highfreq_signal(part.envelope, part.support, grid, omega,
+                                         part.hermitian, **envelope)
         if total is None:
             return built
         total += built.values

@@ -40,7 +40,7 @@ from .errors import (
     SpectrumNotDecayed,
     TruncationNotJustified,
 )
-from .grids import GridSpec
+from .grids import GridSpec, in_class
 from .kernels import RationalAnticausalKernel, eval_transfer, transfer_on_grid
 from .signals import SampledSignal
 from .transforms import signal_from_spectrum
@@ -233,16 +233,13 @@ def deviation_norm(
     if extras.ndim != 1:
         raise DomainError(f"extra points must be a 1-D sequence, got shape {extras.shape}")
     extras = np.abs(extras)
+    inside = extras[in_class(extras, predictor.target_class, om, epsilon)]
     h = kernel.min_pole_rate / 50.0
     with np.errstate(all="ignore"):
         if predictor.target_class == "LOW":
-            edge = om - epsilon
-            chunks = _uniform_chunks(-edge, edge, h)
-            inside = extras[extras <= edge]
+            chunks = _uniform_chunks(-(om - epsilon), om - epsilon, h)
         else:
-            edge = om + epsilon
-            chunks = _high_domain_chunks(edge, _default_omega_max(kernel), h, om)
-            inside = extras[extras >= edge]
+            chunks = _high_domain_chunks(om + epsilon, _default_omega_max(kernel), h, om)
         nodes = itertools.chain(chunks, [inside] if len(inside) else [])
         return max(float(np.max(_deviation_values(predictor, w))) for w in nodes)
 

@@ -12,13 +12,15 @@ Two signal families are generated here:
   x(t) = (1/2pi) * (sum c_k e^{i w_k t} + integral e^{i w t} X_c(w) dw),
   measured in the total-variation norm sum|c_k| + ||X_c||_L1.
 
-Band-edge convention: the ideal low-pass indicator is closed, so grid points
-with |omega| == band constant go to the LOW part of a split.
+Band-edge convention: the class sets are closed (:func:`bandcast.grids.in_class`
+decides membership everywhere), so grid points with |omega| == band constant
+go to the LOW part of a split.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +36,7 @@ from .errors import (
     QuadratureNotConverged,
     SupportViolation,
 )
-from .grids import GridSpec, is_centered, uniform_omegas
+from .grids import GridSpec, in_class, is_centered, uniform_omegas
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,76 +116,72 @@ def same_time_grid(a: SampledSignal, b: SampledSignal, tol: float = 1e-12) -> bo
 # Band-restricted L2 signal generators
 
 
-def _envelope_spectrum(envelope_spec, grid_spec: GridSpec, lo: float, hi: float, two_sided: bool):
-    """A named envelope on the grid's frequencies, at |omega| when two-sided;
-    exactly zero off the declared support."""
-    if isinstance(envelope_spec, str):
-        name, params = envelope_spec, {}
-    else:
-        name, params = envelope_spec
-    height = float(params.get("height", 1.0))
-    w = np.abs(grid_spec.omegas()) if two_sided else grid_spec.omegas()
-    if name == "indicator":
-        vals = np.where((w >= lo) & (w <= hi), height, 0.0).astype(complex)
-    elif name == "raised_cosine":
-        vals = RaisedCosineBump(lo, hi, height)(w)
-    elif name == "gaussian":
-        sigma = params.get("sigma")
-        vals = GaussianBump(lo, hi, height, None if sigma is None else float(sigma))(w)
-    else:
-        raise SupportViolation(f"unknown envelope {name!r}")
-    return SampledSpectrum(grid_spec.omega0, grid_spec.domega, vals)
+def _support_in_class(lo: float, hi: float, class_tag: str, omega: float,
+                      epsilon: float = 0.0) -> bool:
+    """lo < hi with both ends in the class set, and on one side of a HIGH gap."""
+    ends = in_class(lo, class_tag, omega, epsilon) and in_class(hi, class_tag, omega, epsilon)
+    return bool(lo < hi and ends and (class_tag == "LOW" or (lo > 0) == (hi > 0)))
 
 
-def _require_on_grid(lo: float, hi: float, grid_spec: GridSpec) -> None:
-    """SupportViolation unless the grid's frequencies reach both ends of the
-    support, so that no part of it is cut silently."""
+def _grid_signal(class_tag: str, envelope: str, support: tuple[float, float],
+                 grid_spec: GridSpec, omega: float, two_sided: bool, height: float,
+                 sigma: float | None) -> SampledSpectrum:
+    """The body of both generators, each check a SupportViolation.  Class:
+    the support lies in the class set, a HIGH one above the band.  Grid: the
+    grid's frequencies reach both ends, so that no part is cut silently.
+    Then the named envelope is sampled at |omega| when two-sided, exactly
+    zero off the support; `sigma` is the gaussian's only."""
+    lo, hi = float(support[0]), float(support[1])
+    if not (_support_in_class(lo, hi, class_tag, omega) and (class_tag == "LOW" or lo > 0)):
+        raise SupportViolation(f"support [{lo}, {hi}] not in the {class_tag} set ({omega=}): "
+                               "LOW -omega <= lo < hi <= omega, HIGH omega <= lo < hi")
     first, top = grid_spec.omega0, grid_spec.omega0 + grid_spec.domega * (grid_spec.n - 1)
     if lo < first or hi > top:
         raise SupportViolation(f"support [{lo}, {hi}] beyond the grid's [{first:.6g}, {top:.6g}]")
+    if envelope not in ("indicator", "raised_cosine", "gaussian"):
+        raise SupportViolation(f"unknown envelope {envelope!r}")
+    if sigma is not None and envelope != "gaussian":
+        raise SupportViolation(f"sigma is taken by the gaussian envelope only, not by {envelope!r}")
+    for key, v in (("height", height), ("sigma", 1.0 if sigma is None else sigma)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise SupportViolation(f"envelope {key} must be a finite number, got {v!r}")
+    w = np.abs(grid_spec.omegas()) if two_sided else grid_spec.omegas()
+    if envelope == "indicator":
+        vals = np.where((w >= lo) & (w <= hi), height, 0.0).astype(complex)
+    elif envelope == "raised_cosine":
+        vals = RaisedCosineBump(lo, hi, height)(w)
+    else:
+        vals = GaussianBump(lo, hi, height, sigma)(w)
+    return SampledSpectrum(grid_spec.omega0, grid_spec.domega, vals)
 
 
-def make_bandlimited_signal(
-    envelope_spec,
-    support: tuple[float, float],
-    grid_spec: GridSpec,
-    omega: float,
-) -> SampledSpectrum:
-    """Spectrum that is `envelope` on `support` inside [-omega, omega].
+def make_bandlimited_signal(envelope: str, support: tuple[float, float], grid_spec: GridSpec,
+                            omega: float, *, height: float = 1.0,
+                            sigma: float | None = None) -> SampledSpectrum:
+    """Spectrum that is `envelope` ("indicator", "raised_cosine" or
+    "gaussian", of `height`; `sigma` for a gaussian) on `support` inside
+    [-omega, omega].
 
     A symmetric support (lo == -hi) gives an exactly Hermitian spectrum and a
-    real signal; any other support gives a complex signal.  A support past
-    the grid's frequencies raises SupportViolation.
+    real signal; any other support gives a complex signal.  A support off the
+    band or past the grid's frequencies, or a bad envelope, raises
+    SupportViolation (see :func:`_grid_signal`).
     """
-    lo, hi = float(support[0]), float(support[1])
-    if not (-omega <= lo < hi <= omega):
-        raise SupportViolation(
-            f"support [{lo}, {hi}] not inside the band [-{omega}, {omega}]"
-        )
-    _require_on_grid(lo, hi, grid_spec)
-    return _envelope_spectrum(envelope_spec, grid_spec, lo, hi, lo == -hi)
+    return _grid_signal("LOW", envelope, support, grid_spec, omega,
+                        support[0] == -support[1], height, sigma)
 
 
-def make_highfreq_signal(
-    envelope_spec,
-    support: tuple[float, float],
-    grid_spec: GridSpec,
-    omega: float,
-    hermitian: bool = True,
-) -> SampledSpectrum:
-    """Spectrum on |w| in [lo, hi], lo >= omega.
+def make_highfreq_signal(envelope: str, support: tuple[float, float], grid_spec: GridSpec,
+                         omega: float, hermitian: bool = True, *, height: float = 1.0,
+                         sigma: float | None = None) -> SampledSpectrum:
+    """Spectrum on |w| in [lo, hi], lo >= omega; the envelope as for
+    :func:`make_bandlimited_signal`.
 
     hermitian=True places the envelope on both +/-[lo, hi] (exactly
     Hermitian spectrum, real signal); hermitian=False uses the positive side
     only (complex signal).
     """
-    lo, hi = float(support[0]), float(support[1])
-    if not (omega <= lo < hi):
-        raise SupportViolation(
-            f"high-frequency support [{lo}, {hi}] must satisfy omega <= lo < hi"
-        )
-    _require_on_grid(lo, hi, grid_spec)
-    return _envelope_spectrum(envelope_spec, grid_spec, lo, hi, hermitian)
+    return _grid_signal("HIGH", envelope, support, grid_spec, omega, hermitian, height, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -461,16 +459,6 @@ class MixedSpectrum:
     epsilon: float
     omega: float
 
-    def evaluate(self, t_values) -> np.ndarray:
-        """x(t) = (1/2pi) (sum c_k e^{i w_k t} + integral e^{i w t} X_c dw)."""
-        t = np.asarray(t_values, dtype=float)
-        acc = np.zeros(len(t), dtype=complex)
-        for wk, ck in self.atoms:
-            acc += ck * np.exp(1j * wk * t)
-        for comp in self.density:
-            acc += comp.integrate_against(None, t)
-        return acc / (2.0 * np.pi)
-
 
 def make_mixed_signal(
     atoms: Sequence[tuple[float, complex]],
@@ -491,32 +479,16 @@ def make_mixed_signal(
         wk, ck = float(wk), complex(ck)
         if not (np.isfinite(wk) and np.isfinite(ck.real) and np.isfinite(ck.imag)):
             raise ClassConstraintViolation(f"non-finite atom ({wk}, {ck})")
-        if class_tag == "LOW" and abs(wk) > omega - epsilon:
-            raise ClassConstraintViolation(
-                f"atom at {wk} outside [-(omega-eps), omega-eps] = "
-                f"[-{omega - epsilon}, {omega - epsilon}]"
-            )
-        if class_tag == "HIGH" and abs(wk) < omega + epsilon:
-            raise ClassConstraintViolation(
-                f"atom at {wk} inside the forbidden gap (|w| < {omega + epsilon})"
-            )
+        if not in_class(wk, class_tag, omega, epsilon):
+            raise ClassConstraintViolation(f"atom at {wk} outside the {class_tag} set "
+                                           f"({omega=}, {epsilon=})")
         norm_atoms.append((wk, ck))
     comps = tuple(density_spec)
     for comp in comps:
         lo, hi = comp.support()
-        if class_tag == "LOW":
-            if not (-(omega - epsilon) <= lo < hi <= omega - epsilon):
-                raise ClassConstraintViolation(
-                    f"density support [{lo}, {hi}] not inside "
-                    f"[-{omega - epsilon}, {omega - epsilon}]"
-                )
-        else:
-            one_side = (omega + epsilon <= lo < hi) or (lo < hi <= -(omega + epsilon))
-            if not one_side:
-                raise ClassConstraintViolation(
-                    f"density support [{lo}, {hi}] overlaps the gap "
-                    f"(-{omega + epsilon}, {omega + epsilon})"
-                )
+        if not _support_in_class(lo, hi, class_tag, omega, epsilon):
+            raise ClassConstraintViolation(f"density support [{lo}, {hi}] not inside the "
+                                           f"{class_tag} set ({omega=}, {epsilon=})")
     return MixedSpectrum(
         atoms=tuple(norm_atoms),
         density=comps,
@@ -546,7 +518,7 @@ def ideal_lowpass_split(
     goes to the LOW part.  |w| is even on a centered grid, so the parts of a
     Hermitian X are exactly Hermitian.
     """
-    mask = np.abs(spectrum.omegas()) <= omega
+    mask = in_class(spectrum.omegas(), "LOW", omega)
     low = np.where(mask, spectrum.values, 0.0 + 0.0j)
     high = np.where(mask, 0.0 + 0.0j, spectrum.values)
     return (

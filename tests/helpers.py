@@ -40,6 +40,18 @@ def mixed_from_json(doc: dict):
     return build_mixed_signal(cfg.signals[0], cfg.kernel.omega)
 
 
+def evaluate_mixed(ms, t_values) -> np.ndarray:
+    """x(t) = (1/2pi) (sum c_k e^{i w_k t} + integral e^{i w t} X_c dw) of the
+    mixed spectrum `ms`."""
+    t = np.asarray(t_values, dtype=float)
+    acc = np.zeros(len(t), dtype=complex)
+    for wk, ck in ms.atoms:
+        acc += ck * np.exp(1j * wk * t)
+    for comp in ms.density:
+        acc += comp.integrate_against(None, t)
+    return acc / (2.0 * np.pi)
+
+
 def random_kernel(rng, omega=None, max_groups=2):
     """Random admissible kernel: real poles and conjugate pairs, tame scales."""
     om = float(rng.uniform(0.5, 2.0)) if omega is None else float(omega)

@@ -141,6 +141,33 @@ def test_cli_validate_refuses_malformed_entries_naming_their_path(tmp_path, caps
     assert record["error"] == "ConfigError" and record["message"].startswith(where)
 
 
+@pytest.mark.parametrize(
+    "path, value, error, message",
+    [
+        (("grid", "n"), 3000, "GridMismatch", "grid: grid length must be a power of two, got 3000"),
+        (("grid", "span"), -1.0, "GridMismatch",
+         "grid: grid span must be positive and finite, got -1.0"),
+        (("kernel", "poles", 0, "a"), -1.0, "PoleOutOfRegion",
+         "kernel: pole real part a must be > 0, got a=-1.0"),
+        (("kernel", "poles", 0, "mult"), 0, "PoleOutOfRegion",
+         "kernel: pole multiplicity must be >= 1, got 0"),
+        (("kernel", "numerator"), [0.0], "DegreeViolation",
+         "kernel: numerator polynomial must be nonzero"),
+    ],
+    ids=["grid-n", "grid-span", "pole-a", "pole-mult", "numerator"],
+)
+def test_cli_validate_names_the_section_of_a_grid_or_kernel_rule(tmp_path, capsys, path, value,
+                                                                 error, message):
+    # GridSpec and build_kernel raised their own errors with no path.
+    doc = json.loads((ROOT / "configs" / "sweep.json").read_text())
+    _set(path)(doc, value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli_main(["validate", "--config", str(cfg)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": error, "message": message}
+
+
 # Every entry kind of the table, each with every key it takes.
 _FULL_CONFIG = {
     "kernel": {"omega": 1.0, "poles": [{"a": 0.5, "b": 0.8, "mult": 1, "paired": True},
@@ -1007,6 +1034,56 @@ def test_synthesize_rejects_bad_decay_tol(single_pole, decay_tol):
     predictor = PredictorTransfer(single_pole, 5.0)
     with pytest.raises(DomainError, match="decay_tol"):
         synthesize_time_predictor(predictor, GridSpec(2**10, 100.0), decay_tol)
+
+
+def _deviations_scaled_down(real):
+    return lambda *args: [d * 1e-9 for d in real(*args)]
+
+
+def _deviation_values_doubled(real):
+    return lambda predictor, w: 2.0 * real(predictor, w)
+
+
+def _inverse_offset(real):
+    def offset(spectrum):
+        y = real(spectrum)
+        return signals.SampledSignal(y.t0, y.dt, y.values + 1.0)
+    return offset
+
+
+def _error_norms_inflated(real):
+    def inflated(y, yhat):
+        err_l2, err_linf = real(y, yhat)
+        return err_l2 + 1.0, err_linf
+    return inflated
+
+
+@pytest.mark.parametrize(
+    "command, config, target, wrap, signal_id, holds",
+    [
+        ("bound-check", "bound_check", "_ladder_deviations", _deviations_scaled_down, "tone",
+         lambda measured, bound: measured > 1e6 * bound > 0.0),
+        ("bound-check", "bound_check", "_deviation_values", _deviation_values_doubled, "tone",
+         lambda measured, bound: bound == pytest.approx(2.0 * measured, rel=1e-6)),
+        ("decompose", "decompose", "fourier_inverse", _inverse_offset, "mix",
+         lambda measured, bound: measured == pytest.approx(1.0) and bound < 1e-11),
+        ("decompose", "decompose", "error_norms", _error_norms_inflated, "mix",
+         lambda measured, bound: bound < measured <= bound + 1.0),
+    ],
+    ids=["uniform-bound", "single-atom", "decompose-split-sum", "decompose-triangle"],
+)
+def test_cli_bound_violation_exits_1_with_record_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, command, config, target, wrap, signal_id, holds):
+    # No shipped config reaches these four raises, so each is forced by
+    # perturbing the value its check reads.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, target, wrap(getattr(harness, target)))
+    assert cli_main([command, "--config", str(ROOT / "configs" / f"{config}.json")]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "BoundViolation"
+    assert (record["gamma"], record["signal_id"]) == (2.0, signal_id)
+    assert holds(record["measured"], record["bound"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_decompose_rising_total_is_a_monotonicity_violation(tmp_path, monkeypatch, capsys):

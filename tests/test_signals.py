@@ -7,24 +7,29 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from bandcast import (
     GaussianBump,
+    PredictorTransfer,
     RaisedCosineBump,
     SampledDensity,
     SampledSpectrum,
     add_outofband_noise,
+    build_kernel,
     cstar_norm,
+    deviation_norm,
     fourier_inverse,
     ideal_lowpass_split,
     make_bandlimited_signal,
     make_highfreq_signal,
     make_mixed_signal,
 )
-from bandcast import signals
+from bandcast import predictor, signals
+from bandcast.config import config_from_dict
 from bandcast.errors import (
     ClassConstraintViolation,
     DomainError,
@@ -40,7 +45,7 @@ from bandcast.signals import (
     signal_to_csv,
 )
 from bandcast.transforms import hermitian_half
-from helpers import mixed_from_json, phase_matrices, reference_phase_products
+from helpers import evaluate_mixed, mixed_from_json, phase_matrices, reference_phase_products
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +80,29 @@ def test_bandlimited_support_validation(grid):
     spec = make_bandlimited_signal("indicator", (-0.5, 0.9), grid, 1.0)
     assert np.any(spec.values != 0.0)
     assert hermitian_half(spec.values, spec.omega0, spec.domega) is None
+
+
+@pytest.mark.parametrize("maker, support", [(make_bandlimited_signal, (-0.9, 0.9)),
+                                            (make_highfreq_signal, (1.2, 1.5))])
+def test_generators_take_an_envelope_name_and_typed_keywords(grid, maker, support):
+    # The (name, params) tuple used to ignore a misspelt key, read "2" and
+    # True as numbers and drop a sigma given to a non-gaussian envelope.
+    for envelope, keywords in [(("raised_cosine", {"hieght": 5.0}), {}),
+                               ("raised_cosine", {"sigma": 0.1}),
+                               ("indicator", {"sigma": 0.1}),
+                               ("raised_cosine", {"height": "2"}),
+                               ("raised_cosine", {"height": True}),
+                               ("gaussian", {"sigma": math.inf})]:
+        with pytest.raises(SupportViolation):
+            maker(envelope, support, grid, 1.0, **keywords)
+    with pytest.raises(TypeError):
+        maker("raised_cosine", support, grid, 1.0, hieght=5.0)
+    scaled = maker("gaussian", support, grid, 1.0, height=2.0, sigma=0.1)
+    unit = maker("gaussian", support, grid, 1.0, sigma=0.1)
+    assert np.array_equal(scaled.values, 2.0 * unit.values)
+    numpy_scalars = maker("gaussian", support, grid, 1.0, height=np.float32(2.0), sigma=0.1)
+    assert np.array_equal(numpy_scalars.values, scaled.values)
+    assert not np.array_equal(unit.values, maker("gaussian", support, grid, 1.0).values)
 
 
 def test_bandlimited_support_past_the_grid_is_refused():
@@ -125,16 +153,25 @@ def test_highfreq_one_sided_complex(grid):
     assert np.max(np.abs(fourier_inverse(spec).values.imag)) > 1e-3  # genuinely complex
 
 
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_highfreq_support_lies_above_the_band(grid, hermitian):
+    # Both ends of (-1.5, -1.2) are in the HIGH set, but the support is given
+    # on omega > 0; across the gap it is in no class.
+    for support in ((-1.5, -1.2), (-1.5, 1.5)):
+        with pytest.raises(SupportViolation):
+            make_highfreq_signal("raised_cosine", support, grid, 1.0, hermitian)
+
+
 def test_mixed_single_tone():
     ms = make_mixed_signal([(0.5, 2 * math.pi)], [], "LOW", 0.4, 1.0)
     t = np.linspace(-5, 5, 11)
-    assert np.max(np.abs(ms.evaluate(t) - np.exp(0.5j * t))) < 1e-15
+    assert np.max(np.abs(evaluate_mixed(ms, t) - np.exp(0.5j * t))) < 1e-15
 
 
 def test_mixed_tone_pair_is_cosine():
     ms = make_mixed_signal([(0.3, math.pi), (-0.3, math.pi)], [], "LOW", 0.4, 1.0)
     t = np.linspace(-5, 5, 11)
-    assert np.max(np.abs(ms.evaluate(t) - np.cos(0.3 * t))) < 1e-15
+    assert np.max(np.abs(evaluate_mixed(ms, t) - np.cos(0.3 * t))) < 1e-15
 
 
 def test_mixed_class_constraints():
@@ -146,6 +183,85 @@ def test_mixed_class_constraints():
         make_mixed_signal([], [RaisedCosineBump(0.5, 0.8)], "LOW", 0.4, 1.0)
     with pytest.raises(ClassConstraintViolation):
         make_mixed_signal([(0.5, 1.0)], [], "LOW", 1.5, 1.0)
+
+
+def _accepts(build, error):
+    """w -> False if build(w) raises `error`, else True."""
+    def accepts(w):
+        try:
+            build(w)
+        except error:
+            return False
+        return True
+    return accepts
+
+
+def _extra_point_joins(gamma):
+    """w -> whether deviation_norm evaluates the extra point w: the extra
+    points in the domain are the last nodes it evaluates."""
+    kernel = build_kernel([(1.0, 0.0, 1)], [1.0], _OMEGA)
+
+    def joins(w):
+        seen, real = [], predictor._deviation_values
+        with mock.patch.object(predictor, "_deviation_values",
+                               lambda p, x: seen.append(x) or real(p, x)):
+            deviation_norm(PredictorTransfer(kernel, gamma), _EPS, [w])
+        return len(seen[-1]) == 1 and seen[-1][0] == abs(w)
+    return joins
+
+
+def _split_keeps_low(band):
+    """The split at `band` sends the grid points +-1.0 to LOW."""
+    low, high = ideal_lowpass_split(SampledSpectrum(-2.0, 1.0, np.ones(4, dtype=complex)), band)
+    assert np.array_equal(low.values + high.values, np.ones(4))
+    return bool(low.values[1] == low.values[3] == 1.0)
+
+
+def _part_kind(w):
+    doc = {"kernel": {"omega": _OMEGA, "poles": [[1.0, 0.0, 1]], "numerator": [1.0]},
+           "gamma_ladder": [1.0],
+           "signals": [{"id": "c", "kind": "composite", "parts": [{"support": [-0.5, w]}]}]}
+    return config_from_dict(doc).signals[0].parts[0].kind
+
+
+_OMEGA, _EPS = 1.0, 0.1
+_LOW_EDGE, _HIGH_EDGE = _OMEGA - _EPS, _OMEGA + _EPS
+_GRID = GridSpec(2048, 400.0)
+_MIXED = _accepts(lambda args: make_mixed_signal(*args, _EPS, _OMEGA), ClassConstraintViolation)
+_SUPPORT = _accepts(lambda args: args[0]("raised_cosine", args[1], _GRID, _OMEGA),
+                    SupportViolation)
+# Every place that decides class membership: (accepts, values on the closed
+# edge that it accepts, values one ulp outside, or across the gap, refused).
+_CLASS_EDGES = {
+    "atom-low": (lambda w: _MIXED(([(w, 1.0)], [], "LOW")),
+                 [_LOW_EDGE, -_LOW_EDGE], [math.nextafter(_LOW_EDGE, 2.0)]),
+    "atom-high": (lambda w: _MIXED(([(w, 1.0)], [], "HIGH")),
+                  [_HIGH_EDGE, -_HIGH_EDGE], [math.nextafter(-_HIGH_EDGE, 0.0)]),
+    "density-low": (lambda w: _MIXED(([], [RaisedCosineBump(-w, w)], "LOW")),
+                    [_LOW_EDGE], [math.nextafter(_LOW_EDGE, 2.0)]),
+    "density-high": (lambda hi: _MIXED(([], [RaisedCosineBump(-2.0, hi)], "HIGH")),
+                     [-_HIGH_EDGE], [math.nextafter(-_HIGH_EDGE, 0.0), _HIGH_EDGE]),
+    "bandlimited-support": (lambda w: _SUPPORT((make_bandlimited_signal, (-w, w))),
+                            [_OMEGA], [math.nextafter(_OMEGA, 2.0)]),
+    "highfreq-support": (lambda lo: _SUPPORT((make_highfreq_signal, (lo, 1.5))),
+                         [_OMEGA], [math.nextafter(_OMEGA, 0.0)]),
+    "lowpass-split": (_split_keeps_low, [1.0], [math.nextafter(1.0, 0.0)]),
+    "deviation-low": (_extra_point_joins(5.0), [_LOW_EDGE, -_LOW_EDGE],
+                      [math.nextafter(_LOW_EDGE, 2.0)]),
+    "deviation-high": (_extra_point_joins(-5.0), [_HIGH_EDGE, -_HIGH_EDGE],
+                       [math.nextafter(_HIGH_EDGE, 0.0)]),
+    "config-part-kind": (lambda w: _part_kind(w) == "bandlimited",
+                         [_OMEGA], [math.nextafter(_OMEGA, 2.0)]),
+}
+
+
+@pytest.mark.parametrize("site", list(_CLASS_EDGES))
+def test_class_sets_are_closed_at_every_site(site):
+    # LOW is |w| <= omega - eps and HIGH is |w| >= omega + eps, both closed;
+    # a HIGH density also stays on one side of the gap.
+    accepts, edge, outside = _CLASS_EDGES[site]
+    assert [accepts(w) for w in edge] == [True] * len(edge)
+    assert [accepts(w) for w in outside] == [False] * len(outside)
 
 
 def test_cstar_norm_atoms():
@@ -375,7 +491,7 @@ def test_density_integral_rejects_non_finite_height(height):
         _no_warnings(lambda: bump.integrate_against(lambda w: np.ones((len(w), 3)), t))
     ms = make_mixed_signal([(0.2, 1.0)], [bump], "LOW", 0.4, 1.0)
     with pytest.raises(NonFiniteResult, match=r"not finite on \[0\.1, 0\.5\]"):
-        _no_warnings(lambda: ms.evaluate(t))
+        _no_warnings(lambda: evaluate_mixed(ms, t))
 
 
 @pytest.mark.parametrize(
@@ -407,7 +523,7 @@ def test_mixed_evaluation_bounded_by_cstar():
     )
     bound = cstar_norm(ms) / (2 * math.pi)
     t = rng.uniform(-50, 50, size=64)
-    assert np.max(np.abs(ms.evaluate(t))) <= bound + 1e-12
+    assert np.max(np.abs(evaluate_mixed(ms, t))) <= bound + 1e-12
 
 
 def test_split_trivial_cases(grid):
