@@ -28,7 +28,8 @@ from typing import Iterator
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.signal import fftconvolve
+# Unused: `perfbench/run.py --trace 1` fails without it until ROADMAP item 1.
+import scipy.signal  # noqa: F401
 
 from .errors import (
     ClassMismatch,
@@ -154,12 +155,15 @@ def causal_convolve(
 
     Uses only lags in [0, M] of khat (strictly causal); x is zero-extended
     before its grid.  khat's grid must contain the lag range at x's spacing.
-    x is convolved by overlap-add in blocks of max(2 * taps, 2**14) samples,
-    each one fftconvolve summed into the output, so the memory beyond the
-    output scales with the tap count, not with the length of x.  A horizon
-    that is not positive (or NaN) raises InsufficientHistory; a non-finite
-    sample of x or of the taps used, or a non-finite output (an overflow of
-    finite inputs), raises NonFiniteResult without a numpy warning.
+    The taps are transformed once per call, at the FFT length L, the
+    smallest power of two >= max(3 * taps, 2**15); x is added by overlap-add
+    in blocks of L - taps + 1 samples, one forward and one inverse transform
+    each (rfft/irfft when x and the taps are both real), so the memory
+    beyond the output scales with the tap count, not with the length of x.
+    A horizon that is not positive (or NaN) raises InsufficientHistory; a
+    non-finite sample of x or of the taps used, or a non-finite output (an
+    overflow of finite inputs), raises NonFiniteResult without a numpy
+    warning.
     """
     dt = x.dt
     if abs(khat.dt - dt) > 1e-12 * dt:
@@ -190,15 +194,26 @@ def causal_convolve(
     taps[-1] *= 0.5
     taps *= dt
     n = len(x.values)
-    block = max(2 * len(taps), 1 << 14)
+    size = 1 << (max(3 * len(taps), 1 << 15) - 1).bit_length()
+    block = size - len(taps) + 1  # a block's full convolution fills size samples
+    if np.isrealobj(x.values) and np.isrealobj(taps):
+        forward, inverse = np.fft.rfft, np.fft.irfft
+    else:
+        forward, inverse = np.fft.fft, np.fft.ifft
+    taps_f = forward(taps, size)
     out = np.zeros(n, dtype=np.result_type(x.values, taps))
+    # One spectrum and one piece buffer serve every block.
+    spectrum, piece = np.empty_like(taps_f), np.empty(size, dtype=out.dtype)
     with np.errstate(invalid="ignore", over="ignore"):
         for start in range(0, n, block):
             segment = x.values[start : start + block]
             if not np.all(np.isfinite(segment)):
                 raise NonFiniteResult("causal_convolve: x has non-finite samples")
-            piece = fftconvolve(segment, taps)[: n - start]
-            out[start : start + len(piece)] += piece
+            forward(segment, size, out=spectrum)
+            spectrum *= taps_f
+            inverse(spectrum, size, out=piece)
+            stop = min(start + size, n)
+            out[start:stop] += piece[: stop - start]
             # No later block reaches below start + block: that stretch is final.
             if not np.all(np.isfinite(out[start : start + block])):
                 raise NonFiniteResult("causal_convolve: the convolution overflowed")

@@ -257,6 +257,9 @@ class SynthesisResult:
     spectrum_end_magnitude: float
 
 
+_SYNTH_BLOCK = 1 << 15
+
+
 def synthesize_time_predictor(
     predictor: PredictorTransfer,
     grid: GridSpec,
@@ -266,22 +269,30 @@ def synthesize_time_predictor(
 
     K_hat is Hermitian (real kernel, conjugate-closed poles), so it is
     evaluated on the n/2 + 1 frequencies omega >= 0 only and inverted with
-    irfft; the sampled kernel is real.  Raises SaturatedSpectrum if any of
-    them saturates the compensator and SpectrumNotDecayed if |K_hat| at the
-    two highest of them exceeds decay_tol (pass a larger decay_tol to accept
-    grid-limited truncation; leakage is reported either way).  A decay_tol
-    that is not finite and > 0 raises DomainError.
+    irfft; the sampled kernel is real.  The evaluation runs in blocks of
+    2**15 frequencies, each written into one half-length array, so the
+    temporaries of V and K never span the whole half grid; the values are
+    the bits of one evaluation over all of it.  Raises SaturatedSpectrum,
+    naming the first saturating frequency, if any of them saturates the
+    compensator, and SpectrumNotDecayed if |K_hat| at the two highest of
+    them exceeds decay_tol (pass a larger decay_tol to accept grid-limited
+    truncation; leakage is reported either way).  A decay_tol that is not
+    finite and > 0 raises DomainError.
     """
     if not (0.0 < decay_tol < math.inf):
         raise DomainError(f"decay_tol must be finite and > 0, got {decay_tol}")
-    w = grid.domega * np.arange(grid.n // 2 + 1)
-    khat_w, sat = predictor_transfer_on_grid(predictor, w)
-    if bool(np.any(sat)):
-        wbad = w[np.argmax(sat)]
-        raise SaturatedSpectrum(
-            f"compensator exponent exceeds {SATURATION_EXPONENT:g} at omega = {wbad:.6g}; "
-            f"gamma = {predictor.gamma:g} is too large for this grid"
-        )
+    m = grid.n // 2 + 1
+    khat_w = np.empty(m, dtype=complex)
+    for start in range(0, m, _SYNTH_BLOCK):
+        w = grid.domega * np.arange(start, min(start + _SYNTH_BLOCK, m))
+        vals, sat = predictor_transfer_on_grid(predictor, w)
+        if bool(np.any(sat)):
+            wbad = w[np.argmax(sat)]
+            raise SaturatedSpectrum(
+                f"compensator exponent exceeds {SATURATION_EXPONENT:g} at omega = {wbad:.6g}; "
+                f"gamma = {predictor.gamma:g} is too large for this grid"
+            )
+        khat_w[start : start + len(w)] = vals
     end_mag = float(max(abs(khat_w[-1]), abs(khat_w[-2])))
     if end_mag > decay_tol:
         raise SpectrumNotDecayed(

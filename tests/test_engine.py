@@ -432,20 +432,28 @@ def test_causal_horizon_tail_negligible(triple_pole):
     assert np.max(np.abs(a.values - b.values)) <= 1e-10 * scale
 
 
-@pytest.mark.parametrize("complex_x", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize(
-    "n, lags",
-    [(3 * 2**14 + 777, 50), (2 * 18002 + 5001, 9000), (1500, 1499)],
+    "complex_x, complex_taps",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["real", "complex", "complex-taps-real-x", "complex-taps-complex-x"],
+)
+@pytest.mark.parametrize(
+    "n, lags, full_blocks",
+    [(3 * 2**15 + 777, 50, 3), (2 * 23768 + 5001, 9000, 2), (1500, 1499, 0)],
     ids=["short-taps", "long-taps", "horizon-span"],
 )
-def test_causal_convolve_matches_direct_sum(complex_x, n, lags):
-    # Several blocks plus a remainder with blocks of 2**14 samples (short
-    # taps) and of 2 * taps samples (long taps), and one block when the
-    # horizon is the whole span.
+def test_causal_convolve_matches_direct_sum(complex_x, complex_taps, n, lags, full_blocks):
+    # Blocks of L - taps + 1 samples, L = 2**15 here (the smallest power of
+    # two >= max(3 * taps, 2**15)): several blocks plus a remainder with
+    # short and with long taps, and one partial block when the horizon is
+    # the whole span.
+    block = 2**15 - lags
+    assert (n // block, n % block > 0) == (full_blocks, True)
     rng = np.random.default_rng(n)
     dt = 0.05
     x = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_x else 0.0)
-    khat = SampledSignal(-3 * dt, dt, rng.standard_normal(lags + 10))  # lag 0 at index 3
+    k = rng.standard_normal(lags + 10) + (1j * rng.standard_normal(lags + 10) if complex_taps else 0.0)
+    khat = SampledSignal(-3 * dt, dt, k)  # lag 0 at index 3
     out = causal_convolve(khat, SampledSignal(0.0, dt, x), lags * dt)
     taps = khat.values[3 : 4 + lags] * dt
     taps[[0, -1]] *= 0.5
@@ -457,19 +465,24 @@ def test_causal_convolve_matches_direct_sum(complex_x, n, lags):
 def test_causal_convolve_memory_beyond_output_does_not_grow_with_n():
     # At 1001 taps the memory the call allocates besides its output stays
     # flat from n = 2**16 to 2**18; one fftconvolve over all of x grows 4x.
+    # At 40 961 taps, the synth benchmark's horizon, it is the taps'
+    # transform plus one spectrum and one piece buffer of L = 2**17 points:
+    # 6.7 MB, against 9.7 MB when each block transformed the taps again.
     dt = 0.05
-    khat = SampledSignal(0.0, dt, np.ones(2048))
-    transient = []
-    for n in (2**16, 2**18):
+
+    def transient(lags, n):
+        khat = SampledSignal(0.0, dt, np.ones(lags + 1))
         x = SampledSignal(0.0, dt, np.ones(n, dtype=complex))
         tracemalloc.start()
         try:
-            out = causal_convolve(khat, x, 1000 * dt)
+            out = causal_convolve(khat, x, lags * dt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        transient.append(peak - out.values.nbytes)
-    assert transient[1] <= 1.1 * transient[0]
+        return peak - out.values.nbytes
+
+    assert transient(1000, 2**18) <= 1.1 * transient(1000, 2**16)
+    assert transient(40960, 2**18) <= 7e6
 
 
 def test_causal_requires_history_and_grid(triple_pole):

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -424,6 +425,47 @@ def test_synthesis_leakage_is_the_first_half_of_the_grid(single_pole, triple_pol
 def test_synthesize_saturates_for_huge_gamma(single_pole):
     with pytest.raises(SaturatedSpectrum):
         synthesize_time_predictor(PredictorTransfer(single_pole, 2000.0), GridSpec(2**14, 100.0))
+
+
+def test_synthesis_peak_memory_is_about_three_half_spectra(triple_pole):
+    # K_hat is built block by block into one half array, so the traced peak
+    # is that array, the irfft's samples and their squares: 3.0 half spectra
+    # of 16 * (n/2 + 1) bytes, against 6.56 when K_hat's temporaries spanned
+    # the whole half grid.
+    pred = PredictorTransfer(triple_pole, 1.0)
+    grid = GridSpec(2**18, 256.0)
+    synthesize_time_predictor(pred, grid)  # warm
+    tracemalloc.start()
+    try:
+        synthesize_time_predictor(pred, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 16 * (grid.n // 2 + 1)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_synthesis_blocks_have_the_bits_of_one_evaluation(triple_pole, gamma):
+    grid = GridSpec(2**18, 256.0)
+    w = grid.domega * np.arange(grid.n // 2 + 1)
+    assert len(w) > 4 * predictor._SYNTH_BLOCK
+    pred = PredictorTransfer(triple_pole, gamma)
+    khat_w, sat = predictor_transfer_on_grid(pred, w)
+    assert not np.any(sat)
+    ref = transforms.signal_from_spectrum(khat_w, 0.0, grid.domega)[0]
+    assert np.array_equal(synthesize_time_predictor(pred, grid).khat.values, ref)
+
+
+def test_synthesis_names_the_first_saturating_omega_past_the_first_block(single_pole):
+    # gamma * (w^2 - 1)/(w^2 + 1) passes 700 at w = 1414, in the second block.
+    grid = GridSpec(2**18, 256.0)
+    pred = PredictorTransfer(single_pole, 700.0 * (1 + 1e-6))
+    w = grid.domega * np.arange(grid.n // 2 + 1)
+    _vals, sat = predictor_transfer_on_grid(pred, w)
+    first = int(np.argmax(sat))
+    assert predictor._SYNTH_BLOCK <= first < 2 * predictor._SYNTH_BLOCK
+    with pytest.raises(SaturatedSpectrum, match=re.escape(f"omega = {w[first]:.6g};")):
+        synthesize_time_predictor(pred, grid)
 
 
 def test_synthesize_linearity(single_pole):
