@@ -12,12 +12,14 @@ Each route exists to validate the other; keep them independent.
 
 The pipeline runs on centered grids only (:mod:`bandcast.transforms`) and
 has a real path.  The kernel's coefficients are real and its poles
-conjugate-closed, so K, V and K_hat are Hermitian, and an exactly Hermitian
-X (one check, :func:`transforms.hermitian_half`) has real y and y_hat.  That
-X is carried as its omega >= 0 half: K and V are evaluated on the n/2 + 1
-points omega >= 0 and each inverse is an irfft to float samples.  Any other
-X (a one-sided or complex-tone spectrum) takes the complex path on every
-grid point.
+conjugate-closed, so K, V and K_hat are Hermitian, and a Hermitian X has
+real y and y_hat.  Such an X is carried as its omega >= 0 half: K and V are
+evaluated on the n/2 + 1 points omega >= 0 and each inverse is an irfft to
+float samples.  Two-sided grid signals are born as halves
+(:mod:`bandcast.signals`); a full spectrum that is exactly Hermitian (one
+check, :func:`transforms.hermitian_half`), such as the forward transform of
+float samples, is halved first.  Any other X (a one-sided or complex-tone
+spectrum) takes the complex path on every grid point.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .predictor import (
     predictor_transfer_on_grid,
 )
 from .signals import MixedSpectrum, SampledSignal, SampledSpectrum, same_time_grid
-from .transforms import hermitian_half, require_centered, signal_from_spectrum, spectrum_from_signal
+from .transforms import grid_length, hermitian_half, signal_from_spectrum, spectrum_from_signal
 
 
 def fourier_forward(signal: SampledSignal) -> SampledSpectrum:
@@ -270,10 +272,11 @@ def spectral_predict_ladder(
 
     y does not depend on gamma, so K is evaluated and Y inverted once, here;
     the returned iterator computes each rung when it is reached and inverts
-    only its Y_hat.  X must be on a centered grid (GridMismatch, raised
-    before K is evaluated).  An exactly Hermitian X is carried as its
-    omega >= 0 half (n/2 + 1 points, irfft, float y and y_hat); any other X
-    uses every grid point.  K and V are evaluated only where X != 0 and
+    only its Y_hat.  X is an omega >= 0 half or on a centered grid
+    (:func:`transforms.grid_length`; GridMismatch, raised before K is
+    evaluated).  A half, and a full X that is exactly Hermitian, run on the
+    half (n/2 + 1 points, irfft, float y and y_hat); any other X uses every
+    grid point.  K and V are evaluated only where X != 0 and
     scattered into zero-filled Y and Y_hat, so off-band blow-up cannot
     poison in-class runs; if X has energy where the compensator saturates,
     ClassMismatch is raised when that rung is reached.  One result per
@@ -283,9 +286,9 @@ def spectral_predict_ladder(
     kept, not X: a caller that drops X and each result before asking for
     the next holds one rung at a time.
     """
-    require_centered(len(X.values), X.omega0, X.domega)
+    grid_length(len(X.values), X.omega0, X.domega)
     predictors = [PredictorTransfer(kernel, gamma) for gamma in gammas]
-    half = hermitian_half(X.values, X.omega0, X.domega)
+    half = hermitian_half(X.values, X.omega0, X.domega)  # None for a half: it is not centered
     if half is not None:  # run on the half, on its own grid omega_k = k*domega
         X = SampledSpectrum(0.0, X.domega, half)
     omega0, domega = X.omega0, X.domega

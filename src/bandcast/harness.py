@@ -77,9 +77,12 @@ _GRID_CLASS = {"bandlimited": "LOW", "highfreq": "HIGH"}
 
 def build_grid_spectrum(spec, grid: GridSpec, omega: float, domain=None) -> SampledSpectrum:
     """The sampled spectrum of a grid entry; a composite entry is the sum of
-    its parts' spectra.  A mixed entry raises ConfigError, and with a domain,
-    an entry with a part outside its class raises ClassMismatch, both before
-    any spectrum is built."""
+    its parts' spectra.  A Hermitian part is an omega >= 0 half
+    (:mod:`bandcast.signals`): parts that are all halves sum to a half, and
+    beside a one-sided part each half is mirrored onto the full grid.  A
+    mixed entry raises ConfigError, and with a domain, an entry with a part
+    outside its class raises ClassMismatch, both before any spectrum is
+    built."""
     if spec.kind == "mixed":
         raise ConfigError(f"signal {spec.id!r}: the FFT route takes grid signals")
     parts = spec.parts if spec.kind == "composite" else [spec]
@@ -87,7 +90,7 @@ def build_grid_spectrum(spec, grid: GridSpec, omega: float, domain=None) -> Samp
         if domain not in (None, _GRID_CLASS[part.kind]):
             raise ClassMismatch(f"signal {spec.id!r}: a {part.kind} part is outside the "
                                 f"{domain} class")
-    total = np.zeros(grid.n, dtype=complex) if spec.kind == "composite" else None
+    spectra = []
     for part in parts:
         envelope = {"height": part.height, "sigma": part.sigma}
         if part.kind == "bandlimited":
@@ -95,10 +98,20 @@ def build_grid_spectrum(spec, grid: GridSpec, omega: float, domain=None) -> Samp
         else:
             built = make_highfreq_signal(part.envelope, part.support, grid, omega,
                                          part.hermitian, **envelope)
-        if total is None:
-            return built
-        total += built.values
-    return SampledSpectrum(grid.omega0, grid.domega, total)
+        spectra.append(built)
+    return _sum_spectra(spectra, grid.n) if spec.kind == "composite" else built
+
+
+def _sum_spectra(spectra, n: int) -> SampledSpectrum:
+    """The sum of spectra on one n-point grid, in their order, from zero:
+    omega >= 0 halves (omega0 == 0) sum to a half, and beside a full grid
+    each half is mirrored onto it."""
+    full = [s for s in spectra if s.omega0 != 0.0]
+    like = full[0] if full else spectra[0]
+    total = np.zeros(len(like.values), dtype=complex)
+    for s in spectra:
+        total += mirror_half(s.values, n) if full and s.omega0 == 0.0 else s.values
+    return SampledSpectrum(like.omega0, like.domega, total)
 
 
 def build_mixed_signal(spec, omega: float) -> MixedSpectrum:
@@ -348,14 +361,9 @@ def _recombined_errors(signal_id: str, y: SampledSignal, r_low, r_high) -> tuple
     :func:`run_decomposition_demo`."""
     gamma = r_low.gamma
     yhat_sum = SampledSignal(y.t0, y.dt, r_low.yhat.values + r_high.yhat.values)
-    # Each side carries the Y_hat it inverted: the omega >= 0 half (omega0
-    # == 0) when its part is Hermitian, else the full grid (omega0 < 0).  A
-    # half beside a full grid is mirrored onto it before the sum.
-    whole, part = sorted((r_low.yhat_spectrum, r_high.yhat_spectrum), key=lambda s: s.omega0)
-    part_values = part.values
-    if part.omega0 != whole.omega0:
-        part_values = mirror_half(part.values, len(whole.values))
-    combined = SampledSpectrum(whole.omega0, whole.domega, part_values + whole.values)
+    # Each side carries the Y_hat it inverted: the omega >= 0 half when its
+    # part is Hermitian, else the full grid.
+    combined = _sum_spectra([r_low.yhat_spectrum, r_high.yhat_spectrum], len(y.values))
     scale = max(_max_abs(yhat_sum.values), 1.0)
     split_gap = _max_abs(yhat_sum.values - fourier_inverse(combined).values)
     if split_gap > 1e-12 * scale:

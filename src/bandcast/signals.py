@@ -5,9 +5,11 @@ Two signal families are generated here:
 * square-integrable grid signals, given by their spectra: samples on a
   uniform frequency grid that vanish exactly outside a declared support
   (either inside the band [-omega, omega] or outside it); the time signal is
-  one ``engine.fourier_inverse`` away.  A two-sided spectrum is the envelope
-  evaluated at |omega|; grid frequencies are exactly antisymmetric
-  (:mod:`bandcast.grids`), so it is exactly Hermitian and its signal real;
+  one ``engine.fourier_inverse`` away.  A two-sided spectrum is Hermitian and
+  its signal real, so it is born as its omega >= 0 half (omega0 = 0,
+  :mod:`bandcast.transforms`): the envelope at k*domega, k = 0..n/2, which is
+  |omega| on the full grid bit for bit (:mod:`bandcast.grids`).  A one-sided
+  spectrum keeps the full grid;
 * bounded "mixed" signals made of spectral atoms plus an integrable density,
   x(t) = (1/2pi) * (sum c_k e^{i w_k t} + integral e^{i w t} X_c(w) dw),
   measured in the total-variation norm sum|c_k| + ||X_c||_L1.
@@ -36,7 +38,8 @@ from .errors import (
     QuadratureNotConverged,
     SupportViolation,
 )
-from .grids import GridSpec, in_class, is_centered, uniform_omegas
+from .grids import GridSpec, in_class, uniform_omegas
+from .transforms import grid_length
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,13 +97,28 @@ class SampledSpectrum:
         """(1/2pi) sum |X|^2 domega; equals the paired signal energy.
 
         An omega >= 0 half (omega0 == 0, see :mod:`bandcast.transforms`)
-        stands for its Hermitian mirror, as irfft reads it: DC and Nyquist
-        count their real parts once, every other point twice."""
-        power = np.abs(self.values) ** 2
-        if self.omega0 == 0.0:
-            power[0], power[-1] = self.values[0].real ** 2, self.values[-1].real ** 2
-            power[1:-1] *= 2.0
-        return float(np.sum(power) * self.domega / (2.0 * np.pi))
+        stands for its Hermitian mirror and is summed as the mirror is
+        (:func:`_full_grid_power`)."""
+        return _energy(_full_grid_power(self), self.domega)
+
+
+def _full_grid_power(spectrum: SampledSpectrum) -> np.ndarray:
+    """|X|^2 at every point of the full grid, in its order.  An omega >= 0
+    half gives the power of its Hermitian mirror as irfft reads it: DC and
+    Nyquist contribute their real parts, every other point two entries."""
+    power = np.abs(spectrum.values) ** 2
+    if spectrum.omega0 != 0.0:
+        return power
+    h = len(power) - 1
+    full = np.empty(2 * h)
+    full[h:] = power[:h]
+    full[1:h] = power[h - 1 : 0 : -1]
+    full[h], full[0] = np.abs(spectrum.values[[0, h]].real) ** 2
+    return full
+
+
+def _energy(power: np.ndarray, domega: float) -> float:
+    return float(np.sum(power) * domega / (2.0 * np.pi))
 
 
 def same_time_grid(a: SampledSignal, b: SampledSignal, tol: float = 1e-12) -> bool:
@@ -129,8 +147,9 @@ def _grid_signal(class_tag: str, envelope: str, support: tuple[float, float],
     """The body of both generators, each check a SupportViolation.  Class:
     the support lies in the class set, a HIGH one above the band.  Grid: the
     grid's frequencies reach both ends, so that no part is cut silently.
-    Then the named envelope is sampled at |omega| when two-sided, exactly
-    zero off the support; `sigma` is the gaussian's only."""
+    Then the named envelope is sampled, exactly zero off the support, on
+    the omega >= 0 half when two-sided and on the full grid when not;
+    `sigma` is the gaussian's only."""
     lo, hi = float(support[0]), float(support[1])
     if not (_support_in_class(lo, hi, class_tag, omega) and (class_tag == "LOW" or lo > 0)):
         raise SupportViolation(f"support [{lo}, {hi}] not in the {class_tag} set ({omega=}): "
@@ -145,14 +164,16 @@ def _grid_signal(class_tag: str, envelope: str, support: tuple[float, float],
     for key, v in (("height", height), ("sigma", 1.0 if sigma is None else sigma)):
         if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
             raise SupportViolation(f"envelope {key} must be a finite number, got {v!r}")
-    w = np.abs(grid_spec.omegas()) if two_sided else grid_spec.omegas()
+    omega0, m = (0.0, grid_spec.n // 2 + 1) if two_sided else (grid_spec.omega0, grid_spec.n)
+    w = uniform_omegas(omega0, grid_spec.domega, m)
     if envelope == "indicator":
-        vals = np.where((w >= lo) & (w <= hi), height, 0.0).astype(complex)
+        vals = np.zeros(m, dtype=complex)
+        vals[(w >= lo) & (w <= hi)] = height
     elif envelope == "raised_cosine":
         vals = RaisedCosineBump(lo, hi, height)(w)
     else:
         vals = GaussianBump(lo, hi, height, sigma)(w)
-    return SampledSpectrum(grid_spec.omega0, grid_spec.domega, vals)
+    return SampledSpectrum(omega0, grid_spec.domega, vals)
 
 
 def make_bandlimited_signal(envelope: str, support: tuple[float, float], grid_spec: GridSpec,
@@ -162,8 +183,9 @@ def make_bandlimited_signal(envelope: str, support: tuple[float, float], grid_sp
     "gaussian", of `height`; `sigma` for a gaussian) on `support` inside
     [-omega, omega].
 
-    A symmetric support (lo == -hi) gives an exactly Hermitian spectrum and a
-    real signal; any other support gives a complex signal.  A support off the
+    A symmetric support (lo == -hi) gives a Hermitian spectrum, returned as
+    its omega >= 0 half (omega0 == 0, n/2 + 1 values), and a real signal;
+    any other support gives the full grid and a complex signal.  A support off the
     band or past the grid's frequencies, or a bad envelope, raises
     SupportViolation (see :func:`_grid_signal`).
     """
@@ -177,9 +199,9 @@ def make_highfreq_signal(envelope: str, support: tuple[float, float], grid_spec:
     """Spectrum on |w| in [lo, hi], lo >= omega; the envelope as for
     :func:`make_bandlimited_signal`.
 
-    hermitian=True places the envelope on both +/-[lo, hi] (exactly
-    Hermitian spectrum, real signal); hermitian=False uses the positive side
-    only (complex signal).
+    hermitian=True places the envelope on both +/-[lo, hi] (Hermitian
+    spectrum, returned as its omega >= 0 half; real signal); hermitian=False
+    uses the positive side only (full grid, complex signal).
     """
     return _grid_signal("HIGH", envelope, support, grid_spec, omega, hermitian, height, sigma)
 
@@ -512,12 +534,15 @@ def cstar_norm(ms: MixedSpectrum) -> float:
 def ideal_lowpass_split(
     spectrum: SampledSpectrum, omega: float
 ) -> tuple[SampledSpectrum, SampledSpectrum]:
-    """Split X into (low, high) by the closed indicator |w| <= omega.
+    """Split X into (low, high) by the closed indicator |w| <= omega, for a
+    band constant 0 < omega < inf (else `DomainError`).
 
     The parts carry the original grid and sum to X bit-exactly; |w| == omega
     goes to the LOW part.  |w| is even on a centered grid, so the parts of a
-    Hermitian X are exactly Hermitian.
+    Hermitian X are Hermitian, and an omega >= 0 half splits into two halves.
     """
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"band constant must be finite and > 0, got {omega!r}")
     mask = in_class(spectrum.omegas(), "LOW", omega)
     low = np.where(mask, spectrum.values, 0.0 + 0.0j)
     high = np.where(mask, 0.0 + 0.0j, spectrum.values)
@@ -537,47 +562,55 @@ def add_outofband_noise(
     """Add a Hermitian pseudo-random spectrum component on |w| in noise_support.
 
     The perturbation carries exactly eta * (signal energy); the in-band part
-    of the spectrum is untouched.  Deterministic given seed, which must be
-    >= 0 (else `DomainError`).  The mate of grid point j is written at index
-    -j, so the grid must be centered (n even, omega0 == -(n/2) * domega),
-    else `GridMismatch`.
+    of the spectrum is untouched.  Deterministic given seed, an integer
+    >= 0 (else `DomainError`).  An omega >= 0 half gets the draws and stays
+    a half; a full centered grid also gets their conjugates at -w; any other
+    grid raises `GridMismatch`.  The energies are summed in the full grid's
+    order, so a half gets the bits of its mirror's half.  An energy or a
+    scale that overflows raises `NonFiniteResult`.
     """
     lo, hi = float(noise_support[0]), float(noise_support[1])
     if not (0.0 <= eta < math.inf):
         raise SupportViolation(f"eta must be finite and >= 0, got {eta}")
-    if seed < 0:
-        raise DomainError(f"noise seed must be >= 0, got {seed}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"noise seed must be an integer >= 0, got {seed!r}")
     if not 0.0 < omega < lo:
         raise SupportViolation(
             f"noise support [{lo}, {hi}] must lie above the band [-{omega}, {omega}], omega > 0"
         )
-    n = len(spectrum.values)
-    if not is_centered(n, spectrum.omega0, spectrum.domega):
-        raise GridMismatch(
-            f"out-of-band noise needs a centered grid: n = {n}, omega0 = {spectrum.omega0!r}, "
-            f"-(n/2) * domega = {-(n // 2) * spectrum.domega!r}"
-        )
+    h = grid_length(len(spectrum.values), spectrum.omega0, spectrum.domega) // 2
     if eta == 0.0:
         return spectrum
 
-    og = spectrum.omegas()
-    pos = np.where((og >= lo) & (og <= hi))[0]
-    if len(pos) == 0:
+    # k*domega, k < n/2, are the full grid's omega >= 0 points bit for bit
+    # (grids.uniform_omegas); the half's Nyquist bin is not one of them.
+    w = uniform_omegas(0.0, spectrum.domega, h)
+    k = np.flatnonzero((w >= lo) & (w <= hi))
+    if len(k) == 0:
         raise SupportViolation("noise support contains no positive-frequency grid points")
 
     rng = np.random.default_rng(seed)
-    noise = np.zeros(len(og), dtype=complex)
-    draws = rng.standard_normal(len(pos)) + 1j * rng.standard_normal(len(pos))
-    noise[pos] = draws
-    # Hermitian mate: index -j is n - j, and omega_{n-j} = -omega_j on the
-    # centered grid.
-    noise[-pos] = np.conj(draws)
-
-    sig_energy = spectrum.energy()
-    noise_energy = float(np.sum(np.abs(noise) ** 2) * spectrum.domega / (2 * np.pi))
-    scale = math.sqrt(eta * sig_energy / noise_energy) if noise_energy > 0 else 0.0
-    noise *= scale
-    return SampledSpectrum(spectrum.omega0, spectrum.domega, spectrum.values + noise)
+    draws = rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = _full_grid_power(spectrum)
+        sig_energy = _energy(power, spectrum.domega)
+        # The noise's power on the same array: each draw at omega_k (index
+        # n/2 + k) and its mate at -omega_k (index n/2 - k).
+        power[:] = 0.0
+        power[h + k] = power[h - k] = np.abs(draws) ** 2
+        noise_energy = _energy(power, spectrum.domega)
+        del power
+        scale = math.sqrt(eta * sig_energy / noise_energy) if noise_energy > 0 else 0.0
+    if not (math.isfinite(sig_energy) and math.isfinite(noise_energy) and math.isfinite(scale)):
+        raise NonFiniteResult(f"out-of-band noise: signal energy {sig_energy!r}, noise energy "
+                              f"{noise_energy!r}, scale {scale!r}")
+    values = spectrum.values.copy()
+    if spectrum.omega0 == 0.0:
+        values[k] += draws * scale
+    else:
+        values[h + k] += draws * scale
+        values[h - k] += np.conj(draws) * scale
+    return SampledSpectrum(spectrum.omega0, spectrum.domega, values)
 
 
 def signal_to_csv(signal: SampledSignal) -> str:

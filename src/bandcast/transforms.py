@@ -14,12 +14,14 @@ n*pi/2, whose rounding grows with n.
 Real signals take the real path.  Their spectra are Hermitian,
 X(-w) = conj X(w), so the omega >= 0 half X(k*domega), k = 0..n/2, carries
 the whole spectrum.  A half lives on its own grid, omega0 = 0, which no
-centered n-point grid has, so values and grid say which one they are: the
-inverse takes a half of n/2 + 1 values to float samples with irfft.  A full
-spectrum that is exactly Hermitian (:func:`hermitian_half`, one exact check)
-takes the same path; any other inverts with a complex FFT.  The forward
-transform of float samples is an rfft mirrored onto the full grid
-(:func:`mirror_half`).
+centered n-point grid has, so values and grid say which one they are
+(:func:`grid_length`).  Real grid signals are born as halves
+(:mod:`bandcast.signals`), and the inverse takes a half of n/2 + 1 values
+to float samples with irfft.  A full spectrum that is exactly Hermitian
+(:func:`hermitian_half`, one exact check), such as the forward transform of
+float samples, takes the same path; any other inverts with a complex FFT.
+The forward transform of float samples is an rfft mirrored onto the full
+grid (:func:`mirror_half`).
 """
 
 from __future__ import annotations
@@ -30,15 +32,11 @@ from .errors import GridMismatch
 from .grids import is_centered, is_power_of_two
 
 
-def _require_power_of_two(n: int) -> None:
-    if not is_power_of_two(n):
-        raise GridMismatch(f"transform length must be a power of two, got {n}")
-
-
 def require_centered(n: int, origin: float, step: float) -> None:
     """GridMismatch unless n points from `origin` by `step` form a centered
     power-of-two grid: the one grid rule of this module."""
-    _require_power_of_two(n)
+    if not is_power_of_two(n):
+        raise GridMismatch(f"transform length must be a power of two, got {n}")
     if not is_centered(n, origin, step):
         raise GridMismatch(
             f"transforms need a centered grid: n = {n}, origin = {origin!r}, "
@@ -46,9 +44,23 @@ def require_centered(n: int, origin: float, step: float) -> None:
         )
 
 
+def grid_length(m: int, omega0: float, domega: float) -> int:
+    """The length n of the centered grid that m spectrum values stand for:
+    m on that grid (:func:`require_centered`), 2*(m - 1) for an omega >= 0
+    half (omega0 == 0) if a power of two; else GridMismatch."""
+    if omega0 != 0.0:
+        require_centered(m, omega0, domega)
+        return m
+    if not is_power_of_two(2 * (m - 1)):
+        raise GridMismatch(f"an omega >= 0 half holds n/2 + 1 values with n a power of two, "
+                           f"got {m} values")
+    return 2 * (m - 1)
+
+
 def _alternate_signs(a: np.ndarray) -> np.ndarray:
-    """Multiply a[j] by (-1)^j in place."""
-    a[1::2] *= -1.0
+    """Multiply a[j] by (-1)^j in place, as an exact negation: applied twice
+    it restores every bit, the signs of zeros included."""
+    np.negative(a[1::2], out=a[1::2])
     return a
 
 
@@ -113,24 +125,28 @@ def signal_from_spectrum(values: np.ndarray, omega0: float, domega: float):
 
     Returns (signal_values, t0, dt) with t0 = -(n/2)*dt.  `values` is either
     the spectrum on the full centered n-point grid or, with omega0 == 0, the
-    omega >= 0 half X(k*domega), k = 0..n/2, of a Hermitian one (as
-    :func:`hermitian_half` returns it).  A half, and a full spectrum that is
-    exactly Hermitian, come back as float samples.  Any other grid raises
+    omega >= 0 half X(k*domega), k = 0..n/2, of a Hermitian one
+    (:func:`grid_length`).  A half, and a full spectrum that is exactly
+    Hermitian, come back as float samples.  Any other grid raises
     GridMismatch.
+
+    A writeable complex half is not copied: its odd entries are negated for
+    the irfft and negated back (:func:`_alternate_signs`), so it must not be
+    read by another thread meanwhile.
     """
     values = np.asarray(values, dtype=complex)
-    if omega0 == 0.0:
-        n, half = 2 * (len(values) - 1), values
-        _require_power_of_two(n)
-    else:
-        n = len(values)
-        require_centered(n, omega0, domega)
-        half = hermitian_half(values, omega0, domega)
+    n = grid_length(len(values), omega0, domega)
+    half = values if omega0 == 0.0 else hermitian_half(values, omega0, domega)
     dt = 2.0 * np.pi / (n * domega)
     if half is not None:
         # x_j = (n*domega/2pi) * irfft((-1)^k X(k*domega))_j: the phases
         # e^{i*omega0*t_j} and e^{-i*omega_k*t0} cancel on a centered grid.
-        sig = np.fft.irfft(_alternate_signs(np.array(half)), n)
+        if not half.flags.writeable:
+            half = np.array(half)
+        try:
+            sig = np.fft.irfft(_alternate_signs(half), n)
+        finally:
+            _alternate_signs(half)
         sig *= domega * n / (2.0 * np.pi)
     else:
         # Both phases are (-1)^j; exp(i*omega0*t_j) also carries (-1)^(n/2).

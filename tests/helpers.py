@@ -22,7 +22,8 @@ from bandcast.predictor import (
     compensator_on_points,
     predictor_transfer_on_grid,
 )
-from bandcast.signals import RaisedCosineBump, make_mixed_signal
+from bandcast.signals import GaussianBump, RaisedCosineBump, SampledSpectrum, make_mixed_signal
+from bandcast.transforms import mirror_half
 
 
 def kernel_from_json(doc: dict):
@@ -435,3 +436,44 @@ def hardy_boundary_check(
         b.sup_v <= a.sup_v * (1 + 1e-6) for a, b in zip(beyond, beyond[1:])
     )
     return HardyBoundaryReport(tuple(lines), finite, nonincreasing)
+
+
+def full_grid(spec, grid):
+    """`spec` on the full centered grid of `grid`: an omega >= 0 half
+    (omega0 == 0) mirrored by `transforms.mirror_half`, else `spec` itself."""
+    if spec.omega0 != 0.0:
+        return spec
+    return SampledSpectrum(grid.omega0, grid.domega, mirror_half(spec.values, grid.n))
+
+
+def reference_grid_spectrum(envelope, support, grid, two_sided, height=1.0, sigma=None):
+    """Reference for the grid generators: the envelope sampled on the full
+    centered grid, at |omega| when two-sided, as they built every spectrum
+    before two-sided ones were born as halves."""
+    lo, hi = support
+    w = np.abs(grid.omegas()) if two_sided else grid.omegas()
+    if envelope == "indicator":
+        vals = np.where((w >= lo) & (w <= hi), height, 0.0).astype(complex)
+    elif envelope == "raised_cosine":
+        vals = RaisedCosineBump(lo, hi, height)(w)
+    else:
+        vals = GaussianBump(lo, hi, height, sigma)(w)
+    return SampledSpectrum(grid.omega0, grid.domega, vals)
+
+
+def reference_outofband_noise(spectrum, eta, noise_support, seed):
+    """Reference for `signals.add_outofband_noise` on a full centered grid:
+    a full-length complex noise array holding each draw and its conjugate
+    mate, scaled by energies summed over full-length |.|^2 arrays."""
+    lo, hi = noise_support
+    og = spectrum.omegas()
+    pos = np.where((og >= lo) & (og <= hi))[0]
+    rng = np.random.default_rng(seed)
+    noise = np.zeros(len(og), dtype=complex)
+    draws = rng.standard_normal(len(pos)) + 1j * rng.standard_normal(len(pos))
+    noise[pos] = draws
+    noise[-pos] = np.conj(draws)
+    sig_energy = float(np.sum(np.abs(spectrum.values) ** 2) * spectrum.domega / (2.0 * np.pi))
+    noise_energy = float(np.sum(np.abs(noise) ** 2) * spectrum.domega / (2 * np.pi))
+    noise *= math.sqrt(eta * sig_energy / noise_energy)
+    return SampledSpectrum(spectrum.omega0, spectrum.domega, spectrum.values + noise)

@@ -47,6 +47,7 @@ from bandcast.grids import GridSpec
 from bandcast.kernels import partial_fraction_expand, transfer_on_grid
 from bandcast.signals import MixedSpectrum
 from helpers import (
+    full_grid,
     hermitian_random_band_spectrum,
     oracle_reference,
     phased_signal,
@@ -135,7 +136,7 @@ def test_transform_requires_power_of_two():
 
 def test_shift_theorem():
     g = GridSpec(2048, 400.0)
-    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0)
+    spec = full_grid(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0), g)
     sig = fourier_inverse(spec)
     m = 64
     delayed = SampledSignal(g.t0, g.dt, np.roll(sig.values, m))
@@ -575,7 +576,7 @@ def test_spectral_predict_ladder_equals_single_rungs(single_pole, pipeline_grid,
 def test_spectral_predict_ladder_inverts_y_once(single_pole, pipeline_grid, monkeypatch):
     # L rungs: one inverse transform for y plus one per y_hat, and K once on
     # the nonzero points of the half grid omega >= 0 of the Hermitian X.
-    X = _class_signal("LOW", pipeline_grid)
+    X = full_grid(_class_signal("LOW", pipeline_grid), pipeline_grid)
     support = np.count_nonzero(transforms.hermitian_half(X.values, X.omega0, X.domega))
     assert 0 < support < pipeline_grid.n // 2 + 1
     inverses, half_grid_k = [], []
@@ -602,11 +603,26 @@ def test_spectral_predict_ladder_inverts_y_once(single_pole, pipeline_grid, monk
     assert all(r.y is results[0].y for r in results)
 
 
+@pytest.mark.parametrize("class_tag", ["LOW", "HIGH"])
+def test_ladder_on_a_half_equals_the_ladder_on_its_mirror(single_pole, pipeline_grid, class_tag):
+    half = _class_signal(class_tag, pipeline_grid)
+    assert half.omega0 == 0.0
+    on_half = list(spectral_predict_ladder(half, single_pole, LADDERS[class_tag]))
+    on_full = spectral_predict_ladder(full_grid(half, pipeline_grid), single_pole,
+                                      LADDERS[class_tag])
+    for a, b in zip(on_half, on_full, strict=True):
+        assert a.y.values.dtype == np.float64 and np.array_equal(a.y.values, b.y.values)
+        assert np.array_equal(a.yhat.values, b.yhat.values)
+        assert (a.err_l2, a.err_linf) == (b.err_l2, b.err_linf)
+        assert a.yhat_spectrum.omega0 == b.yhat_spectrum.omega0 == 0.0
+        assert np.array_equal(a.yhat_spectrum.values, b.yhat_spectrum.values)
+
+
 def _hermitian_inputs(n):
     """LOW, HIGH and composite Hermitian spectra on a centered n-point grid."""
     g = GridSpec(n, 400.0 * n / 2048)
-    low = _class_signal("LOW", g)
-    high = _class_signal("HIGH", g)
+    low = full_grid(_class_signal("LOW", g), g)
+    high = full_grid(_class_signal("HIGH", g), g)
     composite = SampledSpectrum(g.omega0, g.domega, low.values + high.values)
     return [(low, LADDERS["LOW"]), (high, LADDERS["HIGH"]), (composite, LADDERS["LOW"])]
 
@@ -684,7 +700,7 @@ def test_results_carry_the_spectrum_they_inverted(single_pole, n, span):
 
 
 def test_one_ulp_off_hermitian_takes_complex_path(single_pole, pipeline_grid):
-    X = _class_signal("LOW", pipeline_grid)
+    X = full_grid(_class_signal("LOW", pipeline_grid), pipeline_grid)
     h = pipeline_grid.n // 2
     assert transforms.hermitian_half(X.values, X.omega0, X.domega) is not None
     vals = X.values.copy()
@@ -703,7 +719,7 @@ def test_one_ulp_off_hermitian_takes_complex_path(single_pole, pipeline_grid):
     assert transforms.hermitian_half(vals, X.omega0, X.domega) is None
 
 
-def test_half_spectrum_needs_its_length_and_the_centered_grid(pipeline_grid):
+def test_half_spectrum_needs_its_length_and_the_centered_grid(single_pole, pipeline_grid):
     g = pipeline_grid
     half = np.zeros(g.n // 2 + 1, dtype=complex)
     half[0] = 1.0
@@ -712,9 +728,26 @@ def test_half_spectrum_needs_its_length_and_the_centered_grid(pipeline_grid):
     assert sig.dtype == np.float64 and (t0, dt) == pytest.approx((g.t0, g.dt))
     assert np.allclose(sig, g.domega / (2 * np.pi))  # X = delta at DC
     with pytest.raises(GridMismatch):
-        transforms.signal_from_spectrum(half[:-1], 0.0, g.domega)
-    with pytest.raises(GridMismatch):
         transforms.signal_from_spectrum(half, g.omega0 + g.domega, g.domega)
+    # n/2 values, n/2 - 1 not a power of two: the error names the half, not
+    # a transform length of 2*(n/2 - 1).
+    short = SampledSpectrum(0.0, g.domega, half[:-1])
+    for call in (lambda: transforms.signal_from_spectrum(short.values, 0.0, g.domega),
+                 lambda: list(spectral_predict_ladder(short, single_pole, [2.0]))):
+        with pytest.raises(GridMismatch, match=f"omega >= 0 half .* got {g.n // 2} values"):
+            call()
+
+
+def test_real_inverse_restores_the_half_it_borrows(pipeline_grid):
+    # The odd entries are negated for the irfft and negated back, not copied.
+    g = pipeline_grid
+    half = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), g, 1.0).values * (1.0 - 0.5j)
+    half[[0, -1]] = half[[0, -1]].real
+    before = half.copy()
+    sig, _t0, _dt = transforms.signal_from_spectrum(half, 0.0, g.domega)
+    assert half.tobytes() == before.tobytes()
+    before.flags.writeable = False
+    assert np.array_equal(transforms.signal_from_spectrum(before, 0.0, g.domega)[0], sig)
 
 
 @pytest.mark.parametrize("n", [2**11, 2**16])
@@ -951,7 +984,8 @@ def test_error_norms_grid_mismatch():
 
 def test_parseval_bridging(single_pole, pipeline_grid):
     # Time-domain error norm equals the frequency-domain one up to 1/sqrt(2pi).
-    X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0)
+    X = full_grid(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0),
+                  pipeline_grid)
     r = spectral_predict(X, single_pole, 5.0)
     w = X.omegas()
     K = transfer_on_grid(single_pole, w)

@@ -34,6 +34,8 @@ from bandcast.harness import (
     run_robustness_probe,
     run_uniform_bound_check,
 )
+import helpers
+from helpers import full_grid
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parents[1]
@@ -588,9 +590,31 @@ def test_grid_entry_hermitian_values_that_hold():
         ({"kind": "highfreq", "support": [1.2, 1.5], "hermitian": False}, True),
         ({"kind": "highfreq", "support": [1.2, 1.5]}, False),
     ):
-        X = harness.build_grid_spectrum(_entry({"id": "s", **part}), grid, 1.0)
+        X = full_grid(harness.build_grid_spectrum(_entry({"id": "s", **part}), grid, 1.0), grid)
         half = transforms.hermitian_half(X.values, X.omega0, X.domega)
         assert (half is None) == one_sided, part
+
+
+def test_composite_entry_sums_the_full_construction_of_its_parts():
+    # All-Hermitian parts sum to a half, beside a one-sided part on the full
+    # grid; either way the bits are those of the parts built full and summed.
+    grid = GridSpec(2048, 400.0)
+    low = {"envelope": "raised_cosine", "support": [-0.9, 0.9], "height": 2.0}
+    high = {"envelope": "gaussian", "support": [1.2, 1.5], "sigma": 0.05}
+    for high_part, two_sided in (({**high, "hermitian": True}, True),
+                                 ({**high, "hermitian": False}, False)):
+        entry = {"id": "mix", "kind": "composite", "parts": [low, high_part]}
+        X = harness.build_grid_spectrum(_entry(entry), grid, 1.0)
+        ref = (helpers.reference_grid_spectrum("raised_cosine", (-0.9, 0.9), grid, True, 2.0)
+               .values
+               + helpers.reference_grid_spectrum("gaussian", (1.2, 1.5), grid, two_sided,
+                                                 sigma=0.05).values)
+        if two_sided:
+            assert X.omega0 == 0.0
+            assert np.array_equal(X.values, transforms.hermitian_half(ref, grid.omega0,
+                                                                      grid.domega))
+        else:
+            assert X.omega0 == grid.omega0 and np.array_equal(X.values, ref)
 
 
 def test_decompose_in_band_only_reduces_to_low_sweep():
@@ -742,14 +766,16 @@ def test_sweep_ladder_converged_to_zero_passes():
 
 @pytest.mark.parametrize(
     "name, op, bound",
-    [("sweep", run_convergence_sweep, 6.0), ("decompose", run_decomposition_demo, 12.5)],
+    [("sweep", run_convergence_sweep, 6.0), ("robustness", run_robustness_probe, 5.5),
+     ("decompose", run_decomposition_demo, 12.5)],
 )
 def test_grid_op_peak_memory(name, op, bound):
     # Traced peak at n = 2**16, in (n/2 + 1)-point complex half spectra.
-    # One live rung and no held spectrum take 5.3 (sweep) and 11.4
-    # (decompose).  Holding any one of the built spectra, the previous rung
-    # or X inside the ladder takes 6.2-7.3 and 13.3-15.4; all of them, 10.3
-    # and 18.3.
+    # One live rung and no held spectrum take 5.3 (sweep and robustness)
+    # and 11.4 (decompose).  Holding any one of the built spectra, the
+    # previous rung or X inside the ladder takes 6.2-7.3 and 13.3-15.4; all
+    # of them, 10.3 and 18.3.  Noise added over full-length temporaries took
+    # robustness to 7.0.
     n = 2**16
     doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
     doc["grid"] = {"n": n, "span": 400.0 * n / 2048}
@@ -835,7 +861,7 @@ def test_grid_gaussian_entry_takes_its_sigma():
     default = harness.build_grid_spectrum(_entry(spec), grid, 1.0)
     narrow = harness.build_grid_spectrum(_entry({**spec, "sigma": 0.1}), grid, 1.0)
     expected = signals.GaussianBump(-0.9, 0.9, 1.0, 0.1)(np.abs(grid.omegas()))
-    assert np.array_equal(narrow.values, expected)
+    assert np.array_equal(full_grid(narrow, grid).values, expected)
     assert not np.array_equal(narrow.values, default.values)
 
 

@@ -45,7 +45,15 @@ from bandcast.signals import (
     signal_to_csv,
 )
 from bandcast.transforms import hermitian_half
-from helpers import evaluate_mixed, mixed_from_json, phase_matrices, reference_phase_products
+from helpers import (
+    evaluate_mixed,
+    full_grid,
+    mixed_from_json,
+    phase_matrices,
+    reference_grid_spectrum,
+    reference_outofband_noise,
+    reference_phase_products,
+)
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +131,26 @@ def test_outofband_noise_rejects_a_negative_seed(grid):
     spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
     with pytest.raises(DomainError, match="seed"):
         add_outofband_noise(spec, 1e-3, (1.05, 1.1), -1, 1.0)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "7"], ids=["fraction", "bool", "str"])
+def test_outofband_noise_rejects_a_seed_that_is_not_an_integer(grid, seed):
+    # 1.5 used to end in numpy's TypeError, and True was taken as 1.
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
+    with pytest.raises(DomainError, match="seed"):
+        add_outofband_noise(spec, 1e-3, (1.05, 1.1), seed, 1.0)
+    same = add_outofband_noise(spec, 1e-3, (1.05, 1.1), np.int64(7), 1.0)
+    assert np.array_equal(same.values, add_outofband_noise(spec, 1e-3, (1.05, 1.1), 7, 1.0).values)
+
+
+def test_outofband_noise_refuses_an_energy_that_is_not_finite(grid):
+    # A finite spectrum scaled to 1e200 used to come back all NaN after two
+    # RuntimeWarnings: its energy overflows.
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
+    for big in (spec, full_grid(spec, grid)):
+        big = SampledSpectrum(big.omega0, big.domega, big.values * 1e200)
+        with pytest.raises(NonFiniteResult, match="signal energy inf"):
+            _no_warnings(lambda: add_outofband_noise(big, 1e-3, (1.05, 1.1), 7, 1.0))
 
 
 def test_parseval_consistency(grid):
@@ -559,6 +587,14 @@ def test_split_linearity(grid):
     assert np.array_equal(hc.values, a * hx.values + b * hz.values)
 
 
+@pytest.mark.parametrize("omega", [math.nan, -1.0, 0.0, math.inf])
+def test_split_refuses_a_band_constant_off_the_positive_reals(grid, omega):
+    # NaN and -1 used to put all the energy in HIGH.
+    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
+    with pytest.raises(DomainError, match="band constant"):
+        ideal_lowpass_split(spec, omega)
+
+
 def test_split_band_edge_goes_low():
     # Grid chosen so +-1.0 are exact binary grid points.
     spec = SampledSpectrum(-8.0, 1.0 / 64.0, np.ones(1024, dtype=complex))
@@ -626,7 +662,7 @@ def test_noise_rejects_off_center_grid(grid):
     # by 0.9 domega the mates of (1.001, 1.1) used to land in band, at
     # |w| = 0.991 and 0.975; on the odd grid -1, -0.5, 0, 0.5, 1 the mate
     # of w = 1 was w = -0.5.
-    spec = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
+    spec = full_grid(make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0), grid)
     shifted = SampledSpectrum(spec.omega0 + 0.9 * spec.domega, spec.domega, spec.values)
     with pytest.raises(GridMismatch):
         add_outofband_noise(shifted, 1e-3, (1.001, 1.1), 1, 1.0)
@@ -647,6 +683,65 @@ def test_centered_grid_frequencies_are_exactly_antisymmetric(n, span):
         assert np.max(np.abs(w - (g.omega0 + g.domega * np.arange(n)))) <= 4 * np.spacing(abs(g.omega0))
 
 
+@pytest.mark.parametrize("span", [400.0, 200.0 * math.pi], ids=["span400", "span200pi"])
+@pytest.mark.parametrize("envelope, sigma", [("indicator", None), ("raised_cosine", None),
+                                             ("gaussian", None), ("gaussian", 0.05)])
+def test_two_sided_entries_are_born_as_the_half_of_the_full_construction(span, envelope, sigma):
+    # Sampled at k*domega, k = 0..n/2, the half holds the bits of the
+    # envelope at |omega| on the full grid; a one-sided entry is that grid.
+    g = GridSpec(2048, span)
+    kw = {"height": 1.5, "sigma": sigma}
+    for maker, support, two_sided, extra in (
+        (make_bandlimited_signal, (-1.0, 1.0), True, ()),
+        (make_bandlimited_signal, (-0.9, 0.9), True, ()),
+        (make_bandlimited_signal, (-0.9, 0.5), False, ()),
+        (make_highfreq_signal, (1.0, 1.5), True, (True,)),
+        (make_highfreq_signal, (1.2, 1.5), False, (False,)),
+    ):
+        built = maker(envelope, support, g, 1.0, *extra, **kw)
+        ref = reference_grid_spectrum(envelope, support, g, two_sided, **kw)
+        assert built.domega == ref.domega
+        if two_sided:
+            assert built.omega0 == 0.0 and len(built.values) == g.n // 2 + 1
+            assert np.array_equal(built.values, hermitian_half(ref.values, ref.omega0, ref.domega))
+        else:
+            assert built.omega0 == g.omega0 and np.array_equal(built.values, ref.values)
+
+
+@pytest.mark.parametrize("support", [(1.05, 1.1), (12.0, 1e3)], ids=["in-grid", "past-nyquist"])
+def test_noise_on_a_half_is_the_half_of_the_noise_on_the_full_grid(grid, support):
+    # c09's robustness numbers depend on these bits.  The full grid's
+    # positive frequencies end at (n/2 - 1)*domega, so a support past them
+    # leaves the half's Nyquist bin without noise.
+    half = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), grid, 1.0)
+    noisy = add_outofband_noise(half, 1e-3, support, 42, 1.0)
+    assert noisy.omega0 == 0.0 and len(noisy.values) == grid.n // 2 + 1
+    on_full = add_outofband_noise(full_grid(half, grid), 1e-3, support, 42, 1.0)
+    ref = reference_outofband_noise(
+        reference_grid_spectrum("raised_cosine", (-0.9, 0.9), grid, True), 1e-3, support, 42)
+    assert np.array_equal(on_full.values, ref.values)
+    assert np.array_equal(noisy.values, hermitian_half(ref.values, ref.omega0, ref.domega))
+    assert noisy.values[-1] == half.values[-1]
+
+
+@pytest.mark.parametrize("envelope", ["indicator", "raised_cosine", "gaussian"])
+def test_two_sided_entry_build_peak_memory(envelope):
+    # Traced peak at n = 2**16, in (n/2 + 1)-point complex half spectra: the
+    # half and its frequencies take 1.69.  Building the full spectrum and
+    # halving it took 3.4-4.0.
+    n = 2**16
+    g = GridSpec(n, 400.0 * n / 2048)
+    make_bandlimited_signal(envelope, (-0.9, 0.9), g, 1.0)
+    tracemalloc.start()
+    try:
+        spec = make_bandlimited_signal(envelope, (-0.9, 0.9), g, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.omega0 == 0.0 and len(spec.values) == n // 2 + 1
+    assert peak <= 2.0 * 16 * (n // 2 + 1)
+
+
 def _assert_exactly_hermitian(spec):
     v, h = spec.values, len(spec.values) // 2
     assert spec.omega0 == -h * spec.domega
@@ -661,9 +756,10 @@ def test_producers_are_exactly_hermitian(span, envelope):
     grid_ = GridSpec(2048, span)
     if span != 400.0:  # the band edge omega = 1 is grid point +-100
         assert 100 * grid_.domega == 1.0
-    low = make_bandlimited_signal(envelope, (-1.0, 1.0), grid_, 1.0)
-    inner = make_bandlimited_signal(envelope, (-0.9, 0.9), grid_, 1.0)
-    high = make_highfreq_signal(envelope, (1.0, 1.5), grid_, 1.0, hermitian=True)
+    low = full_grid(make_bandlimited_signal(envelope, (-1.0, 1.0), grid_, 1.0), grid_)
+    inner = full_grid(make_bandlimited_signal(envelope, (-0.9, 0.9), grid_, 1.0), grid_)
+    high = full_grid(make_highfreq_signal(envelope, (1.0, 1.5), grid_, 1.0, hermitian=True),
+                     grid_)
     composite = SampledSpectrum(grid_.omega0, grid_.domega, low.values + high.values)
     noisy = add_outofband_noise(composite, 1e-3, (1.05, 1.1), 7, 1.0)
     produced = [low, inner, high, composite, noisy, *ideal_lowpass_split(noisy, 1.0)]
