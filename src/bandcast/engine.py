@@ -57,7 +57,10 @@ from .transforms import grid_length, hermitian_half, signal_from_spectrum, spect
 
 def fourier_forward(signal: SampledSignal) -> SampledSpectrum:
     """Grid approximation of X(i w) = integral e^{-i w t} x(t) dt on the
-    conjugate centered grid; the time grid must be centered (GridMismatch)."""
+    conjugate centered grid; the time grid must be centered (GridMismatch)
+    and the samples finite (NonFiniteResult)."""
+    if not np.all(np.isfinite(signal.values)):
+        raise NonFiniteResult("fourier_forward: the signal has non-finite samples")
     vals, omega0, domega = spectrum_from_signal(signal.values, signal.dt, signal.t0)
     return SampledSpectrum(omega0, domega, vals)
 

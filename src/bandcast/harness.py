@@ -25,7 +25,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,7 +154,7 @@ class ReportRow:
 @dataclass(frozen=True)
 class ErrorReport:
     rows: tuple[ReportRow, ...]
-    summary: dict = field(default_factory=dict)
+    summary: dict
 
     def to_csv(self) -> str:
         lines = ["signal_id,gamma,err_l2,err_linf,deviation_sup,uniform_bound,bound_ok,monotone_ok"]
@@ -193,13 +193,12 @@ def _ladder_deviations(kernel, gammas, epsilon: float, extra_points=()) -> list[
 
 
 def _ladder_rows(signal_id: str, gammas, norms, deviations, monotone) -> list[ReportRow]:
-    """Report rows of one signal's ladder: norms holds (err_l2, err_linf) per
-    rung; the per-rung deviations may be None; monotone is True once the
-    ladder passed :func:`_check_monotone`, None if it is not checked."""
+    """Report rows of one signal's ladder: norms holds (err_l2, err_linf) and
+    deviations the deviation (NaN for none) per rung; monotone is True once
+    the ladder passed :func:`_check_monotone`, None if it is not checked."""
     return [
-        ReportRow(signal_id, gamma, l2, linf, math.nan if dev is None else dev, math.nan, None,
-                  monotone)
-        for gamma, (l2, linf), dev in zip(gammas, norms, deviations or [None] * len(norms))
+        ReportRow(signal_id, gamma, l2, linf, dev, math.nan, None, monotone)
+        for gamma, (l2, linf), dev in zip(gammas, norms, deviations)
     ]
 
 
@@ -339,7 +338,7 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
         _check_monotone(spec.id + "[high]", gammas, errs_h)
         errs_total = [l2 for l2, _linf in norms]
         _check_monotone(spec.id, gammas, errs_total)
-        rows += _ladder_rows(spec.id, gammas, norms, None, True)
+        rows += _ladder_rows(spec.id, gammas, norms, [math.nan] * len(gammas), True)
         summary[spec.id] = {
             "err_low": errs_l,
             "err_high": errs_h,

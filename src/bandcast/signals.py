@@ -60,6 +60,8 @@ class SampledSignal:
         object.__setattr__(self, "values", values.astype(dtype, copy=False))
         if self.dt <= 0 or not np.isfinite(self.dt):
             raise GridMismatch(f"dt must be positive, got {self.dt}")
+        if not np.isfinite(self.t0):
+            raise GridMismatch(f"t0 must be finite, got {self.t0}")
         if len(self.values) < 2:
             raise GridMismatch("signal needs at least 2 samples")
 
@@ -87,6 +89,8 @@ class SampledSpectrum:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
         if self.domega <= 0 or not np.isfinite(self.domega):
             raise GridMismatch(f"domega must be positive, got {self.domega}")
+        if not np.isfinite(self.omega0):
+            raise GridMismatch(f"omega0 must be finite, got {self.omega0}")
         if len(self.values) < 2:
             raise GridMismatch("spectrum needs at least 2 samples")
 
@@ -121,12 +125,12 @@ def _energy(power: np.ndarray, domega: float) -> float:
     return float(np.sum(power) * domega / (2.0 * np.pi))
 
 
-def same_time_grid(a: SampledSignal, b: SampledSignal, tol: float = 1e-12) -> bool:
+def same_time_grid(a: SampledSignal, b: SampledSignal) -> bool:
     scale = max(abs(a.t0), abs(a.dt), 1.0)
     return (
         len(a.values) == len(b.values)
-        and abs(a.t0 - b.t0) <= tol * scale
-        and abs(a.dt - b.dt) <= tol * scale
+        and abs(a.t0 - b.t0) <= 1e-12 * scale
+        and abs(a.dt - b.dt) <= 1e-12 * scale
     )
 
 
@@ -210,8 +214,8 @@ def make_highfreq_signal(envelope: str, support: tuple[float, float], grid_spec:
 # Mixed spectra: atoms + integrable density
 
 
-def _gauss_legendre_panels(lo: float, hi: float, panels: int, order: int = 8):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+def _gauss_legendre_panels(lo: float, hi: float, panels: int):
+    nodes, weights = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -310,58 +314,63 @@ def _phase_products(t: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndar
 
 def _oscillatory_integral(
     density: Callable[[np.ndarray], np.ndarray],
-    weight: Callable[[np.ndarray], np.ndarray] | None,
-    lo: float,
-    hi: float,
+    weight: Callable[[np.ndarray], np.ndarray],
+    edges: Sequence[float],
     t_values: np.ndarray,
-    rel_tol: float = 1e-9,
 ) -> np.ndarray:
-    """integral_lo^hi density(w) weight_c(w) e^{i w t} dw per t and column c.
+    """integral density(w) weight_c(w) e^{i w t} dw over [edges[0], edges[-1]]
+    per t and column c, as a (t, columns) array.
 
-    `weight` is None (weight 1), or returns one value per node, or a
-    (nodes, columns) array; the result is then (t,) or (t, columns).  `t`
-    must be a non-empty, finite 1-D array (else `GridMismatch`, before any
-    work).  Every column shares one node set per pass, and the weight is
-    called once per pass, on the calling thread.  The t x nodes phase matrix
-    is never built: `_phase_products` takes cos/sin on the distinct |t| only
-    (n/2 + 1 rows on a centered grid), in row blocks that run in parallel and
-    hold O(workers x block) memory, and serves rows with t < 0 by
-    conjugation, with the same bits as the product with a complex exp of the
-    outer product.  Each column is its own matrix-vector product, so it is
-    summed in the same order as when integrated alone.  Fixed-order Gauss
-    panels, with the panel count scaled to the oscillation count; a
-    doubled-panel pass certifies convergence of each column on its own
-    (1e-9 relative + 1e-13).  A pass with a non-finite value (a NaN or
-    infinite density or weight) raises `NonFiniteResult` naming [lo, hi],
-    without a numpy warning.
+    `edges` are the ends of the density's smooth pieces (lo and hi for a
+    closed-form density, the samples of a piecewise-linear one); panel edges
+    fall on them, so no kink lies inside a panel.  `weight` returns a
+    (nodes, columns) array.  `t` must be a non-empty, finite 1-D array (else
+    `GridMismatch`, before any work).  Every column shares one node set per
+    pass, and the weight is called once per pass, on the calling thread.  The
+    t x nodes phase matrix is never built: `_phase_products` takes cos/sin
+    on the distinct |t| only (n/2 + 1 rows on a centered grid), in row blocks
+    that run in parallel and hold O(workers x block) memory, and serves rows
+    with t < 0 by conjugation, with the same bits as the product with a
+    complex exp of the outer product.  Each column is its own matrix-vector
+    product, so it is summed in the same order as when integrated alone.
+    Fixed-order Gauss panels: a piece of width h gets
+    max(ceil(16 h / (hi - lo)), ceil(h (max|t| + 1) / 3)) of them, so a
+    one-piece density gets max(16, ...) panels on [lo, hi]; a doubled-panel
+    pass certifies convergence of each column on its own (1e-9 relative +
+    1e-13).  An empty support (not lo < hi) raises `SupportViolation`.  A
+    pass with a non-finite value (a NaN or infinite density or weight)
+    raises `NonFiniteResult` naming [lo, hi], without a numpy warning.
     """
     t = np.asarray(t_values, dtype=float)
     if t.ndim != 1 or len(t) == 0 or not np.all(np.isfinite(t)):
         raise GridMismatch(
             f"quadrature times must be a non-empty finite 1-D array, got shape {t.shape}"
         )
+    lo, hi = float(edges[0]), float(edges[-1])
+    if not lo < hi:
+        raise SupportViolation(f"density support [{lo}, {hi}] is empty")
     tmax = float(np.max(np.abs(t)))
-    panels = max(16, int(math.ceil((hi - lo) * (tmax + 1.0) / 3.0)))
+    pieces = [(a, b, max(math.ceil(16 * (b - a) / (hi - lo)),
+                         math.ceil((b - a) * (tmax + 1.0) / 3.0)))
+              for a, b in zip(edges[:-1], edges[1:])]
     phase_products = _phase_products(t)
 
-    def compute(npanels: int) -> np.ndarray:
-        x, w = _gauss_legendre_panels(lo, hi, npanels)
+    def compute(refine: int) -> np.ndarray:
+        x, w = map(np.concatenate, zip(*(_gauss_legendre_panels(a, b, refine * panels)
+                                         for a, b, panels in pieces)))
         with np.errstate(invalid="ignore", over="ignore"):
-            fx = np.asarray(density(x), dtype=complex)
-            if weight is not None:
-                fx = fx * np.asarray(weight(x)).T  # (columns, nodes) or (nodes,)
-            columns = np.ascontiguousarray(fx * w).reshape(-1, len(x))
-            out = phase_products(x, columns)
+            fx = np.asarray(density(x), dtype=complex) * np.asarray(weight(x)).T
+            out = phase_products(x, np.ascontiguousarray(fx * w))
         if not np.all(np.isfinite(out)):
             raise NonFiniteResult(f"oscillatory integral is not finite on [{lo}, {hi}]")
-        return out if fx.ndim == 2 else out[:, 0]
+        return out
 
-    coarse = compute(panels)
-    fine = compute(2 * panels)
+    coarse = compute(1)
+    fine = compute(2)
     scales = np.maximum(np.max(np.abs(fine), axis=0), 1e-300)
     gaps = np.max(np.abs(fine - coarse), axis=0)
-    for gap, scale in zip(np.atleast_1d(gaps), np.atleast_1d(scales)):
-        if gap > rel_tol * scale + 1e-13:
+    for gap, scale in zip(gaps, scales):
+        if gap > 1e-9 * scale + 1e-13:
             raise QuadratureNotConverged(
                 f"oscillatory integral not converged on [{lo}, {hi}] "
                 f"({gap:.3e} vs scale {scale:.3e})"
@@ -392,7 +401,7 @@ class RaisedCosineBump:
         return out
 
     def integrate_against(self, weight, t_values) -> np.ndarray:
-        return _oscillatory_integral(self, weight, self.lo, self.hi, t_values)
+        return _oscillatory_integral(self, weight, (self.lo, self.hi), t_values)
 
 
 @dataclass(frozen=True)
@@ -430,7 +439,35 @@ class GaussianBump:
         return out
 
     def integrate_against(self, weight, t_values) -> np.ndarray:
-        return _oscillatory_integral(self, weight, self.lo, self.hi, t_values)
+        return _oscillatory_integral(self, weight, (self.lo, self.hi), t_values)
+
+
+def _segment_abs_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """integral_0^1 |a + s d| ds per segment, d = b - a.
+
+    |a + s d| = |d| sqrt((s - s*)^2 + q^2) with s* = -Re(a conj(d)) / |d|^2,
+    the point nearest zero, and q = |Im(a conj(d))| / |d|^2, so the integral
+    is |d| (G(1 - s*) + G(s*)) with G(U) = (U sqrt(U^2 + q^2) +
+    q^2 asinh(U / q)) / 2, odd in U.  That form keeps its accuracy while s*
+    lies within one segment length of [0, 1] (-1 <= s* <= 2) and cancels
+    beyond; there the branch points s* +- iq are a segment length away, |.|
+    is smooth on [0, 1], and a 16-point Gauss-Legendre rule is exact to
+    roundoff.
+    """
+    d = b - a
+    dd = np.abs(d) ** 2
+    cross = a * np.conj(d)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s, q = -cross.real / dd, np.abs(cross.imag) / dd
+        q2 = q * q
+
+        def g(u):
+            return 0.5 * (u * np.sqrt(u * u + q2) + np.where(q2 > 0, q2 * np.arcsinh(u / q), 0.0))
+
+        closed = np.sqrt(dd) * (g(1.0 - s) + g(s))
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    gauss = 0.5 * (np.abs(a[:, None] + 0.5 * (nodes + 1.0) * d[:, None]) @ weights)
+    return np.where((dd > 0) & (s >= -1.0) & (s <= 2.0), closed, gauss)
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,19 +493,12 @@ class SampledDensity:
         return re + 1j * im
 
     def mass(self) -> float:
-        lo, hi = self.support()
-        for refine in (16, 32):
-            x = np.linspace(lo, hi, refine * (len(self.omegas) - 1) + 1)
-            val = float(np.trapezoid(np.abs(self(x)), x))
-            if refine == 16:
-                coarse = val
-        if abs(val - coarse) > 1e-9 * max(val, 1e-300) + 1e-13:
-            raise QuadratureNotConverged("density L1 mass did not converge")
-        return val
+        """integral |X_c|, exact per segment (:func:`_segment_abs_means`)."""
+        means = _segment_abs_means(self.values[:-1], self.values[1:])
+        return float(np.sum(np.diff(self.omegas) * means))
 
     def integrate_against(self, weight, t_values) -> np.ndarray:
-        lo, hi = self.support()
-        return _oscillatory_integral(self, weight, lo, hi, t_values)
+        return _oscillatory_integral(self, weight, self.omegas, t_values)
 
 
 @dataclass(frozen=True, eq=False)

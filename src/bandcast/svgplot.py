@@ -5,20 +5,11 @@ from __future__ import annotations
 import math
 
 
-def line_plot_svg(
-    xs,
-    ys,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    loglog: bool = True,
-    width: int = 640,
-    height: int = 420,
-) -> str:
-    """Polyline-and-axes plot of one curve; log-log by default."""
-    pts = [(float(x), float(y)) for x, y in zip(xs, ys) if y > 0 or not loglog]
-    if loglog:
-        pts = [(math.log10(x), math.log10(y)) for x, y in pts if x > 0 and y > 0]
+def line_plot_svg(xs, ys, title: str, xlabel: str, ylabel: str) -> str:
+    """Polyline-and-axes log-log plot of one curve; points with x or y <= 0
+    are left out, and a curve with none left is drawn as a flat line."""
+    pts = [(math.log10(x), math.log10(y)) for x, y in zip(map(float, xs), map(float, ys))
+           if x > 0 and y > 0]
     if not pts:
         pts = [(0.0, 0.0), (1.0, 0.0)]
     x0 = min(p[0] for p in pts)
@@ -29,7 +20,7 @@ def line_plot_svg(
         x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
-    pad = 50
+    width, height, pad = 640, 420, 50
 
     def sx(x):
         return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
@@ -47,18 +38,11 @@ def line_plot_svg(
     ]
     for x, y in pts:
         parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="steelblue"/>')
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
-        )
-    if xlabel:
-        parts.append(
-            f'<text x="{width / 2:.0f}" y="{height - 12}" text-anchor="middle" font-size="12">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="14" y="{height / 2:.0f}" text-anchor="middle" font-size="12" '
-            f'transform="rotate(-90 14 {height / 2:.0f})">{ylabel}</text>'
-        )
-    parts.append("</svg>")
+    parts += [
+        f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{width / 2:.0f}" y="{height - 12}" text-anchor="middle" font-size="12">{xlabel}</text>',
+        f'<text x="14" y="{height / 2:.0f}" text-anchor="middle" font-size="12" '
+        f'transform="rotate(-90 14 {height / 2:.0f})">{ylabel}</text>',
+        "</svg>",
+    ]
     return "\n".join(parts) + "\n"

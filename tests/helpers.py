@@ -41,6 +41,12 @@ def mixed_from_json(doc: dict):
     return build_mixed_signal(cfg.signals[0], cfg.kernel.omega)
 
 
+def integrate_unweighted(density, t_values) -> np.ndarray:
+    """integral density(w) e^{i w t} dw per t: the density's quadrature
+    against one weight column of ones."""
+    return density.integrate_against(lambda w: np.ones((len(w), 1)), t_values)[:, 0]
+
+
 def evaluate_mixed(ms, t_values) -> np.ndarray:
     """x(t) = (1/2pi) (sum c_k e^{i w_k t} + integral e^{i w t} X_c dw) of the
     mixed spectrum `ms`."""
@@ -49,7 +55,7 @@ def evaluate_mixed(ms, t_values) -> np.ndarray:
     for wk, ck in ms.atoms:
         acc += ck * np.exp(1j * wk * t)
     for comp in ms.density:
-        acc += comp.integrate_against(None, t)
+        acc += integrate_unweighted(comp, t)
     return acc / (2.0 * np.pi)
 
 

@@ -128,6 +128,25 @@ def test_off_center_grids_raise_grid_mismatch(single_pole, monkeypatch):
         spectral_predict_ladder(moved, single_pole, LADDERS["LOW"])
 
 
+@pytest.mark.parametrize("origin", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_grid_origin_raises_grid_mismatch(origin):
+    # Unchecked, t0 = nan would reach causal_convolve as a builtin ValueError
+    # and omega0 = nan would put every bin of an ideal split in HIGH.
+    with pytest.raises(GridMismatch, match="t0 must be finite"):
+        SampledSignal(origin, 0.1, np.zeros(8))
+    with pytest.raises(GridMismatch, match="omega0 must be finite"):
+        SampledSpectrum(origin, 0.1, np.zeros(8))
+
+
+@pytest.mark.parametrize("sample", [np.nan, np.inf], ids=["nan", "inf"])
+def test_fourier_forward_rejects_non_finite_samples(sample):
+    g = GridSpec(2048, 400.0)
+    values = np.zeros(g.n)
+    values[100] = sample
+    with pytest.raises(NonFiniteResult, match="non-finite samples"):
+        fourier_forward(SampledSignal(g.t0, g.dt, values))
+
+
 def test_transform_requires_power_of_two():
     sig = SampledSignal(0.0, 0.1, np.zeros(100, dtype=complex))
     with pytest.raises(GridMismatch):
@@ -933,12 +952,12 @@ def test_mixed_predict_ladder_one_node_set_pair_per_density(conjugate_pair, monk
 
 
 def test_mixed_predict_unconverged_density_raises(conjugate_pair):
-    from bandcast.signals import SampledDensity
+    from bandcast.signals import GaussianBump
 
-    # Piecewise-linear kinks inside Gauss panels: on a 400 s grid the coarse
+    # A gaussian far narrower than a Gauss panel: on a 400 s grid the coarse
     # and fine passes disagree far beyond the 1e-9 certificate.
-    kinked = SampledDensity([-0.6, -0.35, -0.1, 0.15, 0.4], [0.0, 1.3, 0.4, 1.1, 0.0])
-    ms = make_mixed_signal([(0.3, 1.0)], [kinked], "LOW", 0.25, 1.0)
+    narrow = GaussianBump(-0.6, 0.4, 1.0, sigma=1e-3)
+    ms = make_mixed_signal([(0.3, 1.0)], [narrow], "LOW", 0.25, 1.0)
     with pytest.raises(QuadratureNotConverged, match="not converged on"):
         mixed_predict(ms, conjugate_pair, 5.0, GridSpec(2048, 400.0).times())
 

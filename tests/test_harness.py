@@ -1,6 +1,7 @@
 """Config validation, experiment operations, CLI behavior, golden output."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -450,21 +451,16 @@ def test_bound_check_shared_deviation_value():
 
 
 def test_bound_check_unconverged_density_raises(tmp_path, capsys):
-    # Piecewise-linear kinks inside Gauss panels fail the quadrature
-    # certificate on the 400 s grid (the L1 mass, on a grid through the
-    # samples, converges): the run raises and the CLI exits 1 with a record.
-    kinked = {
-        "kind": "sampled",
-        "omegas": [-0.6, -0.35, -0.1, 0.15, 0.4],
-        "re": [0.0, 1.3, 0.4, 1.1, 0.0],
-        "im": [0.0] * 5,
-    }
+    # A gaussian of sigma 1e-3 on [-0.6, 0.4] is far narrower than a Gauss
+    # panel and fails the quadrature certificate on the 400 s grid: the run
+    # raises and the CLI exits 1 with a record.
+    narrow = {"kind": "gaussian", "lo": -0.6, "hi": 0.4, "height": 1.0, "sigma": 1e-3}
     doc = base_config(
         kernel={"omega": 1.0, "poles": [{"a": 0.5, "b": 0.8, "mult": 1, "paired": True}],
                 "numerator": [0.0, 1.0]},
         epsilon=0.25,
-        signals=[{"id": "kinked", "kind": "mixed", "atoms": [[0.3, 1.0, 0.0]],
-                  "density": [kinked], "class": "LOW", "epsilon": 0.25}],
+        signals=[{"id": "narrow", "kind": "mixed", "atoms": [[0.3, 1.0, 0.0]],
+                  "density": [narrow], "class": "LOW", "epsilon": 0.25}],
     )
     with pytest.raises(QuadratureNotConverged, match=r"not converged on \[-0.6, 0.4\]"):
         run_uniform_bound_check(config_from_dict(doc))
@@ -474,6 +470,25 @@ def test_bound_check_unconverged_density_raises(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "QuadratureNotConverged"
     assert "not converged on [-0.6, 0.4]" in record["message"]
+
+
+def test_bound_check_runs_the_readme_sampled_density(tmp_path, monkeypatch):
+    # The README schema's sampled density in configs/bound_check.json: its
+    # kinks lie on panel edges, so the quadrature converges, and the run
+    # exits 0 with every measured error within its bound.
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads((ROOT / "configs" / "bound_check.json").read_text())
+    doc["outputs"] = {"csv": "bound_check.csv"}
+    doc["signals"][1]["density"] = [
+        {"kind": "sampled", "omegas": [-0.6, -0.4, -0.2], "re": [0.0, 1.0, 0.0], "im": [0.0] * 3}
+    ]
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert cli_main(["bound-check", "--config", "cfg.json"]) == 0
+    rows = (tmp_path / "bound_check.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * len(doc["gamma_ladder"])
+    for row in rows:
+        _sid, _gamma, _l2, linf, _dev, bound, ok, _mono = row.split(",")
+        assert ok == "true" and float(linf) <= float(bound)
 
 
 def test_robustness_zero_eta_degenerates_to_sweep():
@@ -1234,6 +1249,38 @@ def test_cli_golden_and_determinism(tmp_path, monkeypatch, command, config_path,
     (tmp_path / f"{name}.csv").unlink()
     assert cli_main([command, "--config", str(config_path)]) == 0
     assert (tmp_path / f"{name}.csv").read_bytes() == produced.encode()
+
+
+_EMPTY_PLOT_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="640" height="420">
+<rect width="640" height="420" fill="white"/>
+<line x1="50" y1="370" x2="590" y2="370" stroke="black"/>
+<line x1="50" y1="50" x2="50" y2="370" stroke="black"/>
+<polyline points="50.00,370.00 590.00,370.00" fill="none" stroke="steelblue" stroke-width="1.5"/>
+<circle cx="50.00" cy="370.00" r="3" fill="steelblue"/>
+<circle cx="590.00" cy="370.00" r="3" fill="steelblue"/>
+<text x="320" y="20" text-anchor="middle" font-size="14">error vs gamma</text>
+<text x="320" y="408" text-anchor="middle" font-size="12">|gamma|</text>
+<text x="14" y="210" text-anchor="middle" font-size="12" transform="rotate(-90 14 210)">err_l2</text>
+</svg>
+"""
+
+
+def test_error_plot_svg_text_is_pinned():
+    # The exact text the CLI writes: the sweep golden's ladder (the SVG of
+    # configs/sweep.json hashes the same) and an all-zero ladder, which
+    # has no point on log axes and falls back to a flat line.
+    from bandcast.svgplot import line_plot_svg
+
+    rows = (GOLDEN / "sweep_golden.csv").read_text().splitlines()[1:]
+    gammas = [float(row.split(",")[1]) for row in rows]
+    errs = [float(row.split(",")[2]) for row in rows]
+    labels = ("error vs gamma", "|gamma|", "err_l2")
+    svg = line_plot_svg(gammas, errs, *labels)
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "0759076e383059c62bbc74be35d82906dc2936eca680c78fa29c74c4bb3bb8a2"
+    )
+    assert line_plot_svg(gammas, [0.0] * len(gammas), *labels) == _EMPTY_PLOT_SVG
 
 
 def _run_module(module, *args, cwd):

@@ -48,6 +48,7 @@ from bandcast.transforms import hermitian_half
 from helpers import (
     evaluate_mixed,
     full_grid,
+    integrate_unweighted,
     mixed_from_json,
     phase_matrices,
     reference_grid_spectrum,
@@ -334,6 +335,83 @@ def test_sampled_density_mass_and_interp():
     assert cstar_norm(ms) == pytest.approx(np.trapezoid(np.abs(dens(w)), w), rel=1e-6)
 
 
+def test_sampled_density_mass_matches_mpmath():
+    # |X_c| has a kink where the interpolant changes sign and a sharp turn
+    # where its phase flips; ends within 1e-15 of each other put the point
+    # nearest zero far off the segment.  The 40-digit reference splits each
+    # segment at that point.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(41)
+    for draw in range(100):
+        n = int(rng.integers(2, 7))
+        w = np.cumsum(rng.uniform(0.01, 0.5, n))
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        kind = draw % 4
+        if kind == 0:  # real, with sign changes
+            z = z.real + 0j
+        elif kind == 1:  # phase flips with a tiny imaginary offset
+            z = z[0] * (-1.0) ** np.arange(n) + 1e-12j * rng.standard_normal(n)
+        elif kind == 2:  # ends within 1e-15 of each other
+            z = z[0] + 1e-15 * z
+        dens = SampledDensity(w, z)
+        with mpmath.workdps(40):
+            expected = mpmath.mpf(0)
+            for i in range(n - 1):
+                a, b = mpmath.mpc(z[i]), mpmath.mpc(z[i + 1])
+                d = b - a
+                cut = -mpmath.re(a * mpmath.conj(d)) / abs(d) ** 2 if d else 0
+                ends = [0, cut, 1] if 0 < cut < 1 else [0, 1]
+                h = mpmath.mpf(w[i + 1]) - mpmath.mpf(w[i])
+                expected += h * mpmath.quad(lambda s: abs(a + s * d), ends)
+        assert dens.mass() == pytest.approx(float(expected), rel=1e-12, abs=0.0)
+
+
+def _piecewise_linear_fourier(omegas, values, t):
+    """integral of the linear interpolant of (omegas, values) times e^{iwt},
+    in closed form segment by segment (t == 0 by the trapezoid rule)."""
+    out = np.zeros(len(t), dtype=complex)
+    zero = t == 0.0
+    for a, b, fa, fb in zip(omegas[:-1], omegas[1:], values[:-1], values[1:]):
+        out[zero] += 0.5 * (fa + fb) * (b - a)
+        it = 1j * t[~zero]
+        ea, eb = np.exp(it * a), np.exp(it * b)
+        out[~zero] += (fb * eb - fa * ea) / it - (fb - fa) / (b - a) * (eb - ea) / it**2
+    return out
+
+
+def test_sampled_density_integral_converges_across_its_kinks():
+    # Panel edges fall on the samples, so no kink of the interpolant lies
+    # inside a Gauss panel; with kinks inside panels the coarse and fine
+    # passes on the 400 s grid lie 1.6e-6 apart, far past the certificate.
+    omegas = np.array([-0.6, -0.35, -0.1, 0.15, 0.4])
+    values = np.array([0.0, 1.3, 0.4, 1.1, 0.0])
+    t = GridSpec(2048, 400.0).times()
+    got = integrate_unweighted(SampledDensity(omegas, values), t)
+    expected = _piecewise_linear_fourier(omegas, values, t)
+    assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("tmax", [5.0, 200.0], ids=["16-panels", "67-panels"])
+@pytest.mark.parametrize("density", [RaisedCosineBump(-0.6, 0.4, 1.2), GaussianBump(0.3, 1.1, 0.8)],
+                         ids=["raised_cosine", "gaussian"])
+def test_one_piece_density_nodes_are_uniform_gauss_panels(density, tmax):
+    # A one-piece density keeps the panel rule max(16, ceil(width (tmax + 1) / 3))
+    # on [lo, hi] and its node sets, bit for bit.
+    lo, hi = density.support()
+    t = np.linspace(-tmax, tmax, 64)
+    node_sets = []
+
+    def weight(w):
+        node_sets.append(w)
+        return np.ones((len(w), 1))
+
+    density.integrate_against(weight, t)
+    panels = max(16, math.ceil((hi - lo) * (tmax + 1.0) / 3.0))
+    assert [len(x) for x in node_sets] == [8 * panels, 16 * panels]
+    for x, n in zip(node_sets, (panels, 2 * panels)):
+        assert x.tobytes() == _gauss_legendre_panels(lo, hi, n)[0].tobytes()
+
+
 def _assert_phase_products_exact(t, x, columns=3):
     # Each column's product equals the one with the full complex-exp matrix,
     # bit for bit: bytes, not array_equal, so -0.0 and 0.0 differ.
@@ -409,12 +487,12 @@ def test_density_integral_runs_in_a_forked_child():
     # its own its quadrature used to wait forever.
     t = GridSpec(256, 60.0).times()
     bump = RaisedCosineBump(0.2, 0.5, 1.0)
-    expected = bump.integrate_against(None, t).tobytes()
+    expected = integrate_unweighted(bump, t).tobytes()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            code = 0 if bump.integrate_against(None, t).tobytes() == expected else 1
+            code = 0 if integrate_unweighted(bump, t).tobytes() == expected else 1
         finally:
             os._exit(code)
     deadline = time.monotonic() + 30.0
@@ -496,11 +574,11 @@ def test_density_integral_bit_equal_to_full_phase_matrix(density, monkeypatch):
         return np.stack([np.cos(k * w) + 1j * np.sin((k + 1) * w) for k in range(6)], axis=1)
 
     got = density.integrate_against(weight, t)
-    got_single = density.integrate_against(None, t)
+    got_single = integrate_unweighted(density, t)
     monkeypatch.setattr(signals, "_phase_products", reference_phase_products)
     assert got.shape == (len(t), 6)
     assert np.array_equal(got, density.integrate_against(weight, t))
-    assert np.array_equal(got_single, density.integrate_against(None, t))
+    assert np.array_equal(got_single, integrate_unweighted(density, t))
 
 
 def _no_warnings(call):
@@ -514,7 +592,7 @@ def test_density_integral_rejects_non_finite_height(height):
     t = np.linspace(-10.0, 10.0, 33)
     bump = RaisedCosineBump(0.1, 0.5, height)
     with pytest.raises(NonFiniteResult, match=r"not finite on \[0\.1, 0\.5\]"):
-        _no_warnings(lambda: bump.integrate_against(None, t))
+        _no_warnings(lambda: integrate_unweighted(bump, t))
     with pytest.raises(NonFiniteResult, match=r"not finite on \[0\.1, 0\.5\]"):
         _no_warnings(lambda: bump.integrate_against(lambda w: np.ones((len(w), 3)), t))
     ms = make_mixed_signal([(0.2, 1.0)], [bump], "LOW", 0.4, 1.0)
@@ -542,6 +620,13 @@ def test_density_integral_rejects_bad_times_before_any_work(density, t):
 
     with pytest.raises(GridMismatch):
         density.integrate_against(weight, np.array(t))
+
+
+@pytest.mark.parametrize("density", [RaisedCosineBump(0.5, 0.5), GaussianBump(0.5, 0.3)],
+                         ids=["point", "reversed"])
+def test_density_integral_rejects_an_empty_support(density):
+    with pytest.raises(SupportViolation, match="is empty"):
+        integrate_unweighted(density, np.linspace(-10.0, 10.0, 33))
 
 
 def test_mixed_evaluation_bounded_by_cstar():
