@@ -282,7 +282,7 @@ def spectral_predict_ladder(
     grid point.  K and V are evaluated only where X != 0 and
     scattered into zero-filled Y and Y_hat, so off-band blow-up cannot
     poison in-class runs; if X has energy where the compensator saturates,
-    ClassMismatch is raised when that rung is reached.  One result per
+    it raises ClassMismatch when that rung is reached.  One result per
     gamma, in ladder order, all sharing one y; each carries the guarded
     Y_hat it inverted, on the half or the full grid, as ``yhat_spectrum``.
     Between rungs only y, the mask and the values at the active points are
@@ -309,14 +309,7 @@ def spectral_predict_ladder(
     y = fourier_inverse(on_grid(Y_active))
 
     def rung(predictor: PredictorTransfer) -> PredictionResult:
-        v, sat = compensator_on_points(predictor, p_active)
-        if np.any(sat):
-            bad = p_active[np.argmax(sat)].imag
-            raise ClassMismatch(
-                f"X has energy at omega = {bad:.6g} where the predictor "
-                f"saturates (gamma = {predictor.gamma:g})"
-            )
-        spectrum = on_grid(v * Y_active)
+        spectrum = on_grid(compensator_on_points(predictor, p_active, ClassMismatch) * Y_active)
         return PredictionResult(
             y=y, yhat=fourier_inverse(spectrum), gamma=predictor.gamma, yhat_spectrum=spectrum
         )
@@ -342,9 +335,9 @@ def mixed_predict_ladder(
     One `weights` call gives the columns [K, K_hat_gamma for each gamma] at
     every atom (exact responses), and each density is integrated once
     against them on one shared node set.  The declared class must match the
-    sign of every gamma; a frequency where a predictor saturates raises
-    ClassMismatch naming it.  One result per gamma, in ladder order, all
-    sharing one y.
+    sign of every gamma; where a predictor saturates, the compensator raises
+    ClassMismatch naming the frequency.  One result per gamma, in ladder
+    order, all sharing one y.
     """
     t, t0, dt = _uniform_t_grid(t_grid)
     predictors = [PredictorTransfer(kernel, gamma) for gamma in gammas]
@@ -358,13 +351,7 @@ def mixed_predict_ladder(
     def weights(wv):
         columns = [transfer_on_grid(kernel, wv)]
         for predictor in predictors:
-            vals, sat = predictor_transfer_on_grid(predictor, wv)
-            if bool(np.any(sat)):
-                raise ClassMismatch(
-                    f"omega = {wv[np.argmax(sat)]:g} saturates the predictor "
-                    f"(gamma = {predictor.gamma:g})"
-                )
-            columns.append(vals)
+            columns.append(predictor_transfer_on_grid(predictor, wv, ClassMismatch))
         return np.stack(columns, axis=1)
 
     # accs[0] accumulates y, accs[1:] y_hat per rung.

@@ -11,6 +11,7 @@ omega0/domega is exactly -n/2, so omega_{n-j} == -omega_j bit for bit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +46,18 @@ def uniform_omegas(omega0: float, domega: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Centered uniform grid: n samples, total span in seconds."""
+    """Centered uniform grid: n samples, total span in seconds.  An n that is
+    not an integer power of two, or a span that is not a finite positive
+    real, raises GridMismatch."""
 
     n: int
     span: float
 
     def __post_init__(self):
-        if not is_power_of_two(self.n):
+        if not (isinstance(self.n, numbers.Integral) and is_power_of_two(self.n)):
             raise GridMismatch(f"grid length must be a power of two, got {self.n}")
-        if not (self.span > 0 and np.isfinite(self.span)):
+        real = isinstance(self.span, numbers.Real) and not isinstance(self.span, bool)
+        if not (real and self.span > 0 and np.isfinite(self.span)):
             raise GridMismatch(f"grid span must be positive and finite, got {self.span}")
 
     @property

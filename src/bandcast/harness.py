@@ -128,7 +128,7 @@ def build_mixed_signal(spec, omega: float) -> MixedSpectrum:
             comp = GaussianBump(item.lo, item.hi, item.height, item.sigma)
         else:
             comp = RaisedCosineBump(item.lo, item.hi, item.height)
-        if not np.all(np.isfinite(comp.values if item.kind == "sampled" else comp.height)):
+        if item.kind != "sampled" and not np.isfinite(comp.height):
             raise SupportViolation(f"{item.kind} density height or samples not finite")
         density.append(comp)
     atoms = [(w, complex(re, im)) for w, re, im in spec.atoms]

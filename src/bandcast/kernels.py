@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -32,6 +33,7 @@ import numpy as np
 
 from .errors import (
     DegreeViolation,
+    DomainError,
     NonConjugateSymmetric,
     NumericalDegeneracy,
     PoleOutOfRegion,
@@ -83,7 +85,9 @@ def build_kernel(
     """Validate and construct a kernel.
 
     Raises PoleOutOfRegion, DegreeViolation, NonConjugateSymmetric or
-    NumericalDegeneracy when the inputs violate the class constraints.
+    NumericalDegeneracy when the inputs violate the class constraints; a pole
+    entry that is not a triple of real a, b and integer mult (bools refused)
+    raises PoleOutOfRegion.
     """
     if not (np.isfinite(omega) and omega > 0):
         raise PoleOutOfRegion(f"band constant omega must be positive, got {omega}")
@@ -92,7 +96,14 @@ def build_kernel(
 
     norm_poles = []
     for entry in poles:
-        a, b, mult = float(entry[0]), float(entry[1]), int(entry[2])
+        try:
+            a, b, mult = entry
+        except (TypeError, ValueError):
+            raise PoleOutOfRegion(f"pole entry {entry!r} is not a triple (a, b, mult)") from None
+        numeric = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (a, b, mult))
+        if not (numeric and isinstance(mult, numbers.Integral)):
+            raise PoleOutOfRegion(f"pole entry {entry!r} needs real a, b and an integer mult")
+        a, b, mult = float(a), float(b), int(mult)
         if not (np.isfinite(a) and np.isfinite(b)):
             raise PoleOutOfRegion(f"non-finite pole entry {entry!r}")
         if mult < 1:
@@ -163,8 +174,12 @@ def transfer_on_grid(kernel: RationalAnticausalKernel, omega_values) -> np.ndarr
 
 
 def eval_transfer(kernel: RationalAnticausalKernel, omega_val: float) -> complex:
-    """Frequency response d(i*omega)/delta(i*omega) at one real frequency."""
-    return complex(transfer_on_grid(kernel, np.array([omega_val]))[0])
+    """Frequency response d(i*omega)/delta(i*omega) at one real frequency; a
+    non-finite omega raises DomainError."""
+    w = float(omega_val)
+    if not math.isfinite(w):
+        raise DomainError(f"omega must be finite, got {w}")
+    return complex(transfer_on_grid(kernel, np.array([w]))[0])
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ on the matching domain: at the band edge the exponent is purely imaginary and
 |V_m| = 2|sin(Im z / 2)|, which reaches 2.  Off the matching domain the
 exponent's real part is positive and the factor grows like
 exp(gamma * Re(.)); where the summed growth passes exp(700) the compensator
-is saturated, and an op that needs V there raises a typed error instead of
-returning an infinity: ClassMismatch in the gamma ladders, SaturatedSpectrum
-in synthesis and in :func:`eval_predictor_transfer`.
+is saturated.  Only :func:`_exponents` decides that, and every evaluator then
+raises the error type its caller passes instead of returning an infinity:
+ClassMismatch in the gamma ladders, SaturatedSpectrum everywhere else.
 """
 
 from __future__ import annotations
@@ -93,13 +93,12 @@ class PredictorTransfer:
         return "LOW" if self.gamma > 0 else "HIGH"
 
 
-def _exponents(predictor: PredictorTransfer, p) -> tuple[list[tuple[np.ndarray, int]], np.ndarray]:
+def _exponents(predictor: PredictorTransfer, p, error: type) -> list[tuple[np.ndarray, int]]:
     """The one compensator pass: the exponents z_m(p) = gamma * Mobius(p) per
-    pole group with their multiplicities, and the saturation mask.
-
-    The saturation rule is sum_m mult_m * max(Re z_m, 0) > SATURATION_EXPONENT:
-    the product can overflow where no single factor does; a saturating factor
-    always saturates the sum.
+    pole group with their multiplicities.  Where the saturation rule
+    sum_m mult_m * max(Re z_m, 0) > SATURATION_EXPONENT holds (the product can
+    overflow where no single factor does; a saturating factor always saturates
+    the sum), `error` is raised naming the first such omega = Im p and gamma.
     """
     p = np.asarray(p, dtype=complex)
     exps = []
@@ -108,56 +107,49 @@ def _exponents(predictor: PredictorTransfer, p) -> tuple[list[tuple[np.ndarray, 
         z = predictor.gamma * (p - a + 1j * b) / (p + alpha - 1j * b)
         exps.append((z, mult))
         growth += mult * np.maximum(z.real, 0.0)
-    return exps, growth > SATURATION_EXPONENT
+    saturated = growth > SATURATION_EXPONENT
+    if np.any(saturated):
+        raise error(
+            f"omega = {p[saturated][0].imag:.6g} saturates the predictor for "
+            f"gamma = {predictor.gamma:g} (exponent sum > {SATURATION_EXPONENT:g})"
+        )
+    return exps
 
 
-def compensator_minus_one_on_points(predictor: PredictorTransfer, p) -> np.ndarray:
+def compensator_minus_one_on_points(predictor: PredictorTransfer, p, error: type) -> np.ndarray:
     """V(p) - 1 without cancellation: accumulate (1+acc)(1+u) - 1 = acc + u + acc*u
-    over the factors u_m = -exp(z_m).  Inputs must not saturate."""
-    exps, sat = _exponents(predictor, p)
-    acc = np.zeros(sat.shape, dtype=complex)
-    for z, mult in exps:
+    over the factors u_m = -exp(z_m).  A saturating point raises `error`."""
+    acc = np.zeros(np.shape(p), dtype=complex)
+    for z, mult in _exponents(predictor, p, error):
         u = -np.exp(z)
         for _ in range(mult):
             acc = acc + u + acc * u
     return acc
 
 
-def compensator_on_points(predictor: PredictorTransfer, p) -> tuple[np.ndarray, np.ndarray]:
-    """(V values, saturation mask) on arbitrary complex points.
-
-    Where the mask is set the returned value is meaningless; each caller
-    raises its own typed error there (see the module docstring).
-    """
-    exps, sat = _exponents(predictor, p)
-    vals = np.ones(sat.shape, dtype=complex)
-    for z, mult in exps:
-        zsafe = np.where(sat, 0.0, z)
-        vals = vals * (1.0 - np.exp(zsafe)) ** mult
-    return vals, sat
+def compensator_on_points(predictor: PredictorTransfer, p, error: type) -> np.ndarray:
+    """V values on arbitrary complex points; a saturating point raises `error`."""
+    vals = np.ones(np.shape(p), dtype=complex)
+    for z, mult in _exponents(predictor, p, error):
+        vals = vals * (1.0 - np.exp(z)) ** mult
+    return vals
 
 
 def predictor_transfer_on_grid(
-    predictor: PredictorTransfer, omega_values
-) -> tuple[np.ndarray, np.ndarray]:
-    """(K_hat(i w) values, saturation mask) on real frequencies."""
+    predictor: PredictorTransfer, omega_values, error: type
+) -> np.ndarray:
+    """K_hat(i w) values on real frequencies; a saturating one raises `error`."""
     w = np.asarray(omega_values, dtype=float)
-    v, sat = compensator_on_points(predictor, 1j * w)
-    k = transfer_on_grid(predictor.kernel, w)
-    return v * k, sat
+    return compensator_on_points(predictor, 1j * w, error) * transfer_on_grid(predictor.kernel, w)
 
 
 def eval_predictor_transfer(predictor: PredictorTransfer, omega_val: float) -> complex:
-    """K_hat(i w) = V(i w) K(i w) at one real frequency; raises
-    SaturatedSpectrum where the compensator saturates."""
-    w = float(omega_val)
-    v, sat = compensator_on_points(predictor, np.array([1j * w]))
-    if sat[0]:
-        raise SaturatedSpectrum(
-            f"compensator exponent exceeds {SATURATION_EXPONENT:g} at omega = {w:.6g} "
-            f"for gamma = {predictor.gamma:g}"
-        )
-    return complex(v[0]) * eval_transfer(predictor.kernel, w)
+    """K_hat(i w) = V(i w) K(i w) at one real frequency; raises DomainError
+    for a non-finite w (eval_transfer) and SaturatedSpectrum where the
+    compensator saturates."""
+    k = eval_transfer(predictor.kernel, omega_val)
+    v = compensator_on_points(predictor, np.array([1j * float(omega_val)]), SaturatedSpectrum)
+    return complex(v[0]) * k
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +172,7 @@ def _default_omega_max(kernel: RationalAnticausalKernel) -> float:
 def _deviation_values(predictor: PredictorTransfer, w: np.ndarray) -> np.ndarray:
     """|K_hat - K| = |V - 1| * |K| pointwise (cancellation-free); a value that
     is not finite raises NonFiniteResult naming its frequency."""
-    vm1 = compensator_minus_one_on_points(predictor, 1j * w)
+    vm1 = compensator_minus_one_on_points(predictor, 1j * w, SaturatedSpectrum)
     vals = np.abs(vm1) * np.abs(transfer_on_grid(predictor.kernel, w))
     if not np.all(np.isfinite(vals)):
         raise NonFiniteResult(f"|K_hat - K| not finite at omega = {w[~np.isfinite(vals)][0]:.6g}")
@@ -285,14 +277,7 @@ def synthesize_time_predictor(
     khat_w = np.empty(m, dtype=complex)
     for start in range(0, m, _SYNTH_BLOCK):
         w = grid.domega * np.arange(start, min(start + _SYNTH_BLOCK, m))
-        vals, sat = predictor_transfer_on_grid(predictor, w)
-        if bool(np.any(sat)):
-            wbad = w[np.argmax(sat)]
-            raise SaturatedSpectrum(
-                f"compensator exponent exceeds {SATURATION_EXPONENT:g} at omega = {wbad:.6g}; "
-                f"gamma = {predictor.gamma:g} is too large for this grid"
-            )
-        khat_w[start : start + len(w)] = vals
+        khat_w[start : start + len(w)] = predictor_transfer_on_grid(predictor, w, SaturatedSpectrum)
     end_mag = float(max(abs(khat_w[-1]), abs(khat_w[-2])))
     if end_mag > decay_tol:
         raise SpectrumNotDecayed(

@@ -472,7 +472,9 @@ def _segment_abs_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampledDensity:
-    """Density given by samples with piecewise-linear interpolation."""
+    """Density given by samples with piecewise-linear interpolation.  A grid
+    that is not finite and increasing, or a sample that is not finite, raises
+    SupportViolation when the density is built."""
 
     omegas: np.ndarray
     values: np.ndarray
@@ -483,6 +485,8 @@ class SampledDensity:
         w = self.omegas
         if len(w) < 2 or not (np.all(np.isfinite(w)) and np.all(np.diff(w) > 0)):
             raise SupportViolation("sampled density needs a finite increasing grid")
+        if not np.all(np.isfinite(self.values)):
+            raise SupportViolation("sampled density height or samples not finite")
 
     def support(self) -> tuple[float, float]:
         return (float(self.omegas[0]), float(self.omegas[-1]))
@@ -551,10 +555,14 @@ def make_mixed_signal(
 
 
 def cstar_norm(ms: MixedSpectrum) -> float:
-    """Total-variation norm: sum |c_k| + integral |X_c|."""
-    return float(sum(abs(ck) for _wk, ck in ms.atoms)) + float(
+    """Total-variation norm: sum |c_k| + integral |X_c|; a total that is not
+    finite (a NaN bump height, an overflow) raises NonFiniteResult."""
+    total = float(sum(abs(ck) for _wk, ck in ms.atoms)) + float(
         sum(comp.mass() for comp in ms.density)
     )
+    if not math.isfinite(total):
+        raise NonFiniteResult(f"total-variation norm is not finite: {total!r}")
+    return total
 
 
 # ---------------------------------------------------------------------------

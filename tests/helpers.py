@@ -10,13 +10,18 @@ import numpy as np
 from scipy.integrate import quad
 
 from bandcast import PredictorTransfer, build_kernel, eval_transfer
-from bandcast.errors import BandcastError, ClassMismatch, DomainError, QuadratureNotConverged
+from bandcast.errors import (
+    BandcastError,
+    ClassMismatch,
+    DomainError,
+    QuadratureNotConverged,
+    SaturatedSpectrum,
+)
 from bandcast.harness import build_mixed_signal, config_from_dict
 from bandcast.kernels import _numerator_at, scalar_time_kernel, transfer_on_grid
 from bandcast.predictor import (
     SATURATION_EXPONENT,
     _deviation_values,
-    _exponents,
     _high_domain_chunks,
     _uniform_chunks,
     compensator_on_points,
@@ -123,18 +128,13 @@ def reference_mixed_predict_ladder(ms, kernel, gammas, t):
         kw = complex(transfer_on_grid(kernel, np.array([wk]))[0])
         y_vals += kw * tone
         for predictor, acc in zip(predictors, yhat_vals):
-            khat_w, sat = predictor_transfer_on_grid(predictor, np.array([wk]))
-            if bool(sat[0]):
-                raise ClassMismatch(f"atom at omega = {wk:g} saturates the predictor")
+            khat_w = predictor_transfer_on_grid(predictor, np.array([wk]), ClassMismatch)
             acc += complex(khat_w[0]) * tone
 
     def weights(wv):
         columns = [transfer_on_grid(kernel, wv)]
         for predictor in predictors:
-            vals, sat = predictor_transfer_on_grid(predictor, wv)
-            if bool(np.any(sat)):
-                raise ClassMismatch("density support saturates the predictor")
-            columns.append(vals)
+            columns.append(predictor_transfer_on_grid(predictor, wv, ClassMismatch))
         return np.stack(columns, axis=1)
 
     for comp in ms.density:
@@ -337,16 +337,26 @@ class Saturated(BandcastError):
         )
 
 
+def reference_exponents(predictor, p) -> list[tuple[np.ndarray, int]]:
+    """Reference z_m(p) = gamma * (p - a_m + b_m i)/(p + alpha_m - b_m i) per
+    pole group with its multiplicity, at any point, saturating or not."""
+    p = np.asarray(p, dtype=complex)
+    poles = zip(predictor.kernel.poles, predictor.alphas)
+    return [(predictor.gamma * (p - a + 1j * b) / (p + alpha - 1j * b), mult)
+            for (a, b, mult), alpha in poles]
+
+
 def eval_compensator(predictor, p: complex) -> complex:
     """V(p) at one point, Re p >= 0.  Raises Saturated past exp(700), carrying
     log|V| and arg V summed factor by factor in log space."""
     pt = np.array([complex(p)])
-    vals, sat = compensator_on_points(predictor, pt)
-    if not sat[0]:
-        return complex(vals[0])
+    try:
+        return complex(compensator_on_points(predictor, pt, SaturatedSpectrum)[0])
+    except SaturatedSpectrum:
+        pass
     log_mag = 0.0
     phase = 0.0
-    for z, mult in _exponents(predictor, pt)[0]:
+    for z, mult in reference_exponents(predictor, pt):
         zc = complex(z[0])
         if zc.real > SATURATION_EXPONENT:
             # 1 - e^z = -e^z (1 - e^{-z}); the correction is O(e^{-Re z}).
@@ -386,7 +396,8 @@ def _khat_on_points(predictor, p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=complex)
     kernel = predictor.kernel
     out = _numerator_at(kernel, p)
-    factors = zip(_exponents(predictor, p)[0], kernel.poles, predictor.alphas, kernel.pole_values)
+    factors = zip(reference_exponents(predictor, p), kernel.poles, predictor.alphas,
+                  kernel.pole_values)
     for (z, mult), (a, b, _m), alpha, pole in factors:
         at_pole = p == pole
         gap = np.where(at_pole, 1.0, p - pole)
@@ -421,18 +432,18 @@ def hardy_boundary_check(
         if not (s > 0):
             raise DomainError(f"s levels must be > 0, got {s}")
         p = s + 1j * w
-        v, sat = compensator_on_points(predictor, p)
-        saturated = bool(np.any(sat))
-        if saturated:
-            sup_v = l2_v = sup_k = l2_k = float("inf")
-        else:
-            khat = _khat_on_points(predictor, p)
-            av, ak = np.abs(v), np.abs(khat)
-            sup_v = float(np.max(av))
-            l2_v = float(math.sqrt(np.trapezoid(av**2, w)))
-            sup_k = float(np.max(ak))
-            l2_k = float(math.sqrt(np.trapezoid(ak**2, w)))
-        lines.append(HardyLine(float(s), sup_v, l2_v, sup_k, l2_k, saturated))
+        try:
+            v = compensator_on_points(predictor, p, SaturatedSpectrum)
+        except SaturatedSpectrum:
+            lines.append(HardyLine(float(s), *[float("inf")] * 4, True))
+            continue
+        khat = _khat_on_points(predictor, p)
+        av, ak = np.abs(v), np.abs(khat)
+        sup_v = float(np.max(av))
+        l2_v = float(math.sqrt(np.trapezoid(av**2, w)))
+        sup_k = float(np.max(ak))
+        l2_k = float(math.sqrt(np.trapezoid(ak**2, w)))
+        lines.append(HardyLine(float(s), sup_v, l2_v, sup_k, l2_k, False))
 
     finite = all(
         np.isfinite([ln.sup_v, ln.l2_v, ln.sup_khat, ln.l2_khat]).all() for ln in lines

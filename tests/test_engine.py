@@ -42,6 +42,7 @@ from bandcast.errors import (
     InsufficientHistory,
     NonFiniteResult,
     QuadratureNotConverged,
+    SaturatedSpectrum,
 )
 from bandcast.grids import GridSpec
 from bandcast.kernels import partial_fraction_expand, transfer_on_grid
@@ -145,6 +146,23 @@ def test_fourier_forward_rejects_non_finite_samples(sample):
     values[100] = sample
     with pytest.raises(NonFiniteResult, match="non-finite samples"):
         fourier_forward(SampledSignal(g.t0, g.dt, values))
+
+
+@pytest.mark.parametrize(
+    "n, span",
+    [(2048.0, 400.0), (2048, "a"), (2048, None), (2048, True), ("2048", 400.0)],
+    ids=["float-n", "str-span", "none-span", "bool-span", "str-n"],
+)
+def test_grid_spec_refuses_values_of_the_wrong_type(n, span):
+    # A float n or a string span used to raise the builtin TypeError.
+    with pytest.raises(GridMismatch):
+        GridSpec(n, span)
+
+
+def test_grid_spec_takes_numpy_scalars():
+    g = GridSpec(np.int64(2048), np.float64(400.0))
+    assert (g.n, g.span) == (2048, 400.0)
+    assert np.array_equal(g.omegas(), GridSpec(2048, 400.0).omegas())
 
 
 def test_transform_requires_power_of_two():
@@ -1014,7 +1032,8 @@ def test_parseval_bridging(single_pole, pipeline_grid):
     active = X.values != 0
     diff = np.zeros_like(X.values)
     diff[active] = (
-        compensator_minus_one_on_points(pred, 1j * w[active]) * K[active] * X.values[active]
+        compensator_minus_one_on_points(pred, 1j * w[active], SaturatedSpectrum)
+        * K[active] * X.values[active]
     )
     freq_l2 = math.sqrt(float(np.sum(np.abs(diff) ** 2) * X.domega))
     assert r.err_l2 == pytest.approx(freq_l2 / math.sqrt(2 * math.pi), rel=1e-8)
@@ -1053,7 +1072,7 @@ def test_holder_chain_single_signal(single_pole, pipeline_grid):
     pred = PredictorTransfer(single_pole, 5.0)
     from bandcast.predictor import compensator_minus_one_on_points
 
-    dev = np.abs(compensator_minus_one_on_points(pred, 1j * wd)) * np.abs(
+    dev = np.abs(compensator_minus_one_on_points(pred, 1j * wd, SaturatedSpectrum)) * np.abs(
         transfer_on_grid(single_pole, wd)
     )
     x_abs = np.abs(X.values[D])

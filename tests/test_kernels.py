@@ -49,6 +49,26 @@ def test_build_rejects_pole_outside_band():
         build_kernel([(0.0, 0.0, 1)], [1.0], 1.0)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [(1.0, 0.0, 1.5), (1.0, 0.0, True), (1.0, 0.0, "a"), ("a", 0.0, 1), (1.0, None, 1),
+     (True, 0.0, 1), (1.0, 0.0), (1.0, 0.0, 1, 0), 1.0],
+    ids=["fractional-mult", "bool-mult", "str-mult", "str-a", "none-b", "bool-a", "pair",
+         "quadruple", "scalar"],
+)
+def test_build_refuses_malformed_pole_entries(entry):
+    # int(1.5) used to build a multiplicity-1 kernel, and "a" raised the
+    # builtin ValueError.
+    with pytest.raises(PoleOutOfRegion):
+        build_kernel([entry], [1.0], 1.0)
+
+
+def test_build_takes_numpy_scalars():
+    kernel = build_kernel([(np.float64(1.0), np.float32(0.0), np.int64(2))], [1.0], 1.0)
+    assert kernel.poles == ((1.0, 0.0, 2),)
+    assert [type(v) for v in kernel.poles[0]] == [float, float, int]
+
+
 def test_build_rejects_degree_violation():
     with pytest.raises(DegreeViolation):
         build_kernel([(1.0, 0.0, 1)], [1.0, 1.0], 1.0)

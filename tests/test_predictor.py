@@ -20,7 +20,9 @@ from bandcast import (
     mobius_real_part,
     synthesize_time_predictor,
 )
+from bandcast.engine import mixed_predict_ladder, spectral_predict_ladder
 from bandcast.errors import (
+    ClassMismatch,
     DomainError,
     NonFiniteResult,
     SaturatedSpectrum,
@@ -30,6 +32,7 @@ from bandcast.errors import (
 from bandcast import predictor, transforms
 from bandcast.grids import GridSpec
 from bandcast.kernels import transfer_on_grid
+from bandcast.signals import MixedSpectrum, SampledSpectrum
 from bandcast.predictor import predictor_transfer_on_grid
 from bandcast.predictor import (
     _deviation_values,
@@ -133,7 +136,7 @@ def test_predictor_transfer_bits_and_saturation():
             expected = eval_compensator(pred, 1j * w) * eval_transfer(kernel, w)
         except Saturated:
             saturated += 1
-            message = f"omega = {w:.6g} for gamma = {gamma:g}"
+            message = f"omega = {w:.6g} saturates the predictor for gamma = {gamma:g}"
             with pytest.raises(SaturatedSpectrum, match=re.escape(message)):
                 eval_predictor_transfer(pred, w)
             continue
@@ -153,8 +156,8 @@ def test_compensator_conjugate_symmetry(conjugate_pair):
     pred = PredictorTransfer(conjugate_pair, 7.0)
     rng = np.random.default_rng(13)
     w = rng.uniform(-3, 3, size=64)
-    v_pos, _ = compensator_on_points(pred, 1j * w)
-    v_neg, _ = compensator_on_points(pred, -1j * w)
+    v_pos = compensator_on_points(pred, 1j * w, SaturatedSpectrum)
+    v_neg = compensator_on_points(pred, -1j * w, SaturatedSpectrum)
     assert np.max(np.abs(v_neg - np.conj(v_pos))) <= 1e-12 * np.max(np.abs(v_pos))
 
 
@@ -168,11 +171,13 @@ def test_factor_distance_bound_on_matching_domain():
         for gamma in (0.5, 5.0, 50.0):
             pred = PredictorTransfer(k, gamma)
             w = np.linspace(-k.omega, k.omega, 2001)
-            vm1 = np.abs(compensator_minus_one_on_points(pred, 1j * w))
+            vm1 = np.abs(compensator_minus_one_on_points(pred, 1j * w, SaturatedSpectrum))
             assert vm1.max() <= 2.0**n_factors - 1.0 + 1e-9
             pred_neg = PredictorTransfer(k, -gamma)
             w_off = np.linspace(k.omega, 10 * k.omega, 2001)
-            vm1_off = np.abs(compensator_minus_one_on_points(pred_neg, 1j * w_off))
+            vm1_off = np.abs(
+                compensator_minus_one_on_points(pred_neg, 1j * w_off, SaturatedSpectrum)
+            )
             assert vm1_off.max() <= 2.0**n_factors - 1.0 + 1e-9
 
 
@@ -180,7 +185,7 @@ def test_single_factor_distance_bound(single_pole):
     for gamma in (0.5, 5.0, 50.0):
         pred = PredictorTransfer(single_pole, gamma)
         w = np.linspace(-1.0, 1.0, 4001)
-        vm1 = np.abs(compensator_minus_one_on_points(pred, 1j * w))
+        vm1 = np.abs(compensator_minus_one_on_points(pred, 1j * w, SaturatedSpectrum))
         expected = np.exp(gamma * (w**2 - 1) / (w**2 + 1))
         assert np.max(np.abs(vm1 - expected)) <= 1e-12
         assert vm1.max() <= 1.0 + 1e-15
@@ -189,9 +194,9 @@ def test_single_factor_distance_bound(single_pole):
 def test_deviation_is_distance_times_transfer(conjugate_pair):
     pred = PredictorTransfer(conjugate_pair, 9.0)
     w = np.linspace(-0.95, 0.95, 501)
-    vm1 = compensator_minus_one_on_points(pred, 1j * w)
+    vm1 = compensator_minus_one_on_points(pred, 1j * w, SaturatedSpectrum)
     k = transfer_on_grid(conjugate_pair, w)
-    khat, _ = predictor_transfer_on_grid(pred, w)
+    khat = predictor_transfer_on_grid(pred, w, SaturatedSpectrum)
     lhs = np.abs(khat - k)
     rhs = np.abs(vm1) * np.abs(k)
     assert np.max(np.abs(lhs - rhs)) <= 1e-13 * max(rhs.max(), 1e-300)
@@ -202,9 +207,8 @@ def test_deviation_norm_sup_at_band_interior_edge(single_pole):
     # [-0.9, 0.9] sits at the endpoints.
     pred = PredictorTransfer(single_pole, 20.0)
     sup = deviation_norm(pred, 0.1)
-    edge = abs(compensator_minus_one_on_points(pred, 1j * np.array([0.9]))[0]) * abs(
-        eval_transfer(single_pole, 0.9)
-    )
+    vm1 = compensator_minus_one_on_points(pred, 1j * np.array([0.9]), SaturatedSpectrum)
+    edge = abs(vm1[0]) * abs(eval_transfer(single_pole, 0.9))
     assert sup == pytest.approx(edge, rel=1e-12)
 
 
@@ -226,9 +230,8 @@ def test_deviation_norm_high_domain(single_pole):
     pred = PredictorTransfer(single_pole, -10.0)
     sup = deviation_norm(pred, 0.1)
     # Deviation decays away from the band edge; the sup sits near w = 1.1.
-    near_edge = abs(compensator_minus_one_on_points(pred, 1j * np.array([1.1]))[0]) * abs(
-        eval_transfer(single_pole, 1.1)
-    )
+    vm1 = compensator_minus_one_on_points(pred, 1j * np.array([1.1]), SaturatedSpectrum)
+    near_edge = abs(vm1[0]) * abs(eval_transfer(single_pole, 1.1))
     assert sup == pytest.approx(near_edge, rel=1e-6)
 
 
@@ -334,12 +337,9 @@ def test_pointwise_convergence_single_factor(single_pole):
     w_off = np.linspace(1.01, 3.0, 199)
     prev_in = prev_off = None
     for g in ladder:
-        cur_in = np.abs(
-            compensator_minus_one_on_points(PredictorTransfer(single_pole, g), 1j * w_in)
-        )
-        cur_off = np.abs(
-            compensator_minus_one_on_points(PredictorTransfer(single_pole, -g), 1j * w_off)
-        )
+        pred_in, pred_off = PredictorTransfer(single_pole, g), PredictorTransfer(single_pole, -g)
+        cur_in = np.abs(compensator_minus_one_on_points(pred_in, 1j * w_in, SaturatedSpectrum))
+        cur_off = np.abs(compensator_minus_one_on_points(pred_off, 1j * w_off, SaturatedSpectrum))
         if prev_in is not None:
             assert np.all(cur_in < prev_in)
             assert np.all(cur_off < prev_off)
@@ -354,9 +354,8 @@ def test_uniform_convergence_with_recorded_gamma(single_pole, conjugate_pair):
         certified = None
         gamma = 1.0
         while gamma <= 512.0:
-            vm1 = np.abs(
-                compensator_minus_one_on_points(PredictorTransfer(kernel, gamma), 1j * w)
-            )
+            pred = PredictorTransfer(kernel, gamma)
+            vm1 = np.abs(compensator_minus_one_on_points(pred, 1j * w, SaturatedSpectrum))
             if vm1.max() < 1e-6:
                 certified = gamma
                 break
@@ -367,8 +366,10 @@ def test_uniform_convergence_with_recorded_gamma(single_pole, conjugate_pair):
 def test_pair_kernel_converges_without_monotonicity(conjugate_pair):
     # Products are not pointwise monotone in gamma, but they do converge.
     w = np.linspace(-0.9, 0.9, 501)
-    first = np.abs(compensator_minus_one_on_points(PredictorTransfer(conjugate_pair, 1.0), 1j * w))
-    last = np.abs(compensator_minus_one_on_points(PredictorTransfer(conjugate_pair, 256.0), 1j * w))
+    first = np.abs(compensator_minus_one_on_points(
+        PredictorTransfer(conjugate_pair, 1.0), 1j * w, SaturatedSpectrum))
+    last = np.abs(compensator_minus_one_on_points(
+        PredictorTransfer(conjugate_pair, 256.0), 1j * w, SaturatedSpectrum))
     assert last.max() < 1e-6 < first.max()
     assert last.max() < first.max()
 
@@ -422,6 +423,59 @@ def test_synthesis_leakage_is_the_first_half_of_the_grid(single_pole, triple_pol
         assert result.leakage.hex() == mask_form.hex()
 
 
+# gamma * (w^2 - 1)/(w^2 + 1) for the single pole at gamma = 780: 688 at
+# w = 4, 720 at w = 5, so w = 5 is the first point past 700 on every route.
+_CONTRACT_GRID = GridSpec(16, 2.0 * math.pi)  # domega = 1: omega_j = j - 8
+
+
+def _one_tone(omega: float) -> SampledSpectrum:
+    values = np.zeros(_CONTRACT_GRID.n, dtype=complex)
+    values[np.flatnonzero(_CONTRACT_GRID.omegas() == omega)] = 1.0
+    return SampledSpectrum(_CONTRACT_GRID.omega0, _CONTRACT_GRID.domega, values)
+
+
+_SATURATING_CALLS = {
+    "V": (lambda k: compensator_on_points(
+        PredictorTransfer(k, 780.0), 1j * np.array([0.5, 4.0, 5.0, 6.0]), ClassMismatch),
+        ClassMismatch),
+    "V-1": (lambda k: compensator_minus_one_on_points(
+        PredictorTransfer(k, 780.0), 1j * np.array([0.5, 4.0, 5.0, 6.0]), SaturatedSpectrum),
+        SaturatedSpectrum),
+    "K_hat-grid": (lambda k: predictor_transfer_on_grid(
+        PredictorTransfer(k, 780.0), np.array([0.5, 4.0, 5.0, 6.0]), SaturatedSpectrum),
+        SaturatedSpectrum),
+    "eval_predictor_transfer": (lambda k: eval_predictor_transfer(PredictorTransfer(k, 780.0), 5.0),
+                                SaturatedSpectrum),
+    "synthesis": (lambda k: synthesize_time_predictor(PredictorTransfer(k, 780.0), _CONTRACT_GRID),
+                  SaturatedSpectrum),
+    "spectral-ladder": (lambda k: list(spectral_predict_ladder(_one_tone(5.0), k, [1.0, 780.0])),
+                        ClassMismatch),
+    "mixed-ladder": (lambda k: mixed_predict_ladder(
+        MixedSpectrum(((0.3, 1 + 0j), (5.0, 1j)), (), "LOW", 0.25, 1.0), k, [2.0, 780.0],
+        np.linspace(-5.0, 5.0, 11)), ClassMismatch),
+}
+
+
+@pytest.mark.parametrize("call, error", _SATURATING_CALLS.values(), ids=_SATURATING_CALLS.keys())
+def test_saturation_raises_the_callers_error_with_one_message(single_pole, call, error):
+    # One compensator pass decides saturation for every evaluator and route;
+    # V - 1 used to overflow silently there.
+    message = "omega = 5 saturates the predictor for gamma = 780 (exponent sum > 700)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(single_pole)
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_scalar_evaluators_refuse_non_finite_omega(single_pole, w):
+    # Each used to return nan+nanj after three RuntimeWarnings.
+    with pytest.raises(DomainError, match="omega must be finite"):
+        eval_transfer(single_pole, w)
+    with pytest.raises(DomainError, match="omega must be finite"):
+        eval_predictor_transfer(PredictorTransfer(single_pole, 5.0), w)
+
+
 def test_synthesize_saturates_for_huge_gamma(single_pole):
     with pytest.raises(SaturatedSpectrum):
         synthesize_time_predictor(PredictorTransfer(single_pole, 2000.0), GridSpec(2**14, 100.0))
@@ -450,8 +504,7 @@ def test_synthesis_blocks_have_the_bits_of_one_evaluation(triple_pole, gamma):
     w = grid.domega * np.arange(grid.n // 2 + 1)
     assert len(w) > 4 * predictor._SYNTH_BLOCK
     pred = PredictorTransfer(triple_pole, gamma)
-    khat_w, sat = predictor_transfer_on_grid(pred, w)
-    assert not np.any(sat)
+    khat_w = predictor_transfer_on_grid(pred, w, SaturatedSpectrum)
     ref = transforms.signal_from_spectrum(khat_w, 0.0, grid.domega)[0]
     assert np.array_equal(synthesize_time_predictor(pred, grid).khat.values, ref)
 
@@ -461,10 +514,10 @@ def test_synthesis_names_the_first_saturating_omega_past_the_first_block(single_
     grid = GridSpec(2**18, 256.0)
     pred = PredictorTransfer(single_pole, 700.0 * (1 + 1e-6))
     w = grid.domega * np.arange(grid.n // 2 + 1)
-    _vals, sat = predictor_transfer_on_grid(pred, w)
-    first = int(np.argmax(sat))
+    first = int(np.argmax(pred.gamma * (w**2 - 1) / (w**2 + 1) > 700.0))
     assert predictor._SYNTH_BLOCK <= first < 2 * predictor._SYNTH_BLOCK
-    with pytest.raises(SaturatedSpectrum, match=re.escape(f"omega = {w[first]:.6g};")):
+    message = f"omega = {w[first]:.6g} saturates the predictor for gamma = {pred.gamma:g}"
+    with pytest.raises(SaturatedSpectrum, match=re.escape(message)):
         synthesize_time_predictor(pred, grid)
 
 
@@ -483,8 +536,7 @@ def test_synthesize_real_path_matches_full_grid_inverse(triple_pole, monkeypatch
     grid = GridSpec(2**17, 128.0)
     result = synthesize_time_predictor(pred, grid)
     assert result.khat.values.dtype == np.float64
-    full, sat = predictor_transfer_on_grid(pred, grid.omegas())
-    assert not np.any(sat)
+    full = predictor_transfer_on_grid(pred, grid.omegas(), SaturatedSpectrum)
     monkeypatch.setattr(transforms, "hermitian_half", lambda *args: None)
     ref, t0, dt = transforms.signal_from_spectrum(full, grid.omega0, grid.domega)
     assert ref.dtype == np.complex128

@@ -335,6 +335,30 @@ def test_sampled_density_mass_and_interp():
     assert cstar_norm(ms) == pytest.approx(np.trapezoid(np.abs(dens(w)), w), rel=1e-6)
 
 
+@pytest.mark.parametrize("sample", [math.nan, math.inf, complex(0.0, math.nan)],
+                         ids=["nan", "inf", "nan-imag"])
+def test_sampled_density_refuses_non_finite_samples_when_built(sample):
+    # A NaN sample used to give a NaN mass, and through it a NaN norm.
+    with pytest.raises(SupportViolation, match="sampled density height or samples not finite"):
+        SampledDensity([0.0, 0.5], [sample, 1.0])
+
+
+@pytest.mark.parametrize(
+    "atoms, density",
+    [
+        ([(0.2, 1.0)], [RaisedCosineBump(0.1, 0.5, math.nan)]),
+        ([], [GaussianBump(0.1, 0.5, math.nan)]),
+        ([(0.1, 1e308), (0.2, 1e308)], []),
+    ],
+    ids=["raised-cosine-nan-height", "gaussian-nan-height", "overflow"],
+)
+def test_cstar_norm_refuses_a_total_that_is_not_finite(atoms, density):
+    # Each used to return nan or inf, and with it a uniform bound to match.
+    ms = make_mixed_signal(atoms, density, "LOW", 0.4, 1.0)
+    with pytest.raises(NonFiniteResult, match="total-variation norm is not finite"):
+        _no_warnings(lambda: cstar_norm(ms))
+
+
 def test_sampled_density_mass_matches_mpmath():
     # |X_c| has a kink where the interpolant changes sign and a sharp turn
     # where its phase flips; ends within 1e-15 of each other put the point
