@@ -21,7 +21,7 @@ from collections import namedtuple
 from dataclasses import make_dataclass
 
 from .errors import BandcastError, ConfigError
-from .grids import GridSpec, in_class
+from .grids import GridSpec, as_float, in_class
 from .kernels import build_kernel
 
 REQUIRED = object()  # the default of a key that must be given
@@ -50,10 +50,7 @@ def _json(kind: type, finite: bool = True):
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
             no_bool = " and takes no bool" if isinstance(value, bool) else ""
             raise _Refused(f"must be a JSON {name}{no_bool}, got {value!r}")
-        try:
-            value = kind(value)
-        except OverflowError:  # an integer past the float range
-            value = math.copysign(math.inf, value)
+        value = as_float(value) if kind is float else kind(value)
         if finite and kind is float and not math.isfinite(value):
             raise _Refused(f"must be finite, got {value!r}")
         return value

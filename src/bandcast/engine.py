@@ -10,12 +10,17 @@ y(t) = integral_t^inf k(t-s) x(s) ds and its causal approximation:
 
 Each route exists to validate the other; keep them independent.
 
+On the grid the pipeline never subtracts y_hat from y: per gamma it inverts
+the error spectrum E = Y_hat - Y = (V - 1) K X, with V - 1 evaluated without
+cancellation, so an error far below eps * ||y|| is still resolved.  y and
+y_hat are inverted only for a caller who reads them.
+
 The pipeline runs on centered grids only (:mod:`bandcast.transforms`) and
 has a real path.  The kernel's coefficients are real and its poles
 conjugate-closed, so K, V and K_hat are Hermitian, and a Hermitian X has
-real y and y_hat.  Such an X is carried as its omega >= 0 half: K and V are
-evaluated on the n/2 + 1 points omega >= 0 and each inverse is an irfft to
-float samples.  Two-sided grid signals are born as halves
+real y, y_hat and error.  Such an X is carried as its omega >= 0 half: K and
+V are evaluated on the n/2 + 1 points omega >= 0 and each inverse is an
+irfft to float samples.  Two-sided grid signals are born as halves
 (:mod:`bandcast.signals`); a full spectrum that is exactly Hermitian (one
 check, :func:`transforms.hermitian_half`), such as the forward transform of
 float samples, is halved first.  Any other X (a one-sided or complex-tone
@@ -24,8 +29,9 @@ spectrum) takes the complex path on every grid point.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -48,6 +54,7 @@ from .kernels import (
 )
 from .predictor import (
     PredictorTransfer,
+    compensator_minus_one_on_points,
     compensator_on_points,
     predictor_transfer_on_grid,
 )
@@ -225,69 +232,127 @@ def causal_convolve(
     return SampledSignal(x.t0, dt, out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PredictionResult:
-    """Target y, prediction y_hat, and their error norms on a shared grid.
+    """One rung's error signal e = y_hat - y on the shared time grid, its
+    norms, and the target y and prediction y_hat.
 
-    ``err_l2`` and ``err_linf`` are derived from y and y_hat by
-    :func:`error_norms` when the result is built, so they always describe the
-    samples.  ``yhat_spectrum`` is the guarded Y_hat exactly as the FFT route
-    inverted it: on the real path the omega >= 0 half, on its own grid
-    omega_k = k*domega, k = 0..n/2; else the full grid.  It is None on the
-    atomic-plus-density route.  Non-finite norms raise
-    NonFiniteResult; y and y_hat on different grids raise GridMismatch.
+    ``err_l2`` and ``err_linf`` are derived from e by :func:`signal_norms`
+    when the result is built, so they always describe its samples;
+    non-finite norms raise NonFiniteResult.  ``PredictionResult(y, yhat,
+    gamma)``, as the atomic-plus-density route builds it, takes e = yhat - y;
+    y and y_hat on different grids raise GridMismatch.  The FFT route builds
+    its results from e itself (:func:`spectral_predict_ladder`).
+    ``yhat_spectrum`` and ``error_spectrum`` are the FFT route's guarded
+    Y_hat = V K X and E, on the omega >= 0 half (on its own grid
+    omega_k = k*domega) or on the full grid, and y_hat is the inverse of
+    Y_hat; both spectra are None on the atomic-plus-density route.
     """
 
-    y: SampledSignal
-    yhat: SampledSignal
-    err_l2: float = field(init=False)
-    err_linf: float = field(init=False)
     gamma: float
-    yhat_spectrum: SampledSpectrum | None = None
+    e: SampledSignal
+    err_l2: float
+    err_linf: float
+    yhat_spectrum = None
+    error_spectrum = None
 
-    def __post_init__(self):
-        err_l2, err_linf = error_norms(self.y, self.yhat)
+    def __init__(self, y: SampledSignal, yhat: SampledSignal, gamma: float):
+        if not same_time_grid(y, yhat):
+            raise GridMismatch("error norms need a shared grid")
+        self.__dict__.update(y=y, yhat=yhat)
+        self._set_error(gamma, SampledSignal(y.t0, y.dt, yhat.values - y.values))
+
+    def _set_error(self, gamma: float, e: SampledSignal) -> None:
+        err_l2, err_linf = signal_norms(e)
         if not (math.isfinite(err_l2) and math.isfinite(err_linf)):
             raise NonFiniteResult(
-                f"error norms are not finite at gamma = {self.gamma:g}: "
+                f"error norms are not finite at gamma = {gamma:g}: "
                 f"err_l2 = {err_l2!r}, err_linf = {err_linf!r}"
             )
-        object.__setattr__(self, "err_l2", err_l2)
-        object.__setattr__(self, "err_linf", err_linf)
+        self.__dict__.update(gamma=gamma, e=e, err_l2=err_l2, err_linf=err_linf)
+
+
+class _SpectralRung(PredictionResult):
+    """A rung of :func:`spectral_predict_ladder`, built from its inverted
+    error e; `y`, `yhat_spectrum` and `error_spectrum` compute those
+    attributes.  y, Y_hat and y_hat (the inverse of Y_hat) are computed on
+    their first read; E afresh on every read, so that the result does not
+    keep it."""
+
+    def __init__(self, gamma, e, y, yhat_spectrum, error_spectrum):
+        self.__dict__.update(_y=y, _yhat_spectrum=yhat_spectrum, _error_spectrum=error_spectrum)
+        self._set_error(gamma, e)
+
+    @property
+    def y(self) -> SampledSignal:
+        return self._y()
+
+    @functools.cached_property
+    def yhat_spectrum(self) -> SampledSpectrum:
+        return self._yhat_spectrum()
+
+    @functools.cached_property
+    def yhat(self) -> SampledSignal:
+        return fourier_inverse(self.yhat_spectrum)
+
+    @property
+    def error_spectrum(self) -> SampledSpectrum:
+        return self._error_spectrum()
+
+
+def _max_abs(values: np.ndarray) -> float:
+    """max |values|, without an |values| temporary for real input."""
+    if np.iscomplexobj(values):
+        return float(np.max(np.abs(values)))
+    return float(max(np.max(values), -np.min(values)))
+
+
+def signal_norms(e: SampledSignal) -> tuple[float, float]:
+    """(trapezoid L2, sup) norms of the samples of e.
+
+    err_l2**2 = dt * (sum |e_j|**2 - (|e_0|**2 + |e_{n-1}|**2) / 2), the
+    trapezoid rule.  The sum is one einsum over the samples (a complex
+    sample read as its two floats), which does not call BLAS, so its bits do
+    not depend on the BLAS thread count.  Float samples take no full-length
+    temporary.
+    """
+    flat = np.ascontiguousarray(e.values).view(np.float64)
+    k = len(flat) // len(e.values)  # floats per sample
+    ends = np.concatenate((flat[:k], flat[-k:]))
+    sum_sq = np.einsum("i,i->", flat, flat) - 0.5 * np.einsum("i,i->", ends, ends)
+    return math.sqrt(e.dt * float(sum_sq)), _max_abs(e.values)
 
 
 def error_norms(y: SampledSignal, yhat: SampledSignal) -> tuple[float, float]:
-    """(trapezoid L2, sup) norms of y - yhat on their shared grid."""
+    """:func:`signal_norms` of y - yhat on their shared grid."""
     if not same_time_grid(y, yhat):
         raise GridMismatch("error norms need a shared grid")
-    diff = y.values - yhat.values
-    diff = np.abs(diff) if np.iscomplexobj(diff) else np.abs(diff, out=diff)
-    err_linf = float(np.max(diff))
-    np.multiply(diff, diff, out=diff)
-    err_l2 = float(math.sqrt(np.trapezoid(diff, dx=y.dt)))
-    return err_l2, err_linf
+    return signal_norms(SampledSignal(y.t0, y.dt, y.values - yhat.values))
 
 
 def spectral_predict_ladder(
     X: SampledSpectrum, kernel: RationalAnticausalKernel, gammas
 ) -> Iterator[PredictionResult]:
-    """Frequency-domain pipeline over a gamma ladder: Y = K X, Y_hat = V K X.
+    """Frequency-domain pipeline over a gamma ladder: Y = K X, and per rung
+    the error spectrum E = Y_hat - Y = (V - 1) K X.
 
-    y does not depend on gamma, so K is evaluated and Y inverted once, here;
-    the returned iterator computes each rung when it is reached and inverts
-    only its Y_hat.  X is an omega >= 0 half or on a centered grid
+    X is an omega >= 0 half or on a centered grid
     (:func:`transforms.grid_length`; GridMismatch, raised before K is
     evaluated).  A half, and a full X that is exactly Hermitian, run on the
-    half (n/2 + 1 points, irfft, float y and y_hat); any other X uses every
-    grid point.  K and V are evaluated only where X != 0 and
-    scattered into zero-filled Y and Y_hat, so off-band blow-up cannot
-    poison in-class runs; if X has energy where the compensator saturates,
-    it raises ClassMismatch when that rung is reached.  One result per
-    gamma, in ladder order, all sharing one y; each carries the guarded
-    Y_hat it inverted, on the half or the full grid, as ``yhat_spectrum``.
-    Between rungs only y, the mask and the values at the active points are
-    kept, not X: a caller that drops X and each result before asking for
-    the next holds one rung at a time.
+    half (n/2 + 1 points, irfft, float samples); any other X uses every grid
+    point.  K is evaluated once and V - 1 per rung, without cancellation
+    (:func:`predictor.compensator_minus_one_on_points`), only where X != 0,
+    so off-band blow-up cannot poison in-class runs; if X has energy where
+    the compensator saturates, it raises ClassMismatch when that rung is
+    reached.  The returned iterator computes each rung when it is reached:
+    it writes E at the active points into one zero-filled buffer that every
+    rung reuses, and inverts it to the rung's e, its one full-length
+    allocation.  y, y_hat and the spectra are computed only when a result's
+    attribute is read (:class:`PredictionResult`); y at most once, shared by
+    all rungs.  One result per gamma, in ladder order.  Between rungs only
+    the buffer, the mask and the values at the active points are kept, not
+    X: a caller that drops X and each result before asking for the next
+    holds one rung at a time.
     """
     grid_length(len(X.values), X.omega0, X.domega)
     predictors = [PredictorTransfer(kernel, gamma) for gamma in gammas]
@@ -299,19 +364,25 @@ def spectral_predict_ladder(
     w = X.omegas()[active]
     Y_active = transfer_on_grid(kernel, w) * X.values[active]
     p_active = 1j * w
-    del X, half  # y's inverse and the rungs read only the active points
+    del X, half  # the rungs read only the active points
 
     def on_grid(values: np.ndarray) -> SampledSpectrum:
         full = np.zeros(len(active), dtype=complex)
         full[active] = values
         return SampledSpectrum(omega0, domega, full)
 
-    y = fourier_inverse(on_grid(Y_active))
+    y = functools.cache(lambda: fourier_inverse(on_grid(Y_active)))  # shared by every rung
+    buffer = SampledSpectrum(omega0, domega, np.zeros(len(active), dtype=complex))
 
     def rung(predictor: PredictorTransfer) -> PredictionResult:
-        spectrum = on_grid(compensator_on_points(predictor, p_active, ClassMismatch) * Y_active)
-        return PredictionResult(
-            y=y, yhat=fourier_inverse(spectrum), gamma=predictor.gamma, yhat_spectrum=spectrum
+        E_active = compensator_minus_one_on_points(predictor, p_active, ClassMismatch) * Y_active
+        buffer.values[active] = E_active
+        # The inverse restores every bit of the buffer and returns fresh samples.
+        e = fourier_inverse(buffer)
+        return _SpectralRung(
+            predictor.gamma, e, y,
+            lambda: on_grid(compensator_on_points(predictor, p_active, ClassMismatch) * Y_active),
+            lambda: on_grid(E_active),
         )
 
     return map(rung, predictors)

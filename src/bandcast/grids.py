@@ -11,12 +11,22 @@ omega0/domega is exactly -n/2, so omega_{n-j} == -omega_j bit for bit.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridMismatch
+
+
+def as_float(value) -> float:
+    """float(value); an integer past the float range becomes the infinity of
+    its sign, for the caller's finiteness check to refuse."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def is_power_of_two(n: int) -> bool:
@@ -57,7 +67,7 @@ class GridSpec:
         if not (isinstance(self.n, numbers.Integral) and is_power_of_two(self.n)):
             raise GridMismatch(f"grid length must be a power of two, got {self.n}")
         real = isinstance(self.span, numbers.Real) and not isinstance(self.span, bool)
-        if not (real and self.span > 0 and np.isfinite(self.span)):
+        if not (real and self.span > 0 and math.isfinite(as_float(self.span))):
             raise GridMismatch(f"grid span must be positive and finite, got {self.span}")
 
     @property

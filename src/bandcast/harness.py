@@ -31,9 +31,10 @@ import numpy as np
 
 from .config import ExperimentConfig, config_from_dict, load_config  # noqa: F401 (re-export)
 from .engine import (
-    error_norms,
+    _max_abs,
     fourier_inverse,
     mixed_predict_ladder,
+    signal_norms,
     spectral_predict_ladder,
 )
 from .errors import (
@@ -69,6 +70,9 @@ from .signals import (
 from .svgplot import line_plot_svg
 from .transforms import mirror_half
 
+# An error at or below this counts as zero (monotone checks, growth factor).
+# The FFT route inverts its error from E = (V - 1) K X, so only a true
+# underflow of the error reaches it.
 _ZERO_FLOOR = 1e-300
 
 
@@ -175,9 +179,9 @@ class ErrorReport:
 def _check_monotone(signal_id: str, gammas, errs) -> None:
     """Raise MonotonicityViolation at the first rung of a ladder whose error
     neither falls strictly nor lies, with its predecessor's, at the zero
-    floor.  That floor is reached when V * Y rounds to Y, not because V - 1
-    underflows: on configs/sweep.json at gamma = 400 the error is 0.0 with
-    |V - 1| <= 7.5e-20 on the support."""
+    floor.  On the FFT route the floor is reached only by a true underflow:
+    on configs/sweep.json the error still falls strictly at gamma = 800
+    (2.0e-44)."""
     for i in range(1, len(errs)):
         prev, cur = errs[i - 1], errs[i]
         if not (cur < prev or max(prev, cur) <= _ZERO_FLOOR):
@@ -307,10 +311,11 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
     """Split a mixed-support signal, predict the parts, recombine.
 
     Per ladder rung gamma the LOW part uses +gamma, the HIGH part -gamma.
-    Asserts (a) the summed prediction equals a single combined-pass
-    prediction to 1e-12 relative and (b) the combined error obeys the
-    triangle inequality against the component errors; the LOW, HIGH and
-    recombined error ladders must each decrease.
+    Asserts (a) the summed error e_low + e_high equals the inverse of the
+    combined error spectrum E_low + E_high to 1e-12 * max(max |e|, 1) and
+    (b) the combined error obeys the triangle inequality against the
+    component errors; the LOW, HIGH and recombined error ladders must each
+    decrease.  Neither part's y is inverted.
     """
     kernel = cfg.kernel
     gammas = [abs(g) for g in cfg.gamma_ladder]
@@ -326,11 +331,8 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
         )
         del low, high  # each ladder keeps what its rungs read
         errs_l, errs_h, norms = [], [], []
-        y = None
         for r_low, r_high in ladders:
-            if y is None:  # y does not depend on gamma
-                y = SampledSignal(r_low.y.t0, r_low.y.dt, r_low.y.values + r_high.y.values)
-            norms.append(_recombined_errors(spec.id, y, r_low, r_high))
+            norms.append(_recombined_errors(spec.id, r_low, r_high))
             errs_l.append(r_low.err_l2)
             errs_h.append(r_high.err_l2)
             del r_low, r_high  # one live rung: free it before the next is computed
@@ -347,28 +349,22 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
     return ErrorReport(tuple(rows), summary=summary)
 
 
-def _max_abs(values: np.ndarray) -> float:
-    """max |values|, without an |values| temporary for real input."""
-    if np.iscomplexobj(values):
-        return float(np.max(np.abs(values)))
-    return float(max(np.max(values), -np.min(values)))
-
-
-def _recombined_errors(signal_id: str, y: SampledSignal, r_low, r_high) -> tuple[float, float]:
-    """Error norms of one rung's summed LOW + HIGH prediction against
-    y = y_low + y_high, after checks (a) and (b) of
-    :func:`run_decomposition_demo`."""
+def _recombined_errors(signal_id: str, r_low, r_high) -> tuple[float, float]:
+    """Error norms of one rung's summed LOW + HIGH prediction, whose error is
+    e_low + e_high, after checks (a) and (b) of :func:`run_decomposition_demo`."""
     gamma = r_low.gamma
-    yhat_sum = SampledSignal(y.t0, y.dt, r_low.yhat.values + r_high.yhat.values)
-    # Each side carries the Y_hat it inverted: the omega >= 0 half when its
-    # part is Hermitian, else the full grid.
-    combined = _sum_spectra([r_low.yhat_spectrum, r_high.yhat_spectrum], len(y.values))
-    scale = max(_max_abs(yhat_sum.values), 1.0)
-    split_gap = _max_abs(yhat_sum.values - fourier_inverse(combined).values)
+    # Each side's E is on the omega >= 0 half when its part is Hermitian,
+    # else on the full grid.
+    combined = fourier_inverse(
+        _sum_spectra([r_low.error_spectrum, r_high.error_spectrum], len(r_low.e.values))
+    )
+    e_sum = SampledSignal(combined.t0, combined.dt, r_low.e.values + r_high.e.values)
+    scale = max(_max_abs(e_sum.values), 1.0)
+    split_gap = _max_abs(e_sum.values - combined.values)
     if split_gap > 1e-12 * scale:
         raise BoundViolation(gamma, signal_id, split_gap, 1e-12 * scale)
 
-    err_l2, err_linf = error_norms(y, yhat_sum)
+    err_l2, err_linf = signal_norms(e_sum)
     if err_l2 > r_low.err_l2 + r_high.err_l2 + 1e-9:
         raise BoundViolation(gamma, signal_id, err_l2, r_low.err_l2 + r_high.err_l2 + 1e-9)
     return err_l2, err_linf

@@ -38,6 +38,7 @@ from .errors import (
     NumericalDegeneracy,
     PoleOutOfRegion,
 )
+from .grids import as_float
 
 _COINCIDENCE_TOL = 1e-12
 
@@ -89,7 +90,7 @@ def build_kernel(
     entry that is not a triple of real a, b and integer mult (bools refused)
     raises PoleOutOfRegion.
     """
-    if not (np.isfinite(omega) and omega > 0):
+    if not (math.isfinite(as_float(omega)) and omega > 0):
         raise PoleOutOfRegion(f"band constant omega must be positive, got {omega}")
     if len(poles) == 0:
         raise DegreeViolation("kernel needs at least one pole")
@@ -103,7 +104,7 @@ def build_kernel(
         numeric = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (a, b, mult))
         if not (numeric and isinstance(mult, numbers.Integral)):
             raise PoleOutOfRegion(f"pole entry {entry!r} needs real a, b and an integer mult")
-        a, b, mult = float(a), float(b), int(mult)
+        a, b, mult = as_float(a), as_float(b), int(mult)
         if not (np.isfinite(a) and np.isfinite(b)):
             raise PoleOutOfRegion(f"non-finite pole entry {entry!r}")
         if mult < 1:
@@ -133,7 +134,7 @@ def build_kernel(
                 f"pole (a={a}, b={b}, mult={mult}) has no conjugate mate (a, {-b}, {mult})"
             )
 
-    num = tuple(float(c) for c in numerator_coeffs)
+    num = tuple(as_float(c) for c in numerator_coeffs)
     if len(num) == 0 or all(c == 0.0 for c in num):
         raise DegreeViolation("numerator polynomial must be nonzero")
     if any(not np.isfinite(c) for c in num):

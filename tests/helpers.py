@@ -494,3 +494,27 @@ def reference_outofband_noise(spectrum, eta, noise_support, seed):
     noise_energy = float(np.sum(np.abs(noise) ** 2) * spectrum.domega / (2 * np.pi))
     noise *= math.sqrt(eta * sig_energy / noise_energy)
     return SampledSpectrum(spectrum.omega0, spectrum.domega, spectrum.values + noise)
+
+
+def spectral_err_l2(E: SampledSpectrum) -> float:
+    """err_l2 of the error whose spectrum is E, without an inverse transform
+    (discrete Parseval plus the trapezoid's two end terms):
+
+        err_l2**2 = (domega/2pi) * sum_k c_k |E_k|**2 - dt * (|e_0|**2 + |e_{n-1}|**2) / 2,
+
+    with c_k 1 at DC and Nyquist and 2 elsewhere on an omega >= 0 half
+    (omega0 == 0), and 1 everywhere on a full centered grid.  Each end sample
+    e(t) = (domega/2pi) * sum_k c_k E_k e^{i omega_k t} (its real part on a
+    half) is one dot product over the active points E_k != 0."""
+    half = E.omega0 == 0.0
+    n = 2 * (len(E.values) - 1) if half else len(E.values)
+    dt = 2.0 * math.pi / (n * E.domega)
+    k = np.flatnonzero(E.values)
+    Ek, w = E.values[k], E.omegas()[k]
+    c = np.where((k == 0) | (k == n // 2), 1.0, 2.0) if half else np.ones(len(k))
+    scale = E.domega / (2.0 * math.pi)
+    ends = []
+    for t in (-(n // 2) * dt, (n // 2 - 1) * dt):
+        sample = scale * np.sum(c * Ek * np.exp(1j * w * t))
+        ends.append(abs(sample.real if half else sample) ** 2)
+    return math.sqrt(scale * math.fsum(c * np.abs(Ek) ** 2) - dt * math.fsum(ends) / 2.0)

@@ -1,6 +1,7 @@
 """Transforms, convolution routes, spectral pipeline, error norms."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -34,6 +35,7 @@ from bandcast import (
     synthesize_time_predictor,
 )
 from bandcast import engine, transforms
+from bandcast.engine import signal_norms
 from bandcast.errors import (
     BandcastError,
     ClassMismatch,
@@ -157,6 +159,13 @@ def test_grid_spec_refuses_values_of_the_wrong_type(n, span):
     # A float n or a string span used to raise the builtin TypeError.
     with pytest.raises(GridMismatch):
         GridSpec(n, span)
+
+
+@pytest.mark.parametrize("span", [10**400, -10**400], ids=["huge", "huge-negative"])
+def test_grid_spec_refuses_integers_past_the_float_range(span):
+    # They used to raise the builtin TypeError from np.isfinite.
+    with pytest.raises(GridMismatch, match="span must be positive and finite"):
+        GridSpec(2048, span)
 
 
 def test_grid_spec_takes_numpy_scalars():
@@ -611,8 +620,9 @@ def test_spectral_predict_ladder_equals_single_rungs(single_pole, pipeline_grid,
 
 
 def test_spectral_predict_ladder_inverts_y_once(single_pole, pipeline_grid, monkeypatch):
-    # L rungs: one inverse transform for y plus one per y_hat, and K once on
-    # the nonzero points of the half grid omega >= 0 of the Hermitian X.
+    # L rungs: one inverse transform per error signal, then one more for y on
+    # its first read, shared by every rung; K once on the nonzero points of
+    # the half grid omega >= 0 of the Hermitian X.
     X = full_grid(_class_signal("LOW", pipeline_grid), pipeline_grid)
     support = np.count_nonzero(transforms.hermitian_half(X.values, X.omega0, X.domega))
     assert 0 < support < pipeline_grid.n // 2 + 1
@@ -635,9 +645,38 @@ def test_spectral_predict_ladder_inverts_y_once(single_pole, pipeline_grid, monk
     monkeypatch.setattr(engine, "transfer_on_grid", counted_transfer)
     results = list(spectral_predict_ladder(X, single_pole, LADDERS["LOW"]))
     assert len(results) == len(LADDERS["LOW"])
+    assert inverses == ["irfft"] * len(LADDERS["LOW"])
+    assert all(r.y is results[0].y for r in results)
+    assert all(r.y is results[-1].y for r in reversed(results))
     assert inverses == ["irfft"] * (len(LADDERS["LOW"]) + 1)
     assert len(half_grid_k) == 1
-    assert all(r.y is results[0].y for r in results)
+
+
+@pytest.mark.parametrize("class_tag", ["LOW", "HIGH"])
+def test_ladder_reuses_one_spectrum_buffer(single_pole, pipeline_grid, monkeypatch, class_tag):
+    # Every rung writes its E into one zero-filled buffer and inverts it: a
+    # ladder allocates one spectrum, however many rungs it has.  The inverse
+    # restores the buffer bit for bit, and no result aliases it.
+    X = _class_signal(class_tag, pipeline_grid)
+    spectra = []
+    zeros = np.zeros
+
+    def counted(shape, *args, **kwargs):
+        out = zeros(shape, *args, **kwargs)
+        if np.size(out) == len(X.values):
+            spectra.append(out)
+        return out
+
+    monkeypatch.setattr(np, "zeros", counted)
+    results = list(spectral_predict_ladder(X, single_pole, LADDERS[class_tag]))
+    monkeypatch.undo()
+    assert len(spectra) == 1
+    (buffer,) = spectra
+    assert np.array_equal(buffer, results[-1].error_spectrum.values)
+    for r in results:
+        for values in (r.e.values, r.error_spectrum.values, r.yhat_spectrum.values,
+                       r.yhat.values, r.y.values):
+            assert not np.shares_memory(values, buffer)
 
 
 @pytest.mark.parametrize("class_tag", ["LOW", "HIGH"])
@@ -668,11 +707,15 @@ def _complex_path_ladder(monkeypatch, X, kernel, gammas):
     """The ladder with the Hermitian check disabled: every grid point, ifft.
 
     Both checks go: K is evaluated on exactly antisymmetric frequencies, so
-    K*X is exactly Hermitian and the inverse would take irfft on its own."""
+    K*X is exactly Hermitian and the inverse would take irfft on its own.
+    y and y_hat are inverted when first read, so they are read here."""
     with monkeypatch.context() as m:
         m.setattr(engine, "hermitian_half", lambda *args: None)
         m.setattr(transforms, "hermitian_half", lambda *args: None)
-        return list(spectral_predict_ladder(X, kernel, gammas))
+        results = list(spectral_predict_ladder(X, kernel, gammas))
+        for r in results:
+            _ = r.y, r.yhat
+        return results
 
 
 def _l2(values, dt):
@@ -1001,14 +1044,23 @@ def test_error_norms_triangle_inequality():
         assert ac[1] <= ab[1] + bc[1] + 1e-12
 
 
+_NORM_BITS = {float: (8.115256819395363, 3.65924332577673),
+              complex: (11.423239863223824, 4.524512498467494)}
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_error_norms_bits_match_reference(dtype):
+    # The bits are pinned; they are the trapezoid rule to within 1e-15 of an
+    # exactly rounded sum, and the sup is max |y - yhat| exactly.
+    want = _NORM_BITS[dtype]
     parts = np.random.default_rng(41).standard_normal((2, 2, 257))
     vals = parts[:, 0] + 1j * parts[:, 1] if dtype is complex else parts[:, 0]
     y, yhat = (SampledSignal(-1.0, 0.125, v.copy()) for v in vals)
-    diff = np.abs(vals[0] - vals[1])
-    want = (float(math.sqrt(np.trapezoid(diff**2, dx=0.125))), float(np.max(diff)))
     assert error_norms(y, yhat) == want
+    sq = np.abs(vals[0] - vals[1]) ** 2
+    trapezoid = math.sqrt(0.125 * (math.fsum(sq) - (sq[0] + sq[-1]) / 2))
+    assert want[0] == pytest.approx(trapezoid, rel=1e-15)
+    assert want[1] == float(np.max(np.abs(vals[0] - vals[1])))
     assert np.array_equal(y.values, vals[0]) and np.array_equal(yhat.values, vals[1])
 
 
@@ -1053,7 +1105,9 @@ def test_prediction_result_validates_norms(single_pole, pipeline_grid):
     # The norms are derived from the samples, so they cannot disagree with them.
     X = make_bandlimited_signal("raised_cosine", (-0.9, 0.9), pipeline_grid, 1.0)
     r = spectral_predict(X, single_pole, 5.0)
-    assert (r.err_l2, r.err_linf) == error_norms(r.y, r.yhat)
+    assert (r.err_l2, r.err_linf) == signal_norms(r.e)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.err_l2 = 0.0
     with pytest.raises(TypeError):
         PredictionResult(r.y, r.yhat, r.gamma, err_l2=r.err_l2)
     shifted = SampledSignal(r.y.t0 + r.y.dt, r.y.dt, r.yhat.values)

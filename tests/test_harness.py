@@ -323,6 +323,29 @@ def test_config_reads_numbers_and_flags_by_type(mutate, message):
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "mutate, path",
+    [(lambda doc: doc["grid"].update(span=10**400), "grid.span"),
+     (lambda doc: doc["grid"].update(span=-10**400), "grid.span"),
+     (lambda doc: doc["kernel"].update(numerator=[10**400]), "kernel.numerator[0]")],
+    ids=["span", "negative-span", "numerator"],
+)
+def test_cli_integer_past_the_float_range_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                            mutate, path):
+    # A 401-digit integer literal used to end the run with an OverflowError
+    # traceback (exit 1) while its sign was being taken.
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads((ROOT / "configs" / "sweep.json").read_text())
+    mutate(doc)
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert "0" * 400 in (tmp_path / "cfg.json").read_text()
+    assert cli_main(["sweep", "--config", "cfg.json"]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(path) and "finite" in record["message"]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_config_takes_paired_and_hermitian_bools():
     cfg = config_from_dict(base_config(kernel=_pole(paired=True)))
     assert cfg.kernel.poles == ((0.5, 0.8, 1), (0.5, -0.8, 1))
@@ -693,21 +716,32 @@ def test_decompose_mixed_support_combined_ladder():
 
 def test_decompose_one_sided_high_part():
     # The symmetric LOW part is carried as its omega >= 0 half, the one-sided
-    # HIGH part on the full grid; check (a) sums them on the full grid.  The
-    # err_l2 values are pinned as the full-grid version of check (a) gave them.
+    # HIGH part on the full grid; check (a) sums their error spectra on the
+    # full grid.  The err_l2 values are pinned as the inverted error spectra
+    # give them.  Each is within 1e-10 of what y - y_hat gave, with the
+    # full-grid version of check (a) on the predictions.
     part = {"envelope": "raised_cosine", "support": [-0.9, 0.9], "hermitian": True}
     high = {"envelope": "raised_cosine", "support": [1.2, 1.5], "hermitian": False}
     cfg = config_from_dict(
         base_config(signals=[{"id": "mix", "kind": "composite", "parts": [part, high]}])
     )
-    report = run_decomposition_demo(cfg)
-    assert [r.err_l2 for r in report.rows] == [
+    errs = [r.err_l2 for r in run_decomposition_demo(cfg).rows]
+    assert errs == [
+        0.07269457377040019,
+        0.02041929284906375,
+        0.00486169412540937,
+        0.0003439527548558631,
+        3.605573190216798e-07,
+    ]
+    from_y_minus_yhat = [
         0.07269457377040017,
         0.020419292849063745,
         0.0048616941254093615,
         0.000343952754855864,
         3.6055731902022107e-07,
     ]
+    for err, old in zip(errs, from_y_minus_yhat, strict=True):
+        assert err == pytest.approx(old, rel=1e-10)
 
 
 def test_cli_unknown_subcommand_exits_2(tmp_path):
@@ -768,29 +802,99 @@ def test_cli_malformed_config_exits_2_with_record(tmp_path, monkeypatch, capsys,
 
 
 def test_sweep_ladder_converged_to_zero_passes():
-    # Past gamma = 200 the error is 0.0, though V - 1 does not underflow:
-    # |V - 1| <= 7.5e-20 on the support at gamma = 400
-    # (compensator_minus_one_on_points), so V * Y rounds to Y and y_hat
-    # equals y exactly.
+    # y - y_hat read 0.0 from gamma = 400 on, though V - 1 does not
+    # underflow there: |V - 1| <= 7.5e-20 on the support, so V * Y rounded to
+    # Y.  The error inverted from E = (V - 1) K X keeps falling: 2.6e-25 at
+    # gamma = 400 and 2.0e-44 at 800.
     doc = json.loads((ROOT / "configs" / "sweep.json").read_text())
     doc["gamma_ladder"] = [20, 50, 100, 200, 400, 800]
     report = run_convergence_sweep(config_from_dict(doc))
-    assert [r.err_l2 for r in report.rows][-2:] == [0.0, 0.0]
+    errs = [r.err_l2 for r in report.rows]
+    assert all(err > 0.0 for err in errs)
+    assert all(b < a for a, b in zip(errs, errs[1:]))
     assert all(r.monotone_ok for r in report.rows)
+
+
+def _config_error_spectra():
+    """(label, gamma, E, err_l2) for every FFT-route rung of configs/: the
+    sweep (its ladder run on to gamma = 800), robustness, both decompose
+    parts and their recombined error, and a one-sided HIGH part on the full
+    grid.  Each ladder is rebuilt as its op builds it, E is the rung's error
+    spectrum, and err_l2 is the value the op reports for that rung."""
+    def load(name, **changes):
+        doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+        doc.update(changes, outputs={})
+        return config_from_dict(doc)
+
+    def spectrum(cfg, spec):
+        return harness.build_grid_spectrum(spec, cfg.grid, cfg.kernel.omega)
+
+    def rungs(label, cfg, X, gammas, reported):
+        ladder = harness.spectral_predict_ladder(X, cfg.kernel, gammas)
+        for r, err in zip(ladder, reported, strict=True):
+            assert r.err_l2 == err, label
+            yield label, r.gamma, r.error_spectrum, err
+
+    cfg = load("sweep", gamma_ladder=[2, 5, 10, 20, 50, 100, 200, 400, 800])
+    (spec,) = cfg.signals
+    errs = [row.err_l2 for row in run_convergence_sweep(cfg).rows]
+    out = list(rungs("sweep", cfg, spectrum(cfg, spec), cfg.gamma_ladder, errs))
+
+    cfg = load("robustness")
+    (spec,) = cfg.signals
+    errs = [row.err_l2 for row in run_robustness_probe(cfg).rows]
+    X = signals.add_outofband_noise(spectrum(cfg, spec), cfg.noise.eta, cfg.noise.support,
+                                    cfg.seed, cfg.kernel.omega)
+    out += rungs("robustness", cfg, X, cfg.gamma_ladder, errs)
+
+    part = {"envelope": "raised_cosine", "support": [-0.9, 0.9], "hermitian": True}
+    one_sided = {"envelope": "raised_cosine", "support": [1.2, 1.5], "hermitian": False}
+    one_sided_cfg = config_from_dict(
+        base_config(signals=[{"id": "mix", "kind": "composite", "parts": [part, one_sided]}]))
+    for name, cfg in (("decompose", load("decompose")), ("one-sided", one_sided_cfg)):
+        (spec,) = cfg.signals
+        report = run_decomposition_demo(cfg)
+        low, high = signals.ideal_lowpass_split(spectrum(cfg, spec), cfg.kernel.omega)
+        gammas = cfg.gamma_ladder
+        lows = list(rungs(f"{name} low", cfg, low, gammas, report.summary[spec.id]["err_low"]))
+        highs = list(rungs(f"{name} high", cfg, high, [-g for g in gammas],
+                           report.summary[spec.id]["err_high"]))
+        out += lows + highs
+        for (_l, gamma, E_low, _e), (_h, _g, E_high, _e2), row in zip(lows, highs, report.rows):
+            total = harness._sum_spectra([E_low, E_high], cfg.grid.n)
+            out.append((f"{name} total", gamma, total, row.err_l2))
+    return out
+
+
+def test_err_l2_equals_the_spectral_formula_on_every_config_rung():
+    # Parseval plus two end samples (helpers.spectral_err_l2) never inverts:
+    # it checks the inverted error from outside, on halves and on the full
+    # grid, and at gamma = 400 and 800, where y - y_hat read 0.0.
+    rungs = _config_error_spectra()
+    assert {label for label, _g, E, _err in rungs if E.omega0 != 0.0} == {
+        "one-sided high", "one-sided total"}
+    deep = [err for label, gamma, _E, err in rungs if label == "sweep" and gamma >= 400]
+    assert len(deep) == 2 and all(0.0 < err < 1e-24 for err in deep)
+    for label, gamma, E, err in rungs:
+        assert helpers.spectral_err_l2(E) == pytest.approx(err, rel=1e-12), (label, gamma)
 
 
 @pytest.mark.parametrize(
     "name, op, bound",
-    [("sweep", run_convergence_sweep, 6.0), ("robustness", run_robustness_probe, 5.5),
-     ("decompose", run_decomposition_demo, 12.5)],
+    [("sweep", run_convergence_sweep, 2.45), ("robustness", run_robustness_probe, 3.3),
+     ("decompose", run_decomposition_demo, 8.1)],
+    ids=["sweep", "robustness", "decompose"],
 )
 def test_grid_op_peak_memory(name, op, bound):
-    # Traced peak at n = 2**16, in (n/2 + 1)-point complex half spectra.
-    # One live rung and no held spectrum take 5.3 (sweep and robustness)
-    # and 11.4 (decompose).  Holding any one of the built spectra, the
-    # previous rung or X inside the ladder takes 6.2-7.3 and 13.3-15.4; all
-    # of them, 10.3 and 18.3.  Noise added over full-length temporaries took
-    # robustness to 7.0.
+    # Traced peak at n = 2**16, in (n/2 + 1)-point complex half spectra; a
+    # float signal of n samples is one such unit.  A ladder holds one reused
+    # spectrum buffer and its live rung's e, so it takes 2.24 (sweep), 3.01
+    # (robustness: the noisy X is active everywhere) and 7.37 (decompose: two
+    # ladders, and check (a) sums both error spectra and inverts the sum).
+    # The bounds leave under 10 % headroom, less than one more full-length
+    # array: a second live rung, a held spectrum or X, a fresh spectrum per
+    # rung that outlives its inverse, or a norm temporary such as |e| would
+    # each pass them.
     n = 2**16
     doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
     doc["grid"] = {"n": n, "span": 400.0 * n / 2048}
@@ -1017,10 +1121,11 @@ def test_cli_defective_density_fails_when_built(tmp_path, monkeypatch, capsys, d
 @pytest.mark.parametrize(
     "name, op, inverses",
     [
-        ("sweep", run_convergence_sweep, 6),  # y, then one y_hat per rung
-        ("robustness", run_robustness_probe, 8),  # y, then 7 rungs
-        ("decompose", run_decomposition_demo, 17),  # 2 y, 2 per rung, 1 recombined
+        ("sweep", run_convergence_sweep, 5),  # one error per rung, no y
+        ("robustness", run_robustness_probe, 7),  # 7 rungs
+        ("decompose", run_decomposition_demo, 15),  # 2 errors per rung, 1 recombined
     ],
+    ids=["sweep", "robustness", "decompose"],
 )
 def test_inverse_transform_budget(monkeypatch, name, op, inverses):
     # Grid signals are spectra: no op inverts a signal it does not predict.
@@ -1092,9 +1197,9 @@ def _inverse_offset(real):
     return offset
 
 
-def _error_norms_inflated(real):
-    def inflated(y, yhat):
-        err_l2, err_linf = real(y, yhat)
+def _norms_inflated(real):
+    def inflated(e):
+        err_l2, err_linf = real(e)
         return err_l2 + 1.0, err_linf
     return inflated
 
@@ -1108,7 +1213,7 @@ def _error_norms_inflated(real):
          lambda measured, bound: bound == pytest.approx(2.0 * measured, rel=1e-6)),
         ("decompose", "decompose", "fourier_inverse", _inverse_offset, "mix",
          lambda measured, bound: measured == pytest.approx(1.0) and bound < 1e-11),
-        ("decompose", "decompose", "error_norms", _error_norms_inflated, "mix",
+        ("decompose", "decompose", "signal_norms", _norms_inflated, "mix",
          lambda measured, bound: bound < measured <= bound + 1.0),
     ],
     ids=["uniform-bound", "single-atom", "decompose-split-sum", "decompose-triangle"],
@@ -1131,7 +1236,7 @@ def test_cli_decompose_rising_total_is_a_monotonicity_violation(tmp_path, monkey
     # The recombined ladder fails as its parts do: a MonotonicityViolation
     # record naming the signal, and no CSV.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(harness, "_recombined_errors", lambda _id, _y, r_low, _r_high: (
+    monkeypatch.setattr(harness, "_recombined_errors", lambda _id, r_low, _r_high: (
         float(r_low.gamma), float(r_low.gamma)))
     assert cli_main(["decompose", "--config", str(ROOT / "configs" / "decompose.json")]) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -1283,8 +1388,8 @@ def test_error_plot_svg_text_is_pinned():
     assert line_plot_svg(gammas, [0.0] * len(gammas), *labels) == _EMPTY_PLOT_SVG
 
 
-def _run_module(module, *args, cwd):
-    env = dict(os.environ)
+def _run_module(module, *args, cwd, **env_vars):
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", module, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
@@ -1298,6 +1403,26 @@ def test_module_entry_points_run_the_cli(tmp_path, module):
     assert (tmp_path / "sweep.csv").read_text().splitlines()[0] == (
         (GOLDEN / "sweep_golden.csv").read_text().splitlines()[0]
     )
+
+
+def test_sweep_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # At n = 2**16 a BLAS dot product of the error samples with themselves
+    # already rounds differently on one and on two OpenBLAS threads; the
+    # norms sum without BLAS, so the CSV bytes agree.  At n = 2048 they would
+    # agree either way.
+    n = 2**16
+    doc = json.loads((ROOT / "configs" / "sweep.json").read_text())
+    doc.update(grid={"n": n, "span": 400.0 * n / 2048}, outputs={"csv": "sweep.csv"})
+    csvs = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / threads
+        run_dir.mkdir()
+        (run_dir / "cfg.json").write_text(json.dumps(doc))
+        proc = _run_module("bandcast", "sweep", "--config", "cfg.json", cwd=run_dir,
+                           OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        csvs.append((run_dir / "sweep.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_module_entry_point_without_subcommand_exits_2(tmp_path):

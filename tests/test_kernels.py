@@ -63,6 +63,22 @@ def test_build_refuses_malformed_pole_entries(entry):
         build_kernel([entry], [1.0], 1.0)
 
 
+@pytest.mark.parametrize(
+    "poles, numerator, omega, error",
+    [([(10**400, 0.0, 1)], [1.0], 1.0, PoleOutOfRegion),
+     ([(1.0, -10**400, 1)], [1.0], 1.0, PoleOutOfRegion),
+     ([(1.0, 0.0, 1)], [10**400], 1.0, DegreeViolation),
+     ([(1.0, 0.0, 1)], [-10**400], 1.0, DegreeViolation),
+     ([(1.0, 0.0, 1)], [1.0], 10**400, PoleOutOfRegion)],
+    ids=["pole-a", "pole-b", "numerator", "numerator-negative", "omega"],
+)
+def test_build_refuses_integers_past_the_float_range(poles, numerator, omega, error):
+    # Each raises the error its neighbouring finiteness check raises; they
+    # used to raise the builtin OverflowError or TypeError.
+    with pytest.raises(error, match="finite|omega must be positive"):
+        build_kernel(poles, numerator, omega)
+
+
 def test_build_takes_numpy_scalars():
     kernel = build_kernel([(np.float64(1.0), np.float32(0.0), np.int64(2))], [1.0], 1.0)
     assert kernel.poles == ((1.0, 0.0, 2),)
