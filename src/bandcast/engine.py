@@ -12,8 +12,10 @@ Each route exists to validate the other; keep them independent.
 
 On the grid the pipeline never subtracts y_hat from y: per gamma it inverts
 the error spectrum E = Y_hat - Y = (V - 1) K X, with V - 1 evaluated without
-cancellation, so an error far below eps * ||y|| is still resolved.  y and
-y_hat are inverted only for a caller who reads them.
+cancellation, so an error far below eps * ||y|| is still resolved.  E
+vanishes wherever X does, so a band-limited half inverts as a few short
+transforms (:func:`transforms.band_limited_inverse`).  y and y_hat are
+inverted only for a caller who reads them, by the full inverse.
 
 The pipeline runs on centered grids only (:mod:`bandcast.transforms`) and
 has a real path.  The kernel's coefficients are real and its poles
@@ -32,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -59,7 +61,14 @@ from .predictor import (
     predictor_transfer_on_grid,
 )
 from .signals import MixedSpectrum, SampledSignal, SampledSpectrum, same_time_grid
-from .transforms import grid_length, hermitian_half, signal_from_spectrum, spectrum_from_signal
+from .transforms import (
+    grid_length,
+    hermitian_half,
+    mirror_points,
+    signal_from_spectrum,
+    sparse_inverse,
+    spectrum_from_signal,
+)
 
 
 def fourier_forward(signal: SampledSignal) -> SampledSpectrum:
@@ -246,7 +255,8 @@ class PredictionResult:
     ``yhat_spectrum`` and ``error_spectrum`` are the FFT route's guarded
     Y_hat = V K X and E, on the omega >= 0 half (on its own grid
     omega_k = k*domega) or on the full grid, and y_hat is the inverse of
-    Y_hat; both spectra are None on the atomic-plus-density route.
+    Y_hat; ``error_points`` is E at its active points only.  All three are
+    None on the atomic-plus-density route.
     """
 
     gamma: float
@@ -255,6 +265,7 @@ class PredictionResult:
     err_linf: float
     yhat_spectrum = None
     error_spectrum = None
+    error_points = None
 
     def __init__(self, y: SampledSignal, yhat: SampledSignal, gamma: float):
         if not same_time_grid(y, yhat):
@@ -272,15 +283,31 @@ class PredictionResult:
         self.__dict__.update(gamma=gamma, e=e, err_l2=err_l2, err_linf=err_linf)
 
 
+class SpectrumPoints(NamedTuple):
+    """The spectrum of `size` values on the grid (omega0, domega) that is
+    `values` at `indices` (increasing) and zero elsewhere."""
+
+    omega0: float
+    domega: float
+    size: int
+    indices: np.ndarray
+    values: np.ndarray
+
+    def on_grid(self) -> SampledSpectrum:
+        full = np.zeros(self.size, dtype=complex)
+        full[self.indices] = self.values
+        return SampledSpectrum(self.omega0, self.domega, full)
+
+
 class _SpectralRung(PredictionResult):
     """A rung of :func:`spectral_predict_ladder`, built from its inverted
-    error e; `y`, `yhat_spectrum` and `error_spectrum` compute those
-    attributes.  y, Y_hat and y_hat (the inverse of Y_hat) are computed on
-    their first read; E afresh on every read, so that the result does not
-    keep it."""
+    error e and E at the active points; `y`, `yhat_spectrum` and
+    `error_spectrum` compute those attributes.  y, Y_hat and y_hat (the
+    inverse of Y_hat) are computed on their first read; the full-grid E
+    afresh on every read, so that the result does not keep it."""
 
-    def __init__(self, gamma, e, y, yhat_spectrum, error_spectrum):
-        self.__dict__.update(_y=y, _yhat_spectrum=yhat_spectrum, _error_spectrum=error_spectrum)
+    def __init__(self, gamma, e, y, yhat_spectrum, error_points: SpectrumPoints):
+        self.__dict__.update(_y=y, _yhat_spectrum=yhat_spectrum, error_points=error_points)
         self._set_error(gamma, e)
 
     @property
@@ -297,7 +324,7 @@ class _SpectralRung(PredictionResult):
 
     @property
     def error_spectrum(self) -> SampledSpectrum:
-        return self._error_spectrum()
+        return self.error_points.on_grid()
 
 
 def _max_abs(values: np.ndarray) -> float:
@@ -345,47 +372,79 @@ def spectral_predict_ladder(
     so off-band blow-up cannot poison in-class runs; if X has energy where
     the compensator saturates, it raises ClassMismatch when that rung is
     reached.  The returned iterator computes each rung when it is reached:
-    it writes E at the active points into one zero-filled buffer that every
-    rung reuses, and inverts it to the rung's e, its one full-length
-    allocation.  y, y_hat and the spectra are computed only when a result's
-    attribute is read (:class:`PredictionResult`); y at most once, shared by
-    all rungs.  One result per gamma, in ladder order.  Between rungs only
-    the buffer, the mask and the values at the active points are kept, not
-    X: a caller that drops X and each result before asking for the next
-    holds one rung at a time.
+    it inverts E from its values at the active points with one inverter
+    (:func:`transforms.sparse_inverse`) that every rung reuses: on a half the
+    band-limited inverse, whose transform length follows the support, and on
+    the full grid one zero-filled buffer.  The rung's e is its one fresh
+    full-length array.  y, y_hat and the spectra are computed only when a
+    result's attribute is read (:class:`PredictionResult`); y at most once,
+    shared by all rungs, and y_hat as the exact inverse of Y_hat
+    (:func:`fourier_inverse`).  One result per gamma, in ladder order.
+    Between rungs only the inverter and the active points and values are
+    kept, not X: a caller that drops X and each result before asking for
+    the next holds one rung at a time.
     """
     grid_length(len(X.values), X.omega0, X.domega)
     predictors = [PredictorTransfer(kernel, gamma) for gamma in gammas]
     half = hermitian_half(X.values, X.omega0, X.domega)  # None for a half: it is not centered
     if half is not None:  # run on the half, on its own grid omega_k = k*domega
         X = SampledSpectrum(0.0, X.domega, half)
-    omega0, domega = X.omega0, X.domega
-    active = X.values != 0.0
+    active = np.flatnonzero(X.values)
     w = X.omegas()[active]
-    Y_active = transfer_on_grid(kernel, w) * X.values[active]
+    Y = SpectrumPoints(X.omega0, X.domega, len(X.values), active,
+                       transfer_on_grid(kernel, w) * X.values[active])
     p_active = 1j * w
-    del X, half  # the rungs read only the active points
-
-    def on_grid(values: np.ndarray) -> SampledSpectrum:
-        full = np.zeros(len(active), dtype=complex)
-        full[active] = values
-        return SampledSpectrum(omega0, domega, full)
-
-    y = functools.cache(lambda: fourier_inverse(on_grid(Y_active)))  # shared by every rung
-    buffer = SampledSpectrum(omega0, domega, np.zeros(len(active), dtype=complex))
+    del X, half, w  # the rungs read only the active points
+    invert = sparse_inverse(active, Y.size, Y.omega0, Y.domega)
+    y = functools.cache(lambda: fourier_inverse(Y.on_grid()))  # shared by every rung
 
     def rung(predictor: PredictorTransfer) -> PredictionResult:
-        E_active = compensator_minus_one_on_points(predictor, p_active, ClassMismatch) * Y_active
-        buffer.values[active] = E_active
-        # The inverse restores every bit of the buffer and returns fresh samples.
-        e = fourier_inverse(buffer)
+        E_active = compensator_minus_one_on_points(predictor, p_active, ClassMismatch) * Y.values
+        values, t0, dt = invert(E_active)
         return _SpectralRung(
-            predictor.gamma, e, y,
-            lambda: on_grid(compensator_on_points(predictor, p_active, ClassMismatch) * Y_active),
-            lambda: on_grid(E_active),
+            predictor.gamma, SampledSignal(t0, dt, values), y,
+            lambda: Y._replace(values=compensator_on_points(predictor, p_active, ClassMismatch)
+                               * Y.values).on_grid(),
+            Y._replace(values=E_active),
         )
 
     return map(rung, predictors)
+
+
+def error_sum_inverse(rungs):
+    """For one rung of each of some ladders of :func:`spectral_predict_ladder`
+    on one grid: a function that takes one rung of each, in the same order,
+    and returns the inverse of their summed error spectra.
+
+    Every rung of a ladder has the same active points.  The spectra are
+    summed, in order, at the union of the ladders' points, and the sum is
+    inverted by one :func:`transforms.sparse_inverse` built here: on the
+    omega >= 0 half if every part is a half, else on the full grid, onto
+    which each half's points are mirrored (:func:`transforms.mirror_points`).
+    No full-length spectrum is built but the full grid's one buffer.
+    """
+    points = [r.error_points for r in rungs]
+    n = len(rungs[0].e.values)
+    grid = next((p for p in points if p.omega0 != 0.0), points[0])
+
+    def placed(p: SpectrumPoints):
+        if p.omega0 == grid.omega0:
+            return p.indices, p.values
+        return mirror_points(p.indices, p.values, n)
+
+    positions = [placed(p)[0] for p in points]
+    union = functools.reduce(np.union1d, positions)
+    slots = [np.searchsorted(union, at) for at in positions]
+    invert = sparse_inverse(union, grid.size, grid.omega0, grid.domega)
+
+    def inverse(rungs) -> SampledSignal:
+        total = np.zeros(len(union), dtype=complex)
+        for r, slot in zip(rungs, slots, strict=True):
+            total[slot] += placed(r.error_points)[1]
+        values, t0, dt = invert(total)
+        return SampledSignal(t0, dt, values)
+
+    return inverse
 
 
 def spectral_predict(

@@ -41,6 +41,9 @@ from .errors import (
 from .grids import as_float
 
 _COINCIDENCE_TOL = 1e-12
+# (p - pole)**mult needs mult as an int64: numpy's power refuses or
+# misreads a larger Python int.
+_MAX_MULTIPLICITY = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,8 @@ def build_kernel(
 
     Raises PoleOutOfRegion, DegreeViolation, NonConjugateSymmetric or
     NumericalDegeneracy when the inputs violate the class constraints; a pole
-    entry that is not a triple of real a, b and integer mult (bools refused)
-    raises PoleOutOfRegion.
+    entry that is not a triple of real a, b and integer mult (bools refused),
+    or whose mult is past int64, raises PoleOutOfRegion.
     """
     if not (math.isfinite(as_float(omega)) and omega > 0):
         raise PoleOutOfRegion(f"band constant omega must be positive, got {omega}")
@@ -109,6 +112,9 @@ def build_kernel(
             raise PoleOutOfRegion(f"non-finite pole entry {entry!r}")
         if mult < 1:
             raise PoleOutOfRegion(f"pole multiplicity must be >= 1, got {mult}")
+        if mult > _MAX_MULTIPLICITY:
+            raise PoleOutOfRegion(f"pole multiplicity must be at most 2**63 - 1, the int64 "
+                                  f"exponents numpy's power takes; got {mult.bit_length()} bits")
         if a <= 0:
             raise PoleOutOfRegion(f"pole real part a must be > 0, got a={a}")
         if abs(b) >= omega:

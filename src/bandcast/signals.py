@@ -21,6 +21,7 @@ go to the LOW part of a split.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -214,8 +215,19 @@ def make_highfreq_signal(envelope: str, support: tuple[float, float], grid_spec:
 # Mixed spectra: atoms + integrable density
 
 
+@functools.cache
+def _gauss_legendre_8() -> tuple[np.ndarray, np.ndarray]:
+    """The 8-point Gauss-Legendre rule on [-1, 1] as read-only (nodes,
+    weights), solved on first use: solving it pages in LAPACK, which a
+    process that integrates no density need not hold."""
+    rule = np.polynomial.legendre.leggauss(8)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _gauss_legendre_panels(lo: float, hi: float, panels: int):
-    nodes, weights = np.polynomial.legendre.leggauss(8)
+    nodes, weights = _gauss_legendre_8()
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -20,8 +20,9 @@ centered n-point grid has, so values and grid say which one they are
 to float samples with irfft.  A full spectrum that is exactly Hermitian
 (:func:`hermitian_half`, one exact check), such as the forward transform of
 float samples, takes the same path; any other inverts with a complex FFT.
-The forward transform of float samples is an rfft mirrored onto the full
-grid (:func:`mirror_half`).
+A half that vanishes above some bin also inverts as a few interleaved
+short irffts (:func:`band_limited_inverse`).  The forward transform of
+float samples is an rfft mirrored onto the full grid (:func:`mirror_half`).
 """
 
 from __future__ import annotations
@@ -90,13 +91,25 @@ def mirror_half(half: np.ndarray, n: int) -> np.ndarray:
     The DC and Nyquist bins keep their real parts, as irfft does, so the
     result inverts to the same signal as `half`.
     """
-    h = n // 2
+    positions, values = mirror_points(np.arange(n // 2 + 1), half, n)
     full = np.empty(n, dtype=complex)
-    full[h:] = half[:h]
-    full[h] = half[0].real
-    full[0] = half[h].real
-    np.conjugate(half[h - 1 : 0 : -1], out=full[1:h])
+    full[positions] = values
     return full
+
+
+def mirror_points(k: np.ndarray, values: np.ndarray, n: int):
+    """(positions, values) on the centered n-point grid of the Hermitian
+    spectrum whose omega >= 0 half is `values` at the bins k and zero
+    elsewhere: the point k at k + n/2 (mod n) and, for 0 < k < n/2, its
+    conjugate at n/2 - k.  The DC and Nyquist bins keep their real parts, as
+    irfft does."""
+    h = n // 2
+    inner = (k > 0) & (k < h)
+    positions = np.concatenate(((k + h) % n, h - k[inner]))
+    mirrored = np.concatenate((values, np.conj(values[inner])))
+    edges = k % h == 0
+    mirrored[: len(k)][edges] = values[edges].real
+    return positions, mirrored
 
 
 def spectrum_from_signal(values: np.ndarray, dt: float, t0: float):
@@ -155,3 +168,81 @@ def signal_from_spectrum(values: np.ndarray, omega0: float, domega: float):
         _alternate_signs(sig)
         sig *= (-1.0 if (n // 2) % 2 else 1.0) * (domega * n / (2.0 * np.pi))
     return sig, float(-(n // 2) * dt), dt
+
+
+# Rows of the band-limited inverse per exact twiddle: the other rows chain
+# theirs from it, at most _CHAINED_ROWS - 1 multiplications each.
+_CHAINED_ROWS = 16
+
+
+def band_limited_inverse(indices, n: int, domega: float):
+    """The inverse transform of omega >= 0 halves that vanish off the bins
+    `indices` (increasing, in 0..n/2): a function from a half's values at
+    those bins to what :func:`signal_from_spectrum` gives for the whole half,
+    (float samples, t0, dt), the samples to roundoff.
+
+    If every active k < M/2, with M = n/r a power of two, the n-point inverse
+    is r interleaved M-point ones (Markel's pruning):
+    e_{q*r+s} = (domega*M/2pi) * irfft_M(G_s)_q with
+    G_s(k) = (-1)^k X_k e^{2 pi i s k/n}.  M is the smallest power of two
+    >= 2*(k_max + 1), capped at n, so it depends on the support alone.  One
+    (r, M/2 + 1) complex buffer serves every call: row 0 takes
+    (-1)^k X_k and row s row 0 times its twiddle, one batched irfft
+    overwrites the rows, and their transpose, scaled, becomes fresh samples.
+    With r = 1 (a support that reaches k = n/2 - 1) the samples are the
+    irfft of :func:`signal_from_spectrum` bit for bit.
+    """
+    k = np.asarray(indices, dtype=np.intp)
+    m = min(n, 1 << (2 * int(k.max(initial=0)) + 1).bit_length())
+    r = n // m
+    rows = np.zeros((r, m // 2 + 1), dtype=complex)
+    odd = k % 2 == 1
+    chained = min(r, _CHAINED_ROWS)
+    step = np.exp((2j * np.pi / n) * k)
+    # Exact twiddles of the rows s = j*chained, j >= 1 (s*k < n/2 is exact).
+    exact = np.exp((2j * np.pi / n) * (np.arange(chained, r, chained)[:, None] * k))
+    blocks = rows.reshape(r // chained, chained, m // 2 + 1)
+    scale = domega * m / (2.0 * np.pi)
+    dt = 2.0 * np.pi / (n * domega)
+    t0 = float(-(n // 2) * dt)
+
+    def invert(values):
+        rows.fill(0.0)  # the previous call's output overwrote the rows
+        g = np.array(values, dtype=complex)
+        np.negative(g, out=g, where=odd)
+        for b in range(chained):
+            blocks[0, b][k] = g  # a row's own fancy index: faster than [0, b, k]
+            if len(exact):
+                blocks[1:, b, k] = exact * g
+            if b + 1 < chained:
+                g *= step
+        del g  # not live during the transform
+        # numpy copies the overlapping input first: two buffers are live, not
+        # the three that a fresh output and the samples would make.
+        out = np.fft.irfft(rows, m, axis=1, out=rows.view(np.float64)[:, :m])
+        samples = np.empty(n)
+        np.copyto(samples.reshape(m, r), out.T)  # unlike a ufunc, without a buffer
+        samples *= scale
+        return samples, t0, dt
+
+    return invert
+
+
+def sparse_inverse(indices, size: int, omega0: float, domega: float):
+    """The inverse transform of spectra of `size` values on the grid
+    (omega0, domega) that vanish off `indices` (increasing): a function from
+    the values there to (signal_values, t0, dt), as
+    :func:`signal_from_spectrum`.  A half (omega0 == 0) takes
+    :func:`band_limited_inverse`; on the full grid the values are written
+    into one reused zero-filled buffer, which signal_from_spectrum inverts.
+    """
+    n = grid_length(size, omega0, domega)
+    if omega0 == 0.0:
+        return band_limited_inverse(indices, n, domega)
+    buffer = np.zeros(size, dtype=complex)
+
+    def invert(values):
+        buffer[indices] = values
+        return signal_from_spectrum(buffer, omega0, domega)
+
+    return invert

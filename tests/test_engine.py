@@ -655,27 +655,29 @@ def test_spectral_predict_ladder_inverts_y_once(single_pole, pipeline_grid, monk
 @pytest.mark.parametrize("class_tag", ["LOW", "HIGH"])
 def test_ladder_reuses_one_spectrum_buffer(single_pole, pipeline_grid, monkeypatch, class_tag):
     # Every rung writes its E into one zero-filled buffer and inverts it: a
-    # ladder allocates one spectrum, however many rungs it has.  The inverse
-    # restores the buffer bit for bit, and no result aliases it.
+    # ladder allocates one buffer of at least n/2 values, however many rungs
+    # it has.  On a band-limited half it is the band-limited inverse's r rows
+    # of M/2 + 1 values, r*M = n, r > 1.  No result aliases it.
     X = _class_signal(class_tag, pipeline_grid)
-    spectra = []
+    buffers = []
     zeros = np.zeros
 
     def counted(shape, *args, **kwargs):
         out = zeros(shape, *args, **kwargs)
-        if np.size(out) == len(X.values):
-            spectra.append(out)
+        if np.size(out) >= pipeline_grid.n // 2:
+            buffers.append(out)
         return out
 
     monkeypatch.setattr(np, "zeros", counted)
     results = list(spectral_predict_ladder(X, single_pole, LADDERS[class_tag]))
     monkeypatch.undo()
-    assert len(spectra) == 1
-    (buffer,) = spectra
-    assert np.array_equal(buffer, results[-1].error_spectrum.values)
+    assert len(buffers) == 1
+    (buffer,) = buffers
+    rows, width = buffer.shape
+    assert rows > 1 and rows * 2 * (width - 1) == pipeline_grid.n
     for r in results:
-        for values in (r.e.values, r.error_spectrum.values, r.yhat_spectrum.values,
-                       r.yhat.values, r.y.values):
+        for values in (r.e.values, r.error_spectrum.values, r.error_points.values,
+                       r.yhat_spectrum.values, r.yhat.values, r.y.values):
             assert not np.shares_memory(values, buffer)
 
 
@@ -846,6 +848,72 @@ def test_real_round_trip_is_float_and_no_worse_than_complex(n):
     err = _l2(back.values - sig.values, sig.dt)
     assert err <= _l2(back_c.values - sig.values, sig.dt)
     assert np.max(np.abs(back.values - sig.values)) <= 1e-14 * np.max(np.abs(sig.values))
+
+
+_SUPPORTS = {  # n = 2**10: half bins 0..512
+    "contiguous": (np.arange(0, 58), 128),
+    "gapped": (np.r_[np.arange(1, 58), np.arange(67, 71)], 256),
+    "single-bin": (np.array([5]), 16),
+    "dc-only": (np.array([0]), 2),
+    "kmax-is-M/2-1": (np.arange(20, 64), 128),
+    "kmax-is-M/2": (np.arange(20, 65), 256),
+    "reaches-nyquist": (np.r_[np.arange(0, 40), np.arange(500, 513)], 1024),
+    "kmax-is-n/2-1": (np.arange(3, 512), 1024),
+    "empty": (np.array([], dtype=int), 2),
+}
+
+
+@pytest.mark.parametrize("support, m", _SUPPORTS.values(), ids=_SUPPORTS.keys())
+def test_band_limited_inverse_matches_the_full_inverse(monkeypatch, support, m):
+    # r = n/M interleaved M-point inverses give the n-point inverse to
+    # roundoff; M is the smallest power of two >= 2*(k_max + 1), and with
+    # r = 1 the samples are the full inverse's bit for bit.  The one buffer
+    # is reused: a second half inverts as correctly as the first, and no
+    # samples share memory with it.
+    n, domega = 2**10, 2.0 * np.pi / 300.0
+    rng = np.random.default_rng(len(support) + m)
+    buffers = []
+    zeros = np.zeros
+
+    def recorded(shape, *args, **kwargs):
+        out = zeros(shape, *args, **kwargs)
+        buffers.append(out)
+        return out
+
+    monkeypatch.setattr(np, "zeros", recorded)
+    invert = transforms.band_limited_inverse(support, n, domega)
+    monkeypatch.undo()
+    (buffer,) = buffers
+    assert buffer.shape == (n // m, m // 2 + 1)
+    outputs = []
+    for _ in range(2):
+        values = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+        half = np.zeros(n // 2 + 1, dtype=complex)
+        half[support] = values
+        want, t0, dt = transforms.signal_from_spectrum(half, 0.0, domega)
+        got, got_t0, got_dt = invert(values)
+        assert got.dtype == np.float64 and (got_t0, got_dt) == (t0, dt)
+        if m == n:
+            assert got.tobytes() == want.tobytes()
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * np.max(np.abs(want), initial=0.0)
+        assert not np.shares_memory(got, buffer)
+        outputs.append(got)
+    assert not np.shares_memory(*outputs)
+
+
+def test_mirror_points_place_what_mirror_half_places():
+    n = 16
+    k = np.array([0, 1, 5, 7, 8])
+    values = np.array([1 + 2j, 3 - 1j, -2 + 5j, 0.5j, -4 + 3j])
+    half = np.zeros(n // 2 + 1, dtype=complex)
+    half[k] = values
+    positions, mirrored = transforms.mirror_points(k, values, n)
+    full = np.zeros(n, dtype=complex)
+    full[positions] = mirrored
+    assert len(set(positions.tolist())) == len(positions)
+    want = transforms.mirror_half(half, n)
+    assert np.array_equal(full, want)  # off the points mirror_half may hold -0.0
+    assert mirrored.tobytes() == want[positions].tobytes()
 
 
 def test_causal_horizon_shorter_than_one_step():

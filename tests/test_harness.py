@@ -346,6 +346,20 @@ def test_cli_integer_past_the_float_range_is_a_config_error(tmp_path, monkeypatc
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_cli_multiplicity_past_int64_is_a_typed_record(tmp_path, monkeypatch, capsys):
+    # A 401-digit multiplicity passed intake, and sweep ended with an
+    # OverflowError traceback at the first evaluation.
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads((ROOT / "configs" / "sweep.json").read_text())
+    doc["kernel"]["poles"][0]["mult"] = 10**400
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert cli_main(["sweep", "--config", "cfg.json"]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "PoleOutOfRegion"
+    assert record["message"].startswith("kernel") and "multiplicity" in record["message"]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_config_takes_paired_and_hermitian_bools():
     cfg = config_from_dict(base_config(kernel=_pole(paired=True)))
     assert cfg.kernel.poles == ((0.5, 0.8, 1), (0.5, -0.8, 1))
@@ -717,9 +731,11 @@ def test_decompose_mixed_support_combined_ladder():
 def test_decompose_one_sided_high_part():
     # The symmetric LOW part is carried as its omega >= 0 half, the one-sided
     # HIGH part on the full grid; check (a) sums their error spectra on the
-    # full grid.  The err_l2 values are pinned as the inverted error spectra
-    # give them.  Each is within 1e-10 of what y - y_hat gave, with the
-    # full-grid version of check (a) on the predictions.
+    # full grid, the LOW part's points mirrored onto it.  The err_l2 values
+    # are pinned as the inverted error spectra give them, the LOW part's
+    # by the band-limited inverse.  Each is within 1e-10 of what the full
+    # n-point inverse gave, and of what y - y_hat gave, with the full-grid
+    # version of check (a) on the predictions.
     part = {"envelope": "raised_cosine", "support": [-0.9, 0.9], "hermitian": True}
     high = {"envelope": "raised_cosine", "support": [1.2, 1.5], "hermitian": False}
     cfg = config_from_dict(
@@ -727,6 +743,13 @@ def test_decompose_one_sided_high_part():
     )
     errs = [r.err_l2 for r in run_decomposition_demo(cfg).rows]
     assert errs == [
+        0.07269457377040019,
+        0.02041929284906375,
+        0.00486169412540937,
+        0.00034395275485586316,
+        3.6055731902167987e-07,
+    ]
+    from_full_inverse = [
         0.07269457377040019,
         0.02041929284906375,
         0.00486169412540937,
@@ -740,7 +763,8 @@ def test_decompose_one_sided_high_part():
         0.000343952754855864,
         3.6055731902022107e-07,
     ]
-    for err, old in zip(errs, from_y_minus_yhat, strict=True):
+    for err, full, old in zip(errs, from_full_inverse, from_y_minus_yhat, strict=True):
+        assert err == pytest.approx(full, rel=1e-10)
         assert err == pytest.approx(old, rel=1e-10)
 
 
@@ -882,15 +906,16 @@ def test_err_l2_equals_the_spectral_formula_on_every_config_rung():
 @pytest.mark.parametrize(
     "name, op, bound",
     [("sweep", run_convergence_sweep, 2.45), ("robustness", run_robustness_probe, 3.3),
-     ("decompose", run_decomposition_demo, 8.1)],
+     ("decompose", run_decomposition_demo, 7.3)],
     ids=["sweep", "robustness", "decompose"],
 )
 def test_grid_op_peak_memory(name, op, bound):
     # Traced peak at n = 2**16, in (n/2 + 1)-point complex half spectra; a
     # float signal of n samples is one such unit.  A ladder holds one reused
-    # spectrum buffer and its live rung's e, so it takes 2.24 (sweep), 3.01
-    # (robustness: the noisy X is active everywhere) and 7.37 (decompose: two
-    # ladders, and check (a) sums both error spectra and inverts the sum).
+    # buffer of band-limited inverse rows and its live rung's e, so it takes
+    # 2.27 (sweep), 3.01 (robustness: the noise is drawn on full-length
+    # arrays) and 6.65 (decompose: two ladders, and check (a) inverts the
+    # sum of both error spectra at their points with a third inverter).
     # The bounds leave under 10 % headroom, less than one more full-length
     # array: a second live rung, a held spectrum or X, a fresh spectrum per
     # rung that outlives its inverse, or a norm temporary such as |e| would
@@ -1191,10 +1216,14 @@ def _deviation_values_doubled(real):
 
 
 def _inverse_offset(real):
-    def offset(spectrum):
-        y = real(spectrum)
-        return signals.SampledSignal(y.t0, y.dt, y.values + 1.0)
-    return offset
+    def offset_sum_inverse(first):
+        inverse = real(first)
+
+        def offset(rungs):
+            e = inverse(rungs)
+            return signals.SampledSignal(e.t0, e.dt, e.values + 1.0)
+        return offset
+    return offset_sum_inverse
 
 
 def _norms_inflated(real):
@@ -1211,7 +1240,7 @@ def _norms_inflated(real):
          lambda measured, bound: measured > 1e6 * bound > 0.0),
         ("bound-check", "bound_check", "_deviation_values", _deviation_values_doubled, "tone",
          lambda measured, bound: bound == pytest.approx(2.0 * measured, rel=1e-6)),
-        ("decompose", "decompose", "fourier_inverse", _inverse_offset, "mix",
+        ("decompose", "decompose", "error_sum_inverse", _inverse_offset, "mix",
          lambda measured, bound: measured == pytest.approx(1.0) and bound < 1e-11),
         ("decompose", "decompose", "signal_norms", _norms_inflated, "mix",
          lambda measured, bound: bound < measured <= bound + 1.0),
@@ -1236,7 +1265,7 @@ def test_cli_decompose_rising_total_is_a_monotonicity_violation(tmp_path, monkey
     # The recombined ladder fails as its parts do: a MonotonicityViolation
     # record naming the signal, and no CSV.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(harness, "_recombined_errors", lambda _id, r_low, _r_high: (
+    monkeypatch.setattr(harness, "_recombined_errors", lambda _id, r_low, _r_high, _inverse: (
         float(r_low.gamma), float(r_low.gamma)))
     assert cli_main(["decompose", "--config", str(ROOT / "configs" / "decompose.json")]) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

@@ -79,6 +79,16 @@ def test_build_refuses_integers_past_the_float_range(poles, numerator, omega, er
         build_kernel(poles, numerator, omega)
 
 
+@pytest.mark.parametrize("mult", [2**63, 2**64, 10**400], ids=["2**63", "2**64", "10**400"])
+def test_build_refuses_multiplicities_past_int64(mult):
+    # numpy's power takes an int64 exponent: 10**400 used to build, and the
+    # first evaluation raised the builtin OverflowError.
+    with pytest.raises(PoleOutOfRegion, match="multiplicity must be at most 2\\*\\*63 - 1"):
+        build_kernel([(1.0, 0.0, mult)], [1.0], 1.0)
+    kernel = build_kernel([(1.0, 0.0, 2**63 - 1)], [1.0], 1.0)
+    assert kernel.poles == ((1.0, 0.0, 2**63 - 1),)
+
+
 def test_build_takes_numpy_scalars():
     kernel = build_kernel([(np.float64(1.0), np.float32(0.0), np.int64(2))], [1.0], 1.0)
     assert kernel.poles == ((1.0, 0.0, 2),)

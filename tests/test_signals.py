@@ -436,6 +436,23 @@ def test_one_piece_density_nodes_are_uniform_gauss_panels(density, tmax):
         assert x.tobytes() == _gauss_legendre_panels(lo, hi, n)[0].tobytes()
 
 
+def test_gauss_legendre_rule_is_solved_once(monkeypatch):
+    # The panels reuse one read-only rule: its nodes and weights are
+    # leggauss(8)'s bit for bit, and building panels does not solve it again.
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    expected = _gauss_legendre_panels(-0.6, 0.9, 80)
+    rule = signals._gauss_legendre_8()
+    assert np.array_equal(rule[0], nodes) and np.array_equal(rule[1], weights)
+    assert not (rule[0].flags.writeable or rule[1].flags.writeable)
+
+    def unsolved(_deg):
+        raise AssertionError("leggauss(8) solved again")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", unsolved)
+    x, w = _gauss_legendre_panels(-0.6, 0.9, 80)
+    assert x.tobytes() == expected[0].tobytes() and w.tobytes() == expected[1].tobytes()
+
+
 def _assert_phase_products_exact(t, x, columns=3):
     # Each column's product equals the one with the full complex-exp matrix,
     # bit for bit: bytes, not array_equal, so -0.0 and 0.0 differ.
