@@ -58,7 +58,6 @@ from .predictor import (
     PredictorTransfer,
     compensator_minus_one_on_points,
     compensator_on_points,
-    predictor_transfer_on_grid,
 )
 from .signals import MixedSpectrum, SampledSignal, SampledSpectrum, same_time_grid
 from .transforms import (
@@ -479,9 +478,9 @@ def mixed_predict_ladder(
             )
 
     def weights(wv):
-        columns = [transfer_on_grid(kernel, wv)]
-        for predictor in predictors:
-            columns.append(predictor_transfer_on_grid(predictor, wv, ClassMismatch))
+        k = transfer_on_grid(kernel, wv)
+        columns = [k] + [compensator_on_points(predictor, 1j * wv, ClassMismatch) * k
+                         for predictor in predictors]
         return np.stack(columns, axis=1)
 
     # accs[0] accumulates y, accs[1:] y_hat per rung.

@@ -118,10 +118,18 @@ def _exponents(predictor: PredictorTransfer, p, error: type) -> list[tuple[np.nd
 
 def compensator_minus_one_on_points(predictor: PredictorTransfer, p, error: type) -> np.ndarray:
     """V(p) - 1 without cancellation: accumulate (1+acc)(1+u) - 1 = acc + u + acc*u
-    over the factors u_m = -exp(z_m).  A saturating point raises `error`."""
+    over the factors u_m = -exp(z_m), mult_m times each.  A multiplicity past 3
+    takes square-and-multiply, with (1+u)^2 - 1 = 2u + u*u, until at most 3
+    factors are left; those, and every multiplicity up to 3, are accumulated
+    one by one.  A saturating point raises `error`."""
     acc = np.zeros(np.shape(p), dtype=complex)
     for z, mult in _exponents(predictor, p, error):
         u = -np.exp(z)
+        while mult > 3:
+            if mult % 2:
+                acc = acc + u + acc * u
+            u = 2.0 * u + u * u
+            mult //= 2
         for _ in range(mult):
             acc = acc + u + acc * u
     return acc

@@ -24,8 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,7 +38,7 @@ from .errors import (
     SupportViolation,
 )
 from .grids import GridSpec, in_class, uniform_omegas
-from .transforms import grid_length
+from .transforms import _BLOCK_ELEMENTS, _map_row_blocks, grid_length
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,31 +232,6 @@ def _gauss_legendre_panels(lo: float, hi: float, panels: int):
     x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     w = (half[:, None] * weights[None, :]).ravel()
     return x, w
-
-
-# Elements of one row block of the phase matrix (512 KB complex): a block's
-# cos/sin and its products stay in cache, and live Q is workers x block.
-_BLOCK_ELEMENTS = 1 << 15
-_row_pool: ThreadPoolExecutor | None = None
-
-
-def _new_row_pool() -> None:
-    """One worker per CPU this process may run on, or None (run inline) on
-    one CPU.  The executor starts its threads on first use."""
-    global _row_pool
-    workers = len(os.sched_getaffinity(0))
-    _row_pool = ThreadPoolExecutor(workers) if workers > 1 else None
-
-
-_new_row_pool()
-# A forked child has none of the pool's threads; work sent to them would wait
-# forever, so the child makes its own pool.
-os.register_at_fork(after_in_child=_new_row_pool)
-
-
-def _map_row_blocks(task, blocks) -> list:
-    """[task(b) for b in blocks], on the row pool or inline without one."""
-    return list(map(task, blocks) if _row_pool is None else _row_pool.map(task, blocks))
 
 
 def _phase_products(t: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:

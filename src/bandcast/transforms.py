@@ -23,9 +23,17 @@ float samples, takes the same path; any other inverts with a complex FFT.
 A half that vanishes above some bin also inverts as a few interleaved
 short irffts (:func:`band_limited_inverse`).  The forward transform of
 float samples is an rfft mirrored onto the full grid (:func:`mirror_half`).
+
+The library's one worker pool lives here (:func:`_map_row_blocks`): the
+band-limited inverse splits its rows over it, and so does the density
+quadrature of :mod:`bandcast.signals` its row blocks.
 """
 
 from __future__ import annotations
+
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -170,6 +178,47 @@ def signal_from_spectrum(values: np.ndarray, omega0: float, domega: float):
     return sig, float(-(n // 2) * dt), dt
 
 
+# Values in one row block of the worker pool (512 KB complex): a block of
+# the density quadrature's phase matrix stays in cache, and a band-limited
+# inverse of fewer than two blocks runs inline.
+_BLOCK_ELEMENTS = 1 << 15
+_row_pool: ThreadPoolExecutor | None = None
+_row_workers = 1
+
+
+def _new_row_pool() -> None:
+    """The library's one worker pool: one worker per CPU this process may run
+    on, or None (run inline) on one CPU.  The executor starts its threads on
+    first use."""
+    global _row_pool, _row_workers
+    _row_workers = len(os.sched_getaffinity(0))
+    _row_pool = ThreadPoolExecutor(_row_workers) if _row_workers > 1 else None
+
+
+_new_row_pool()
+# A forked child has none of the pool's threads; work sent to them would wait
+# forever, so the child makes its own pool.
+os.register_at_fork(after_in_child=_new_row_pool)
+
+
+def _map_row_blocks(task, blocks) -> list:
+    """[task(b) for b in blocks], on the row pool, or inline without one or
+    for a single block."""
+    blocks = list(blocks)
+    if _row_pool is None or len(blocks) < 2:
+        return list(map(task, blocks))
+    return list(_row_pool.map(task, blocks))
+
+
+def _row_groups(rows: int, size: int) -> list[tuple[int, int]]:
+    """Bounds of contiguous groups of `rows` rows that hold `size` values in
+    all: one group per pool worker, but no more groups than rows or than
+    whole row blocks (_BLOCK_ELEMENTS values), and at least one."""
+    count = max(1, min(_row_workers, rows, size // _BLOCK_ELEMENTS))
+    edges = [rows * j // count for j in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 # Rows of the band-limited inverse per exact twiddle: the other rows chain
 # theirs from it, at most _CHAINED_ROWS - 1 multiplications each.
 _CHAINED_ROWS = 16
@@ -186,16 +235,22 @@ def band_limited_inverse(indices, n: int, domega: float):
     e_{q*r+s} = (domega*M/2pi) * irfft_M(G_s)_q with
     G_s(k) = (-1)^k X_k e^{2 pi i s k/n}.  M is the smallest power of two
     >= 2*(k_max + 1), capped at n, so it depends on the support alone.  One
-    (r, M/2 + 1) complex buffer serves every call: row 0 takes
-    (-1)^k X_k and row s row 0 times its twiddle, one batched irfft
-    overwrites the rows, and their transpose, scaled, becomes fresh samples.
-    With r = 1 (a support that reaches k = n/2 - 1) the samples are the
-    irfft of :func:`signal_from_spectrum` bit for bit.
+    (r, M/2 + 1) complex buffer serves every call.  The calling thread writes
+    the active bins: row 0 takes (-1)^k X_k and row s row 0 times its
+    twiddle.  Then each group of rows (:func:`_row_groups`) runs on the pool
+    (:func:`_map_row_blocks`): an irfft per row, scaled in one output row per
+    group and copied into the row's own memory, the group's rows transposed
+    into their columns of fresh samples, and the rows zeroed again.  A
+    per-row irfft equals a batched one bit for bit, so the samples do not
+    depend on the groups or the workers.  With r = 1 (a support that reaches
+    k = n/2 - 1) the samples are the irfft of :func:`signal_from_spectrum`
+    bit for bit.
     """
     k = np.asarray(indices, dtype=np.intp)
     m = min(n, 1 << (2 * int(k.max(initial=0)) + 1).bit_length())
     r = n // m
     rows = np.zeros((r, m // 2 + 1), dtype=complex)
+    real = rows.view(np.float64)
     odd = k % 2 == 1
     chained = min(r, _CHAINED_ROWS)
     step = np.exp((2j * np.pi / n) * k)
@@ -206,8 +261,19 @@ def band_limited_inverse(indices, n: int, domega: float):
     dt = 2.0 * np.pi / (n * domega)
     t0 = float(-(n // 2) * dt)
 
+    def transform(columns: np.ndarray, job: tuple[tuple[int, int], np.ndarray]) -> None:
+        (lo, hi), out = job
+        try:
+            for s in range(lo, hi):
+                np.fft.irfft(rows[s], m, out=out)
+                out *= scale
+                real[s, :m] = out
+            # Unlike a ufunc, copyto transposes without a buffer.
+            np.copyto(columns[:, lo:hi], real[lo:hi, :m].T)
+        finally:
+            rows[lo:hi].fill(0.0)  # the next call writes only the active bins
+
     def invert(values):
-        rows.fill(0.0)  # the previous call's output overwrote the rows
         g = np.array(values, dtype=complex)
         np.negative(g, out=g, where=odd)
         for b in range(chained):
@@ -217,12 +283,13 @@ def band_limited_inverse(indices, n: int, domega: float):
             if b + 1 < chained:
                 g *= step
         del g  # not live during the transform
-        # numpy copies the overlapping input first: two buffers are live, not
-        # the three that a fresh output and the samples would make.
-        out = np.fft.irfft(rows, m, axis=1, out=rows.view(np.float64)[:, :m])
         samples = np.empty(n)
-        np.copyto(samples.reshape(m, r), out.T)  # unlike a ufunc, without a buffer
-        samples *= scale
+        groups = _row_groups(r, rows.size)
+        # Each group's output row is allocated here: a temporary that a worker
+        # allocated (as numpy's copy of an input that overlaps its output would
+        # be) stays resident in that worker's malloc arena.
+        outs = np.empty((len(groups), m))
+        _map_row_blocks(functools.partial(transform, samples.reshape(m, r)), zip(groups, outs))
         return samples, t0, dt
 
     return invert

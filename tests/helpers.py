@@ -455,6 +455,30 @@ def hardy_boundary_check(
     return HardyBoundaryReport(tuple(lines), finite, nonincreasing)
 
 
+def record_inverse_transforms(monkeypatch) -> list[tuple[str, int]]:
+    """Patch np.fft.ifft and np.fft.irfft to record (name, output size) per
+    call, from any thread.  An n-point inverse is n samples of output, whether
+    one transform makes them or r interleaved n/r-point ones."""
+    calls = []
+    for name in ("ifft", "irfft"):
+        fn = getattr(np.fft, name)
+
+        def recorded(*args, fn=fn, name=name, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.append((name, out.size))
+            return out
+
+        monkeypatch.setattr(np.fft, name, recorded)
+    return calls
+
+
+def inverses_made(calls, n: int) -> float:
+    """The n-point inverses that `calls` (record_inverse_transforms) add up
+    to; any ifft fails."""
+    assert all(name == "irfft" for name, _ in calls)
+    return sum(size for _, size in calls) / n
+
+
 def full_grid(spec, grid):
     """`spec` on the full centered grid of `grid`: an omega >= 0 half
     (omega0 == 0) mirrored by `transforms.mirror_half`, else `spec` itself."""

@@ -52,11 +52,13 @@ from bandcast.signals import MixedSpectrum
 from helpers import (
     full_grid,
     hermitian_random_band_spectrum,
+    inverses_made,
     oracle_reference,
     phased_signal,
     phased_spectrum,
     random_kernel,
     random_mixed_signal,
+    record_inverse_transforms,
     reference_mixed_predict_ladder,
 )
 
@@ -626,16 +628,9 @@ def test_spectral_predict_ladder_inverts_y_once(single_pole, pipeline_grid, monk
     X = full_grid(_class_signal("LOW", pipeline_grid), pipeline_grid)
     support = np.count_nonzero(transforms.hermitian_half(X.values, X.omega0, X.domega))
     assert 0 < support < pipeline_grid.n // 2 + 1
-    inverses, half_grid_k = [], []
+    half_grid_k = []
     transfer = engine.transfer_on_grid
-    for fn_name in ("ifft", "irfft"):
-        fn = getattr(np.fft, fn_name)
-
-        def counted(*args, fn=fn, fn_name=fn_name, **kwargs):
-            inverses.append(fn_name)
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, fn_name, counted)
+    calls = record_inverse_transforms(monkeypatch)
 
     def counted_transfer(kernel, w):
         assert np.size(w) == support
@@ -645,10 +640,10 @@ def test_spectral_predict_ladder_inverts_y_once(single_pole, pipeline_grid, monk
     monkeypatch.setattr(engine, "transfer_on_grid", counted_transfer)
     results = list(spectral_predict_ladder(X, single_pole, LADDERS["LOW"]))
     assert len(results) == len(LADDERS["LOW"])
-    assert inverses == ["irfft"] * len(LADDERS["LOW"])
+    assert inverses_made(calls, pipeline_grid.n) == len(LADDERS["LOW"])
     assert all(r.y is results[0].y for r in results)
     assert all(r.y is results[-1].y for r in reversed(results))
-    assert inverses == ["irfft"] * (len(LADDERS["LOW"]) + 1)
+    assert inverses_made(calls, pipeline_grid.n) == len(LADDERS["LOW"]) + 1
     assert len(half_grid_k) == 1
 
 
@@ -1037,6 +1032,26 @@ def test_mixed_predict_ladder_atoms_bit_equal_to_per_atom_loop(conjugate_pair, c
         for rung, yhat in zip(ladder, yhats, strict=True):
             assert np.array_equal(rung.y.values, y)
             assert np.array_equal(rung.yhat.values, yhat)
+
+
+def test_mixed_predict_ladder_takes_k_once_per_node_set(conjugate_pair, monkeypatch):
+    # One weights call: K once, then V per rung at the same nodes (it used to
+    # evaluate K 1 + L times).
+    calls = []
+    transfer, compensator = engine.transfer_on_grid, engine.compensator_on_points
+    monkeypatch.setattr(engine, "transfer_on_grid",
+                        lambda kernel, w: calls.append(("K", w)) or transfer(kernel, w))
+    monkeypatch.setattr(engine, "compensator_on_points",
+                        lambda pred, p, error: calls.append(("V", p)) or compensator(pred, p, error))
+    ms = random_mixed_signal(np.random.default_rng(5), "LOW", 1.0, 0.25, n_atoms=3)
+    assert ms.density
+    mixed_predict_ladder(ms, conjugate_pair, LADDERS["LOW"], GridSpec(256, 60.0).times())
+    rungs = len(LADDERS["LOW"])
+    assert len(calls) % (1 + rungs) == 0 and len(calls) > 1 + rungs
+    for at in range(0, len(calls), 1 + rungs):
+        (kind, w), *rest = calls[at : at + 1 + rungs]
+        assert kind == "K"
+        assert all(kind == "V" and np.array_equal(p, 1j * w) for kind, p in rest)
 
 
 def test_mixed_predict_ladder_saturating_atom_names_its_omega(conjugate_pair):

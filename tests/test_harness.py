@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bandcast.errors
 from bandcast import (
     GridSpec,
     PredictorTransfer,
@@ -1157,21 +1158,18 @@ def test_inverse_transform_budget(monkeypatch, name, op, inverses):
     # The configs' signals are Hermitian, so every inverse is a real one, and
     # results carry the halves they inverted: nothing is mirrored.
     cfg = config_from_dict(json.loads((ROOT / "configs" / f"{name}.json").read_text()))
-    calls = []
-    for module, fn_name in ((np.fft, "ifft"), (np.fft, "irfft"), (transforms, "mirror_half")):
-        fn = getattr(module, fn_name)
+    calls = helpers.record_inverse_transforms(monkeypatch)
+    mirrored, mirror = [], transforms.mirror_half
 
-        def counted(*args, fn=fn, fn_name=fn_name, **kwargs):
-            calls.append(fn_name)
-            return fn(*args, **kwargs)
+    def mirror_half(*args, **kwargs):
+        mirrored.append(args)
+        return mirror(*args, **kwargs)
 
-        monkeypatch.setattr(module, fn_name, counted)
-        if module is transforms:
-            monkeypatch.setattr(harness, fn_name, counted)
+    for module in (transforms, harness):
+        monkeypatch.setattr(module, "mirror_half", mirror_half)
     op(cfg)
-    assert calls.count("irfft") == inverses
-    assert calls.count("ifft") == 0
-    assert calls.count("mirror_half") == 0
+    assert helpers.inverses_made(calls, cfg.grid.n) == inverses
+    assert mirrored == []
 
 
 def _slow_decay_synth_config(tmp_path, **outputs) -> str:
@@ -1417,11 +1415,29 @@ def test_error_plot_svg_text_is_pinned():
     assert line_plot_svg(gammas, [0.0] * len(gammas), *labels) == _EMPTY_PLOT_SVG
 
 
-def _run_module(module, *args, cwd, **env_vars):
+def _run_module(module, *args, cwd, timeout=120, **env_vars):
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", module, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_cli_huge_multiplicity_ends_in_seconds(tmp_path):
+    # V - 1 took one step per unit of multiplicity: with 2**62 sweep was still
+    # in deviation_norm after minutes.  It ends with finite rows or a typed
+    # record.
+    doc = json.loads((ROOT / "configs" / "sweep.json").read_text())
+    doc["kernel"]["poles"][0]["mult"] = 2**62
+    doc["outputs"] = {"csv": "sweep.csv"}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    proc = _run_module("bandcast", "sweep", "--config", "cfg.json", cwd=tmp_path, timeout=10)
+    if proc.returncode == 0:
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(",")[2:5])
+    else:
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert proc.returncode == 1
+        assert issubclass(getattr(bandcast.errors, record["error"]), bandcast.errors.BandcastError)
 
 
 @pytest.mark.parametrize("module", ["bandcast", "bandcast.harness"])

@@ -47,6 +47,7 @@ from helpers import (
     hardy_boundary_check,
     random_kernel,
     reference_deviation_norm,
+    reference_exponents,
 )
 
 
@@ -200,6 +201,43 @@ def test_deviation_is_distance_times_transfer(conjugate_pair):
     lhs = np.abs(khat - k)
     rhs = np.abs(vm1) * np.abs(k)
     assert np.max(np.abs(lhs - rhs)) <= 1e-13 * max(rhs.max(), 1e-300)
+
+
+def _one_factor_at_a_time(predictor, p):
+    acc = np.zeros(np.shape(p), dtype=complex)
+    for z, mult in reference_exponents(predictor, p):
+        u = -np.exp(z)
+        for _ in range(mult):
+            acc = acc + u + acc * u
+    return acc
+
+
+@pytest.mark.parametrize("mult", [1, 2, 3, 4, 5, 7, 12, 33])
+def test_compensator_minus_one_squares_past_three_factors(mult):
+    # Up to three factors a pole group accumulates one at a time, bit for bit
+    # as before; past three it squares, to roundoff of the same value.
+    kernel = build_kernel([(1.0, 0.0, mult), (0.5, 0.3, 2), (0.5, -0.3, 2)], [1.0], 1.0)
+    pred = PredictorTransfer(kernel, 0.7)
+    p = 1j * np.linspace(-0.95, 0.95, 777)
+    got = compensator_minus_one_on_points(pred, p, SaturatedSpectrum)
+    want = _one_factor_at_a_time(pred, p)
+    if mult <= 3:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_compensator_minus_one_takes_log_steps_in_the_multiplicity():
+    # One step per factor never ended for 2**62.  Where |1 + u| < 1 the
+    # product underflows: V - 1 is -1 to roundoff.
+    pred = PredictorTransfer(build_kernel([(1.0, 0.0, 2**62)], [1.0], 1.0), 1e-18)
+    p = 1j * np.linspace(-0.9, 0.9, 101)
+    with np.errstate(all="ignore"):
+        got = compensator_minus_one_on_points(pred, p, SaturatedSpectrum)
+    ((z, _mult),) = reference_exponents(pred, p)
+    inside = np.abs(1.0 - np.exp(z)) < 0.99
+    assert inside.any()
+    assert np.max(np.abs(got[inside] + 1.0)) <= 1e-15
 
 
 def test_deviation_norm_sup_at_band_interior_edge(single_pole):

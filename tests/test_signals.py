@@ -1,12 +1,8 @@
 """Signal generators, mixed spectra, ideal split, out-of-band noise."""
 
 import math
-import os
-import signal
-import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -506,46 +502,6 @@ def test_phase_products_exact_across_row_blocks(t, band, panels):
     rows = len(np.unique(np.abs(t)))
     assert rows * len(x) > signals._BLOCK_ELEMENTS or len(x) > signals._BLOCK_ELEMENTS
     _assert_phase_products_exact(t, x)
-
-
-def test_phase_products_same_bytes_on_one_worker_and_inline(monkeypatch):
-    t = GridSpec(2048, 400.0).times()
-    x, _ = _gauss_legendre_panels(-0.6, 0.9, 80)
-    rng = np.random.default_rng(11)
-    cols = rng.standard_normal((4, len(x))) + 1j * rng.standard_normal((4, len(x)))
-    pooled = _phase_products(t)(x, cols).tobytes()
-    with ThreadPoolExecutor(1) as one_worker:
-        monkeypatch.setattr(signals, "_row_pool", one_worker)
-        assert _phase_products(t)(x, cols).tobytes() == pooled
-    monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid: {0})
-    signals._new_row_pool()
-    assert signals._row_pool is None
-    assert _phase_products(t)(x, cols).tobytes() == pooled
-
-
-def test_density_integral_runs_in_a_forked_child():
-    # A forked child has none of the parent's pool threads: without a pool of
-    # its own its quadrature used to wait forever.
-    t = GridSpec(256, 60.0).times()
-    bump = RaisedCosineBump(0.2, 0.5, 1.0)
-    expected = integrate_unweighted(bump, t).tobytes()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            code = 0 if integrate_unweighted(bump, t).tobytes() == expected else 1
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 30.0
-    done, status = os.waitpid(pid, os.WNOHANG)
-    while not done and time.monotonic() < deadline:
-        time.sleep(0.02)
-        done, status = os.waitpid(pid, os.WNOHANG)
-    if not done:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child's quadrature did not finish")
-    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_density_integral_memory_is_bounded_by_row_blocks():
