@@ -61,6 +61,8 @@ from .predictor import (
 )
 from .signals import MixedSpectrum, SampledSignal, SampledSpectrum, same_time_grid
 from .transforms import (
+    _map_row_blocks,
+    _row_groups,
     grid_length,
     hermitian_half,
     mirror_points,
@@ -168,6 +170,12 @@ def anticausal_convolve_oracle(
     return SampledSignal(t0, dt, out)
 
 
+# Block groups of causal_convolve that run at once, each with its own
+# L-point buffers: with the taps' transform, three L-point complex rows live
+# beside the output on any machine.
+_CONVOLVE_GROUPS = 2
+
+
 def causal_convolve(
     khat: SampledSignal, x: SampledSignal, horizon_m: float
 ) -> SampledSignal:
@@ -180,10 +188,25 @@ def causal_convolve(
     in blocks of L - taps + 1 samples, one forward and one inverse transform
     each (rfft/irfft when x and the taps are both real), so the memory
     beyond the output scales with the tap count, not with the length of x.
-    A horizon that is not positive (or NaN) raises InsufficientHistory; a
-    non-finite sample of x or of the taps used, or a non-finite output (an
-    overflow of finite inputs), raises NonFiniteResult without a numpy
-    warning.
+    The blocks split into contiguous groups, one per worker of the library's
+    pool (:func:`transforms._map_row_blocks`; inline on one CPU or for a
+    single block) but never more than _CONVOLVE_GROUPS, so the buffers beyond
+    the output do not grow with the number of CPUs either.  Each group has
+    one spectrum and one piece row that the calling thread allocates (a
+    complex piece is transformed in place in its spectrum row).  A worker
+    adds its pieces into the output but for the tail of its last block,
+    which reaches into the next group's first block; the calling thread adds
+    those tails afterwards.  A block's tail (taps - 1 samples) is shorter
+    than a block, so every sample is 0.0 plus at most two pieces, a sum
+    whose bits do not depend on its order: the output does not depend on the
+    groups or the workers.  A horizon that is not positive (or NaN) raises
+    InsufficientHistory; a non-finite sample of x or of the taps used, or a
+    non-finite output (an overflow of finite inputs), raises NonFiniteResult
+    without a numpy warning.  x is checked, block by block, before any block
+    is convolved, so a non-finite sample of x is reported as such even where
+    an earlier stretch would overflow, on any number of workers.  Each
+    stretch of the output is checked once no later piece reaches it, by its
+    worker or, next to a group boundary, by the calling thread.
     """
     dt = x.dt
     if abs(khat.dt - dt) > 1e-12 * dt:
@@ -216,27 +239,48 @@ def causal_convolve(
     n = len(x.values)
     size = 1 << (max(3 * len(taps), 1 << 15) - 1).bit_length()
     block = size - len(taps) + 1  # a block's full convolution fills size samples
+    blocks = -(-n // block)
     if np.isrealobj(x.values) and np.isrealobj(taps):
         forward, inverse = np.fft.rfft, np.fft.irfft
     else:
         forward, inverse = np.fft.fft, np.fft.ifft
+    for start in range(0, n, block):
+        if not np.all(np.isfinite(x.values[start : start + block])):
+            raise NonFiniteResult("causal_convolve: x has non-finite samples")
     taps_f = forward(taps, size)
     out = np.zeros(n, dtype=np.result_type(x.values, taps))
-    # One spectrum and one piece buffer serve every block.
-    spectrum, piece = np.empty_like(taps_f), np.empty(size, dtype=out.dtype)
+    groups = _row_groups(blocks, _CONVOLVE_GROUPS)
+    # Allocated here: a worker's malloc arena keeps what the worker allocates.
+    spectra = np.empty((len(groups), len(taps_f)), dtype=complex)
+    pieces = spectra if out.dtype == complex else np.empty((len(groups), size))
+
+    def final(start: int) -> None:
+        # No later piece reaches below start + block: that stretch is final.
+        if not np.all(np.isfinite(out[start : start + block])):
+            raise NonFiniteResult("causal_convolve: the convolution overflowed")
+
+    def convolve(job: tuple[int, tuple[int, int]]) -> None:
+        g, (lo, hi) = job
+        spectrum, piece = spectra[g], pieces[g]
+        with np.errstate(invalid="ignore", over="ignore"):  # per thread
+            for j in range(lo, hi):
+                start = j * block
+                forward(x.values[start : start + block], size, out=spectrum)
+                spectrum *= taps_f
+                inverse(spectrum, size, out=piece)  # in place on the complex path: same bits
+                # The tail of a group's last block is the calling thread's to add.
+                stop = min(start + (block if j + 1 == hi < blocks else size), n)
+                out[start:stop] += piece[: stop - start]
+                if j > lo or lo == 0:  # a later group's first stretch awaits that tail
+                    final(start)
+
+    _map_row_blocks(convolve, enumerate(groups))
     with np.errstate(invalid="ignore", over="ignore"):
-        for start in range(0, n, block):
-            segment = x.values[start : start + block]
-            if not np.all(np.isfinite(segment)):
-                raise NonFiniteResult("causal_convolve: x has non-finite samples")
-            forward(segment, size, out=spectrum)
-            spectrum *= taps_f
-            inverse(spectrum, size, out=piece)
-            stop = min(start + size, n)
-            out[start:stop] += piece[: stop - start]
-            # No later block reaches below start + block: that stretch is final.
-            if not np.all(np.isfinite(out[start : start + block])):
-                raise NonFiniteResult("causal_convolve: the convolution overflowed")
+        for (_, hi), piece in zip(groups[:-1], pieces):
+            start = hi * block
+            tail = piece[block : min(size, n - start + block)]
+            out[start : start + len(tail)] += tail
+            final(start)
     return SampledSignal(x.t0, dt, out)
 
 

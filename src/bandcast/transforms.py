@@ -25,15 +25,21 @@ short irffts (:func:`band_limited_inverse`).  The forward transform of
 float samples is an rfft mirrored onto the full grid (:func:`mirror_half`).
 
 The library's one worker pool lives here (:func:`_map_row_blocks`): the
-band-limited inverse splits its rows over it, and so does the density
-quadrature of :mod:`bandcast.signals` its row blocks.
+band-limited inverse splits its rows over it, the density quadrature of
+:mod:`bandcast.signals` its row blocks and :func:`engine.causal_convolve`
+its overlap-add blocks.  Each gives the same bits on any number of workers.
+Only numpy runs on the workers, none of the library's public functions:
+the benchmark's tracer (perfbench/tracer.py) wraps those with one span
+stack for the whole process, so the K_hat blocks of
+:func:`predictor.synthesize_time_predictor`, which call them, stay on the
+calling thread.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -203,18 +209,21 @@ os.register_at_fork(after_in_child=_new_row_pool)
 
 def _map_row_blocks(task, blocks) -> list:
     """[task(b) for b in blocks], on the row pool, or inline without one or
-    for a single block."""
+    for a single block.  On the pool every task runs to its end before the
+    first error in block order is raised, so no task still writes into a
+    caller's buffers once the caller has the error."""
     blocks = list(blocks)
     if _row_pool is None or len(blocks) < 2:
         return list(map(task, blocks))
-    return list(_row_pool.map(task, blocks))
+    futures = [_row_pool.submit(task, b) for b in blocks]
+    wait(futures)
+    return [f.result() for f in futures]
 
 
-def _row_groups(rows: int, size: int) -> list[tuple[int, int]]:
-    """Bounds of contiguous groups of `rows` rows that hold `size` values in
-    all: one group per pool worker, but no more groups than rows or than
-    whole row blocks (_BLOCK_ELEMENTS values), and at least one."""
-    count = max(1, min(_row_workers, rows, size // _BLOCK_ELEMENTS))
+def _row_groups(rows: int, most: int) -> list[tuple[int, int]]:
+    """Bounds of contiguous groups of `rows` rows: one group per pool worker,
+    but no more groups than rows or than `most`, and at least one."""
+    count = max(1, min(_row_workers, rows, most))
     edges = [rows * j // count for j in range(count + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -284,7 +293,7 @@ def band_limited_inverse(indices, n: int, domega: float):
                 g *= step
         del g  # not live during the transform
         samples = np.empty(n)
-        groups = _row_groups(r, rows.size)
+        groups = _row_groups(r, rows.size // _BLOCK_ELEMENTS)  # whole row blocks each
         # Each group's output row is allocated here: a temporary that a worker
         # allocated (as numpy's copy of an input that overlaps its output would
         # be) stays resident in that worker's malloc arena.

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -511,12 +512,14 @@ def test_causal_convolve_matches_direct_sum(complex_x, complex_taps, n, lags, fu
     assert np.max(np.abs(out.values - direct)) <= 1e-12 * np.max(np.abs(out.values))
 
 
-def test_causal_convolve_memory_beyond_output_does_not_grow_with_n():
+def test_causal_convolve_memory_beyond_output_does_not_grow_with_n(monkeypatch):
     # At 1001 taps the memory the call allocates besides its output stays
     # flat from n = 2**16 to 2**18; one fftconvolve over all of x grows 4x.
     # At 40 961 taps, the synth benchmark's horizon, it is the taps'
-    # transform plus one spectrum and one piece buffer of L = 2**17 points:
-    # 6.7 MB, against 9.7 MB when each block transformed the taps again.
+    # transform plus one piece buffer of L = 2**17 points for each of at
+    # most two groups at once, each transformed in place: 6.8 MB, against
+    # 9.7 MB when each block transformed the taps again. Neither grows with
+    # the workers: the machine's own pool, then pools of 4 and 8.
     dt = 0.05
 
     def transient(lags, n):
@@ -530,8 +533,16 @@ def test_causal_convolve_memory_beyond_output_does_not_grow_with_n():
             tracemalloc.stop()
         return peak - out.values.nbytes
 
-    assert transient(1000, 2**18) <= 1.1 * transient(1000, 2**16)
-    assert transient(40960, 2**18) <= 7e6
+    def bounded():
+        assert transient(1000, 2**18) <= 1.1 * transient(1000, 2**16)
+        assert transient(40960, 2**18) <= 7e6
+
+    bounded()
+    for workers in (4, 8):
+        monkeypatch.setattr(transforms, "_row_workers", workers)
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(transforms, "_row_pool", pool)
+            bounded()
 
 
 def test_causal_requires_history_and_grid(triple_pole):
