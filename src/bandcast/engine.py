@@ -14,8 +14,8 @@ On the grid the pipeline never subtracts y_hat from y: per gamma it inverts
 the error spectrum E = Y_hat - Y = (V - 1) K X, with V - 1 evaluated without
 cancellation, so an error far below eps * ||y|| is still resolved.  E
 vanishes wherever X does, so a band-limited half inverts as a few short
-transforms (:func:`transforms.band_limited_inverse`).  y and y_hat are
-inverted only for a caller who reads them, by the full inverse.
+transforms (:func:`transforms.band_limited_inverse`).  Neither y nor y_hat
+is computed, and err_l2 also follows from E alone (:func:`spectral_err_l2`).
 
 The pipeline runs on centered grids only (:mod:`bandcast.transforms`) and
 has a real path.  The kernel's coefficients are real and its poles
@@ -31,7 +31,6 @@ spectrum) takes the complex path on every grid point.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -61,11 +60,11 @@ from .predictor import (
 )
 from .signals import MixedSpectrum, SampledSignal, SampledSpectrum, same_time_grid
 from .transforms import (
+    _BLOCK_ELEMENTS,
     _map_row_blocks,
     _row_groups,
     grid_length,
     hermitian_half,
-    mirror_points,
     signal_from_spectrum,
     sparse_inverse,
     spectrum_from_signal,
@@ -286,29 +285,22 @@ def causal_convolve(
 
 @dataclass(frozen=True, eq=False, init=False)
 class PredictionResult:
-    """One rung's error signal e = y_hat - y on the shared time grid, its
-    norms, and the target y and prediction y_hat.
+    """One rung's error signal e = y_hat - y on the shared time grid, and its norms.
 
     ``err_l2`` and ``err_linf`` are derived from e by :func:`signal_norms`
     when the result is built, so they always describe its samples;
     non-finite norms raise NonFiniteResult.  ``PredictionResult(y, yhat,
-    gamma)``, as the atomic-plus-density route builds it, takes e = yhat - y;
-    y and y_hat on different grids raise GridMismatch.  The FFT route builds
-    its results from e itself (:func:`spectral_predict_ladder`).
-    ``yhat_spectrum`` and ``error_spectrum`` are the FFT route's guarded
-    Y_hat = V K X and E, on the omega >= 0 half (on its own grid
-    omega_k = k*domega) or on the full grid, and y_hat is the inverse of
-    Y_hat; ``error_points`` is E at its active points only.  All three are
-    None on the atomic-plus-density route.
+    gamma)``, as the atomic-plus-density route builds it, takes e = yhat - y
+    and keeps y and yhat; y and y_hat on different grids raise GridMismatch.
+    The FFT route builds its results from e and keeps ``error_points``, E at
+    the active points (:func:`spectral_predict_ladder`; None on the other).
     """
 
     gamma: float
     e: SampledSignal
     err_l2: float
     err_linf: float
-    yhat_spectrum = None
-    error_spectrum = None
-    error_points = None
+    error_points: SpectrumPoints | None
 
     def __init__(self, y: SampledSignal, yhat: SampledSignal, gamma: float):
         if not same_time_grid(y, yhat):
@@ -316,19 +308,21 @@ class PredictionResult:
         self.__dict__.update(y=y, yhat=yhat)
         self._set_error(gamma, SampledSignal(y.t0, y.dt, yhat.values - y.values))
 
-    def _set_error(self, gamma: float, e: SampledSignal) -> None:
+    def _set_error(self, gamma: float, e: SampledSignal, error_points=None) -> None:
         err_l2, err_linf = signal_norms(e)
         if not (math.isfinite(err_l2) and math.isfinite(err_linf)):
             raise NonFiniteResult(
                 f"error norms are not finite at gamma = {gamma:g}: "
                 f"err_l2 = {err_l2!r}, err_linf = {err_linf!r}"
             )
-        self.__dict__.update(gamma=gamma, e=e, err_l2=err_l2, err_linf=err_linf)
+        self.__dict__.update(gamma=gamma, e=e, err_l2=err_l2, err_linf=err_linf,
+                             error_points=error_points)
 
 
 class SpectrumPoints(NamedTuple):
     """The spectrum of `size` values on the grid (omega0, domega) that is
-    `values` at `indices` (increasing) and zero elsewhere."""
+    `values` at `indices` (increasing) and zero elsewhere: an omega >= 0
+    half (omega0 == 0) or the full centered grid."""
 
     omega0: float
     domega: float
@@ -336,38 +330,11 @@ class SpectrumPoints(NamedTuple):
     indices: np.ndarray
     values: np.ndarray
 
-    def on_grid(self) -> SampledSpectrum:
-        full = np.zeros(self.size, dtype=complex)
-        full[self.indices] = self.values
-        return SampledSpectrum(self.omega0, self.domega, full)
-
 
 class _SpectralRung(PredictionResult):
-    """A rung of :func:`spectral_predict_ladder`, built from its inverted
-    error e and E at the active points; `y`, `yhat_spectrum` and
-    `error_spectrum` compute those attributes.  y, Y_hat and y_hat (the
-    inverse of Y_hat) are computed on their first read; the full-grid E
-    afresh on every read, so that the result does not keep it."""
+    """A rung of :func:`spectral_predict_ladder`: its e and E at its points."""
 
-    def __init__(self, gamma, e, y, yhat_spectrum, error_points: SpectrumPoints):
-        self.__dict__.update(_y=y, _yhat_spectrum=yhat_spectrum, error_points=error_points)
-        self._set_error(gamma, e)
-
-    @property
-    def y(self) -> SampledSignal:
-        return self._y()
-
-    @functools.cached_property
-    def yhat_spectrum(self) -> SampledSpectrum:
-        return self._yhat_spectrum()
-
-    @functools.cached_property
-    def yhat(self) -> SampledSignal:
-        return fourier_inverse(self.yhat_spectrum)
-
-    @property
-    def error_spectrum(self) -> SampledSpectrum:
-        return self.error_points.on_grid()
+    __init__ = PredictionResult._set_error
 
 
 def _max_abs(values: np.ndarray) -> float:
@@ -377,20 +344,70 @@ def _max_abs(values: np.ndarray) -> float:
     return float(max(np.max(values), -np.min(values)))
 
 
+# Below this sup, the squares behind an L2 norm are taken of values scaled
+# by a power of two near 1/sup (Blue 1978).  At or above it, a square that
+# underflows costs at most 2**-75 of the largest, so no bit moves.
+_TINY = 2.0 ** -500
+
+
+def _scale_for(sup: float) -> float:
+    """1.0, or for 0 < sup < _TINY a power of two near 1/sup."""
+    return math.ldexp(1.0, -math.frexp(sup)[1]) if 0.0 < sup < _TINY else 1.0
+
+
 def signal_norms(e: SampledSignal) -> tuple[float, float]:
     """(trapezoid L2, sup) norms of the samples of e.
 
     err_l2**2 = dt * (sum |e_j|**2 - (|e_0|**2 + |e_{n-1}|**2) / 2), the
     trapezoid rule.  The sum is one einsum over the samples (a complex
     sample read as its two floats), which does not call BLAS, so its bits do
-    not depend on the BLAS thread count.  Float samples take no full-length
-    temporary.
+    not depend on the BLAS thread count.  Samples whose sup is below _TINY
+    are scaled first, in blocks, so that err_l2 does not underflow to 0.0
+    while e is not zero.  Float samples take no full-length temporary.
     """
     flat = np.ascontiguousarray(e.values).view(np.float64)
     k = len(flat) // len(e.values)  # floats per sample
-    ends = np.concatenate((flat[:k], flat[-k:]))
-    sum_sq = np.einsum("i,i->", flat, flat) - 0.5 * np.einsum("i,i->", ends, ends)
-    return math.sqrt(e.dt * float(sum_sq)), _max_abs(e.values)
+    sup = _max_abs(e.values)
+    s = _scale_for(sup)
+    if s == 1.0:
+        sum_sq = np.einsum("i,i->", flat, flat)
+    else:
+        blocks = (flat[j : j + _BLOCK_ELEMENTS] * s for j in range(0, len(flat), _BLOCK_ELEMENTS))
+        sum_sq = sum(np.einsum("i,i->", b, b) for b in blocks)
+    ends = np.concatenate((flat[:k], flat[-k:])) * s
+    return math.sqrt(e.dt * (sum_sq - 0.5 * np.einsum("i,i->", ends, ends))) / s, sup
+
+
+def spectral_err_l2(parts) -> float:
+    """err_l2 (:func:`signal_norms`) of the error whose spectrum is the sum
+    of `parts`, without an inverse: discrete Parseval plus the end samples,
+    err_l2**2 = (domega/2pi) sum_k c_k |E_k|**2 - dt (|e_0|**2 + |e_{n-1}|**2)/2.
+
+    The parts are :class:`SpectrumPoints` of one grid with disjoint
+    supports, each an omega >= 0 half (c_k = 2, but 1 at DC and Nyquist,
+    whose real part alone counts, as irfft reads it) or on the full grid
+    (c_k = 1).  With m = omega_k/domega, e^{i omega_k t} is (-1)^m at t_0
+    and (-1)^m e^{-2 pi i m/n} at t_{n-1}: each end sample is a dot product
+    with exact signs.  Tiny values are scaled as in :func:`signal_norms`.
+    """
+    n = grid_length(parts[0].size, parts[0].omega0, parts[0].domega)
+    s = _scale_for(max(np.max(np.abs(p.values), initial=0.0) for p in parts))
+    sum_sq, ends = 0.0, np.zeros(2, dtype=complex)
+    for p in parts:
+        half = p.omega0 == 0.0
+        m = p.indices if half else p.indices - n // 2
+        u = p.values * s
+        if half:
+            edge = m % (n // 2) == 0
+            u[edge] = u[edge].real
+        w = u * np.where(edge, 1.0, 2.0) if half else u  # c_k s E_k
+        sum_sq += np.einsum("i,i->", u.conj(), w).real
+        w = np.where(m % 2 == 1, -w, w)  # times e^{i omega_k t_0} = (-1)^m
+        end = np.array([w.sum(), np.einsum("i,i->", w, np.exp((-2j * np.pi / n) * m))])
+        ends += end.real if half else end
+    scale = parts[0].domega / (2.0 * math.pi)  # dt * scale**2 is scale / n
+    err_sq = scale * (sum_sq - float(np.sum(np.abs(ends) ** 2)) / (2 * n))
+    return math.sqrt(max(err_sq, 0.0)) / s
 
 
 def error_norms(y: SampledSignal, yhat: SampledSignal) -> tuple[float, float]:
@@ -419,13 +436,11 @@ def spectral_predict_ladder(
     (:func:`transforms.sparse_inverse`) that every rung reuses: on a half the
     band-limited inverse, whose transform length follows the support, and on
     the full grid one zero-filled buffer.  The rung's e is its one fresh
-    full-length array.  y, y_hat and the spectra are computed only when a
-    result's attribute is read (:class:`PredictionResult`); y at most once,
-    shared by all rungs, and y_hat as the exact inverse of Y_hat
-    (:func:`fourier_inverse`).  One result per gamma, in ladder order.
-    Between rungs only the inverter and the active points and values are
-    kept, not X: a caller that drops X and each result before asking for
-    the next holds one rung at a time.
+    full-length array; the result keeps it and E at the active points
+    (:class:`PredictionResult`), and neither y nor y_hat is computed.  One
+    result per gamma, in ladder order.  Between rungs only the inverter and
+    the active points and values are kept, not X: a caller that drops X and
+    each result before asking for the next holds one rung at a time.
     """
     grid_length(len(X.values), X.omega0, X.domega)
     predictors = [PredictorTransfer(kernel, gamma) for gamma in gammas]
@@ -439,55 +454,14 @@ def spectral_predict_ladder(
     p_active = 1j * w
     del X, half, w  # the rungs read only the active points
     invert = sparse_inverse(active, Y.size, Y.omega0, Y.domega)
-    y = functools.cache(lambda: fourier_inverse(Y.on_grid()))  # shared by every rung
 
     def rung(predictor: PredictorTransfer) -> PredictionResult:
         E_active = compensator_minus_one_on_points(predictor, p_active, ClassMismatch) * Y.values
         values, t0, dt = invert(E_active)
-        return _SpectralRung(
-            predictor.gamma, SampledSignal(t0, dt, values), y,
-            lambda: Y._replace(values=compensator_on_points(predictor, p_active, ClassMismatch)
-                               * Y.values).on_grid(),
-            Y._replace(values=E_active),
-        )
+        return _SpectralRung(predictor.gamma, SampledSignal(t0, dt, values),
+                             Y._replace(values=E_active))
 
     return map(rung, predictors)
-
-
-def error_sum_inverse(rungs):
-    """For one rung of each of some ladders of :func:`spectral_predict_ladder`
-    on one grid: a function that takes one rung of each, in the same order,
-    and returns the inverse of their summed error spectra.
-
-    Every rung of a ladder has the same active points.  The spectra are
-    summed, in order, at the union of the ladders' points, and the sum is
-    inverted by one :func:`transforms.sparse_inverse` built here: on the
-    omega >= 0 half if every part is a half, else on the full grid, onto
-    which each half's points are mirrored (:func:`transforms.mirror_points`).
-    No full-length spectrum is built but the full grid's one buffer.
-    """
-    points = [r.error_points for r in rungs]
-    n = len(rungs[0].e.values)
-    grid = next((p for p in points if p.omega0 != 0.0), points[0])
-
-    def placed(p: SpectrumPoints):
-        if p.omega0 == grid.omega0:
-            return p.indices, p.values
-        return mirror_points(p.indices, p.values, n)
-
-    positions = [placed(p)[0] for p in points]
-    union = functools.reduce(np.union1d, positions)
-    slots = [np.searchsorted(union, at) for at in positions]
-    invert = sparse_inverse(union, grid.size, grid.omega0, grid.domega)
-
-    def inverse(rungs) -> SampledSignal:
-        total = np.zeros(len(union), dtype=complex)
-        for r, slot in zip(rungs, slots, strict=True):
-            total[slot] += placed(r.error_points)[1]
-        values, t0, dt = invert(total)
-        return SampledSignal(t0, dt, values)
-
-    return inverse
 
 
 def spectral_predict(

@@ -31,10 +31,9 @@ import numpy as np
 
 from .config import ExperimentConfig, config_from_dict, load_config  # noqa: F401 (re-export)
 from .engine import (
-    _max_abs,
-    error_sum_inverse,
     mixed_predict_ladder,
     signal_norms,
+    spectral_err_l2,
     spectral_predict_ladder,
 )
 from .errors import (
@@ -311,13 +310,11 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
     """Split a mixed-support signal, predict the parts, recombine.
 
     Per ladder rung gamma the LOW part uses +gamma, the HIGH part -gamma.
-    Asserts (a) the summed error e_low + e_high equals the inverse of the
-    combined error spectrum E_low + E_high, summed at the union of both
-    parts' active points (:func:`engine.error_sum_inverse`, built on the
-    first rung), to 1e-12 * max(max |e|, 1) and (b) the combined error obeys
-    the triangle inequality against the component errors; the LOW, HIGH and
-    recombined error ladders must each decrease.  Neither part's y is
-    inverted.
+    Asserts (a) the err_l2 of the summed error e_low + e_high equals, to
+    1e-12 relative, the one discrete Parseval gives from E_low + E_high at
+    both parts' points (:func:`engine.spectral_err_l2`, no inverse), and (b)
+    the combined error obeys the triangle inequality against the component
+    errors; the LOW, HIGH and recombined error ladders must each decrease.
     """
     kernel = cfg.kernel
     gammas = [abs(g) for g in cfg.gamma_ladder]
@@ -332,10 +329,9 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
             spectral_predict_ladder(high, kernel, [-g for g in gammas]),
         )
         del low, high  # each ladder keeps what its rungs read
-        errs_l, errs_h, norms, inverse_sum = [], [], [], None
+        errs_l, errs_h, norms = [], [], []
         for r_low, r_high in ladders:
-            inverse_sum = inverse_sum or error_sum_inverse([r_low, r_high])
-            norms.append(_recombined_errors(spec.id, r_low, r_high, inverse_sum))
+            norms.append(_recombined_errors(spec.id, r_low, r_high))
             errs_l.append(r_low.err_l2)
             errs_h.append(r_high.err_l2)
             del r_low, r_high  # one live rung: free it before the next is computed
@@ -352,24 +348,16 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
     return ErrorReport(tuple(rows), summary=summary)
 
 
-def _recombined_errors(signal_id: str, r_low, r_high, inverse_sum) -> tuple[float, float]:
+def _recombined_errors(signal_id: str, r_low, r_high) -> tuple[float, float]:
     """Error norms of one rung's summed LOW + HIGH prediction, whose error is
     e_low + e_high, after checks (a) and (b) of :func:`run_decomposition_demo`;
-    `inverse_sum` inverts the rung's E_low + E_high."""
+    (a) also allows the zero floor, at or below which an error counts as 0."""
     gamma = r_low.gamma
-    # The gap is taken in place, in the inverse's fresh samples, and freed
-    # before e_sum is made: one full-length array fewer is live.
-    gap = inverse_sum([r_low, r_high]).values
-    gap -= r_low.e.values
-    gap -= r_high.e.values
-    split_gap = _max_abs(gap)
-    del gap
     e_sum = SampledSignal(r_low.e.t0, r_low.e.dt, r_low.e.values + r_high.e.values)
-    scale = max(_max_abs(e_sum.values), 1.0)
-    if split_gap > 1e-12 * scale:
-        raise BoundViolation(gamma, signal_id, split_gap, 1e-12 * scale)
-
     err_l2, err_linf = signal_norms(e_sum)
+    gap = abs(err_l2 - spectral_err_l2([r_low.error_points, r_high.error_points]))
+    if gap > 1e-12 * err_l2 + _ZERO_FLOOR:
+        raise BoundViolation(gamma, signal_id, gap, 1e-12 * err_l2 + _ZERO_FLOOR)
     if err_l2 > r_low.err_l2 + r_high.err_l2 + 1e-9:
         raise BoundViolation(gamma, signal_id, err_l2, r_low.err_l2 + r_high.err_l2 + 1e-9)
     return err_l2, err_linf

@@ -105,25 +105,13 @@ def mirror_half(half: np.ndarray, n: int) -> np.ndarray:
     The DC and Nyquist bins keep their real parts, as irfft does, so the
     result inverts to the same signal as `half`.
     """
-    positions, values = mirror_points(np.arange(n // 2 + 1), half, n)
-    full = np.empty(n, dtype=complex)
-    full[positions] = values
-    return full
-
-
-def mirror_points(k: np.ndarray, values: np.ndarray, n: int):
-    """(positions, values) on the centered n-point grid of the Hermitian
-    spectrum whose omega >= 0 half is `values` at the bins k and zero
-    elsewhere: the point k at k + n/2 (mod n) and, for 0 < k < n/2, its
-    conjugate at n/2 - k.  The DC and Nyquist bins keep their real parts, as
-    irfft does."""
     h = n // 2
-    inner = (k > 0) & (k < h)
-    positions = np.concatenate(((k + h) % n, h - k[inner]))
-    mirrored = np.concatenate((values, np.conj(values[inner])))
-    edges = k % h == 0
-    mirrored[: len(k)][edges] = values[edges].real
-    return positions, mirrored
+    full = np.empty(n, dtype=complex)
+    full[h:] = half[:h]
+    full[h] = half[0].real
+    full[0] = half[h].real
+    np.conjugate(half[h - 1 : 0 : -1], out=full[1:h])
+    return full
 
 
 def spectrum_from_signal(values: np.ndarray, dt: float, t0: float):

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from bandcast import PredictorTransfer, build_kernel, eval_transfer
+from bandcast import PredictorTransfer, build_kernel, eval_transfer, fourier_inverse
 from bandcast.errors import (
     BandcastError,
     ClassMismatch,
@@ -520,25 +520,23 @@ def reference_outofband_noise(spectrum, eta, noise_support, seed):
     return SampledSpectrum(spectrum.omega0, spectrum.domega, spectrum.values + noise)
 
 
-def spectral_err_l2(E: SampledSpectrum) -> float:
-    """err_l2 of the error whose spectrum is E, without an inverse transform
-    (discrete Parseval plus the trapezoid's two end terms):
+def on_grid(points) -> SampledSpectrum:
+    """The spectrum that `points` (engine.SpectrumPoints) stand for: its
+    values at its indices and zero elsewhere on its grid."""
+    full = np.zeros(points.size, dtype=complex)
+    full[points.indices] = points.values
+    return SampledSpectrum(points.omega0, points.domega, full)
 
-        err_l2**2 = (domega/2pi) * sum_k c_k |E_k|**2 - dt * (|e_0|**2 + |e_{n-1}|**2) / 2,
 
-    with c_k 1 at DC and Nyquist and 2 elsewhere on an omega >= 0 half
-    (omega0 == 0), and 1 everywhere on a full centered grid.  Each end sample
-    e(t) = (domega/2pi) * sum_k c_k E_k e^{i omega_k t} (its real part on a
-    half) is one dot product over the active points E_k != 0."""
-    half = E.omega0 == 0.0
-    n = 2 * (len(E.values) - 1) if half else len(E.values)
-    dt = 2.0 * math.pi / (n * E.domega)
-    k = np.flatnonzero(E.values)
-    Ek, w = E.values[k], E.omegas()[k]
-    c = np.where((k == 0) | (k == n // 2), 1.0, 2.0) if half else np.ones(len(k))
-    scale = E.domega / (2.0 * math.pi)
-    ends = []
-    for t in (-(n // 2) * dt, (n // 2 - 1) * dt):
-        sample = scale * np.sum(c * Ek * np.exp(1j * w * t))
-        ends.append(abs(sample.real if half else sample) ** 2)
-    return math.sqrt(scale * math.fsum(c * np.abs(Ek) ** 2) - dt * math.fsum(ends) / 2.0)
+def reference_prediction(X, kernel, gamma):
+    """(y, y_hat) of the FFT route's rung at gamma, rebuilt here: the
+    fourier_inverse of Y = K X and of Y_hat = V K X, with K and V evaluated
+    only where X != 0, as the route evaluates them."""
+    active = np.flatnonzero(X.values)
+    w = X.omegas()[active]
+    Y = np.zeros(len(X.values), dtype=complex)
+    Y[active] = transfer_on_grid(kernel, w) * X.values[active]
+    Yhat = np.zeros_like(Y)
+    predictor = PredictorTransfer(kernel, gamma)
+    Yhat[active] = compensator_on_points(predictor, 1j * w, ClassMismatch) * Y[active]
+    return tuple(fourier_inverse(SampledSpectrum(X.omega0, X.domega, v)) for v in (Y, Yhat))

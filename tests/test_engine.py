@@ -54,6 +54,7 @@ from helpers import (
     full_grid,
     hermitian_random_band_spectrum,
     inverses_made,
+    on_grid,
     oracle_reference,
     phased_signal,
     phased_spectrum,
@@ -61,6 +62,7 @@ from helpers import (
     random_mixed_signal,
     record_inverse_transforms,
     reference_mixed_predict_ladder,
+    reference_prediction,
 )
 
 LADDERS = {"LOW": [2, 5, 10, 20, 50], "HIGH": [-2, -5, -10, -20, -50]}
@@ -559,7 +561,7 @@ def test_spectral_predict_zero_signal(single_pole, pipeline_grid):
     X = SampledSpectrum(pipeline_grid.omega0, pipeline_grid.domega, np.zeros(pipeline_grid.n, dtype=complex))
     r = spectral_predict(X, single_pole, 5.0)
     assert r.err_l2 == 0.0 and r.err_linf == 0.0
-    assert np.all(r.yhat.values == 0.0)
+    assert np.all(r.e.values == 0.0) and len(r.error_points.indices) == 0
 
 
 def test_spectral_predict_monotone_sweep(single_pole, pipeline_grid):
@@ -624,18 +626,18 @@ def test_spectral_predict_ladder_equals_single_rungs(single_pole, pipeline_grid,
     assert [r.gamma for r in ladder] == LADDERS[class_tag]
     for rung in ladder:
         single = spectral_predict(X, single_pole, rung.gamma)
-        assert np.array_equal(rung.y.values, single.y.values)
-        assert np.array_equal(rung.yhat.values, single.yhat.values)
-        assert np.array_equal(rung.yhat_spectrum.values, single.yhat_spectrum.values)
+        assert np.array_equal(rung.e.values, single.e.values)
+        assert np.array_equal(rung.error_points.indices, single.error_points.indices)
+        assert np.array_equal(rung.error_points.values, single.error_points.values)
         assert rung.err_l2 == single.err_l2
         assert rung.err_linf == single.err_linf
     assert ladder[-1].err_l2 < ladder[0].err_l2
 
 
-def test_spectral_predict_ladder_inverts_y_once(single_pole, pipeline_grid, monkeypatch):
-    # L rungs: one inverse transform per error signal, then one more for y on
-    # its first read, shared by every rung; K once on the nonzero points of
-    # the half grid omega >= 0 of the Hermitian X.
+def test_spectral_predict_ladder_inverts_each_error_once(single_pole, pipeline_grid,
+                                                         monkeypatch):
+    # L rungs: one inverse transform per error signal, and none for y; K once
+    # on the nonzero points of the half grid omega >= 0 of the Hermitian X.
     X = full_grid(_class_signal("LOW", pipeline_grid), pipeline_grid)
     support = np.count_nonzero(transforms.hermitian_half(X.values, X.omega0, X.domega))
     assert 0 < support < pipeline_grid.n // 2 + 1
@@ -652,9 +654,6 @@ def test_spectral_predict_ladder_inverts_y_once(single_pole, pipeline_grid, monk
     results = list(spectral_predict_ladder(X, single_pole, LADDERS["LOW"]))
     assert len(results) == len(LADDERS["LOW"])
     assert inverses_made(calls, pipeline_grid.n) == len(LADDERS["LOW"])
-    assert all(r.y is results[0].y for r in results)
-    assert all(r.y is results[-1].y for r in reversed(results))
-    assert inverses_made(calls, pipeline_grid.n) == len(LADDERS["LOW"]) + 1
     assert len(half_grid_k) == 1
 
 
@@ -682,8 +681,7 @@ def test_ladder_reuses_one_spectrum_buffer(single_pole, pipeline_grid, monkeypat
     rows, width = buffer.shape
     assert rows > 1 and rows * 2 * (width - 1) == pipeline_grid.n
     for r in results:
-        for values in (r.e.values, r.error_spectrum.values, r.error_points.values,
-                       r.yhat_spectrum.values, r.yhat.values, r.y.values):
+        for values in (r.e.values, r.error_points.values):
             assert not np.shares_memory(values, buffer)
 
 
@@ -695,11 +693,11 @@ def test_ladder_on_a_half_equals_the_ladder_on_its_mirror(single_pole, pipeline_
     on_full = spectral_predict_ladder(full_grid(half, pipeline_grid), single_pole,
                                       LADDERS[class_tag])
     for a, b in zip(on_half, on_full, strict=True):
-        assert a.y.values.dtype == np.float64 and np.array_equal(a.y.values, b.y.values)
-        assert np.array_equal(a.yhat.values, b.yhat.values)
+        assert a.e.values.dtype == np.float64 and np.array_equal(a.e.values, b.e.values)
         assert (a.err_l2, a.err_linf) == (b.err_l2, b.err_linf)
-        assert a.yhat_spectrum.omega0 == b.yhat_spectrum.omega0 == 0.0
-        assert np.array_equal(a.yhat_spectrum.values, b.yhat_spectrum.values)
+        assert a.error_points.omega0 == b.error_points.omega0 == 0.0
+        assert np.array_equal(a.error_points.indices, b.error_points.indices)
+        assert np.array_equal(a.error_points.values, b.error_points.values)
 
 
 def _hermitian_inputs(n):
@@ -715,15 +713,11 @@ def _complex_path_ladder(monkeypatch, X, kernel, gammas):
     """The ladder with the Hermitian check disabled: every grid point, ifft.
 
     Both checks go: K is evaluated on exactly antisymmetric frequencies, so
-    K*X is exactly Hermitian and the inverse would take irfft on its own.
-    y and y_hat are inverted when first read, so they are read here."""
+    K*X is exactly Hermitian and the inverse would take irfft on its own."""
     with monkeypatch.context() as m:
         m.setattr(engine, "hermitian_half", lambda *args: None)
         m.setattr(transforms, "hermitian_half", lambda *args: None)
-        results = list(spectral_predict_ladder(X, kernel, gammas))
-        for r in results:
-            _ = r.y, r.yhat
-        return results
+        return list(spectral_predict_ladder(X, kernel, gammas))
 
 
 def _l2(values, dt):
@@ -733,32 +727,32 @@ def _l2(values, dt):
 @pytest.mark.parametrize("n", [2**11, 2**16])
 @pytest.mark.parametrize("kernel_name", ["single_pole", "conjugate_pair"])
 def test_real_path_matches_complex_path(monkeypatch, request, n, kernel_name):
-    # y and y_hat agree to 1e-12 relative.  The error norms are norms of
-    # y - y_hat, so their rounding scales with ||y|| + ||y_hat||, not with
-    # their own size (err_l2 falls to 2.5e-7 at gamma = 50): they agree to
-    # 1e-12 of that sum and to the benchmark's 1e-9 of themselves.
+    # Both paths invert E itself, so the errors agree to 1e-12 of their own
+    # size, and their norms to 1e-12 of ||y|| + ||y_hat|| (y and y_hat
+    # rebuilt by helpers.reference_prediction) and to the benchmark's 1e-9 of
+    # themselves, though err_l2 falls to 2.5e-7 at gamma = 50.
     kernel = request.getfixturevalue(kernel_name)
     for X, gammas in _hermitian_inputs(n):
         real = list(spectral_predict_ladder(X, kernel, gammas))
         cplx = _complex_path_ladder(monkeypatch, X, kernel, gammas)
-        y = cplx[0].y
-        assert real[0].y.values.dtype == np.float64 and y.values.dtype == np.complex128
-        assert np.max(np.abs(real[0].y.values - y.values)) <= 1e-12 * np.max(np.abs(y.values))
         for r, c in zip(real, cplx):
-            assert r.yhat.values.dtype == np.float64
-            yhat_linf = np.max(np.abs(c.yhat.values))
-            assert np.max(np.abs(r.yhat.values - c.yhat.values)) <= 1e-12 * yhat_linf
-            l2_scale = _l2(y.values, y.dt) + _l2(c.yhat.values, y.dt)
+            y, yhat = reference_prediction(X, kernel, r.gamma)
+            assert r.e.values.dtype == np.float64 and c.e.values.dtype == np.complex128
+            e_linf = np.max(np.abs(c.e.values))
+            assert np.max(np.abs(r.e.values - c.e.values)) <= 1e-12 * e_linf
+            l2_scale = _l2(y.values, y.dt) + _l2(yhat.values, y.dt)
             assert abs(r.err_l2 - c.err_l2) <= 1e-12 * l2_scale
-            assert abs(r.err_linf - c.err_linf) <= 1e-12 * (np.max(np.abs(y.values)) + yhat_linf)
-            assert r.err_l2 == pytest.approx(c.err_l2, rel=1e-9)
-            assert r.err_linf == pytest.approx(c.err_linf, rel=1e-9)
+            y_linf = np.max(np.abs(y.values)) + np.max(np.abs(yhat.values))
+            assert abs(r.err_linf - c.err_linf) <= 1e-12 * y_linf
+            assert r.err_l2 == pytest.approx(c.err_l2, rel=1e-9, abs=0.0)
+            assert r.err_linf == pytest.approx(c.err_linf, rel=1e-9, abs=0.0)
             # The real path carries the omega >= 0 half it inverted; the
             # complex path's Nyquist bin is stored first, at -(n/2)*domega.
-            assert r.yhat_spectrum.omega0 == 0.0 and len(r.yhat_spectrum.values) == n // 2 + 1
-            full = c.yhat_spectrum.values
+            half = on_grid(r.error_points)
+            assert half.omega0 == 0.0 and len(half.values) == n // 2 + 1
+            full = on_grid(c.error_points).values
             c_half = np.append(full[n // 2 :], np.conj(full[0]))
-            assert np.max(np.abs(r.yhat_spectrum.values - c_half)) <= 1e-12 * np.max(np.abs(full))
+            assert np.max(np.abs(half.values - c_half)) <= 1e-12 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize("n, span", [(2, 20.0), (2**11, 400.0)])
@@ -777,14 +771,14 @@ def test_results_carry_the_spectrum_they_inverted(single_pole, n, span):
     for X, real in ((low, True), (one_sided, False)):
         assert np.any(X.values != 0.0)
         for r in spectral_predict_ladder(X, single_pole, LADDERS["LOW"]):
-            spec = r.yhat_spectrum
+            spec = on_grid(r.error_points)
             assert (spec.omega0 == 0.0) == real
             assert len(spec.values) == (n // 2 + 1 if real else n)
             back = fourier_inverse(spec)
-            assert back.values.dtype == r.yhat.values.dtype
-            assert (back.t0, back.dt) == (r.yhat.t0, r.yhat.dt)
-            assert np.array_equal(back.values, r.yhat.values)
-            assert spec.energy() == pytest.approx(r.yhat.energy(), rel=1e-12)
+            assert back.values.dtype == r.e.values.dtype
+            assert (back.t0, back.dt) == (r.e.t0, r.e.dt)
+            assert np.max(np.abs(back.values - r.e.values)) <= 1e-14 * np.max(np.abs(back.values))
+            assert spec.energy() == pytest.approx(r.e.energy(), rel=1e-12)
 
 
 def test_one_ulp_off_hermitian_takes_complex_path(single_pole, pipeline_grid):
@@ -797,10 +791,9 @@ def test_one_ulp_off_hermitian_takes_complex_path(single_pole, pipeline_grid):
     assert transforms.hermitian_half(off.values, off.omega0, off.domega) is None
     real = list(spectral_predict_ladder(X, single_pole, LADDERS["LOW"]))
     cplx = list(spectral_predict_ladder(off, single_pole, LADDERS["LOW"]))
-    assert cplx[0].y.values.dtype == np.complex128
     for r, c in zip(real, cplx):
-        assert c.yhat.values.dtype == np.complex128
-        assert np.max(np.abs(r.yhat.values - c.yhat.values)) <= 1e-12 * np.max(np.abs(r.yhat.values))
+        assert c.e.values.dtype == np.complex128
+        assert np.max(np.abs(r.e.values - c.e.values)) <= 1e-12 * np.max(np.abs(r.e.values))
     # A non-real DC bin is off Hermitian too.
     vals = X.values.copy()
     vals[h] += 1e-300j
@@ -905,21 +898,6 @@ def test_band_limited_inverse_matches_the_full_inverse(monkeypatch, support, m):
         assert not np.shares_memory(got, buffer)
         outputs.append(got)
     assert not np.shares_memory(*outputs)
-
-
-def test_mirror_points_place_what_mirror_half_places():
-    n = 16
-    k = np.array([0, 1, 5, 7, 8])
-    values = np.array([1 + 2j, 3 - 1j, -2 + 5j, 0.5j, -4 + 3j])
-    half = np.zeros(n // 2 + 1, dtype=complex)
-    half[k] = values
-    positions, mirrored = transforms.mirror_points(k, values, n)
-    full = np.zeros(n, dtype=complex)
-    full[positions] = mirrored
-    assert len(set(positions.tolist())) == len(positions)
-    want = transforms.mirror_half(half, n)
-    assert np.array_equal(full, want)  # off the points mirror_half may hold -0.0
-    assert mirrored.tobytes() == want[positions].tobytes()
 
 
 def test_causal_horizon_shorter_than_one_step():
@@ -1202,11 +1180,12 @@ def test_prediction_result_validates_norms(single_pole, pipeline_grid):
     assert (r.err_l2, r.err_linf) == signal_norms(r.e)
     with pytest.raises(dataclasses.FrozenInstanceError):
         r.err_l2 = 0.0
+    y, yhat = reference_prediction(X, single_pole, r.gamma)
     with pytest.raises(TypeError):
-        PredictionResult(r.y, r.yhat, r.gamma, err_l2=r.err_l2)
-    shifted = SampledSignal(r.y.t0 + r.y.dt, r.y.dt, r.yhat.values)
+        PredictionResult(y, yhat, r.gamma, err_l2=r.err_l2)
+    shifted = SampledSignal(y.t0 + y.dt, y.dt, yhat.values)
     with pytest.raises(GridMismatch):
-        PredictionResult(r.y, shifted, r.gamma)
+        PredictionResult(y, shifted, r.gamma)
 
 
 def test_holder_chain_single_signal(single_pole, pipeline_grid):

@@ -22,12 +22,19 @@ from bandcast import (
     GridSpec,
     PredictorTransfer,
     config,
+    engine,
     harness,
     signals,
     synthesize_time_predictor,
     transforms,
 )
-from bandcast.errors import ClassMismatch, ConfigError, DomainError, QuadratureNotConverged
+from bandcast.errors import (
+    BoundViolation,
+    ClassMismatch,
+    ConfigError,
+    DomainError,
+    QuadratureNotConverged,
+)
 from bandcast.harness import (
     cli_main,
     config_from_dict,
@@ -841,11 +848,13 @@ def test_sweep_ladder_converged_to_zero_passes():
 
 
 def _config_error_spectra():
-    """(label, gamma, E, err_l2) for every FFT-route rung of configs/: the
-    sweep (its ladder run on to gamma = 800), robustness, both decompose
+    """(label, gamma, parts, err_l2) for every FFT-route rung of configs/:
+    the sweep (its ladder run on to gamma = 800), robustness, both decompose
     parts and their recombined error, and a one-sided HIGH part on the full
-    grid.  Each ladder is rebuilt as its op builds it, E is the rung's error
-    spectrum, and err_l2 is the value the op reports for that rung."""
+    grid.  Each ladder is rebuilt as its op builds it, parts hold the error
+    spectrum at its points (the rung's error_points, or both parts' for a
+    recombined error), and err_l2 is the value the op reports for that
+    rung."""
     def load(name, **changes):
         doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
         doc.update(changes, outputs={})
@@ -858,7 +867,7 @@ def _config_error_spectra():
         ladder = harness.spectral_predict_ladder(X, cfg.kernel, gammas)
         for r, err in zip(ladder, reported, strict=True):
             assert r.err_l2 == err, label
-            yield label, r.gamma, r.error_spectrum, err
+            yield label, r.gamma, [r.error_points], err
 
     cfg = load("sweep", gamma_ladder=[2, 5, 10, 20, 50, 100, 200, 400, 800])
     (spec,) = cfg.signals
@@ -885,38 +894,140 @@ def _config_error_spectra():
         highs = list(rungs(f"{name} high", cfg, high, [-g for g in gammas],
                            report.summary[spec.id]["err_high"]))
         out += lows + highs
-        for (_l, gamma, E_low, _e), (_h, _g, E_high, _e2), row in zip(lows, highs, report.rows):
-            total = harness._sum_spectra([E_low, E_high], cfg.grid.n)
-            out.append((f"{name} total", gamma, total, row.err_l2))
+        for (_l, gamma, low_parts, _e), (_h, _g, high_parts, _e2), row in zip(lows, highs,
+                                                                             report.rows):
+            out.append((f"{name} total", gamma, low_parts + high_parts, row.err_l2))
     return out
 
 
 def test_err_l2_equals_the_spectral_formula_on_every_config_rung():
-    # Parseval plus two end samples (helpers.spectral_err_l2) never inverts:
+    # Parseval plus two end samples (engine.spectral_err_l2) never inverts:
     # it checks the inverted error from outside, on halves and on the full
     # grid, and at gamma = 400 and 800, where y - y_hat read 0.0.
     rungs = _config_error_spectra()
-    assert {label for label, _g, E, _err in rungs if E.omega0 != 0.0} == {
-        "one-sided high", "one-sided total"}
-    deep = [err for label, gamma, _E, err in rungs if label == "sweep" and gamma >= 400]
+    assert {label for label, _g, parts, _err in rungs
+            if any(p.omega0 != 0.0 for p in parts)} == {"one-sided high", "one-sided total"}
+    deep = [err for label, gamma, _parts, err in rungs if label == "sweep" and gamma >= 400]
     assert len(deep) == 2 and all(0.0 < err < 1e-24 for err in deep)
-    for label, gamma, E, err in rungs:
-        assert helpers.spectral_err_l2(E) == pytest.approx(err, rel=1e-12), (label, gamma)
+    for label, gamma, parts, err in rungs:
+        assert engine.spectral_err_l2(parts) == pytest.approx(err, rel=1e-14, abs=0.0), (
+            label, gamma)
+
+
+def _scaled_err_l2(e, scale=2.0**560):
+    """err_l2 of the samples of e scaled by `scale`, scaled back."""
+    return engine.signal_norms(signals.SampledSignal(e.t0, e.dt, e.values * scale))[0] / scale
+
+
+def test_sweep_err_l2_does_not_underflow_to_zero():
+    # Defect 6f: at gamma = 3500 the sweep's error peaks at 1.1e-174, whose
+    # square underflows, and err_l2 read 0.0.  Scaled by 2**560 the same
+    # samples give 1.59e-173; at gamma = 3000 that scaling changes no bit.
+    doc = json.loads((ROOT / "configs" / "sweep.json").read_text())
+    cfg = config_from_dict(doc)
+    X = harness.build_grid_spectrum(cfg.signals[0], cfg.grid, cfg.kernel.omega)
+    normal, tiny = harness.spectral_predict_ladder(X, cfg.kernel, [3000.0, 3500.0])
+    assert normal.err_l2 == _scaled_err_l2(normal.e) > 0.0
+    assert 0.0 < tiny.err_linf < 1e-170
+    assert tiny.err_l2 == pytest.approx(_scaled_err_l2(tiny.e), rel=1e-15, abs=0.0)
+    assert tiny.err_l2 == pytest.approx(1.59e-173, rel=1e-2, abs=0.0)
+    assert engine.spectral_err_l2([tiny.error_points]) == pytest.approx(tiny.err_l2, rel=1e-14,
+                                                                          abs=0.0)
+
+
+def test_decompose_high_err_l2_does_not_underflow_to_zero():
+    # Defect 6f in decompose: its HIGH ladder's error at |gamma| = 2000 peaks
+    # at 1.7e-168, and err_l2 read 0.0.  Check (a) compares two sums of
+    # squares there, the inverted error's and the spectrum's.
+    doc = json.loads((ROOT / "configs" / "decompose.json").read_text())
+    doc.update(gamma_ladder=[1000, 2000], outputs={})
+    cfg = config_from_dict(doc)
+    errs = run_decomposition_demo(cfg).summary["mix"]["err_high"]
+    X = harness.build_grid_spectrum(cfg.signals[0], cfg.grid, cfg.kernel.omega)
+    high = signals.ideal_lowpass_split(X, cfg.kernel.omega)[1]
+    _, r = harness.spectral_predict_ladder(high, cfg.kernel, [-1000.0, -2000.0])
+    assert 0.0 < r.err_linf < 1e-160
+    assert errs[-1] == r.err_l2 == pytest.approx(_scaled_err_l2(r.e), rel=1e-15, abs=0.0)
+    assert engine.spectral_err_l2([r.error_points]) == pytest.approx(r.err_l2, rel=1e-14, abs=0.0)
+
+
+def _decompose_at(gamma, n=2048):
+    """configs/decompose.json on GridSpec(n, 400 n/2048), with the one rung gamma."""
+    doc = json.loads((ROOT / "configs" / "decompose.json").read_text())
+    doc.update(gamma_ladder=[gamma], grid={"n": n, "span": 400.0 * n / 2048}, outputs={})
+    return config_from_dict(doc)
+
+
+def _check_a_fails(cfg, gamma):
+    """Run decompose on cfg; it must raise check (a)'s BoundViolation at gamma."""
+    with pytest.raises(BoundViolation) as info:
+        run_decomposition_demo(cfg)
+    assert info.value.gamma == gamma
+    assert info.value.measured > 1e5 * info.value.bound  # check (a)'s bound is 1e-12 relative
+
+
+@pytest.mark.parametrize("n", [2048, 2**16])
+@pytest.mark.parametrize("gamma", [2, 5, 10, 20, 50])
+@pytest.mark.parametrize("part", [0, 1], ids=["low", "high"])
+def test_decompose_check_a_catches_a_dropped_bin(monkeypatch, part, gamma, n):
+    # One part's error is inverted from E without its largest bin, while its
+    # error_points keep it: the gap is at least 1.1e-6 relative at n = 2**20.
+    made, sparse_inverse = [], engine.sparse_inverse
+
+    def dropping(indices, *args):
+        invert = sparse_inverse(indices, *args)
+        made.append(invert)
+        if len(made) - 1 != part:
+            return invert
+
+        def dropped(values):
+            values = np.array(values)
+            values[np.argmax(np.abs(values))] = 0.0
+            return invert(values)
+        return dropped
+
+    monkeypatch.setattr(engine, "sparse_inverse", dropping)
+    _check_a_fails(_decompose_at(gamma, n), gamma)
+    assert len(made) == 2
+
+
+@pytest.mark.parametrize("n", [2048, 2**16])
+@pytest.mark.parametrize("gamma", [2, 5, 10, 20, 50])
+@pytest.mark.parametrize("row", [1, 3])
+def test_decompose_check_a_catches_a_wrong_twiddle(monkeypatch, row, gamma, n):
+    # Row `row` of every band-limited inverse takes the twiddle of row + 1.
+    # That keeps each part's energy, so each part's err_l2 is unchanged; the
+    # cross term of e_low and e_high is what moves (>= 1.5e-4 relative).
+    irfft, rows_seen = np.fft.irfft, set()
+
+    def wrong_twiddle(a, *args, **kwargs):
+        base = a.base
+        if isinstance(base, np.ndarray) and base.ndim == 2 and base.dtype == complex:
+            s = (a.ctypes.data - base.ctypes.data) // base.strides[0]
+            rows_seen.add(s)
+            if s == row:
+                m = args[0]
+                a = a * np.exp(2j * np.pi * np.arange(len(a)) / (len(base) * m))
+        return irfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", wrong_twiddle)
+    _check_a_fails(_decompose_at(gamma, n), gamma)
+    assert row in rows_seen
 
 
 @pytest.mark.parametrize(
     "name, op, bound",
     [("sweep", run_convergence_sweep, 2.45), ("robustness", run_robustness_probe, 3.3),
-     ("decompose", run_decomposition_demo, 7.3)],
+     ("decompose", run_decomposition_demo, 6.05)],
     ids=["sweep", "robustness", "decompose"],
 )
 def test_grid_op_peak_memory(name, op, bound):
     # Traced peak at n = 2**16, in (n/2 + 1)-point complex half spectra; a
     # float signal of n samples is one such unit.  A ladder holds one reused
     # buffer of band-limited inverse rows and its live rung's e, so it takes
-    # 2.27 (sweep), 3.01 (robustness: the noise is drawn on full-length
-    # arrays) and 6.65 (decompose: two ladders, and check (a) inverts the
-    # sum of both error spectra at their points with a third inverter).
+    # 2.33 (sweep), 3.01 (robustness: the noise is drawn on full-length
+    # arrays) and 5.53 (decompose: two ladders and their summed error,
+    # whose check (a) inverts nothing).
     # The bounds leave under 10 % headroom, less than one more full-length
     # array: a second live rung, a held spectrum or X, a fresh spectrum per
     # rung that outlives its inverse, or a norm temporary such as |e| would
@@ -1149,7 +1260,7 @@ def test_cli_defective_density_fails_when_built(tmp_path, monkeypatch, capsys, d
     [
         ("sweep", run_convergence_sweep, 5),  # one error per rung, no y
         ("robustness", run_robustness_probe, 7),  # 7 rungs
-        ("decompose", run_decomposition_demo, 15),  # 2 errors per rung, 1 recombined
+        ("decompose", run_decomposition_demo, 10),  # 2 errors per rung
     ],
     ids=["sweep", "robustness", "decompose"],
 )
@@ -1213,15 +1324,8 @@ def _deviation_values_doubled(real):
     return lambda predictor, w: 2.0 * real(predictor, w)
 
 
-def _inverse_offset(real):
-    def offset_sum_inverse(first):
-        inverse = real(first)
-
-        def offset(rungs):
-            e = inverse(rungs)
-            return signals.SampledSignal(e.t0, e.dt, e.values + 1.0)
-        return offset
-    return offset_sum_inverse
+def _parseval_offset(real):
+    return lambda parts: real(parts) + 1.0
 
 
 def _norms_inflated(real):
@@ -1238,7 +1342,7 @@ def _norms_inflated(real):
          lambda measured, bound: measured > 1e6 * bound > 0.0),
         ("bound-check", "bound_check", "_deviation_values", _deviation_values_doubled, "tone",
          lambda measured, bound: bound == pytest.approx(2.0 * measured, rel=1e-6)),
-        ("decompose", "decompose", "error_sum_inverse", _inverse_offset, "mix",
+        ("decompose", "decompose", "spectral_err_l2", _parseval_offset, "mix",
          lambda measured, bound: measured == pytest.approx(1.0) and bound < 1e-11),
         ("decompose", "decompose", "signal_norms", _norms_inflated, "mix",
          lambda measured, bound: bound < measured <= bound + 1.0),
@@ -1263,7 +1367,7 @@ def test_cli_decompose_rising_total_is_a_monotonicity_violation(tmp_path, monkey
     # The recombined ladder fails as its parts do: a MonotonicityViolation
     # record naming the signal, and no CSV.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(harness, "_recombined_errors", lambda _id, r_low, _r_high, _inverse: (
+    monkeypatch.setattr(harness, "_recombined_errors", lambda _id, r_low, _r_high: (
         float(r_low.gamma), float(r_low.gamma)))
     assert cli_main(["decompose", "--config", str(ROOT / "configs" / "decompose.json")]) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
