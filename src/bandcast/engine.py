@@ -15,7 +15,8 @@ the error spectrum E = Y_hat - Y = (V - 1) K X, with V - 1 evaluated without
 cancellation, so an error far below eps * ||y|| is still resolved.  E
 vanishes wherever X does, so a band-limited half inverts as a few short
 transforms (:func:`transforms.band_limited_inverse`).  Neither y nor y_hat
-is computed, and err_l2 also follows from E alone (:func:`spectral_err_l2`).
+is computed, and err_l2 also follows from E alone (:func:`spectral_err_l2`),
+as do the error's samples at the grid's centre (:func:`centre_samples`).
 
 The pipeline runs on centered grids only (:mod:`bandcast.transforms`) and
 has a real path.  The kernel's coefficients are real and its poles
@@ -48,6 +49,7 @@ from .errors import (
     NonFiniteResult,
     QuadratureNotConverged,
 )
+from .grids import in_class
 from .kernels import (
     RationalAnticausalKernel,
     scalar_time_kernel,
@@ -65,6 +67,7 @@ from .transforms import (
     _row_groups,
     grid_length,
     hermitian_half,
+    interleaved_rows,
     signal_from_spectrum,
     sparse_inverse,
     spectrum_from_signal,
@@ -293,7 +296,8 @@ class PredictionResult:
     gamma)``, as the atomic-plus-density route builds it, takes e = yhat - y
     and keeps y and yhat; y and y_hat on different grids raise GridMismatch.
     The FFT route builds its results from e and keeps ``error_points``, E at
-    the active points (:func:`spectral_predict_ladder`; None on the other).
+    the active points, and ``error_parts``, E on each part of its ladder's
+    split (:func:`spectral_predict_ladder`; both None on the other).
     """
 
     gamma: float
@@ -301,6 +305,7 @@ class PredictionResult:
     err_l2: float
     err_linf: float
     error_points: SpectrumPoints | None
+    error_parts: tuple[SpectrumPoints, ...] | None
 
     def __init__(self, y: SampledSignal, yhat: SampledSignal, gamma: float):
         if not same_time_grid(y, yhat):
@@ -308,7 +313,8 @@ class PredictionResult:
         self.__dict__.update(y=y, yhat=yhat)
         self._set_error(gamma, SampledSignal(y.t0, y.dt, yhat.values - y.values))
 
-    def _set_error(self, gamma: float, e: SampledSignal, error_points=None) -> None:
+    def _set_error(self, gamma: float, e: SampledSignal, error_points=None,
+                   error_parts=None) -> None:
         err_l2, err_linf = signal_norms(e)
         if not (math.isfinite(err_l2) and math.isfinite(err_linf)):
             raise NonFiniteResult(
@@ -316,7 +322,7 @@ class PredictionResult:
                 f"err_l2 = {err_l2!r}, err_linf = {err_linf!r}"
             )
         self.__dict__.update(gamma=gamma, e=e, err_l2=err_l2, err_linf=err_linf,
-                             error_points=error_points)
+                             error_points=error_points, error_parts=error_parts)
 
 
 class SpectrumPoints(NamedTuple):
@@ -332,7 +338,8 @@ class SpectrumPoints(NamedTuple):
 
 
 class _SpectralRung(PredictionResult):
-    """A rung of :func:`spectral_predict_ladder`: its e and E at its points."""
+    """A rung of :func:`spectral_predict_ladder`: its e, E at its points and
+    E on each part of the split."""
 
     __init__ = PredictionResult._set_error
 
@@ -410,6 +417,35 @@ def spectral_err_l2(parts) -> float:
     return math.sqrt(max(err_sq, 0.0)) / s
 
 
+def centre_samples(points: SpectrumPoints) -> tuple[np.ndarray, float]:
+    """The samples e(t_{n/2 + s}), s < r, of the error whose spectrum is
+    `points`, summed from E without a transform, and their scale
+    (domega/2pi) sum_k c_k |E_k|, which bounds each (c_k as in
+    :func:`spectral_err_l2`).
+
+    t_{n/2} = 0 exactly, so on the full grid (r = 1) the one sample is
+    (domega/2pi) sum_k E_k.  On an omega >= 0 half r is the band-limited
+    inverse's row count (:func:`transforms.interleaved_rows`), so sample
+    n/2 + s lies in its row s, and e(t_{n/2+s}) =
+    (domega/2pi) Re sum_k c_k E_k e^{2 pi i k s/n}: e^{2 pi i k/n} once,
+    and its powers by multiplication, each within s ulps.
+    """
+    n = grid_length(points.size, points.omega0, points.domega)
+    scale = points.domega / (2.0 * math.pi)
+    u = points.values
+    if points.omega0 != 0.0:
+        return np.array([scale * u.sum()]), scale * float(np.sum(np.abs(u)))
+    k = points.indices
+    w = np.where(k % (n // 2) == 0, u.real, 2.0 * u)  # c_k E_k, as irfft reads it
+    bound = scale * float(np.sum(np.abs(w)))
+    samples = [w.real.sum()]
+    step = np.exp((2j * np.pi / n) * k)
+    for _ in range(1, interleaved_rows(k, n)):
+        w *= step
+        samples.append(w.real.sum())
+    return scale * np.array(samples), bound
+
+
 def error_norms(y: SampledSignal, yhat: SampledSignal) -> tuple[float, float]:
     """:func:`signal_norms` of y - yhat on their shared grid."""
     if not same_time_grid(y, yhat):
@@ -418,7 +454,7 @@ def error_norms(y: SampledSignal, yhat: SampledSignal) -> tuple[float, float]:
 
 
 def spectral_predict_ladder(
-    X: SampledSpectrum, kernel: RationalAnticausalKernel, gammas
+    X: SampledSpectrum, kernel: RationalAnticausalKernel, gammas, split_at: float | None = None
 ) -> Iterator[PredictionResult]:
     """Frequency-domain pipeline over a gamma ladder: Y = K X, and per rung
     the error spectrum E = Y_hat - Y = (V - 1) K X.
@@ -431,19 +467,36 @@ def spectral_predict_ladder(
     (:func:`predictor.compensator_minus_one_on_points`), only where X != 0,
     so off-band blow-up cannot poison in-class runs; if X has energy where
     the compensator saturates, it raises ClassMismatch when that rung is
-    reached.  The returned iterator computes each rung when it is reached:
-    it inverts E from its values at the active points with one inverter
+    reached.
+
+    With `split_at` a band constant omega, one ladder predicts both parts of
+    X's ideal low-pass split (:func:`signals.ideal_lowpass_split`): at each
+    rung, with gamma taken as |gamma|, the points with |w| <= omega (the LOW
+    class of :func:`grids.in_class`) take the predictor of +gamma and every
+    other point that of -gamma, so E has the bits the two parts' own ladders
+    give, both parts share X's representation, and the summed error of the
+    two predictions is inverted once.
+
+    The returned iterator computes each rung when it is reached: it inverts
+    E from its values at the active points with one inverter
     (:func:`transforms.sparse_inverse`) that every rung reuses: on a half the
     band-limited inverse, whose transform length follows the support, and on
     the full grid one zero-filled buffer.  The rung's e is its one fresh
-    full-length array; the result keeps it and E at the active points
-    (:class:`PredictionResult`), and neither y nor y_hat is computed.  One
-    result per gamma, in ladder order.  Between rungs only the inverter and
-    the active points and values are kept, not X: a caller that drops X and
-    each result before asking for the next holds one rung at a time.
+    full-length array; the result keeps it, E at the active points and E on
+    each part of the split, (LOW, HIGH), or (E,) without one
+    (:class:`PredictionResult`); neither y nor y_hat is computed.  One result
+    per gamma, in ladder order, with the gamma of the first part.  Between
+    rungs only the inverter and the active points and values are kept, not
+    X: a caller that drops X and each result before asking for the next
+    holds one rung at a time.
     """
     grid_length(len(X.values), X.omega0, X.domega)
-    predictors = [PredictorTransfer(kernel, gamma) for gamma in gammas]
+    if split_at is None:
+        ladders = [[PredictorTransfer(kernel, gamma) for gamma in gammas]]
+    else:  # LOW at +|gamma|, HIGH at -|gamma|
+        magnitudes = [abs(gamma) for gamma in gammas]
+        ladders = [[PredictorTransfer(kernel, sign * gamma) for gamma in magnitudes]
+                   for sign in (1.0, -1.0)]
     half = hermitian_half(X.values, X.omega0, X.domega)  # None for a half: it is not centered
     if half is not None:  # run on the half, on its own grid omega_k = k*domega
         X = SampledSpectrum(0.0, X.domega, half)
@@ -451,17 +504,32 @@ def spectral_predict_ladder(
     w = X.omegas()[active]
     Y = SpectrumPoints(X.omega0, X.domega, len(X.values), active,
                        transfer_on_grid(kernel, w) * X.values[active])
-    p_active = 1j * w
+    if split_at is None:
+        masks = [slice(None)]
+    else:
+        low = in_class(w, "LOW", split_at)
+        masks = [low, ~low]
+    parts = [(Y._replace(indices=active[m], values=Y.values[m]), 1j * w[m], ladder)
+             for m, ladder in zip(masks, ladders)]
     del X, half, w  # the rungs read only the active points
     invert = sparse_inverse(active, Y.size, Y.omega0, Y.domega)
 
-    def rung(predictor: PredictorTransfer) -> PredictionResult:
-        E_active = compensator_minus_one_on_points(predictor, p_active, ClassMismatch) * Y.values
-        values, t0, dt = invert(E_active)
-        return _SpectralRung(predictor.gamma, SampledSignal(t0, dt, values),
-                             Y._replace(values=E_active))
+    def rung(j: int) -> PredictionResult:
+        E_parts = tuple(
+            Y_part._replace(values=compensator_minus_one_on_points(
+                ladder[j], p_part, ClassMismatch) * Y_part.values)
+            for Y_part, p_part, ladder in parts
+        )
+        if len(E_parts) == 1:
+            (E,) = E_parts
+        else:
+            E = Y._replace(values=np.empty_like(Y.values))
+            for m, E_part in zip(masks, E_parts):
+                E.values[m] = E_part.values
+        values, t0, dt = invert(E.values)
+        return _SpectralRung(ladders[0][j].gamma, SampledSignal(t0, dt, values), E, E_parts)
 
-    return map(rung, predictors)
+    return map(rung, range(len(ladders[0])))
 
 
 def spectral_predict(

@@ -31,8 +31,8 @@ import numpy as np
 
 from .config import ExperimentConfig, config_from_dict, load_config  # noqa: F401 (re-export)
 from .engine import (
+    centre_samples,
     mixed_predict_ladder,
-    signal_norms,
     spectral_err_l2,
     spectral_predict_ladder,
 )
@@ -56,11 +56,9 @@ from .signals import (
     MixedSpectrum,
     RaisedCosineBump,
     SampledDensity,
-    SampledSignal,
     SampledSpectrum,
     add_outofband_noise,
     cstar_norm,
-    ideal_lowpass_split,
     make_bandlimited_signal,
     make_highfreq_signal,
     make_mixed_signal,
@@ -309,32 +307,34 @@ def run_robustness_probe(cfg: ExperimentConfig) -> ErrorReport:
 def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
     """Split a mixed-support signal, predict the parts, recombine.
 
-    Per ladder rung gamma the LOW part uses +gamma, the HIGH part -gamma.
-    Asserts (a) the err_l2 of the summed error e_low + e_high equals, to
-    1e-12 relative, the one discrete Parseval gives from E_low + E_high at
-    both parts' points (:func:`engine.spectral_err_l2`, no inverse), and (b)
-    the combined error obeys the triangle inequality against the component
-    errors; the LOW, HIGH and recombined error ladders must each decrease.
+    Per ladder rung gamma the LOW part of the ideal low-pass split uses
+    +gamma, the HIGH part -gamma, in one ladder over the signal's points
+    (:func:`engine.spectral_predict_ladder` with `split_at`), which inverts
+    the recombined error e = e_low + e_high once; the rows are its norms,
+    and each part's err_l2 comes from its own E by discrete Parseval
+    (:func:`engine.spectral_err_l2`, no inverse).  Asserts (a) the inverse
+    is right: e's err_l2 equals the one Parseval gives from E_low and E_high
+    to 1e-12 relative, and e's sample at the grid's centre in each
+    interleaved row equals the one summed from E
+    (:func:`engine.centre_samples`) to 1e-12 of their scale, which sees a
+    row's phase where its energy cannot; and (b) the combined error obeys
+    the triangle inequality against the component errors.  The LOW, HIGH
+    and recombined error ladders must each decrease.
     """
     kernel = cfg.kernel
     gammas = [abs(g) for g in cfg.gamma_ladder]
     rows: list[ReportRow] = []
     summary: dict = {"op": "decompose"}
     for spec in cfg.signals:
-        low, high = ideal_lowpass_split(
-            build_grid_spectrum(spec, cfg.grid, kernel.omega), kernel.omega
-        )
-        ladders = zip(
-            spectral_predict_ladder(low, kernel, gammas),
-            spectral_predict_ladder(high, kernel, [-g for g in gammas]),
-        )
-        del low, high  # each ladder keeps what its rungs read
+        ladder = spectral_predict_ladder(build_grid_spectrum(spec, cfg.grid, kernel.omega),
+                                         kernel, gammas, split_at=kernel.omega)
         errs_l, errs_h, norms = [], [], []
-        for r_low, r_high in ladders:
-            norms.append(_recombined_errors(spec.id, r_low, r_high))
-            errs_l.append(r_low.err_l2)
-            errs_h.append(r_high.err_l2)
-            del r_low, r_high  # one live rung: free it before the next is computed
+        for r in ladder:
+            total, (err_low, err_high) = _recombined_errors(spec.id, r)
+            norms.append(total)
+            errs_l.append(err_low)
+            errs_h.append(err_high)
+            del r  # one live rung: free it before the next is computed
         _check_monotone(spec.id + "[low]", gammas, errs_l)
         _check_monotone(spec.id + "[high]", gammas, errs_h)
         errs_total = [l2 for l2, _linf in norms]
@@ -348,19 +348,24 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
     return ErrorReport(tuple(rows), summary=summary)
 
 
-def _recombined_errors(signal_id: str, r_low, r_high) -> tuple[float, float]:
-    """Error norms of one rung's summed LOW + HIGH prediction, whose error is
-    e_low + e_high, after checks (a) and (b) of :func:`run_decomposition_demo`;
-    (a) also allows the zero floor, at or below which an error counts as 0."""
-    gamma = r_low.gamma
-    e_sum = SampledSignal(r_low.e.t0, r_low.e.dt, r_low.e.values + r_high.e.values)
-    err_l2, err_linf = signal_norms(e_sum)
-    gap = abs(err_l2 - spectral_err_l2([r_low.error_points, r_high.error_points]))
-    if gap > 1e-12 * err_l2 + _ZERO_FLOOR:
-        raise BoundViolation(gamma, signal_id, gap, 1e-12 * err_l2 + _ZERO_FLOOR)
-    if err_l2 > r_low.err_l2 + r_high.err_l2 + 1e-9:
-        raise BoundViolation(gamma, signal_id, err_l2, r_low.err_l2 + r_high.err_l2 + 1e-9)
-    return err_l2, err_linf
+def _recombined_errors(signal_id: str, r) -> tuple[tuple[float, float], list[float]]:
+    """The norms (err_l2, err_linf) of one rung of the split ladder, whose
+    error is that of the summed LOW + HIGH prediction, and each part's
+    err_l2, after checks (a) and (b) of :func:`run_decomposition_demo`; both
+    halves of (a) also allow the zero floor, at or below which an error
+    counts as 0."""
+    gamma, e = r.gamma, r.e.values
+    gap = abs(r.err_l2 - spectral_err_l2(r.error_parts))
+    if gap > 1e-12 * r.err_l2 + _ZERO_FLOOR:
+        raise BoundViolation(gamma, signal_id, gap, 1e-12 * r.err_l2 + _ZERO_FLOOR)
+    centre, scale = centre_samples(r.error_points)
+    gap = float(np.max(np.abs(e[len(e) // 2 : len(e) // 2 + len(centre)] - centre)))
+    if gap > 1e-12 * scale + _ZERO_FLOOR:
+        raise BoundViolation(gamma, signal_id, gap, 1e-12 * scale + _ZERO_FLOOR)
+    parts = [spectral_err_l2([part]) for part in r.error_parts]
+    if r.err_l2 > sum(parts) + 1e-9:
+        raise BoundViolation(gamma, signal_id, r.err_l2, sum(parts) + 1e-9)
+    return (r.err_l2, r.err_linf), parts
 
 
 # ---------------------------------------------------------------------------

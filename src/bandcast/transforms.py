@@ -219,6 +219,19 @@ def _row_groups(rows: int, most: int) -> list[tuple[int, int]]:
 # Rows of the band-limited inverse per exact twiddle: the other rows chain
 # theirs from it, at most _CHAINED_ROWS - 1 multiplications each.
 _CHAINED_ROWS = 16
+# Bytes of the band-limited inverse's output rows at once, one M-point float
+# row per group: the groups are capped so that the transient beside the
+# samples does not grow with the number of CPUs.  Two 2**17-point rows fit,
+# so on two workers an n = 2**20 inverse of r >= 8 rows keeps two groups.
+_INVERSE_ROW_BYTES = 1 << 21
+
+
+def interleaved_rows(indices, n: int) -> int:
+    """r, the interleaved rows of :func:`band_limited_inverse` for an
+    omega >= 0 half that vanishes off `indices`: n/M, with M the smallest
+    power of two >= 2*(k_max + 1), capped at n."""
+    k_max = int(np.max(indices, initial=0))
+    return n // min(n, 1 << (2 * k_max + 1).bit_length())
 
 
 def band_limited_inverse(indices, n: int, domega: float):
@@ -230,22 +243,23 @@ def band_limited_inverse(indices, n: int, domega: float):
     If every active k < M/2, with M = n/r a power of two, the n-point inverse
     is r interleaved M-point ones (Markel's pruning):
     e_{q*r+s} = (domega*M/2pi) * irfft_M(G_s)_q with
-    G_s(k) = (-1)^k X_k e^{2 pi i s k/n}.  M is the smallest power of two
-    >= 2*(k_max + 1), capped at n, so it depends on the support alone.  One
-    (r, M/2 + 1) complex buffer serves every call.  The calling thread writes
-    the active bins: row 0 takes (-1)^k X_k and row s row 0 times its
-    twiddle.  Then each group of rows (:func:`_row_groups`) runs on the pool
-    (:func:`_map_row_blocks`): an irfft per row, scaled in one output row per
-    group and copied into the row's own memory, the group's rows transposed
-    into their columns of fresh samples, and the rows zeroed again.  A
-    per-row irfft equals a batched one bit for bit, so the samples do not
-    depend on the groups or the workers.  With r = 1 (a support that reaches
-    k = n/2 - 1) the samples are the irfft of :func:`signal_from_spectrum`
-    bit for bit.
+    G_s(k) = (-1)^k X_k e^{2 pi i s k/n}.  r follows from the support alone
+    (:func:`interleaved_rows`).  One (r, M/2 + 1) complex buffer serves every
+    call.  The calling thread writes the active bins: row 0 takes
+    (-1)^k X_k and row s row 0 times its twiddle.  Then each group of rows
+    (:func:`_row_groups`: whole row blocks, and no more M-point output rows
+    than _INVERSE_ROW_BYTES holds) runs on the pool
+    (:func:`_map_row_blocks`): an irfft per row, scaled in its group's
+    output row and copied into the row's own memory, the group's rows
+    transposed into their columns of fresh samples, and the rows zeroed
+    again.  A per-row irfft equals a batched one bit for bit, so the samples
+    do not depend on the groups or the workers.  With r = 1 (a support that
+    reaches k = n/2 - 1) the samples are the irfft of
+    :func:`signal_from_spectrum` bit for bit.
     """
     k = np.asarray(indices, dtype=np.intp)
-    m = min(n, 1 << (2 * int(k.max(initial=0)) + 1).bit_length())
-    r = n // m
+    r = interleaved_rows(k, n)
+    m = n // r
     rows = np.zeros((r, m // 2 + 1), dtype=complex)
     real = rows.view(np.float64)
     odd = k % 2 == 1
@@ -281,7 +295,7 @@ def band_limited_inverse(indices, n: int, domega: float):
                 g *= step
         del g  # not live during the transform
         samples = np.empty(n)
-        groups = _row_groups(r, rows.size // _BLOCK_ELEMENTS)  # whole row blocks each
+        groups = _row_groups(r, min(rows.size // _BLOCK_ELEMENTS, _INVERSE_ROW_BYTES // (8 * m)))
         # Each group's output row is allocated here: a temporary that a worker
         # allocated (as numpy's copy of an input that overlaps its output would
         # be) stays resident in that worker's malloc arena.

@@ -35,7 +35,7 @@ from bandcast import (
     spectral_predict_ladder,
     synthesize_time_predictor,
 )
-from bandcast import engine, transforms
+from bandcast import engine, signals, transforms
 from bandcast.engine import signal_norms
 from bandcast.errors import (
     BandcastError,
@@ -575,8 +575,8 @@ def test_spectral_predict_scaling(single_pole, pipeline_grid):
     r1 = spectral_predict(X, single_pole, 5.0)
     X3 = SampledSpectrum(X.omega0, X.domega, 3.0 * X.values)
     r3 = spectral_predict(X3, single_pole, 5.0)
-    assert r3.err_l2 == pytest.approx(3 * r1.err_l2, rel=1e-12)
-    assert r3.err_linf == pytest.approx(3 * r1.err_linf, rel=1e-12)
+    assert r3.err_l2 == pytest.approx(3 * r1.err_l2, rel=1e-12, abs=0.0)
+    assert r3.err_linf == pytest.approx(3 * r1.err_linf, rel=1e-12, abs=0.0)
 
 
 def test_spectral_predict_zero_guard_allows_large_gamma(single_pole, pipeline_grid):
@@ -698,6 +698,68 @@ def test_ladder_on_a_half_equals_the_ladder_on_its_mirror(single_pole, pipeline_
         assert a.error_points.omega0 == b.error_points.omega0 == 0.0
         assert np.array_equal(a.error_points.indices, b.error_points.indices)
         assert np.array_equal(a.error_points.values, b.error_points.values)
+
+
+def _composite(grid, hermitian_high):
+    """A LOW raised cosine on [-0.9, 0.9] plus a HIGH one on [1.2, 1.5], the
+    latter one-sided unless `hermitian_high`: an omega >= 0 half, or the full
+    grid."""
+    low = _class_signal("LOW", grid)
+    high = make_highfreq_signal("raised_cosine", (1.2, 1.5), grid, 1.0, hermitian=hermitian_high)
+    if hermitian_high:
+        return SampledSpectrum(0.0, low.domega, low.values + high.values)
+    return SampledSpectrum(grid.omega0, grid.domega,
+                           full_grid(low, grid).values + high.values)
+
+
+@pytest.mark.parametrize("hermitian_high", [True, False], ids=["half", "full"])
+def test_split_ladder_predicts_each_part_with_its_own_class(single_pole, pipeline_grid,
+                                                            monkeypatch, hermitian_high):
+    # One ladder over X: the LOW points at +|gamma| and the others at
+    # -|gamma| give E the bits of each part's own ladder, on X's one
+    # representation, and each rung inverts the recombined error once.
+    X = _composite(pipeline_grid, hermitian_high)
+    low, high = signals.ideal_lowpass_split(X, 1.0)
+    calls = record_inverse_transforms(monkeypatch)
+    split = list(spectral_predict_ladder(X, single_pole, LADDERS["HIGH"], split_at=1.0))
+    assert sum(size for _name, size in calls) == len(LADDERS["HIGH"]) * pipeline_grid.n
+    monkeypatch.undo()
+    # Each part in a ladder of its own, on X's representation: a
+    # Hermitian part of a full X is not halved.
+    parts = [[r.error_points for r in _complex_path_ladder(monkeypatch, part, single_pole,
+                                                              gammas)]
+             for part, gammas in ((low, LADDERS["LOW"]), (high, LADDERS["HIGH"]))]
+    assert [r.gamma for r in split] == LADDERS["LOW"]
+    for r, E_low, E_high in zip(split, *parts, strict=True):
+        assert r.error_points.omega0 == X.omega0
+        assert np.array_equal(r.error_points.indices, np.flatnonzero(X.values))
+        for got, want in zip(r.error_parts, (E_low, E_high), strict=True):
+            assert np.array_equal(got.indices, want.indices)
+            assert got.values.tobytes() == want.values.tobytes()
+        e_parts = [fourier_inverse(on_grid(E)).values for E in (E_low, E_high)]
+        e_sum = e_parts[0] + e_parts[1]
+        assert np.max(np.abs(r.e.values - e_sum)) <= 1e-14 * np.max(np.abs(e_sum))
+        assert r.err_l2 == pytest.approx(engine.spectral_err_l2(r.error_parts), rel=1e-14,
+                                         abs=0.0)
+
+
+@pytest.mark.parametrize("hermitian_high", [True, False], ids=["half", "full"])
+def test_centre_samples_are_the_inverse_at_the_grid_centre(single_pole, pipeline_grid,
+                                                           hermitian_high):
+    # One sample per row of the band-limited inverse (8 rows here), or one
+    # on the full grid, at t_{n/2 + s}, summed from E alone; each within
+    # 1e-14 of their scale of the full n-point inverse, which they bound.
+    X = _composite(pipeline_grid, hermitian_high)
+    (r,) = spectral_predict_ladder(X, single_pole, [5.0], split_at=1.0)
+    E = r.error_points
+    samples, scale = engine.centre_samples(E)
+    rows = transforms.interleaved_rows(E.indices, pipeline_grid.n) if hermitian_high else 1
+    assert len(samples) == rows == (8 if hermitian_high else 1)
+    mid = pipeline_grid.n // 2
+    assert pipeline_grid.times()[mid] == 0.0
+    full = fourier_inverse(on_grid(E)).values[mid : mid + rows]
+    assert np.max(np.abs(samples - full)) <= 1e-14 * scale
+    assert np.all(np.abs(samples) <= scale)
 
 
 def _hermitian_inputs(n):

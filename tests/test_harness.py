@@ -11,7 +11,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from bandcast import (
     PredictorTransfer,
     config,
     engine,
+    grids,
     harness,
     signals,
     synthesize_time_predictor,
@@ -690,9 +693,15 @@ def test_decompose_in_band_only_reduces_to_low_sweep():
         report = run_decomposition_demo(cfg)
         info = report.summary["mix"]
         assert all(e == 0.0 for e in info["err_high"])
-        assert info["err_total"] == pytest.approx(info["err_low"], rel=1e-12)
+        assert info["err_total"] == pytest.approx(info["err_low"], rel=1e-12, abs=0.0)
         entry = config_from_dict(base_config(signals=[{"id": "b", "kind": "bandlimited", **part}]))
-        assert info["err_low"] == [r.err_l2 for r in run_convergence_sweep(entry).rows]
+        sweep = run_convergence_sweep(entry).rows
+        # One ladder over the same points inverts the sweep's error: the rows'
+        # norms are the sweep's bit for bit, and err_low, by Parseval, is
+        # within roundoff of them.
+        assert [(r.err_l2, r.err_linf) for r in report.rows] == [
+            (r.err_l2, r.err_linf) for r in sweep]
+        assert info["err_low"] == pytest.approx([r.err_l2 for r in sweep], rel=1e-14, abs=0.0)
 
 
 def test_decompose_off_band_only_mirror():
@@ -712,7 +721,7 @@ def test_decompose_off_band_only_mirror():
     report = run_decomposition_demo(cfg)
     info = report.summary["mix"]
     assert all(e == 0.0 for e in info["err_low"])
-    assert info["err_total"] == pytest.approx(info["err_high"], rel=1e-12)
+    assert info["err_total"] == pytest.approx(info["err_high"], rel=1e-12, abs=0.0)
 
 
 def test_decompose_mixed_support_combined_ladder():
@@ -737,13 +746,11 @@ def test_decompose_mixed_support_combined_ladder():
 
 
 def test_decompose_one_sided_high_part():
-    # The symmetric LOW part is carried as its omega >= 0 half, the one-sided
-    # HIGH part on the full grid; check (a) sums their error spectra on the
-    # full grid, the LOW part's points mirrored onto it.  The err_l2 values
-    # are pinned as the inverted error spectra give them, the LOW part's
-    # by the band-limited inverse.  Each is within 1e-10 of what the full
-    # n-point inverse gave, and of what y - y_hat gave, with the full-grid
-    # version of check (a) on the predictions.
+    # X is not Hermitian, so both parts, the symmetric LOW one too, run on
+    # the full grid, in one ladder whose recombined error is one complex
+    # n-point inverse; the err_l2 values are pinned as it gives them.  Each
+    # is within 1e-10 of what the parts' own full n-point inverses gave, and
+    # of what y - y_hat gave.
     part = {"envelope": "raised_cosine", "support": [-0.9, 0.9], "hermitian": True}
     high = {"envelope": "raised_cosine", "support": [1.2, 1.5], "hermitian": False}
     cfg = config_from_dict(
@@ -755,7 +762,7 @@ def test_decompose_one_sided_high_part():
         0.02041929284906375,
         0.00486169412540937,
         0.00034395275485586316,
-        3.6055731902167987e-07,
+        3.605573190216798e-07,
     ]
     from_full_inverse = [
         0.07269457377040019,
@@ -852,9 +859,11 @@ def _config_error_spectra():
     the sweep (its ladder run on to gamma = 800), robustness, both decompose
     parts and their recombined error, and a one-sided HIGH part on the full
     grid.  Each ladder is rebuilt as its op builds it, parts hold the error
-    spectrum at its points (the rung's error_points, or both parts' for a
+    spectrum at its points (the rung's error_parts: both parts' for a
     recombined error), and err_l2 is the value the op reports for that
-    rung."""
+    rung.  A decompose part is also run in a ladder of its own, from
+    ideal_lowpass_split, and its err_l2 is that ladder's inverted one: the
+    op's Parseval value for the part must be within 1e-14 of it."""
     def load(name, **changes):
         doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
         doc.update(changes, outputs={})
@@ -863,11 +872,11 @@ def _config_error_spectra():
     def spectrum(cfg, spec):
         return harness.build_grid_spectrum(spec, cfg.grid, cfg.kernel.omega)
 
-    def rungs(label, cfg, X, gammas, reported):
-        ladder = harness.spectral_predict_ladder(X, cfg.kernel, gammas)
+    def rungs(label, cfg, X, gammas, reported, split_at=None):
+        ladder = harness.spectral_predict_ladder(X, cfg.kernel, gammas, split_at)
         for r, err in zip(ladder, reported, strict=True):
             assert r.err_l2 == err, label
-            yield label, r.gamma, [r.error_points], err
+            yield label, r.gamma, list(r.error_parts), err
 
     cfg = load("sweep", gamma_ladder=[2, 5, 10, 20, 50, 100, 200, 400, 800])
     (spec,) = cfg.signals
@@ -888,15 +897,16 @@ def _config_error_spectra():
     for name, cfg in (("decompose", load("decompose")), ("one-sided", one_sided_cfg)):
         (spec,) = cfg.signals
         report = run_decomposition_demo(cfg)
-        low, high = signals.ideal_lowpass_split(spectrum(cfg, spec), cfg.kernel.omega)
         gammas = cfg.gamma_ladder
-        lows = list(rungs(f"{name} low", cfg, low, gammas, report.summary[spec.id]["err_low"]))
-        highs = list(rungs(f"{name} high", cfg, high, [-g for g in gammas],
-                           report.summary[spec.id]["err_high"]))
-        out += lows + highs
-        for (_l, gamma, low_parts, _e), (_h, _g, high_parts, _e2), row in zip(lows, highs,
-                                                                             report.rows):
-            out.append((f"{name} total", gamma, low_parts + high_parts, row.err_l2))
+        out += rungs(f"{name} total", cfg, spectrum(cfg, spec), gammas,
+                     [row.err_l2 for row in report.rows], split_at=cfg.kernel.omega)
+        low, high = signals.ideal_lowpass_split(spectrum(cfg, spec), cfg.kernel.omega)
+        for label, X, part_gammas in (("low", low, gammas), ("high", high, [-g for g in gammas])):
+            reported = report.summary[spec.id][f"err_{label}"]
+            ladder = harness.spectral_predict_ladder(X, cfg.kernel, part_gammas)
+            for r, err in zip(ladder, reported, strict=True):
+                assert err == pytest.approx(r.err_l2, rel=1e-14, abs=0.0), (label, r.gamma)
+                out.append((f"{name} {label}", r.gamma, [r.error_points], r.err_l2))
     return out
 
 
@@ -936,9 +946,10 @@ def test_sweep_err_l2_does_not_underflow_to_zero():
 
 
 def test_decompose_high_err_l2_does_not_underflow_to_zero():
-    # Defect 6f in decompose: its HIGH ladder's error at |gamma| = 2000 peaks
-    # at 1.7e-168, and err_l2 read 0.0.  Check (a) compares two sums of
-    # squares there, the inverted error's and the spectrum's.
+    # Defect 6f in decompose: its HIGH part's error at |gamma| = 2000 peaks
+    # at 1.7e-168, and err_l2 read 0.0.  The op takes that err_l2 from the
+    # part's E by Parseval; run in a ladder of its own, the HIGH part's
+    # inverted error gives the same value.
     doc = json.loads((ROOT / "configs" / "decompose.json").read_text())
     doc.update(gamma_ladder=[1000, 2000], outputs={})
     cfg = config_from_dict(doc)
@@ -947,8 +958,9 @@ def test_decompose_high_err_l2_does_not_underflow_to_zero():
     high = signals.ideal_lowpass_split(X, cfg.kernel.omega)[1]
     _, r = harness.spectral_predict_ladder(high, cfg.kernel, [-1000.0, -2000.0])
     assert 0.0 < r.err_linf < 1e-160
-    assert errs[-1] == r.err_l2 == pytest.approx(_scaled_err_l2(r.e), rel=1e-15, abs=0.0)
-    assert engine.spectral_err_l2([r.error_points]) == pytest.approx(r.err_l2, rel=1e-14, abs=0.0)
+    assert r.err_l2 == pytest.approx(_scaled_err_l2(r.e), rel=1e-15, abs=0.0)
+    assert errs[-1] == engine.spectral_err_l2([r.error_points])
+    assert errs[-1] == pytest.approx(r.err_l2, rel=1e-14, abs=0.0)
 
 
 def _decompose_at(gamma, n=2048):
@@ -968,36 +980,39 @@ def _check_a_fails(cfg, gamma):
 
 @pytest.mark.parametrize("n", [2048, 2**16])
 @pytest.mark.parametrize("gamma", [2, 5, 10, 20, 50])
-@pytest.mark.parametrize("part", [0, 1], ids=["low", "high"])
+@pytest.mark.parametrize("part", ["LOW", "HIGH"], ids=["low", "high"])
 def test_decompose_check_a_catches_a_dropped_bin(monkeypatch, part, gamma, n):
-    # One part's error is inverted from E without its largest bin, while its
-    # error_points keep it: the gap is at least 1.1e-6 relative at n = 2**20.
+    # The op's one inverter inverts E without the largest bin of one part,
+    # while the rung's error_points and error_parts keep it.
+    cfg = _decompose_at(gamma, n)
     made, sparse_inverse = [], engine.sparse_inverse
 
-    def dropping(indices, *args):
-        invert = sparse_inverse(indices, *args)
+    def dropping(indices, size, omega0, domega):
+        invert = sparse_inverse(indices, size, omega0, domega)
         made.append(invert)
-        if len(made) - 1 != part:
-            return invert
+        omegas = grids.uniform_omegas(omega0, domega, size)[indices]
+        low = grids.in_class(omegas, "LOW", cfg.kernel.omega)
+        (in_part,) = np.nonzero(low == (part == "LOW"))
 
         def dropped(values):
             values = np.array(values)
-            values[np.argmax(np.abs(values))] = 0.0
+            values[in_part[np.argmax(np.abs(values[in_part]))]] = 0.0
             return invert(values)
         return dropped
 
     monkeypatch.setattr(engine, "sparse_inverse", dropping)
-    _check_a_fails(_decompose_at(gamma, n), gamma)
-    assert len(made) == 2
+    _check_a_fails(cfg, gamma)
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize("n", [2048, 2**16])
 @pytest.mark.parametrize("gamma", [2, 5, 10, 20, 50])
 @pytest.mark.parametrize("row", [1, 3])
 def test_decompose_check_a_catches_a_wrong_twiddle(monkeypatch, row, gamma, n):
-    # Row `row` of every band-limited inverse takes the twiddle of row + 1.
-    # That keeps each part's energy, so each part's err_l2 is unchanged; the
-    # cross term of e_low and e_high is what moves (>= 1.5e-4 relative).
+    # Row `row` of the op's one band-limited inverse (8 rows) takes the
+    # twiddle of row + 1.  That keeps the row's energy, so e's err_l2 is
+    # unchanged; e's sample at the grid's centre in that row is what moves,
+    # by more than 1e7 times check (a)'s bound.
     irfft, rows_seen = np.fft.irfft, set()
 
     def wrong_twiddle(a, *args, **kwargs):
@@ -1015,10 +1030,40 @@ def test_decompose_check_a_catches_a_wrong_twiddle(monkeypatch, row, gamma, n):
     assert row in rows_seen
 
 
+def test_decompose_same_bytes_on_the_pool_and_inline(monkeypatch):
+    # At n = 2**18 each rung's one inverse (8 rows, 4 row blocks) splits
+    # into two groups, which run on two workers of the pool; the rows and the
+    # summary are the bytes of the inline path.
+    n = 2**18
+    doc = json.loads((ROOT / "configs" / "decompose.json").read_text())
+    doc.update(grid={"n": n, "span": 400.0 * n / 2048}, outputs={})
+    cfg = config_from_dict(doc)
+    irfft, threads = np.fft.irfft, set()
+
+    def recorded(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return irfft(*args, **kwargs)
+
+    def run():
+        report = run_decomposition_demo(cfg)
+        return report.to_csv(), json.dumps(report.summary, sort_keys=True)
+
+    monkeypatch.setattr(np.fft, "irfft", recorded)
+    monkeypatch.setattr(transforms, "_row_workers", 2)
+    with ThreadPoolExecutor(2) as two_workers:
+        monkeypatch.setattr(transforms, "_row_pool", two_workers)
+        pooled = run()
+    assert threads and threading.get_ident() not in threads
+    monkeypatch.setattr(transforms, "_row_pool", None)
+    threads.clear()
+    assert run() == pooled
+    assert threads == {threading.get_ident()}
+
+
 @pytest.mark.parametrize(
     "name, op, bound",
     [("sweep", run_convergence_sweep, 2.45), ("robustness", run_robustness_probe, 3.3),
-     ("decompose", run_decomposition_demo, 6.05)],
+     ("decompose", run_decomposition_demo, 3.3)],
     ids=["sweep", "robustness", "decompose"],
 )
 def test_grid_op_peak_memory(name, op, bound):
@@ -1026,8 +1071,9 @@ def test_grid_op_peak_memory(name, op, bound):
     # float signal of n samples is one such unit.  A ladder holds one reused
     # buffer of band-limited inverse rows and its live rung's e, so it takes
     # 2.33 (sweep), 3.01 (robustness: the noise is drawn on full-length
-    # arrays) and 5.53 (decompose: two ladders and their summed error,
-    # whose check (a) inverts nothing).
+    # arrays) and 3.00 (decompose: its composite's two parts and their sum
+    # as the spectrum is built; its one ladder, which inverts each rung's
+    # recombined error once, stays below that).
     # The bounds leave under 10 % headroom, less than one more full-length
     # array: a second live rung, a held spectrum or X, a fresh spectrum per
     # rung that outlives its inverse, or a norm temporary such as |e| would
@@ -1260,7 +1306,7 @@ def test_cli_defective_density_fails_when_built(tmp_path, monkeypatch, capsys, d
     [
         ("sweep", run_convergence_sweep, 5),  # one error per rung, no y
         ("robustness", run_robustness_probe, 7),  # 7 rungs
-        ("decompose", run_decomposition_demo, 10),  # 2 errors per rung
+        ("decompose", run_decomposition_demo, 5),  # one recombined error per rung
     ],
     ids=["sweep", "robustness", "decompose"],
 )
@@ -1328,11 +1374,9 @@ def _parseval_offset(real):
     return lambda parts: real(parts) + 1.0
 
 
-def _norms_inflated(real):
-    def inflated(e):
-        err_l2, err_linf = real(e)
-        return err_l2 + 1.0, err_linf
-    return inflated
+def _part_errors_halved(real):
+    # Check (a) reads both parts at once, check (b) one part at a time.
+    return lambda parts: real(parts) / (2.0 if len(parts) == 1 else 1.0)
 
 
 @pytest.mark.parametrize(
@@ -1344,8 +1388,8 @@ def _norms_inflated(real):
          lambda measured, bound: bound == pytest.approx(2.0 * measured, rel=1e-6)),
         ("decompose", "decompose", "spectral_err_l2", _parseval_offset, "mix",
          lambda measured, bound: measured == pytest.approx(1.0) and bound < 1e-11),
-        ("decompose", "decompose", "signal_norms", _norms_inflated, "mix",
-         lambda measured, bound: bound < measured <= bound + 1.0),
+        ("decompose", "decompose", "spectral_err_l2", _part_errors_halved, "mix",
+         lambda measured, bound: bound < measured < 2.0 * bound),
     ],
     ids=["uniform-bound", "single-atom", "decompose-split-sum", "decompose-triangle"],
 )
@@ -1367,8 +1411,8 @@ def test_cli_decompose_rising_total_is_a_monotonicity_violation(tmp_path, monkey
     # The recombined ladder fails as its parts do: a MonotonicityViolation
     # record naming the signal, and no CSV.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(harness, "_recombined_errors", lambda _id, r_low, _r_high: (
-        float(r_low.gamma), float(r_low.gamma)))
+    monkeypatch.setattr(harness, "_recombined_errors", lambda _id, r: (
+        (float(r.gamma), float(r.gamma)), [0.0, 0.0]))
     assert cli_main(["decompose", "--config", str(ROOT / "configs" / "decompose.json")]) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "MonotonicityViolation"

@@ -8,6 +8,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -171,6 +172,31 @@ def test_band_limited_inverse_groups_do_not_race(monkeypatch):
                 assert (got / scale).tobytes() == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n, r", [(2**18, 4), (2**20, 16)])
+def test_band_limited_inverse_transient_does_not_grow_with_the_workers(monkeypatch, n, r):
+    # Beside its samples an inverse holds one M-point output row per group,
+    # allocated by the calling thread, and a copy of its values.  The groups
+    # are capped at _INVERSE_ROW_BYTES of output rows: at n = 2**20 and
+    # r = 16 the rows held 2.1 MB on 4 workers and 4.2 MB on 8 before the
+    # cap, and hold 2.1 MB on both now.  Every call gives the inline bytes.
+    invert, values = _band_limited_case(n, r)
+    monkeypatch.setattr(transforms, "_row_pool", None)
+    expected = invert(values)[0].tobytes()
+    for workers in (4, 8):
+        monkeypatch.setattr(transforms, "_row_workers", workers)
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(transforms, "_row_pool", pool)
+            invert(values)  # the pool's threads start outside the count
+            tracemalloc.start()
+            try:
+                samples = invert(values)[0]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert samples.tobytes() == expected
+        assert peak - samples.nbytes <= transforms._INVERSE_ROW_BYTES + 2 * values.nbytes
 
 
 def test_band_limited_inverse_runs_in_a_forked_child():
