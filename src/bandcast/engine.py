@@ -186,29 +186,26 @@ def causal_convolve(
     Uses only lags in [0, M] of khat (strictly causal); x is zero-extended
     before its grid.  khat's grid must contain the lag range at x's spacing.
     The taps are transformed once per call, at the FFT length L, the
-    smallest power of two >= max(3 * taps, 2**15); x is added by overlap-add
-    in blocks of L - taps + 1 samples, one forward and one inverse transform
-    each (rfft/irfft when x and the taps are both real), so the memory
-    beyond the output scales with the tap count, not with the length of x.
-    The blocks split into contiguous groups, one per worker of the library's
-    pool (:func:`transforms._map_row_blocks`; inline on one CPU or for a
-    single block) but never more than _CONVOLVE_GROUPS, so the buffers beyond
-    the output do not grow with the number of CPUs either.  Each group has
-    one spectrum and one piece row that the calling thread allocates (a
-    complex piece is transformed in place in its spectrum row).  A worker
-    adds its pieces into the output but for the tail of its last block,
-    which reaches into the next group's first block; the calling thread adds
-    those tails afterwards.  A block's tail (taps - 1 samples) is shorter
-    than a block, so every sample is 0.0 plus at most two pieces, a sum
-    whose bits do not depend on its order: the output does not depend on the
-    groups or the workers.  A horizon that is not positive (or NaN) raises
-    InsufficientHistory; a non-finite sample of x or of the taps used, or a
-    non-finite output (an overflow of finite inputs), raises NonFiniteResult
-    without a numpy warning.  x is checked, block by block, before any block
-    is convolved, so a non-finite sample of x is reported as such even where
-    an earlier stretch would overflow, on any number of workers.  Each
-    stretch of the output is checked once no later piece reaches it, by its
-    worker or, next to a group boundary, by the calling thread.
+    smallest power of two >= max(3 * taps, 2**15); the output is computed by
+    overlap-save in blocks of L - taps + 1 samples, one forward and one
+    inverse transform each (rfft/irfft when x and the taps are both real), so
+    the memory beyond the output scales with the tap count, not with the
+    length of x.  The block at `start` transforms x from start - taps + 1
+    (or 0) to its end, and the last `block` samples of that L-point circular
+    convolution are its own stretch of the output, so every output sample
+    is computed in one block whichever worker runs it.  The blocks split
+    into contiguous groups, one per worker of the library's pool
+    (:func:`transforms._map_row_blocks`; inline on one CPU or for a single
+    block) but never more than _CONVOLVE_GROUPS, so the buffers beyond the
+    output do not grow with the number of CPUs either.  Each group has one
+    spectrum and one piece row that the calling thread allocates (a complex
+    piece is transformed in place in its spectrum row).  A horizon that is
+    not positive (or NaN) raises InsufficientHistory; a non-finite sample of
+    x or of the taps used, or a non-finite output (an overflow of finite
+    inputs), raises NonFiniteResult without a numpy warning.  x is checked
+    before any block is convolved, so a non-finite sample of x is reported
+    as such even where an earlier stretch would overflow; each block checks
+    its own stretch of the output.
     """
     dt = x.dt
     if abs(khat.dt - dt) > 1e-12 * dt:
@@ -240,8 +237,7 @@ def causal_convolve(
     taps *= dt
     n = len(x.values)
     size = 1 << (max(3 * len(taps), 1 << 15) - 1).bit_length()
-    block = size - len(taps) + 1  # a block's full convolution fills size samples
-    blocks = -(-n // block)
+    block = size - len(taps) + 1  # the samples past a block's wrapped-around head
     if np.isrealobj(x.values) and np.isrealobj(taps):
         forward, inverse = np.fft.rfft, np.fft.irfft
     else:
@@ -250,39 +246,27 @@ def causal_convolve(
         if not np.all(np.isfinite(x.values[start : start + block])):
             raise NonFiniteResult("causal_convolve: x has non-finite samples")
     taps_f = forward(taps, size)
-    out = np.zeros(n, dtype=np.result_type(x.values, taps))
-    groups = _row_groups(blocks, _CONVOLVE_GROUPS)
+    out = np.empty(n, dtype=np.result_type(x.values, taps))
+    groups = _row_groups(-(-n // block), _CONVOLVE_GROUPS)
     # Allocated here: a worker's malloc arena keeps what the worker allocates.
     spectra = np.empty((len(groups), len(taps_f)), dtype=complex)
     pieces = spectra if out.dtype == complex else np.empty((len(groups), size))
-
-    def final(start: int) -> None:
-        # No later piece reaches below start + block: that stretch is final.
-        if not np.all(np.isfinite(out[start : start + block])):
-            raise NonFiniteResult("causal_convolve: the convolution overflowed")
 
     def convolve(job: tuple[int, tuple[int, int]]) -> None:
         g, (lo, hi) = job
         spectrum, piece = spectra[g], pieces[g]
         with np.errstate(invalid="ignore", over="ignore"):  # per thread
-            for j in range(lo, hi):
-                start = j * block
-                forward(x.values[start : start + block], size, out=spectrum)
+            for start in range(lo * block, hi * block, block):
+                first = max(start - len(taps) + 1, 0)
+                forward(x.values[first : start + block], size, out=spectrum)
                 spectrum *= taps_f
                 inverse(spectrum, size, out=piece)  # in place on the complex path: same bits
-                # The tail of a group's last block is the calling thread's to add.
-                stop = min(start + (block if j + 1 == hi < blocks else size), n)
-                out[start:stop] += piece[: stop - start]
-                if j > lo or lo == 0:  # a later group's first stretch awaits that tail
-                    final(start)
+                stretch = out[start : start + block]
+                stretch[:] = piece[start - first : start - first + len(stretch)]
+                if not np.all(np.isfinite(stretch)):
+                    raise NonFiniteResult("causal_convolve: the convolution overflowed")
 
     _map_row_blocks(convolve, enumerate(groups))
-    with np.errstate(invalid="ignore", over="ignore"):
-        for (_, hi), piece in zip(groups[:-1], pieces):
-            start = hi * block
-            tail = piece[block : min(size, n - start + block)]
-            out[start : start + len(tail)] += tail
-            final(start)
     return SampledSignal(x.t0, dt, out)
 
 

@@ -243,26 +243,28 @@ def _phase_products(t: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndar
     distinct |t| only (for an exactly symmetric t grid such as
     ``GridSpec(2048, 400).times()`` that is n/2 + 1 rows), one row block of
     complex Q at a time, about `_BLOCK_ELEMENTS` entries, and the blocks run
-    in parallel on `_map_row_blocks`; a block is freed once its products are
-    taken, so live Q is workers x block, not rows x nodes.  A row with
-    t >= +0.0 reads (Q @ c); a row with the sign bit of t set (t < 0 or
-    t == -0.0) reads conj(Q @ conj(c)), which equals conj(Q) @ c bit for bit
-    because rounding is symmetric under negation.  numpy's float64 sin and cos
-    are odd and even and agree with its complex exp, and a matrix-vector
-    product sums each row in an order that does not depend on its position or
-    its block; the tests pin these facts, so the bits do not depend on the
-    block size or the number of workers.  A one-row Q would take numpy's dot
-    path, not its matrix-vector one, so a single distinct |t| is repeated
-    when t has several rows and a one-row last block joins the one before it.
-    Only numpy runs on the pool: `x` and `columns` are arrays, and a worker
-    enters its own `np.errstate`, which is per thread.
+    in parallel on `_map_row_blocks`; a block writes its products into its
+    own columns of (columns, distinct |t|) arrays that the calling thread
+    allocates, and is freed then, so live Q is workers x block, not
+    rows x nodes.  A row with t >= +0.0 reads (Q @ c); a row with the sign
+    bit of t set (t < 0 or t == -0.0) reads conj(Q @ conj(c)), which equals
+    conj(Q) @ c bit for bit because rounding is symmetric under negation.
+    numpy's float64 sin and cos are odd and even and agree with its complex
+    exp, and a matrix-vector product sums each row in an order that does not
+    depend on its position or its block; the tests pin these facts, so the
+    bits do not depend on the block size or the number of workers.  A one-row
+    Q would take numpy's dot path, not its matrix-vector one, so a single
+    distinct |t| is repeated when t has several rows and a one-row last block
+    joins the one before it.  Only numpy runs on the pool: `x` and `columns`
+    are arrays, and a worker enters its own `np.errstate`, which is per
+    thread.
     """
     abs_t, rows = np.unique(np.abs(t), return_inverse=True)
     if len(abs_t) < min(len(t), 2):
         abs_t = np.repeat(abs_t, 2)
     signed = np.signbit(t)
-    pos_at, neg_at = np.flatnonzero(~signed), np.flatnonzero(signed)
-    pos_rows, neg_rows = rows[pos_at], rows[neg_at]
+    has_pos, has_neg = not np.all(signed), bool(np.any(signed))
+    side, rows = signed.astype(np.intp)[:, None], rows[:, None]
 
     def products(x: np.ndarray, columns: np.ndarray) -> np.ndarray:
         step = max(2, _BLOCK_ELEMENTS // len(x))
@@ -271,28 +273,27 @@ def _phase_products(t: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndar
             del edges[-2]
 
         conj_columns = np.conj(columns)
+        # Rows of a side that t lacks are never read.
+        pos, neg = sides = np.empty((2, len(columns), len(abs_t)), dtype=complex)
 
-        def block(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        def block(bounds: tuple[int, int]) -> None:
             lo, hi = bounds
-            pos = np.empty((len(columns), hi - lo), dtype=complex)
-            neg = np.empty_like(pos)  # rows of a side that t lacks are never read
             with np.errstate(invalid="ignore", over="ignore"):
                 theta = np.outer(abs_t[lo:hi], x)
                 q = np.empty(theta.shape, dtype=complex)
                 q.real = np.cos(theta)
                 q.imag = np.sin(theta, out=theta)
                 for j in range(len(columns)):
-                    if len(pos_at):
-                        np.matmul(q, columns[j], out=pos[j])
-                    if len(neg_at):
-                        np.matmul(q, conj_columns[j], out=neg[j])
-            return pos, neg
+                    if has_pos:
+                        np.matmul(q, columns[j], out=pos[j, lo:hi])
+                    if has_neg:
+                        np.matmul(q, conj_columns[j], out=neg[j, lo:hi])
 
-        pos, neg = map(np.hstack, zip(*_map_row_blocks(block, zip(edges[:-1], edges[1:]))))
-        out = np.empty((len(t), len(columns)), dtype=complex)
-        out[pos_at] = pos.T[pos_rows]
-        out[neg_at] = np.conj(neg.T[neg_rows])
-        return out
+        _map_row_blocks(block, zip(edges[:-1], edges[1:]))
+        if has_neg:
+            np.conjugate(neg, out=neg)
+        # One gather into the result: row i reads its side's |t| row.
+        return sides[side, np.arange(len(columns)), rows]
 
     return products
 

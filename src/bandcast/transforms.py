@@ -27,7 +27,7 @@ float samples is an rfft mirrored onto the full grid (:func:`mirror_half`).
 The library's one worker pool lives here (:func:`_map_row_blocks`): the
 band-limited inverse splits its rows over it, the density quadrature of
 :mod:`bandcast.signals` its row blocks and :func:`engine.causal_convolve`
-its overlap-add blocks.  Each gives the same bits on any number of workers.
+its overlap-save blocks.  Each gives the same bits on any number of workers.
 Only numpy runs on the workers, none of the library's public functions:
 the benchmark's tracer (perfbench/tracer.py) wraps those with one span
 stack for the whole process, so the K_hat blocks of
@@ -195,17 +195,22 @@ _new_row_pool()
 os.register_at_fork(after_in_child=_new_row_pool)
 
 
-def _map_row_blocks(task, blocks) -> list:
-    """[task(b) for b in blocks], on the row pool, or inline without one or
-    for a single block.  On the pool every task runs to its end before the
-    first error in block order is raised, so no task still writes into a
-    caller's buffers once the caller has the error."""
+def _map_row_blocks(task, blocks) -> None:
+    """task(b) for each b in blocks, on the row pool, or inline without one
+    or for a single block.  The pool's one contract: a task writes only its
+    own slice of arrays that the calling thread allocated, disjoint from
+    every other task's, and returns nothing.  On the pool every task runs to
+    its end before the first error in block order is raised, so no task
+    still writes into a caller's buffers once the caller has the error."""
     blocks = list(blocks)
     if _row_pool is None or len(blocks) < 2:
-        return list(map(task, blocks))
+        for b in blocks:
+            task(b)
+        return
     futures = [_row_pool.submit(task, b) for b in blocks]
     wait(futures)
-    return [f.result() for f in futures]
+    for f in futures:
+        f.result()
 
 
 def _row_groups(rows: int, most: int) -> list[tuple[int, int]]:
@@ -219,6 +224,10 @@ def _row_groups(rows: int, most: int) -> list[tuple[int, int]]:
 # Rows of the band-limited inverse per exact twiddle: the other rows chain
 # theirs from it, at most _CHAINED_ROWS - 1 multiplications each.
 _CHAINED_ROWS = 16
+# Rows of the band-limited inverse at most: each row costs a Python-level
+# irfft here and a term in engine.centre_samples, so a support near DC takes
+# a few longer transforms instead of n/2 two-point ones.
+_MOST_ROWS = 64
 # Bytes of the band-limited inverse's output rows at once, one M-point float
 # row per group: the groups are capped so that the transient beside the
 # samples does not grow with the number of CPUs.  Two 2**17-point rows fit,
@@ -229,9 +238,9 @@ _INVERSE_ROW_BYTES = 1 << 21
 def interleaved_rows(indices, n: int) -> int:
     """r, the interleaved rows of :func:`band_limited_inverse` for an
     omega >= 0 half that vanishes off `indices`: n/M, with M the smallest
-    power of two >= 2*(k_max + 1), capped at n."""
+    power of two >= 2*(k_max + 1), capped at n, but at most _MOST_ROWS."""
     k_max = int(np.max(indices, initial=0))
-    return n // min(n, 1 << (2 * k_max + 1).bit_length())
+    return min(n // min(n, 1 << (2 * k_max + 1).bit_length()), _MOST_ROWS)
 
 
 def band_limited_inverse(indices, n: int, domega: float):
@@ -244,11 +253,11 @@ def band_limited_inverse(indices, n: int, domega: float):
     is r interleaved M-point ones (Markel's pruning):
     e_{q*r+s} = (domega*M/2pi) * irfft_M(G_s)_q with
     G_s(k) = (-1)^k X_k e^{2 pi i s k/n}.  r follows from the support alone
-    (:func:`interleaved_rows`).  One (r, M/2 + 1) complex buffer serves every
-    call.  The calling thread writes the active bins: row 0 takes
-    (-1)^k X_k and row s row 0 times its twiddle.  Then each group of rows
-    (:func:`_row_groups`: whole row blocks, and no more M-point output rows
-    than _INVERSE_ROW_BYTES holds) runs on the pool
+    and is at most _MOST_ROWS (:func:`interleaved_rows`).  One (r, M/2 + 1)
+    complex buffer serves every call.  The calling thread writes the active
+    bins: row 0 takes (-1)^k X_k and row s row 0 times its twiddle.  Then
+    each group of rows (:func:`_row_groups`: whole row blocks, and no more
+    M-point output rows than _INVERSE_ROW_BYTES holds) runs on the pool
     (:func:`_map_row_blocks`): an irfft per row, scaled in its group's
     output row and copied into the row's own memory, the group's rows
     transposed into their columns of fresh samples, and the rows zeroed

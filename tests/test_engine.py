@@ -490,17 +490,20 @@ def test_causal_horizon_tail_negligible(triple_pole):
     ids=["real", "complex", "complex-taps-real-x", "complex-taps-complex-x"],
 )
 @pytest.mark.parametrize(
-    "n, lags, full_blocks",
-    [(3 * 2**15 + 777, 50, 3), (2 * 23768 + 5001, 9000, 2), (1500, 1499, 0)],
-    ids=["short-taps", "long-taps", "horizon-span"],
+    "n, lags, full_blocks, remainder",
+    [(3 * 2**15 + 777, 50, 3, 927), (2 * 23768 + 5001, 9000, 2, 5001), (1500, 1499, 0, 1500),
+     (3 * (2**15 - 50), 50, 3, 0), (2 * (2**15 - 50) + 1, 50, 2, 1)],
+    ids=["short-taps", "long-taps", "horizon-span", "exact-blocks", "one-sample-remainder"],
 )
-def test_causal_convolve_matches_direct_sum(complex_x, complex_taps, n, lags, full_blocks):
+def test_causal_convolve_matches_direct_sum(complex_x, complex_taps, n, lags, full_blocks,
+                                            remainder):
     # Blocks of L - taps + 1 samples, L = 2**15 here (the smallest power of
     # two >= max(3 * taps, 2**15)): several blocks plus a remainder with
-    # short and with long taps, and one partial block when the horizon is
-    # the whole span.
+    # short and with long taps, one partial block when the horizon is the
+    # whole span, whole blocks only, and a last block of one sample, which
+    # still reads the taps - 1 samples of x before it.
     block = 2**15 - lags
-    assert (n // block, n % block > 0) == (full_blocks, True)
+    assert (n // block, n % block) == (full_blocks, remainder)
     rng = np.random.default_rng(n)
     dt = 0.05
     x = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_x else 0.0)
@@ -915,22 +918,22 @@ _SUPPORTS = {  # n = 2**10: half bins 0..512
     "contiguous": (np.arange(0, 58), 128),
     "gapped": (np.r_[np.arange(1, 58), np.arange(67, 71)], 256),
     "single-bin": (np.array([5]), 16),
-    "dc-only": (np.array([0]), 2),
+    "dc-only": (np.array([0]), 16),  # r = n/M is capped at 64 rows
     "kmax-is-M/2-1": (np.arange(20, 64), 128),
     "kmax-is-M/2": (np.arange(20, 65), 256),
     "reaches-nyquist": (np.r_[np.arange(0, 40), np.arange(500, 513)], 1024),
     "kmax-is-n/2-1": (np.arange(3, 512), 1024),
-    "empty": (np.array([], dtype=int), 2),
+    "empty": (np.array([], dtype=int), 16),
 }
 
 
 @pytest.mark.parametrize("support, m", _SUPPORTS.values(), ids=_SUPPORTS.keys())
 def test_band_limited_inverse_matches_the_full_inverse(monkeypatch, support, m):
     # r = n/M interleaved M-point inverses give the n-point inverse to
-    # roundoff; M is the smallest power of two >= 2*(k_max + 1), and with
-    # r = 1 the samples are the full inverse's bit for bit.  The one buffer
-    # is reused: a second half inverts as correctly as the first, and no
-    # samples share memory with it.
+    # roundoff; M is the smallest power of two >= 2*(k_max + 1) but at
+    # least n/64, and with r = 1 the samples are the full inverse's bit for
+    # bit.  The one buffer is reused: a second half inverts as correctly as
+    # the first, and no samples share memory with it.
     n, domega = 2**10, 2.0 * np.pi / 300.0
     rng = np.random.default_rng(len(support) + m)
     buffers = []
@@ -960,6 +963,28 @@ def test_band_limited_inverse_matches_the_full_inverse(monkeypatch, support, m):
         assert not np.shares_memory(got, buffer)
         outputs.append(got)
     assert not np.shares_memory(*outputs)
+
+
+@pytest.mark.parametrize("support", [[0], [0, 1, 2]], ids=["dc-only", "three-bins"])
+def test_band_limited_inverse_near_dc_takes_at_most_64_rows(monkeypatch, support):
+    # Without the cap a DC-only half at n = 2**20 took 2**19 two-point
+    # irffts (about 4 s); 64 rows of 2**14 points give the same samples.
+    n, domega = 2**20, 2.0 * np.pi / 300.0
+    values = np.array([1.5, -0.25 + 0.5j, 0.75j])[: len(support)]
+    half = np.zeros(n // 2 + 1, dtype=complex)
+    half[support] = values
+    want = transforms.signal_from_spectrum(half, 0.0, domega)[0]
+    calls = []
+    irfft = np.fft.irfft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    got = transforms.band_limited_inverse(support, n, domega)(values)[0]
+    assert 0 < len(calls) <= 64
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_causal_horizon_shorter_than_one_step():

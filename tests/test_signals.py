@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from bandcast import (
     make_highfreq_signal,
     make_mixed_signal,
 )
-from bandcast import predictor, signals
+from bandcast import predictor, signals, transforms
 from bandcast.config import config_from_dict
 from bandcast.errors import (
     ClassConstraintViolation,
@@ -504,27 +505,66 @@ def test_phase_products_exact_across_row_blocks(t, band, panels):
     _assert_phase_products_exact(t, x)
 
 
-def test_density_integral_memory_is_bounded_by_row_blocks():
+def test_density_integral_memory_is_bounded_by_row_blocks(monkeypatch):
     # The fine pass has 8193 distinct |t| x about 1300 nodes: a full Q would
-    # take about 170 MB; live Q is one row block per worker.
+    # take about 170 MB; live Q is one row block per worker.  Beside its
+    # result a pass holds the caller's pos and neg (columns x distinct |t|
+    # each), the conjugate columns, and per running block one Q and two
+    # theta-sized float arrays (theta and its cosine).  The machine's own
+    # pool, then inline, then pools of 4 and 8.
     t = GridSpec(2**14, 1600.0).times()
-    nodes = []
+    rows = len(np.unique(np.abs(t)))
+    nodes, passes = [], []
 
     def weight(w):
         nodes.append(len(w))
         return np.stack([np.cos(k * w) for k in range(6)], axis=1)
 
+    phase_products = signals._phase_products
+
+    def measured(times):
+        products = phase_products(times)
+
+        def run(x, columns):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = products(x, columns)
+            passes.append((tracemalloc.get_traced_memory()[1] - before - out.nbytes, x, columns))
+            return out
+
+        return run
+
+    monkeypatch.setattr(signals, "_phase_products", measured)
     bump = RaisedCosineBump(0.2, 0.5, 1.3)
-    tracemalloc.start()
-    try:
-        out = bump.integrate_against(weight, t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (len(t), 6)
-    full_q = 16 * len(np.unique(np.abs(t))) * max(nodes)
-    assert full_q > 150e6
-    assert peak < full_q / 8
+
+    def bounded():
+        nodes.clear()
+        passes.clear()
+        tracemalloc.start()
+        try:
+            out = bump.integrate_against(weight, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (len(t), 6)
+        full_q = 16 * rows * max(nodes)
+        assert full_q > 150e6
+        assert peak < full_q / 8
+        assert len(passes) == 2
+        for transient, x, columns in passes:
+            per_block = (16 + 2 * 8) * max(2, signals._BLOCK_ELEMENTS // len(x)) * len(x)
+            pos_neg = 2 * 16 * len(columns) * rows
+            assert transient <= pos_neg + columns.nbytes + transforms._row_workers * per_block
+
+    bounded()
+    monkeypatch.setattr(transforms, "_row_pool", None)
+    monkeypatch.setattr(transforms, "_row_workers", 1)
+    bounded()
+    for workers in (4, 8):
+        monkeypatch.setattr(transforms, "_row_workers", workers)
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(transforms, "_row_pool", pool)
+            bounded()
 
 
 def test_phase_matrix_mirrors_an_exactly_symmetric_grid():

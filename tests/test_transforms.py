@@ -247,9 +247,9 @@ def _convolve(x: np.ndarray, taps: np.ndarray):
 @pytest.mark.parametrize("complex_x", [False, True], ids=["real", "complex"])
 def test_causal_convolve_same_bytes_on_two_workers_one_worker_and_inline(
         monkeypatch, one_cpu, complex_x, blocks):
-    # On two workers 2 blocks make two groups of one and 10 two of five; the
-    # calling thread adds the tail that crosses their boundary. One block
-    # runs inline even with a pool.
+    # On two workers 2 blocks make two groups of one and 10 two of five, and
+    # each block writes only its own stretch of the output. One block runs
+    # inline even with a pool.
     n = (blocks - 1) * _CONV_BLOCK + 7777
     rng = np.random.default_rng(blocks)
     x = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_x else 0.0)
@@ -286,18 +286,17 @@ def test_causal_convolve_non_finite_x_past_a_group_boundary(monkeypatch, one_cpu
 @pytest.mark.parametrize("nan_at, match", [(None, "the convolution overflowed"),
                                            (7 * _CONV_BLOCK, "x has non-finite samples")],
                          ids=["overflow", "and-a-later-nan"])
-def test_causal_convolve_overflow_where_the_boundary_tail_is_added(monkeypatch, one_cpu,
-                                                                   nan_at, match):
+def test_causal_convolve_overflow_at_a_group_boundary(monkeypatch, one_cpu, nan_at, match):
     # x is 1 on the four samples either side of the second group's first
-    # sample B: past B each output sample is the tail of block 4 (about 4)
-    # plus the head of block 5 (up to 4), and only that sum overflows once
-    # the pieces are scaled by 1.5 * 2**1021. A true inverse FFT cannot make
-    # such pieces (its unnormalized sum, L times larger, overflows first), so
-    # the scaled irfft stands in for one; the inline path overflows in its
-    # own loop, the pooled ones when the calling thread adds the tail. With a
-    # NaN in a later block of that group as well, every path names the NaN:
-    # x is checked before any block is convolved, whichever worker would
-    # have come to it first.
+    # sample B: output samples past B sum up to eight of them, and those that
+    # sum six or more overflow once the pieces are scaled by 1.5 * 2**1021,
+    # while those before B sum at most four and stay finite. A true inverse
+    # FFT cannot make such pieces (its unnormalized sum, L times larger,
+    # overflows first), so the scaled irfft stands in for one. The overflow
+    # is reported on two workers, on one and inline. With a NaN in a later
+    # block of that group as well, every path names the NaN: x is checked
+    # before any block is convolved, whichever worker would have come to it
+    # first.
     boundary = 5 * _CONV_BLOCK
     x = np.zeros(9 * _CONV_BLOCK + 777)
     x[boundary - 4 : boundary + 4] = 1.0
