@@ -57,8 +57,8 @@ from .kernels import (
 )
 from .predictor import (
     PredictorTransfer,
+    _compensator,
     compensator_minus_one_on_points,
-    compensator_on_points,
 )
 from .signals import MixedSpectrum, SampledSignal, SampledSpectrum, same_time_grid
 from .transforms import (
@@ -532,13 +532,15 @@ def mixed_predict_ladder(
     """Pipeline for atomic-plus-density spectra over a gamma ladder.
 
     One `weights` call gives the columns [K, K_hat_gamma for each gamma] at
-    every atom (exact responses), and each density is integrated once
-    against them on one shared node set.  The declared class must match the
-    sign of every gamma; where a predictor saturates, the compensator raises
-    ClassMismatch naming the frequency.  One result per gamma, in ladder
-    order, all sharing one y.
+    every atom (exact responses), from one K and one compensator pass over
+    the ladder, and each density is integrated once against them on one
+    shared node set.  The declared class must match the sign of every gamma;
+    where a predictor saturates, the compensator raises ClassMismatch naming
+    the frequency and the first saturating gamma.  One result per gamma, in
+    ladder order, all sharing one y.
     """
     t, t0, dt = _uniform_t_grid(t_grid)
+    gammas = list(gammas)
     predictors = [PredictorTransfer(kernel, gamma) for gamma in gammas]
     for predictor in predictors:
         if predictor.target_class != ms.class_tag:
@@ -549,9 +551,7 @@ def mixed_predict_ladder(
 
     def weights(wv):
         k = transfer_on_grid(kernel, wv)
-        columns = [k] + [compensator_on_points(predictor, 1j * wv, ClassMismatch) * k
-                         for predictor in predictors]
-        return np.stack(columns, axis=1)
+        return np.vstack([k, _compensator(kernel, gammas, 1j * wv, ClassMismatch) * k]).T
 
     # accs[0] accumulates y, accs[1:] y_hat per rung.
     accs = [np.zeros(len(t), dtype=complex) for _ in range(len(predictors) + 1)]

@@ -22,6 +22,9 @@ exp(gamma * Re(.)); where the summed growth passes exp(700) the compensator
 is saturated.  Only :func:`_exponents` decides that, and every evaluator then
 raises the error type its caller passes instead of returning an infinity:
 ClassMismatch in the gamma ladders, SaturatedSpectrum everywhere else.
+The pass takes a gamma ladder and returns one row per rung, each row
+independent of the other rungs, so a ladder's values need one pass over
+their points; the one-gamma evaluators are its one-rung calls.
 """
 
 from __future__ import annotations
@@ -93,37 +96,49 @@ class PredictorTransfer:
         return "LOW" if self.gamma > 0 else "HIGH"
 
 
-def _exponents(predictor: PredictorTransfer, p, error: type) -> list[tuple[np.ndarray, int]]:
-    """The one compensator pass: the exponents z_m(p) = gamma * Mobius(p) per
-    pole group with their multiplicities.  Where the saturation rule
+def _exponents(
+    kernel: RationalAnticausalKernel, gammas: Sequence[float], p, error: type
+) -> list[tuple[np.ndarray, int]]:
+    """The one compensator pass, over a gamma ladder: per pole group, the
+    exponents z_m(p) = gamma * Mobius(p) with the multiplicity, one row per
+    rung.  Where the saturation rule
     sum_m mult_m * max(Re z_m, 0) > SATURATION_EXPONENT holds (the product can
-    overflow where no single factor does; a saturating factor always saturates
-    the sum), `error` is raised naming the first such omega = Im p and gamma.
+    overflow where no single factor does; a saturating factor always
+    saturates the sum), `error` is raised for the first rung that saturates,
+    naming its first such omega = Im p and its gamma.
     """
     p = np.asarray(p, dtype=complex)
+    g = np.reshape(gammas, (-1,) + (1,) * p.ndim)
     exps = []
-    growth = np.zeros(p.shape)
-    for (a, b, mult), alpha in zip(predictor.kernel.poles, predictor.alphas):
-        z = predictor.gamma * (p - a + 1j * b) / (p + alpha - 1j * b)
+    growth = np.zeros(g.shape[:1] + p.shape)
+    for a, b, mult in kernel.poles:
+        alpha = alpha_coefficient(a, b, kernel.omega)
+        z = g * (p - a + 1j * b) / (p + alpha - 1j * b)
         exps.append((z, mult))
         growth += mult * np.maximum(z.real, 0.0)
     saturated = growth > SATURATION_EXPONENT
     if np.any(saturated):
+        saturated = saturated.reshape(len(g), -1)
+        first = int(np.argmax(saturated.any(axis=1)))
         raise error(
-            f"omega = {p[saturated][0].imag:.6g} saturates the predictor for "
-            f"gamma = {predictor.gamma:g} (exponent sum > {SATURATION_EXPONENT:g})"
+            f"omega = {p.ravel()[saturated[first]][0].imag:.6g} saturates the predictor for "
+            f"gamma = {gammas[first]:g} (exponent sum > {SATURATION_EXPONENT:g})"
         )
     return exps
 
 
-def compensator_minus_one_on_points(predictor: PredictorTransfer, p, error: type) -> np.ndarray:
-    """V(p) - 1 without cancellation: accumulate (1+acc)(1+u) - 1 = acc + u + acc*u
-    over the factors u_m = -exp(z_m), mult_m times each.  A multiplicity past 3
-    takes square-and-multiply, with (1+u)^2 - 1 = 2u + u*u, until at most 3
-    factors are left; those, and every multiplicity up to 3, are accumulated
-    one by one.  A saturating point raises `error`."""
-    acc = np.zeros(np.shape(p), dtype=complex)
-    for z, mult in _exponents(predictor, p, error):
+def _compensator_minus_one(
+    kernel: RationalAnticausalKernel, gammas: Sequence[float], p, error: type
+) -> np.ndarray:
+    """V(p) - 1 without cancellation, one row per rung (:func:`_exponents`):
+    accumulate (1+acc)(1+u) - 1 = acc + u + acc*u over the factors
+    u_m = -exp(z_m), mult_m times each.  A multiplicity past 3 takes
+    square-and-multiply, with (1+u)^2 - 1 = 2u + u*u, until at most 3 factors
+    are left; those, and every multiplicity up to 3, are accumulated one by
+    one.  A saturating point raises `error`."""
+    exps = _exponents(kernel, gammas, p, error)
+    acc = np.zeros(exps[0][0].shape, dtype=complex)
+    for z, mult in exps:
         u = -np.exp(z)
         while mult > 3:
             if mult % 2:
@@ -135,20 +150,42 @@ def compensator_minus_one_on_points(predictor: PredictorTransfer, p, error: type
     return acc
 
 
+def _compensator(
+    kernel: RationalAnticausalKernel, gammas: Sequence[float], p, error: type
+) -> np.ndarray:
+    """V values on arbitrary complex points, one row per rung
+    (:func:`_exponents`); a saturating point raises `error`.  np.multiply
+    keeps the operand order: `vals * factor` reuses a temporary factor of
+    256 KiB or more and multiplies it by vals, so a value would depend on how
+    many points are evaluated with it."""
+    exps = _exponents(kernel, gammas, p, error)
+    vals = np.ones(exps[0][0].shape, dtype=complex)
+    for z, mult in exps:
+        vals = np.multiply(vals, (1.0 - np.exp(z)) ** mult)
+    return vals
+
+
+def compensator_minus_one_on_points(predictor: PredictorTransfer, p, error: type) -> np.ndarray:
+    """V(p) - 1 without cancellation (:func:`_compensator_minus_one`); a
+    saturating point raises `error`."""
+    return _compensator_minus_one(predictor.kernel, [predictor.gamma], p, error)[0]
+
+
 def compensator_on_points(predictor: PredictorTransfer, p, error: type) -> np.ndarray:
     """V values on arbitrary complex points; a saturating point raises `error`."""
-    vals = np.ones(np.shape(p), dtype=complex)
-    for z, mult in _exponents(predictor, p, error):
-        vals = vals * (1.0 - np.exp(z)) ** mult
-    return vals
+    return _compensator(predictor.kernel, [predictor.gamma], p, error)[0]
 
 
 def predictor_transfer_on_grid(
     predictor: PredictorTransfer, omega_values, error: type
 ) -> np.ndarray:
-    """K_hat(i w) values on real frequencies; a saturating one raises `error`."""
+    """K_hat(i w) values on real frequencies; a saturating one raises `error`.
+    np.multiply keeps V * K in that order: V is a row view, so `V * K` would
+    reuse the temporary K and multiply it by V (:func:`_compensator`)."""
     w = np.asarray(omega_values, dtype=float)
-    return compensator_on_points(predictor, 1j * w, error) * transfer_on_grid(predictor.kernel, w)
+    return np.multiply(
+        compensator_on_points(predictor, 1j * w, error), transfer_on_grid(predictor.kernel, w)
+    )
 
 
 def eval_predictor_transfer(predictor: PredictorTransfer, omega_val: float) -> complex:
@@ -177,27 +214,32 @@ def _default_omega_max(kernel: RationalAnticausalKernel) -> float:
     raise TruncationNotJustified("w overflowed before |K(i w)| fell to 1e-10")
 
 
-def _deviation_values(predictor: PredictorTransfer, w: np.ndarray) -> np.ndarray:
-    """|K_hat - K| = |V - 1| * |K| pointwise (cancellation-free); a value that
-    is not finite raises NonFiniteResult naming its frequency."""
-    vm1 = compensator_minus_one_on_points(predictor, 1j * w, SaturatedSpectrum)
-    vals = np.abs(vm1) * np.abs(transfer_on_grid(predictor.kernel, w))
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteResult(f"|K_hat - K| not finite at omega = {w[~np.isfinite(vals)][0]:.6g}")
+def _deviation_values(
+    kernel: RationalAnticausalKernel, gammas: Sequence[float], w: np.ndarray
+) -> np.ndarray:
+    """|K_hat - K| = |V - 1| * |K| at the frequencies w (cancellation-free),
+    one row per rung.  A value that is not finite raises NonFiniteResult
+    naming its frequency in the first rung, in ladder order, that has one."""
+    vm1 = _compensator_minus_one(kernel, gammas, 1j * w, SaturatedSpectrum)
+    vals = np.abs(vm1) * np.abs(transfer_on_grid(kernel, w))
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        first = bad[np.argmax(bad.any(axis=1))]
+        raise NonFiniteResult(f"|K_hat - K| not finite at omega = {w[first][0]:.6g}")
     return vals
 
 
 _CHUNK = 1 << 19
 
 
-def _uniform_chunks(lo: float, hi: float, h: float):
+def _uniform_chunks(lo: float, hi: float, h: float, size: int):
     n = max(int(math.ceil((hi - lo) / h)) + 1, 2)
-    for start in range(0, n, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, n))
+    for start in range(0, n, size):
+        idx = np.arange(start, min(start + size, n))
         yield lo + (hi - lo) * idx / (n - 1)
 
 
-def _high_domain_chunks(lo: float, wmax: float, h: float, omega: float):
+def _high_domain_chunks(lo: float, wmax: float, h: float, omega: float, size: int):
     """Dense uniform nodes near the band edge, geometric far field.
 
     The deviation varies on the kernel's pole scale near the edge and like a
@@ -205,13 +247,13 @@ def _high_domain_chunks(lo: float, wmax: float, h: float, omega: float):
     below the bound slacks while keeping any wmax feasible.
     """
     knee = min(max(10.0 * omega, lo + 500.0 * h), wmax)
-    yield from _uniform_chunks(lo, knee, h)
+    yield from _uniform_chunks(lo, knee, h, size)
     if knee < wmax:
         count = int(math.ceil(math.log(wmax / knee) / math.log(1.01)))
         tail = knee * 1.01 ** np.arange(1, count + 1)
         tail[-1] = wmax
-        for start in range(0, len(tail), _CHUNK):
-            yield tail[start : start + _CHUNK]
+        for start in range(0, len(tail), size):
+            yield tail[start : start + size]
 
 
 def deviation_norm(
@@ -224,7 +266,21 @@ def deviation_norm(
     are not a 1-D sequence, raise DomainError before anything is evaluated.
     A finite number, or DomainError, TruncationNotJustified or
     NonFiniteResult, without a numpy warning."""
-    kernel, om = predictor.kernel, predictor.kernel.omega
+    return _deviation_sups(predictor.kernel, [predictor.gamma], epsilon, extra_points)[0]
+
+
+def _deviation_sups(
+    kernel: RationalAnticausalKernel,
+    gammas: Sequence[float],
+    epsilon: float,
+    extra_points: Sequence[float] = (),
+) -> list[float]:
+    """:func:`deviation_norm` of each rung of a ladder of one sign, with its
+    bits, in one pass over the nodes: a chunk holds at most _CHUNK values
+    summed over the rungs.  An error names the first rung that fails in the
+    first chunk where one does."""
+    om = kernel.omega
+    target = "LOW" if gammas[0] > 0 else "HIGH"
     if not (0.0 <= epsilon < om):
         raise DomainError(f"epsilon = {epsilon} must lie in [0, omega = {om})")
     extras = np.asarray(extra_points, dtype=float)
@@ -233,15 +289,19 @@ def deviation_norm(
     if extras.ndim != 1:
         raise DomainError(f"extra points must be a 1-D sequence, got shape {extras.shape}")
     extras = np.abs(extras)
-    inside = extras[in_class(extras, predictor.target_class, om, epsilon)]
+    inside = extras[in_class(extras, target, om, epsilon)]
     h = kernel.min_pole_rate / 50.0
+    size = max(_CHUNK // len(gammas), 1)
+    sups = np.zeros(len(gammas))
     with np.errstate(all="ignore"):
-        if predictor.target_class == "LOW":
-            chunks = _uniform_chunks(-(om - epsilon), om - epsilon, h)
+        if target == "LOW":
+            chunks = _uniform_chunks(-(om - epsilon), om - epsilon, h, size)
         else:
-            chunks = _high_domain_chunks(om + epsilon, _default_omega_max(kernel), h, om)
-        nodes = itertools.chain(chunks, [inside] if len(inside) else [])
-        return max(float(np.max(_deviation_values(predictor, w))) for w in nodes)
+            chunks = _high_domain_chunks(om + epsilon, _default_omega_max(kernel), h, om, size)
+        extra_chunks = (inside[start : start + size] for start in range(0, len(inside), size))
+        for w in itertools.chain(chunks, extra_chunks):
+            np.maximum(sups, np.max(_deviation_values(kernel, gammas, w), axis=1), out=sups)
+    return sups.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from bandcast import PredictorTransfer, build_kernel, eval_transfer, fourier_inverse
+from bandcast import predictor as predictor_module
 from bandcast.errors import (
     BandcastError,
     ClassMismatch,
@@ -155,7 +156,7 @@ def reference_deviation_norm(predictor, kind, epsilon, extra_points=()):
     h = kernel.min_pole_rate / 50.0
     extras = np.abs(np.asarray(extra_points, dtype=float))
     if kind == "LOW":
-        chunks = list(_uniform_chunks(-(om - epsilon), om - epsilon, h))
+        chunks = list(_uniform_chunks(-(om - epsilon), om - epsilon, h, predictor_module._CHUNK))
         inside = extras[extras <= om - epsilon]
     else:
         gap = kernel.denominator_degree - kernel.numerator_degree
@@ -163,9 +164,9 @@ def reference_deviation_norm(predictor, kind, epsilon, extra_points=()):
         wmax = max((lead * 1e10) ** (1.0 / gap), 10.0 * om)
         while abs(transfer_on_grid(kernel, np.array([wmax]))[0]) > 1e-10:
             wmax *= 1.2
-        chunks = list(_high_domain_chunks(om + epsilon, wmax, h, om))
+        chunks = list(_high_domain_chunks(om + epsilon, wmax, h, om, predictor_module._CHUNK))
         inside = extras[extras >= om + epsilon]
-    values = [_deviation_values(predictor, w) for w in chunks + [inside]]
+    values = [_deviation_values(kernel, [predictor.gamma], w)[0] for w in chunks + [inside]]
     return float(np.max(np.concatenate(values)))
 
 

@@ -1111,23 +1111,21 @@ def test_mixed_predict_ladder_atoms_bit_equal_to_per_atom_loop(conjugate_pair, c
 
 
 def test_mixed_predict_ladder_takes_k_once_per_node_set(conjugate_pair, monkeypatch):
-    # One weights call: K once, then V per rung at the same nodes (it used to
-    # evaluate K 1 + L times).
+    # One weights call: K once, then one compensator pass for the whole ladder
+    # at the same nodes (it used to evaluate K 1 + L times, then V per rung).
     calls = []
-    transfer, compensator = engine.transfer_on_grid, engine.compensator_on_points
+    transfer, compensator = engine.transfer_on_grid, engine._compensator
     monkeypatch.setattr(engine, "transfer_on_grid",
                         lambda kernel, w: calls.append(("K", w)) or transfer(kernel, w))
-    monkeypatch.setattr(engine, "compensator_on_points",
-                        lambda pred, p, error: calls.append(("V", p)) or compensator(pred, p, error))
+    monkeypatch.setattr(engine, "_compensator", lambda kernel, gammas, p, error: calls.append(
+        ("V", p, list(gammas))) or compensator(kernel, gammas, p, error))
     ms = random_mixed_signal(np.random.default_rng(5), "LOW", 1.0, 0.25, n_atoms=3)
     assert ms.density
     mixed_predict_ladder(ms, conjugate_pair, LADDERS["LOW"], GridSpec(256, 60.0).times())
-    rungs = len(LADDERS["LOW"])
-    assert len(calls) % (1 + rungs) == 0 and len(calls) > 1 + rungs
-    for at in range(0, len(calls), 1 + rungs):
-        (kind, w), *rest = calls[at : at + 1 + rungs]
-        assert kind == "K"
-        assert all(kind == "V" and np.array_equal(p, 1j * w) for kind, p in rest)
+    assert len(calls) % 2 == 0 and len(calls) > 2
+    for (kind_k, w), (kind_v, p, gammas) in zip(calls[::2], calls[1::2]):
+        assert (kind_k, kind_v) == ("K", "V")
+        assert np.array_equal(p, 1j * w) and gammas == list(LADDERS["LOW"])
 
 
 def test_mixed_predict_ladder_saturating_atom_names_its_omega(conjugate_pair):

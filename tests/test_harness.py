@@ -24,9 +24,11 @@ from bandcast import (
     GridSpec,
     PredictorTransfer,
     config,
+    deviation_norm,
     engine,
     grids,
     harness,
+    predictor,
     signals,
     synthesize_time_predictor,
     transforms,
@@ -496,6 +498,47 @@ def test_bound_check_shared_deviation_value():
     for gamma in (2, 5, 10, 20, 50):
         devs = {r.deviation_sup for r in report.rows if r.gamma == gamma}
         assert len(devs) == 1  # one uniform deviation factor per gamma
+
+
+# The kernel of configs/bound_check.json and of the mixed-bound benchmark pool.
+_MIXED_KERNEL = {"omega": 1.0, "poles": [{"a": 0.5, "b": 0.8, "mult": 1, "paired": True}],
+                 "numerator": [0.0, 1.0]}
+
+
+def test_ladder_deviations_equal_each_rungs_deviation_norm(monkeypatch):
+    # One pass over the nodes for the whole ladder gives each rung the sup of
+    # its own deviation_norm, bit for bit: the kernels and ladders of
+    # configs/ and the mixed-bound pool's HIGH ladder, with atoms of both
+    # classes as extra points, also when the domain takes many chunks.
+    rng = np.random.default_rng(36)
+    cases = [(cfg.kernel, cfg.gamma_ladder, cfg.epsilon)
+             for cfg in (harness.load_config(str(path), None)
+                         for path in sorted((ROOT / "configs").glob("*.json")))]
+    high = config_from_dict(base_config(kernel=_MIXED_KERNEL, gamma_ladder=[-2, -5, -10, -20, -50],
+                                        domain="HIGH", epsilon=0.25, signals=[]))
+    cases.append((high.kernel, high.gamma_ladder, high.epsilon))
+    for kernel, gammas, eps in cases:
+        om = kernel.omega
+        atoms = [w for tag in ("LOW", "HIGH")
+                 for w, _c in helpers.random_mixed_signal(rng, tag, om, max(eps, 0.05)).atoms]
+        want = [deviation_norm(PredictorTransfer(kernel, g), eps, atoms) for g in gammas]
+        assert harness._ladder_deviations(kernel, gammas, eps, atoms) == want
+        with monkeypatch.context() as m:
+            m.setattr(predictor, "_CHUNK", 64)
+            assert harness._ladder_deviations(kernel, gammas, eps, atoms) == want
+
+
+@pytest.mark.parametrize("gammas", [[2, 5, 10, 20, 50], [-2, -5, -10, -20, -50], [2]],
+                         ids=["low", "high", "one-rung"])
+def test_ladder_deviations_hold_at_most_a_chunk_summed_over_the_rungs(monkeypatch, gammas):
+    seen = []
+    real = predictor._deviation_values
+    monkeypatch.setattr(predictor, "_deviation_values",
+                        lambda kernel, g, w: seen.append(len(g) * len(w)) or real(kernel, g, w))
+    monkeypatch.setattr(predictor, "_CHUNK", 100)
+    kernel = config_from_dict(base_config(kernel=_MIXED_KERNEL)).kernel
+    harness._ladder_deviations(kernel, gammas, 0.25, [0.3, -1.7])
+    assert len(seen) > 2 and max(seen) <= 100
 
 
 def test_bound_check_unconverged_density_raises(tmp_path, capsys):
@@ -1367,7 +1410,7 @@ def _deviations_scaled_down(real):
 
 
 def _deviation_values_doubled(real):
-    return lambda predictor, w: 2.0 * real(predictor, w)
+    return lambda kernel, gammas, w: 2.0 * real(kernel, gammas, w)
 
 
 def _parseval_offset(real):

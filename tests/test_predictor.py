@@ -240,6 +240,70 @@ def test_compensator_minus_one_takes_log_steps_in_the_multiplicity():
     assert np.max(np.abs(got[inside] + 1.0)) <= 1e-15
 
 
+def _ladder_kernel(rng, omega):
+    """1-3 pole groups, each a real pole or a conjugate pair, multiplicity 1-5."""
+    poles = []
+    for _ in range(int(rng.integers(1, 4))):
+        a, mult = float(rng.uniform(0.3, 2.5)), int(rng.integers(1, 6))
+        if rng.random() < 0.5:
+            poles.append((a, 0.0, mult))
+        else:
+            b = float(rng.uniform(0.1, 0.85) * omega)
+            poles += [(a, b, mult), (a, -b, mult)]
+    return build_kernel(poles, [1.0], omega)
+
+
+# 16 384 complex values are numpy's 256 KiB threshold for reusing a
+# temporary operand; a three-rung ladder crosses it from 5 462 points and a
+# one-rung call from 16 384.
+@pytest.mark.parametrize("size", [1, 2, 7, 100, 3000, 6000, 12000, 16384, 60000])
+def test_ladder_rows_equal_the_one_rung_evaluators(size):
+    # Each row of a three-rung ladder has the bits of its rung's own V and
+    # V - 1, for either sign of gamma, on points of its class.
+    rng = np.random.default_rng(size)
+    for sign in (1.0, -1.0):
+        omega = float(rng.uniform(0.5, 2.0))
+        kernel = _ladder_kernel(rng, omega)
+        gammas = [sign * g for g in sorted(rng.uniform(0.1, 30.0, 3))]
+        if sign > 0:
+            w = rng.uniform(-omega, omega, size)
+        else:
+            w = rng.uniform(omega, 5.0 * omega, size) * rng.choice([-1.0, 1.0], size)
+        p = 1j * w
+        v = predictor._compensator(kernel, gammas, p, SaturatedSpectrum)
+        vm1 = predictor._compensator_minus_one(kernel, gammas, p, SaturatedSpectrum)
+        assert v.shape == vm1.shape == (3, size)
+        for row, row_m1, gamma in zip(v, vm1, gammas):
+            pred = PredictorTransfer(kernel, gamma)
+            assert row.tobytes() == compensator_on_points(pred, p, SaturatedSpectrum).tobytes()
+            assert row_m1.tobytes() == compensator_minus_one_on_points(
+                pred, p, SaturatedSpectrum).tobytes()
+
+
+def test_compensator_value_does_not_depend_on_the_points_beside_it(conjugate_pair):
+    # `vals * factor` let numpy reuse the factor from 16 384 points on and
+    # multiply in the other order, so a point's V changed in the last bit
+    # with the number of points evaluated with it.  K_hat is V * K with V a
+    # row view, where `V * K` would reuse the temporary K in the same way.
+    pred = PredictorTransfer(conjugate_pair, 5.0)
+    w = np.linspace(-0.9, 0.9, 20000)
+    for evaluate in (lambda w: compensator_on_points(pred, 1j * w, SaturatedSpectrum),
+                     lambda w: predictor_transfer_on_grid(pred, w, SaturatedSpectrum)):
+        alone = np.concatenate([evaluate(w[j : j + 100]) for j in range(0, len(w), 100)])
+        assert evaluate(w).tobytes() == alone.tobytes()
+
+
+def test_ladder_names_the_first_saturating_rung(conjugate_pair):
+    # gamma = 800 and 1600 both saturate at omega = 2.5 and 3.0; the first of
+    # them in ladder order, at its first saturating point, is named.
+    p = 1j * np.array([0.3, 2.5, 3.0])
+    for evaluate in (predictor._compensator, predictor._compensator_minus_one):
+        assert evaluate(conjugate_pair, [2, 5], p, ClassMismatch).shape == (2, 3)
+        with pytest.raises(ClassMismatch,
+                           match=r"^omega = 2\.5 saturates the predictor for gamma = 800 "):
+            evaluate(conjugate_pair, [2, 5, 800, 1600], p, ClassMismatch)
+
+
 def test_deviation_norm_sup_at_band_interior_edge(single_pole):
     # For b = 0 the deviation is monotone in |w| in-band, so the sup over
     # [-0.9, 0.9] sits at the endpoints.
@@ -308,7 +372,7 @@ def test_deviation_norm_extra_points_join_the_sup_inside_the_domain_only(conjuga
         pred = PredictorTransfer(conjugate_pair, gamma)
         base = deviation_norm(pred, 0.1)
         w = np.linspace(lo, hi, 400001)
-        vals = _deviation_values(pred, w)
+        vals = _deviation_values(conjugate_pair, [gamma], w)[0]
         assert vals.max() > base
         joined = deviation_norm(pred, 0.1, [float(w[np.argmax(vals)]), off, -off])
         assert joined == pytest.approx(vals.max(), rel=1e-12)
@@ -320,7 +384,7 @@ def test_deviation_norm_is_the_sup_and_takes_extra_points_third(conjugate_pair):
     # instead of reading mu as extra points.
     pred = PredictorTransfer(conjugate_pair, 2.0)
     w = np.linspace(-0.9, 0.9, 400001)
-    peak = float(w[np.argmax(_deviation_values(pred, w))])
+    peak = float(w[np.argmax(_deviation_values(conjugate_pair, [2.0], w)[0])])
     assert deviation_norm(pred, 0.1, [peak]) == deviation_norm(pred, 0.1, extra_points=[peak])
     assert deviation_norm(pred, 0.1, [peak]) > deviation_norm(pred, 0.1)
     with pytest.raises(DomainError, match="extra point inf is not finite"):

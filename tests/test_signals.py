@@ -230,7 +230,7 @@ def _extra_point_joins(gamma):
     def joins(w):
         seen, real = [], predictor._deviation_values
         with mock.patch.object(predictor, "_deviation_values",
-                               lambda p, x: seen.append(x) or real(p, x)):
+                               lambda k, g, x: seen.append(x) or real(k, g, x)):
             deviation_norm(PredictorTransfer(kernel, gamma), _EPS, [w])
         return len(seen[-1]) == 1 and seen[-1][0] == abs(w)
     return joins
