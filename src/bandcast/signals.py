@@ -214,18 +214,18 @@ def make_highfreq_signal(envelope: str, support: tuple[float, float], grid_spec:
 
 
 @functools.cache
-def _gauss_legendre_8() -> tuple[np.ndarray, np.ndarray]:
-    """The 8-point Gauss-Legendre rule on [-1, 1] as read-only (nodes,
-    weights), solved on first use: solving it pages in LAPACK, which a
-    process that integrates no density need not hold."""
-    rule = np.polynomial.legendre.leggauss(8)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `order`-point Gauss-Legendre rule on [-1, 1] as read-only (nodes,
+    weights), solved once per order on first use: solving it pages in
+    LAPACK, which a process that integrates no density need not hold."""
+    rule = np.polynomial.legendre.leggauss(order)
     for a in rule:
         a.flags.writeable = False
     return rule
 
 
 def _gauss_legendre_panels(lo: float, hi: float, panels: int):
-    nodes, weights = _gauss_legendre_8()
+    nodes, weights = _gauss_legendre(8)
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -234,30 +234,60 @@ def _gauss_legendre_panels(lo: float, hi: float, panels: int):
     return x, w
 
 
-def _phase_products(t: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Return (x, columns) -> exp(1j * np.outer(t, x)) @ c for each column c.
+# Distinct |t| rows per anchor row in the certificate pass of `_phase_products`.
+_ANCHOR = 16
 
-    The result is (len(t), len(columns)) and equals the product with the full
-    phase matrix value for value (only the sign of an exactly zero part may
-    differ); that matrix is never built.  cos and sin are taken on the
-    distinct |t| only (for an exactly symmetric t grid such as
-    ``GridSpec(2048, 400).times()`` that is n/2 + 1 rows), one row block of
-    complex Q at a time, about `_BLOCK_ELEMENTS` entries, and the blocks run
-    in parallel on `_map_row_blocks`; a block writes its products into its
-    own columns of (columns, distinct |t|) arrays that the calling thread
-    allocates, and is freed then, so live Q is workers x block, not
-    rows x nodes.  A row with t >= +0.0 reads (Q @ c); a row with the sign
-    bit of t set (t < 0 or t == -0.0) reads conj(Q @ conj(c)), which equals
-    conj(Q) @ c bit for bit because rounding is symmetric under negation.
-    numpy's float64 sin and cos are odd and even and agree with its complex
-    exp, and a matrix-vector product sums each row in an order that does not
-    depend on its position or its block; the tests pin these facts, so the
-    bits do not depend on the block size or the number of workers.  A one-row
-    Q would take numpy's dot path, not its matrix-vector one, so a single
-    distinct |t| is repeated when t has several rows and a one-row last block
-    joins the one before it.  Only numpy runs on the pool: `x` and `columns`
-    are arrays, and a worker enters its own `np.errstate`, which is per
-    thread.
+
+def _unit_phases(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(1j * np.outer(rows, x)) as a complex array with real part cos and
+    imaginary part sin of the outer product: the quadrature's one trig call."""
+    theta = np.outer(rows, x)
+    q = np.empty(theta.shape, dtype=complex)
+    q.real = np.cos(theta)
+    q.imag = np.sin(theta, out=theta)
+    return q
+
+
+def _phase_products(t: np.ndarray) -> Callable[..., np.ndarray]:
+    """Return (x, columns, anchored=False) -> exp(1j * np.outer(t, x)) @ c for
+    each column c.
+
+    The result is (len(t), len(columns)).  That matrix is never built: the
+    product is taken with a complex Q on the distinct |t| only (for an
+    exactly symmetric t grid such as ``GridSpec(2048, 400).times()`` that is
+    n/2 + 1 rows), one row block of about `_BLOCK_ELEMENTS` entries at a
+    time, and the blocks run in parallel on `_map_row_blocks`; a block writes
+    its products into its own columns of (columns, distinct |t|) arrays that
+    the calling thread allocates, and is freed then, so live Q is workers x
+    block, not rows x nodes.  A row with t >= +0.0 reads (Q @ c); a row with
+    the sign bit of t set (t < 0 or t == -0.0) reads conj(Q @ conj(c)), which
+    equals conj(Q) @ c bit for bit because rounding is symmetric under
+    negation.
+
+    By default Q is exact trig, cos and sin of |t| x per entry, and the
+    products equal those with the full phase matrix value for value (only
+    the sign of an exactly zero part may differ).  numpy's float64 sin and
+    cos are odd and even and agree with its complex exp, and a matrix-vector
+    product sums each row in an order that does not depend on its position
+    or its block; the tests pin these facts, so the bits do not depend on the
+    block size or the number of workers.
+
+    ``anchored=True`` builds Q by angle addition instead, for a pass whose
+    value only certifies another: the distinct |t| fall in groups of
+    `_ANCHOR`, each led by its anchor row a, and row r is
+    e^{i |t_a| x} e^{i d_r x} with d_r = |t_r| - |t_a| (exact by Sterbenz's
+    lemma once |t_r| <= 2 |t_a|, as on a uniform grid past its first group).
+    Trig runs once per pass on the distinct d (16 on a dyadic grid) and once
+    per block on its own anchor rows, one complex multiply per entry makes
+    the rest, and a block holds less than an exact one.  Each entry is off by
+    about eps (|t_a x| + |d x|), the order of the rounding of |t| x itself,
+    but not bit for bit.
+
+    A one-row Q would take numpy's dot path, not its matrix-vector one, so a
+    single distinct |t| is repeated when t has several rows and a one-row
+    last block joins the one before it.  Only numpy runs on the pool: `x`
+    and `columns` are arrays, and a worker enters its own `np.errstate`,
+    which is per thread.
     """
     abs_t, rows = np.unique(np.abs(t), return_inverse=True)
     if len(abs_t) < min(len(t), 2):
@@ -265,8 +295,10 @@ def _phase_products(t: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndar
     signed = np.signbit(t)
     has_pos, has_neg = not np.all(signed), bool(np.any(signed))
     side, rows = signed.astype(np.intp)[:, None], rows[:, None]
+    anchor = np.arange(len(abs_t)) // _ANCHOR * _ANCHOR
+    offsets, offset_rows = np.unique(abs_t - abs_t[anchor], return_inverse=True)
 
-    def products(x: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    def products(x: np.ndarray, columns: np.ndarray, *, anchored: bool = False) -> np.ndarray:
         step = max(2, _BLOCK_ELEMENTS // len(x))
         edges = list(range(0, len(abs_t), step)) + [len(abs_t)]
         if len(edges) > 2 and edges[-1] - edges[-2] == 1:
@@ -275,14 +307,23 @@ def _phase_products(t: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndar
         conj_columns = np.conj(columns)
         # Rows of a side that t lacks are never read.
         pos, neg = sides = np.empty((2, len(columns), len(abs_t)), dtype=complex)
+        if anchored:
+            with np.errstate(invalid="ignore", over="ignore"):
+                turns = _unit_phases(offsets, x)
+
+        def anchored_block(lo: int, hi: int) -> np.ndarray:
+            first = lo - lo % _ANCHOR
+            anchors = _unit_phases(abs_t[first:hi:_ANCHOR], x)
+            q = np.empty((hi - lo, len(x)), dtype=complex)
+            for g, a in enumerate(range(first, hi, _ANCHOR)):
+                r0, r1 = max(lo, a), min(hi, a + _ANCHOR)
+                np.multiply(turns[offset_rows[r0:r1]], anchors[g], out=q[r0 - lo:r1 - lo])
+            return q
 
         def block(bounds: tuple[int, int]) -> None:
             lo, hi = bounds
             with np.errstate(invalid="ignore", over="ignore"):
-                theta = np.outer(abs_t[lo:hi], x)
-                q = np.empty(theta.shape, dtype=complex)
-                q.real = np.cos(theta)
-                q.imag = np.sin(theta, out=theta)
+                q = anchored_block(lo, hi) if anchored else _unit_phases(abs_t[lo:hi], x)
                 for j in range(len(columns)):
                     if has_pos:
                         np.matmul(q, columns[j], out=pos[j, lo:hi])
@@ -313,19 +354,23 @@ def _oscillatory_integral(
     (nodes, columns) array.  `t` must be a non-empty, finite 1-D array (else
     `GridMismatch`, before any work).  Every column shares one node set per
     pass, and the weight is called once per pass, on the calling thread.  The
-    t x nodes phase matrix is never built: `_phase_products` takes cos/sin
-    on the distinct |t| only (n/2 + 1 rows on a centered grid), in row blocks
-    that run in parallel and hold O(workers x block) memory, and serves rows
-    with t < 0 by conjugation, with the same bits as the product with a
-    complex exp of the outer product.  Each column is its own matrix-vector
-    product, so it is summed in the same order as when integrated alone.
-    Fixed-order Gauss panels: a piece of width h gets
+    t x nodes phase matrix is never built: `_phase_products` works on the
+    distinct |t| only (n/2 + 1 rows on a centered grid), in row blocks that
+    run in parallel and hold O(workers x block) memory, and serves rows with
+    t < 0 by conjugation.  Each column is its own matrix-vector product, so
+    it is summed in the same order as when integrated alone.  Fixed-order
+    Gauss panels: a piece of width h gets
     max(ceil(16 h / (hi - lo)), ceil(h (max|t| + 1) / 3)) of them, so a
-    one-piece density gets max(16, ...) panels on [lo, hi]; a doubled-panel
-    pass certifies convergence of each column on its own (1e-9 relative +
-    1e-13).  An empty support (not lo < hi) raises `SupportViolation`.  A
-    pass with a non-finite value (a NaN or infinite density or weight)
-    raises `NonFiniteResult` naming [lo, hi], without a numpy warning.
+    one-piece density gets max(16, ...) panels on [lo, hi].  The doubled-panel
+    pass is returned, so it takes exact cos/sin and has the same bits as the
+    product with a complex exp of the outer product.  The single-panel pass
+    only certifies convergence of each column on its own (1e-9 relative +
+    1e-13), so it builds its phases by angle addition from anchor rows
+    (``anchored=True``), which moves its value by about eps |t x|, the gap by
+    far less than the threshold, and saves about a third of the trig.  An
+    empty support (not lo < hi) raises `SupportViolation`.  A pass with a
+    non-finite value (a NaN or infinite density or weight) raises
+    `NonFiniteResult` naming [lo, hi], without a numpy warning.
     """
     t = np.asarray(t_values, dtype=float)
     if t.ndim != 1 or len(t) == 0 or not np.all(np.isfinite(t)):
@@ -346,7 +391,7 @@ def _oscillatory_integral(
                                          for a, b, panels in pieces)))
         with np.errstate(invalid="ignore", over="ignore"):
             fx = np.asarray(density(x), dtype=complex) * np.asarray(weight(x)).T
-            out = phase_products(x, np.ascontiguousarray(fx * w))
+            out = phase_products(x, np.ascontiguousarray(fx * w), anchored=refine == 1)
         if not np.all(np.isfinite(out)):
             raise NonFiniteResult(f"oscillatory integral is not finite on [{lo}, {hi}]")
         return out
@@ -451,7 +496,7 @@ def _segment_abs_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return 0.5 * (u * np.sqrt(u * u + q2) + np.where(q2 > 0, q2 * np.arcsinh(u / q), 0.0))
 
         closed = np.sqrt(dd) * (g(1.0 - s) + g(s))
-    nodes, weights = np.polynomial.legendre.leggauss(16)
+    nodes, weights = _gauss_legendre(16)
     gauss = 0.5 * (np.abs(a[:, None] + 0.5 * (nodes + 1.0) * d[:, None]) @ weights)
     return np.where((dd > 0) & (s >= -1.0) & (s <= 2.0), closed, gauss)
 

@@ -256,10 +256,12 @@ def phase_matrices(t):
 
 def reference_phase_products(t):
     """Drop-in for `signals._phase_products` that builds the full phase matrix
-    of `phase_matrices` and multiplies it into each column on its own."""
+    of `phase_matrices` and multiplies it into each column on its own.  It
+    takes the `anchored` flag of the certificate pass and builds that pass
+    with exact trig too."""
     phase_matrix = phase_matrices(t)
 
-    def products(x, columns):
+    def products(x, columns, *, anchored=False):
         phase = phase_matrix(x)
         return np.stack([phase @ col for col in columns], axis=1)
 

@@ -563,6 +563,48 @@ def test_bound_check_unconverged_density_raises(tmp_path, capsys):
     assert "not converged on [-0.6, 0.4]" in record["message"]
 
 
+def test_bound_check_certificate_gap_as_with_exact_trig(monkeypatch):
+    # Every density integral's coarse pass builds its phases by angle
+    # addition and only certifies the fine one.  Over the benchmark's whole
+    # mixed-bound pool and the bound-check config, each column's coarse/fine
+    # gap is within 1e-3 of its threshold (1e-9 scale + 1e-13) of the gap
+    # that exact trig gives.
+    spec = importlib.util.spec_from_file_location("_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    docs = [doc for pool in workloads.mixed_pool(False).values() for doc in pool]
+    assert len(docs) == 32
+    configs = [config_from_dict({k: v for k, v in doc.items() if k != "key"}) for doc in docs]
+    configs.append(config.load_config(str(ROOT / "configs" / "bound_check.json")))
+    integrals = []
+    phase_products = signals._phase_products
+
+    def recorded(t):
+        products = phase_products(t)
+        passes = []
+        integrals.append(passes)
+
+        def run(x, columns, *, anchored=False):
+            out = products(x, columns, anchored=anchored)
+            passes.append(out)
+            if anchored:
+                passes.append(products(x, columns))
+            return out
+
+        return run
+
+    monkeypatch.setattr(signals, "_phase_products", recorded)
+    for cfg in configs:
+        run_uniform_bound_check(cfg)
+    assert len(integrals) == 32 * 3 + 1  # three signals of four carry a density
+    for anchored, exact, fine in integrals:
+        threshold = 1e-9 * np.maximum(np.max(np.abs(fine), axis=0), 1e-300) + 1e-13
+        gap = np.max(np.abs(fine - anchored), axis=0)
+        exact_gap = np.max(np.abs(fine - exact), axis=0)
+        assert np.all(np.abs(gap - exact_gap) <= 1e-3 * threshold)
+
+
 def test_bound_check_runs_the_readme_sampled_density(tmp_path, monkeypatch):
     # The README schema's sampled density in configs/bound_check.json: its
     # kinks lie on panel edges, so the quadrature converges, and the run

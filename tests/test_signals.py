@@ -438,7 +438,7 @@ def test_gauss_legendre_rule_is_solved_once(monkeypatch):
     # leggauss(8)'s bit for bit, and building panels does not solve it again.
     nodes, weights = np.polynomial.legendre.leggauss(8)
     expected = _gauss_legendre_panels(-0.6, 0.9, 80)
-    rule = signals._gauss_legendre_8()
+    rule = signals._gauss_legendre(8)
     assert np.array_equal(rule[0], nodes) and np.array_equal(rule[1], weights)
     assert not (rule[0].flags.writeable or rule[1].flags.writeable)
 
@@ -448,6 +448,32 @@ def test_gauss_legendre_rule_is_solved_once(monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", unsolved)
     x, w = _gauss_legendre_panels(-0.6, 0.9, 80)
     assert x.tobytes() == expected[0].tobytes() and w.tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "omegas, values, expected",
+    [
+        (np.linspace(1.3, 1.8, 21), np.linspace(0.5, 1.5, 21) + 0.2j, "0x1.0589a480eb2cfp-1"),
+        (np.linspace(1.3, 1.8, 21), np.linspace(-1.0, 1.0, 21) + 0.05j, "0x1.02ae5b700105bp-2"),
+        (np.linspace(1.3, 1.8, 21), np.cos(9 * np.linspace(1.3, 1.8, 21))
+         + 1j * np.sin(5 * np.linspace(1.3, 1.8, 21)), "0x1.185899b47a2f3p-1"),
+        ([0.0, 0.5, 1.0, 1.5], [2.0, 2.0, -1.0 + 1e-3j, 3.0], "0x1.05555fc2a029ep+1"),
+    ],
+    ids=["all-gauss", "through-zero", "oscillating", "flat-segment"],
+)
+def test_sampled_density_mass_bits_on_the_cached_rule(omegas, values, expected, monkeypatch):
+    # The segment means read the cached 16-point rule: the masses are the
+    # ones a freshly solved leggauss(16) gave, bit for bit, over segments of
+    # both branches (closed form near a zero, Gauss elsewhere, and a flat
+    # segment), and a second call solves no rule.
+    density = SampledDensity(omegas, values)
+    assert density.mass().hex() == expected
+
+    def unsolved(_deg):
+        raise AssertionError("a Gauss-Legendre rule solved again")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", unsolved)
+    assert density.mass().hex() == expected
 
 
 def _assert_phase_products_exact(t, x, columns=3):
@@ -525,10 +551,10 @@ def test_density_integral_memory_is_bounded_by_row_blocks(monkeypatch):
     def measured(times):
         products = phase_products(times)
 
-        def run(x, columns):
+        def run(x, columns, **kwargs):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            out = products(x, columns)
+            out = products(x, columns, **kwargs)
             passes.append((tracemalloc.get_traced_memory()[1] - before - out.nbytes, x, columns))
             return out
 
@@ -565,6 +591,70 @@ def test_density_integral_memory_is_bounded_by_row_blocks(monkeypatch):
         with ThreadPoolExecutor(workers) as pool:
             monkeypatch.setattr(transforms, "_row_pool", pool)
             bounded()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [GridSpec(2048, 400.0), GridSpec(2048, 123.4), GridSpec(2**14, 1600.0)],
+    ids=["2048-dyadic", "2048-non-dyadic", "2^14"],
+)
+def test_anchored_phase_products_match_exact_trig(grid):
+    # The certificate pass builds Q by angle addition from anchor rows.  Each
+    # column stays within 1e-13 sum|c| of the exact-trig product, on random
+    # node sets (Gauss panels and scattered points) with complex columns.
+    t = grid.times()
+    products = _phase_products(t)
+    rng = np.random.default_rng(grid.n)
+    for draw in range(4):
+        lo = float(rng.uniform(-3.0, 2.5))
+        hi = lo + float(rng.uniform(0.05, 0.5))
+        if draw % 2:
+            x = np.sort(rng.uniform(lo, hi, int(rng.integers(50, 900))))
+        else:
+            x, _ = _gauss_legendre_panels(lo, hi, int(rng.integers(16, 110)))
+        cols = rng.standard_normal((3, len(x))) + 1j * rng.standard_normal((3, len(x)))
+        got = products(x, cols, anchored=True)
+        exact = products(x, cols)
+        assert got.shape == exact.shape == (len(t), 3)
+        gaps = np.max(np.abs(got - exact), axis=0)
+        assert np.all(gaps <= 1e-13 * np.sum(np.abs(cols), axis=1)), gaps
+
+
+def test_certificate_pass_takes_trig_on_anchor_rows_only(monkeypatch):
+    # 8193 distinct |t|.  The returned (fine) pass takes cos/sin on every
+    # one; the certificate (coarse) pass on one anchor row in 16, one more
+    # per row block (the anchor of a group that a block boundary splits) and
+    # the distinct offsets from the anchors, 16 on this dyadic grid.
+    t = GridSpec(2**14, 1600.0).times()
+    abs_t = np.unique(np.abs(t))
+    rows = len(abs_t)
+    offsets = len(np.unique(abs_t - abs_t[np.arange(rows) // 16 * 16]))
+    assert (rows, offsets) == (8193, 16)
+    trig_rows, nodes, current = [], {}, []
+    phase_products, unit_phases = signals._phase_products, signals._unit_phases
+
+    def counted_trig(r, x):
+        trig_rows.append((current[-1], len(r)))  # workers run one pass at a time
+        return unit_phases(r, x)
+
+    def measured(times):
+        products = phase_products(times)
+
+        def run(x, columns, *, anchored=False):
+            current.append(anchored)
+            nodes[anchored] = len(x)
+            return products(x, columns, anchored=anchored)
+
+        return run
+
+    monkeypatch.setattr(signals, "_unit_phases", counted_trig)
+    monkeypatch.setattr(signals, "_phase_products", measured)
+    integrate_unweighted(RaisedCosineBump(0.2, 0.5, 1.3), t)
+    assert current == [True, False]
+    blocks = math.ceil(rows / max(2, signals._BLOCK_ELEMENTS // nodes[True]))
+    coarse, fine = (sum(n for pass_, n in trig_rows if pass_ is side) for side in (True, False))
+    assert fine == rows
+    assert coarse <= math.ceil(rows / 16) + blocks + offsets
 
 
 def test_phase_matrix_mirrors_an_exactly_symmetric_grid():
