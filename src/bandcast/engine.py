@@ -49,7 +49,7 @@ from .errors import (
     NonFiniteResult,
     QuadratureNotConverged,
 )
-from .grids import in_class
+from .grids import _check_band_constant, in_class
 from .kernels import (
     RationalAnticausalKernel,
     scalar_time_kernel,
@@ -85,9 +85,11 @@ def fourier_forward(signal: SampledSignal) -> SampledSpectrum:
 
 
 def fourier_inverse(spectrum: SampledSpectrum) -> SampledSignal:
-    """Inverse transform onto the conjugate centered time grid.  `spectrum` is
-    on a centered grid or is the omega >= 0 half of a Hermitian spectrum
-    (omega0 == 0, as real-path results carry it); else GridMismatch."""
+    """Inverse transform onto the conjugate centered time grid of a finite
+    `spectrum` (else NonFiniteResult) on a centered grid, or of the omega >= 0
+    half of a Hermitian one (omega0 == 0, as real-path results carry it); else GridMismatch."""
+    if not np.all(np.isfinite(spectrum.values)):
+        raise NonFiniteResult("fourier_inverse: the spectrum has non-finite values")
     vals, t0, dt = signal_from_spectrum(spectrum.values, spectrum.omega0, spectrum.domega)
     return SampledSignal(t0, dt, vals)
 
@@ -280,8 +282,8 @@ class PredictionResult:
     gamma)``, as the atomic-plus-density route builds it, takes e = yhat - y
     and keeps y and yhat; y and y_hat on different grids raise GridMismatch.
     The FFT route builds its results from e and keeps ``error_points``, E at
-    the active points, and ``error_parts``, E on each part of its ladder's
-    split (:func:`spectral_predict_ladder`; both None on the other).
+    the active points, and ``error_parts``, E on each part of its ladder
+    (:func:`spectral_predict_ladder`; both None on the other).
     """
 
     gamma: float
@@ -299,12 +301,7 @@ class PredictionResult:
 
     def _set_error(self, gamma: float, e: SampledSignal, error_points=None,
                    error_parts=None) -> None:
-        err_l2, err_linf = signal_norms(e)
-        if not (math.isfinite(err_l2) and math.isfinite(err_linf)):
-            raise NonFiniteResult(
-                f"error norms are not finite at gamma = {gamma:g}: "
-                f"err_l2 = {err_l2!r}, err_linf = {err_linf!r}"
-            )
+        err_l2, err_linf = _finite_norms(e, f"at gamma = {gamma:g}")
         self.__dict__.update(gamma=gamma, e=e, err_l2=err_l2, err_linf=err_linf,
                              error_points=error_points, error_parts=error_parts)
 
@@ -369,6 +366,16 @@ def signal_norms(e: SampledSignal) -> tuple[float, float]:
     return math.sqrt(e.dt * (sum_sq - 0.5 * np.einsum("i,i->", ends, ends))) / s, sup
 
 
+def _finite_norms(e: SampledSignal, where: str) -> tuple[float, float]:
+    """:func:`signal_norms` of e, or NonFiniteResult naming `where` (no numpy warning)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        err_l2, err_linf = signal_norms(e)
+    if not (math.isfinite(err_l2) and math.isfinite(err_linf)):
+        raise NonFiniteResult(f"error norms are not finite {where}: "
+                              f"err_l2 = {err_l2!r}, err_linf = {err_linf!r}")
+    return err_l2, err_linf
+
+
 def spectral_err_l2(parts) -> float:
     """err_l2 (:func:`signal_norms`) of the error whose spectrum is the sum
     of `parts`, without an inverse: discrete Parseval plus the end samples,
@@ -431,10 +438,12 @@ def centre_samples(points: SpectrumPoints) -> tuple[np.ndarray, float]:
 
 
 def error_norms(y: SampledSignal, yhat: SampledSignal) -> tuple[float, float]:
-    """:func:`signal_norms` of y - yhat on their shared grid."""
+    """:func:`signal_norms` of y - yhat on their shared grid; norms that are
+    not finite raise NonFiniteResult, as a :class:`PredictionResult`'s do."""
     if not same_time_grid(y, yhat):
         raise GridMismatch("error norms need a shared grid")
-    return signal_norms(SampledSignal(y.t0, y.dt, y.values - yhat.values))
+    with np.errstate(invalid="ignore", over="ignore"):  # NonFiniteResult, not a warning
+        return _finite_norms(SampledSignal(y.t0, y.dt, y.values - yhat.values), "of y - y_hat")
 
 
 def spectral_predict_ladder(
@@ -443,23 +452,24 @@ def spectral_predict_ladder(
     """Frequency-domain pipeline over a gamma ladder: Y = K X, and per rung
     the error spectrum E = Y_hat - Y = (V - 1) K X.
 
-    X is an omega >= 0 half or on a centered grid
-    (:func:`transforms.grid_length`; GridMismatch, raised before K is
-    evaluated).  A half, and a full X that is exactly Hermitian, run on the
-    half (n/2 + 1 points, irfft, float samples); any other X uses every grid
-    point.  K is evaluated once and V - 1 per rung, without cancellation
+    X is an omega >= 0 half or on a centered grid (GridMismatch,
+    :func:`transforms.grid_length`) with finite values (NonFiniteResult
+    naming an omega), both checked before K is evaluated.  A half, and a
+    full X that is exactly Hermitian, run on the half (n/2 + 1 points,
+    irfft, float samples); any other X uses every grid point.  K is
+    evaluated once and V - 1 per rung and part, without cancellation
     (:func:`predictor.compensator_minus_one_on_points`), only where X != 0,
     so off-band blow-up cannot poison in-class runs; if X has energy where
     the compensator saturates, it raises ClassMismatch when that rung is
     reached.
 
-    With `split_at` a band constant omega, one ladder predicts both parts of
-    X's ideal low-pass split (:func:`signals.ideal_lowpass_split`): at each
-    rung, with gamma taken as |gamma|, the points with |w| <= omega (the LOW
-    class of :func:`grids.in_class`) take the predictor of +gamma and every
-    other point that of -gamma, so E has the bits the two parts' own ladders
-    give, both parts share X's representation, and the summed error of the
-    two predictions is inverted once.
+    Each part of X's points takes its own gamma: without `split_at` one
+    part, every point at gamma; with a band constant `split_at` = omega
+    (DomainError unless 0 < omega < inf, as in
+    :func:`signals.ideal_lowpass_split`), that split's two parts, with gamma
+    taken as |gamma|: |w| <= omega (LOW, :func:`grids.in_class`) at +gamma
+    and the others at -gamma.  Each part's E has the bits of its own ladder,
+    and their sum, on X's representation, is the one E a rung inverts.
 
     The returned iterator computes each rung when it is reached: it inverts
     E from its values at the active points with one inverter
@@ -467,53 +477,45 @@ def spectral_predict_ladder(
     band-limited inverse, whose transform length follows the support, and on
     the full grid one zero-filled buffer.  The rung's e is its one fresh
     full-length array; the result keeps it, E at the active points and E on
-    each part of the split, (LOW, HIGH), or (E,) without one
-    (:class:`PredictionResult`); neither y nor y_hat is computed.  One result
-    per gamma, in ladder order, with the gamma of the first part.  Between
+    each part, (LOW, HIGH) or (E,) (:class:`PredictionResult`); neither y
+    nor y_hat is computed.  One result per gamma, in ladder order.  Between
     rungs only the inverter and the active points and values are kept, not
     X: a caller that drops X and each result before asking for the next
     holds one rung at a time.
     """
     grid_length(len(X.values), X.omega0, X.domega)
-    if split_at is None:
-        ladders = [[PredictorTransfer(kernel, gamma) for gamma in gammas]]
-    else:  # LOW at +|gamma|, HIGH at -|gamma|
-        magnitudes = [abs(gamma) for gamma in gammas]
-        ladders = [[PredictorTransfer(kernel, sign * gamma) for gamma in magnitudes]
-                   for sign in (1.0, -1.0)]
+    if split_at is not None:
+        _check_band_constant(split_at)
+        gammas = map(abs, gammas)
+    gammas = [float(PredictorTransfer(kernel, gamma).gamma) for gamma in gammas]
     half = hermitian_half(X.values, X.omega0, X.domega)  # None for a half: it is not centered
     if half is not None:  # run on the half, on its own grid omega_k = k*domega
         X = SampledSpectrum(0.0, X.domega, half)
     active = np.flatnonzero(X.values)
     w = X.omegas()[active]
+    values = X.values[active]
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteResult(f"X is not finite at omega = {w[~np.isfinite(values)][0]:.6g}")
     Y = SpectrumPoints(X.omega0, X.domega, len(X.values), active,
-                       transfer_on_grid(kernel, w) * X.values[active])
-    if split_at is None:
-        masks = [slice(None)]
-    else:
-        low = in_class(w, "LOW", split_at)
-        masks = [low, ~low]
-    parts = [(Y._replace(indices=active[m], values=Y.values[m]), 1j * w[m], ladder)
-             for m, ladder in zip(masks, ladders)]
-    del X, half, w  # the rungs read only the active points
+                       transfer_on_grid(kernel, w) * values)
+    low = slice(None) if split_at is None else in_class(w, "LOW", split_at)
+    signs = [(low, 1.0)] if split_at is None else [(low, 1.0), (~low, -1.0)]
+    parts = [(m, sign, Y._replace(indices=active[m], values=Y.values[m]), 1j * w[m])
+             for m, sign in signs]
+    del X, half, w, values  # the rungs read only the active points
     invert = sparse_inverse(active, Y.size, Y.omega0, Y.domega)
 
-    def rung(j: int) -> PredictionResult:
-        E_parts = tuple(
-            Y_part._replace(values=compensator_minus_one_on_points(
-                ladder[j], p_part, ClassMismatch) * Y_part.values)
-            for Y_part, p_part, ladder in parts
-        )
-        if len(E_parts) == 1:
-            (E,) = E_parts
-        else:
-            E = Y._replace(values=np.empty_like(Y.values))
-            for m, E_part in zip(masks, E_parts):
-                E.values[m] = E_part.values
+    def rung(gamma: float) -> PredictionResult:
+        E, E_parts = Y._replace(values=np.empty_like(Y.values)), []
+        for m, sign, Y_part, p_part in parts:
+            E_part = Y_part._replace(values=compensator_minus_one_on_points(
+                PredictorTransfer(kernel, sign * gamma), p_part, ClassMismatch) * Y_part.values)
+            E.values[m] = E_part.values
+            E_parts.append(E_part)
         values, t0, dt = invert(E.values)
-        return _SpectralRung(ladders[0][j].gamma, SampledSignal(t0, dt, values), E, E_parts)
+        return _SpectralRung(gamma, SampledSignal(t0, dt, values), E, tuple(E_parts))
 
-    return map(rung, range(len(ladders[0])))
+    return map(rung, gammas)
 
 
 def spectral_predict(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import DomainError, GridMismatch
 
 
 def as_float(value) -> float:
@@ -47,6 +47,12 @@ def in_class(w, class_tag: str, omega: float, epsilon: float = 0.0):
     if class_tag == "LOW":
         return abs(w) <= omega - epsilon
     return abs(w) >= omega + epsilon
+
+
+def _check_band_constant(omega: float) -> None:
+    """DomainError unless 0 < omega < inf: the band constant of a split."""
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"band constant must be finite and > 0, got {omega!r}")
 
 
 def uniform_omegas(omega0: float, domega: float, n: int) -> np.ndarray:

@@ -185,12 +185,6 @@ def _check_monotone(signal_id: str, gammas, errs) -> None:
             raise MonotonicityViolation(signal_id, gammas[i - 1], prev, gammas[i], cur)
 
 
-def _ladder_deviations(kernel, gammas, epsilon: float, extra_points=()) -> list[float]:
-    """sup |K_hat - K| on the matching eps-gapped domain, one per ladder rung,
-    over the domain grid plus `extra_points`, in one pass over the nodes."""
-    return _deviation_sups(kernel, gammas, epsilon, extra_points)
-
-
 def _ladder_rows(signal_id: str, gammas, norms, deviations, monotone) -> list[ReportRow]:
     """Report rows of one signal's ladder: norms holds (err_l2, err_linf) and
     deviations the deviation (NaN for none) per rung; monotone is True once
@@ -224,7 +218,7 @@ def _grid_ladders(cfg: ExperimentConfig, noise=None):
 def run_convergence_sweep(cfg: ExperimentConfig) -> ErrorReport:
     """Predict each grid signal of the domain's class along the gamma
     ladder; errors must fall."""
-    deviations = _ladder_deviations(cfg.kernel, cfg.gamma_ladder, cfg.epsilon)
+    deviations = _deviation_sups(cfg.kernel, cfg.gamma_ladder, cfg.epsilon)
     rows: list[ReportRow] = []
     for signal_id, norms in _grid_ladders(cfg):
         _check_monotone(signal_id, cfg.gamma_ladder, [l2 for l2, _linf in norms])
@@ -252,7 +246,7 @@ def run_uniform_bound_check(cfg: ExperimentConfig) -> ErrorReport:
     # atom frequency in the config: all signals of a class share one bound.
     all_atoms = [wk for _spec, ms in signals for wk, _c in ms.atoms]
     deviations = {
-        eps: _ladder_deviations(kernel, cfg.gamma_ladder, eps, all_atoms)
+        eps: _deviation_sups(kernel, cfg.gamma_ladder, eps, all_atoms)
         for eps in {ms.epsilon for _spec, ms in signals}
     }
     for spec, ms in signals:
@@ -287,7 +281,7 @@ def run_robustness_probe(cfg: ExperimentConfig) -> ErrorReport:
     """
     if cfg.noise is None:
         raise ConfigError("robustness probe needs a noise entry in the config")
-    deviations = _ladder_deviations(cfg.kernel, cfg.gamma_ladder, cfg.epsilon)
+    deviations = _deviation_sups(cfg.kernel, cfg.gamma_ladder, cfg.epsilon)
     rows: list[ReportRow] = []
     summary: dict = {"op": "robustness", "eta": cfg.noise.eta}
     for signal_id, norms in _grid_ladders(cfg, cfg.noise):
@@ -330,13 +324,11 @@ def run_decomposition_demo(cfg: ExperimentConfig) -> ErrorReport:
     for spec in cfg.signals:
         ladder = spectral_predict_ladder(build_grid_spectrum(spec, cfg.grid, kernel.omega),
                                          kernel, gammas, split_at=kernel.omega)
-        errs_l, errs_h, norms = [], [], []
-        for r in ladder:
-            total, (err_low, err_high) = _recombined_errors(spec.id, r)
-            norms.append(total)
-            errs_l.append(err_low)
-            errs_h.append(err_high)
-            del r  # one live rung: free it before the next is computed
+        # map drops each rung before it asks for the next: one live rung.
+        checked = list(map(lambda r: _recombined_errors(spec.id, r), ladder))
+        norms = [total for total, _parts in checked]
+        errs_l = [err_low for _total, (err_low, _err_high) in checked]
+        errs_h = [err_high for _total, (_err_low, err_high) in checked]
         _check_monotone(spec.id + "[low]", gammas, errs_l)
         _check_monotone(spec.id + "[high]", gammas, errs_h)
         errs_total = [l2 for l2, _linf in norms]

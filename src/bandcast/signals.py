@@ -37,7 +37,7 @@ from .errors import (
     QuadratureNotConverged,
     SupportViolation,
 )
-from .grids import GridSpec, in_class, uniform_omegas
+from .grids import GridSpec, _check_band_constant, in_class, uniform_omegas
 from .transforms import _BLOCK_ELEMENTS, _map_row_blocks, grid_length
 
 
@@ -610,8 +610,7 @@ def ideal_lowpass_split(
     goes to the LOW part.  |w| is even on a centered grid, so the parts of a
     Hermitian X are Hermitian, and an omega >= 0 half splits into two halves.
     """
-    if not 0.0 < omega < math.inf:
-        raise DomainError(f"band constant must be finite and > 0, got {omega!r}")
+    _check_band_constant(omega)
     mask = in_class(spectrum.omegas(), "LOW", omega)
     low = np.where(mask, spectrum.values, 0.0 + 0.0j)
     high = np.where(mask, 0.0 + 0.0j, spectrum.values)

@@ -614,6 +614,9 @@ def test_prediction_result_rejects_nonfinite_norms(pipeline_grid):
         PredictionResult(y, yhat, 5.0)
     with pytest.raises(NonFiniteResult):
         PredictionResult(y, SampledSignal(y.t0, y.dt, np.array([0, math.inf, 0, 0])), 5.0)
+    # Finite samples whose squares overflow: NonFiniteResult, not a numpy warning.
+    with pytest.raises(NonFiniteResult, match="not finite at gamma = 5"):
+        PredictionResult(y, SampledSignal(y.t0, y.dt, np.array([1e200, 0, 0, 1e200])), 5.0)
 
 
 def _class_signal(class_tag, grid):
@@ -763,6 +766,75 @@ def test_centre_samples_are_the_inverse_at_the_grid_centre(single_pole, pipeline
     full = fourier_inverse(on_grid(E)).values[mid : mid + rows]
     assert np.max(np.abs(samples - full)) <= 1e-14 * scale
     assert np.all(np.abs(samples) <= scale)
+
+
+@pytest.mark.parametrize("hermitian", [True, False], ids=["half", "one-sided-full"])
+def test_split_ladder_parts_are_the_plain_ladders_of_each_part(single_pole, pipeline_grid,
+                                                               hermitian):
+    # The split is the two-part case of the plain ladder: at each rung, the
+    # LOW part's E is that of the plain ladder at +|gamma| run on the LOW
+    # part alone, and the HIGH part's that of the plain ladder at -|gamma|
+    # run on the HIGH part alone, bit for bit.  On the one-sided full grid
+    # neither part is Hermitian, so each part alone stays on the full grid.
+    if hermitian:
+        X = _composite(pipeline_grid, True)
+    else:
+        low = make_bandlimited_signal("raised_cosine", (-0.9, 0.5), pipeline_grid, 1.0)
+        high = make_highfreq_signal("raised_cosine", (1.2, 1.5), pipeline_grid, 1.0,
+                                    hermitian=False)
+        X = SampledSpectrum(low.omega0, low.domega, low.values + high.values)
+    assert X.omega0 == (0.0 if hermitian else pipeline_grid.omega0)
+    alone = [list(spectral_predict_ladder(part, single_pole, gammas))
+             for part, gammas in zip(signals.ideal_lowpass_split(X, 1.0),
+                                     (LADDERS["LOW"], LADDERS["HIGH"]))]
+    split = list(spectral_predict_ladder(X, single_pole, LADDERS["HIGH"], split_at=1.0))
+    for r, *plain in zip(split, *alone, strict=True):
+        for got, want in zip(r.error_parts, (p.error_points for p in plain), strict=True):
+            assert (got.omega0, got.domega, got.size) == (want.omega0, want.domega, want.size)
+            assert np.array_equal(got.indices, want.indices) and len(got.indices) > 0
+            assert got.values.tobytes() == want.values.tobytes()
+
+
+def _forbid_transfer(monkeypatch):
+    def forbidden(*_args):
+        raise AssertionError("K was evaluated")
+
+    monkeypatch.setattr(engine, "transfer_on_grid", forbidden)
+
+
+@pytest.mark.parametrize("split_at", [math.nan, 0.0, -1.0, math.inf])
+def test_split_ladder_refuses_a_bad_band_constant_before_k(single_pole, pipeline_grid,
+                                                          monkeypatch, split_at):
+    # The band constant ideal_lowpass_split refuses, with the same message.
+    X = _composite(pipeline_grid, True)
+    with pytest.raises(DomainError) as refused:
+        signals.ideal_lowpass_split(X, split_at)
+    _forbid_transfer(monkeypatch)
+    with pytest.raises(DomainError) as info:
+        spectral_predict_ladder(X, single_pole, [2.0], split_at=split_at)
+    assert str(info.value) == str(refused.value)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)],
+                         ids=["inf", "-inf", "nan", "inf-imag"])
+@pytest.mark.parametrize("hermitian", [True, False], ids=["half", "full"])
+@pytest.mark.parametrize("split_at", [None, 1.0], ids=["plain", "split"])
+def test_ladder_refuses_a_non_finite_x_before_k(single_pole, pipeline_grid, monkeypatch,
+                                                hermitian, bad, split_at):
+    # A non-finite value of X raises NonFiniteResult naming the first omega
+    # that holds one, in the representation the ladder runs on, before K is
+    # evaluated and without a numpy warning (warnings are errors here).  The
+    # first bad value sits where X was zero, the second on X's support.
+    X = _composite(pipeline_grid, hermitian)
+    vals = X.values.copy()
+    w = X.omegas()
+    first, second = np.argmin(np.abs(w - 1.05)), np.argmin(np.abs(w - 1.35))
+    assert vals[first] == 0.0 and vals[second] != 0.0
+    vals[[first, second]] = bad
+    _forbid_transfer(monkeypatch)
+    with pytest.raises(NonFiniteResult, match=f"omega = {w[first]:.6g}$"):
+        spectral_predict_ladder(SampledSpectrum(X.omega0, X.domega, vals), single_pole,
+                                LADDERS["LOW"], split_at)
 
 
 def _hermitian_inputs(n):
@@ -1226,6 +1298,38 @@ def test_error_norms_grid_mismatch():
     z = SampledSignal(0.5, 0.1, np.zeros(64, dtype=complex))
     with pytest.raises(GridMismatch):
         error_norms(y, z)
+
+
+_NON_FINITE_NORMS = {
+    "nan": ([0.0, math.nan, 0.0, 0.0], [0.0] * 4),
+    "inf": ([0.0, math.inf, 0.0, 0.0], [0.0] * 4),
+    "inf-inf": ([math.inf, 0.0, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0]),
+    "overflow": ([1e308, 0.0, 0.0, 0.0], [-1e308, 0.0, 0.0, 0.0]),
+    "squares-overflow": ([1e200, 0.0, 0.0, 1e200], [0.0] * 4),
+    "complex-nan": ([0.0, complex(0.0, math.nan), 0.0, 0.0], [0.0] * 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_NORMS))
+def test_error_norms_refuse_norms_that_are_not_finite(case):
+    # NonFiniteResult, never NaN or a numpy warning (warnings are errors
+    # here), also where finite samples overflow their difference or squares.
+    y, yhat = (SampledSignal(0.0, 0.1, np.array(v)) for v in _NON_FINITE_NORMS[case])
+    with pytest.raises(NonFiniteResult, match="error norms are not finite of y - y_hat"):
+        error_norms(y, yhat)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)],
+                         ids=["nan", "inf", "inf-imag"])
+@pytest.mark.parametrize("hermitian", [True, False], ids=["half", "full"])
+def test_fourier_inverse_refuses_a_non_finite_spectrum(pipeline_grid, hermitian, bad):
+    X = _class_signal("LOW", pipeline_grid)
+    if not hermitian:
+        X = full_grid(X, pipeline_grid)
+    vals = X.values.copy()
+    vals[3] = bad
+    with pytest.raises(NonFiniteResult, match="fourier_inverse"):
+        fourier_inverse(SampledSpectrum(X.omega0, X.domega, vals))
 
 
 def test_parseval_bridging(single_pole, pipeline_grid):

@@ -522,10 +522,10 @@ def test_ladder_deviations_equal_each_rungs_deviation_norm(monkeypatch):
         atoms = [w for tag in ("LOW", "HIGH")
                  for w, _c in helpers.random_mixed_signal(rng, tag, om, max(eps, 0.05)).atoms]
         want = [deviation_norm(PredictorTransfer(kernel, g), eps, atoms) for g in gammas]
-        assert harness._ladder_deviations(kernel, gammas, eps, atoms) == want
+        assert harness._deviation_sups(kernel, gammas, eps, atoms) == want
         with monkeypatch.context() as m:
             m.setattr(predictor, "_CHUNK", 64)
-            assert harness._ladder_deviations(kernel, gammas, eps, atoms) == want
+            assert harness._deviation_sups(kernel, gammas, eps, atoms) == want
 
 
 @pytest.mark.parametrize("gammas", [[2, 5, 10, 20, 50], [-2, -5, -10, -20, -50], [2]],
@@ -537,7 +537,7 @@ def test_ladder_deviations_hold_at_most_a_chunk_summed_over_the_rungs(monkeypatc
                         lambda kernel, g, w: seen.append(len(g) * len(w)) or real(kernel, g, w))
     monkeypatch.setattr(predictor, "_CHUNK", 100)
     kernel = config_from_dict(base_config(kernel=_MIXED_KERNEL)).kernel
-    harness._ladder_deviations(kernel, gammas, 0.25, [0.3, -1.7])
+    harness._deviation_sups(kernel, gammas, 0.25, [0.3, -1.7])
     assert len(seen) > 2 and max(seen) <= 100
 
 
@@ -1467,7 +1467,7 @@ def _part_errors_halved(real):
 @pytest.mark.parametrize(
     "command, config, target, wrap, signal_id, holds",
     [
-        ("bound-check", "bound_check", "_ladder_deviations", _deviations_scaled_down, "tone",
+        ("bound-check", "bound_check", "_deviation_sups", _deviations_scaled_down, "tone",
          lambda measured, bound: measured > 1e6 * bound > 0.0),
         ("bound-check", "bound_check", "_deviation_values", _deviation_values_doubled, "tone",
          lambda measured, bound: bound == pytest.approx(2.0 * measured, rel=1e-6)),
